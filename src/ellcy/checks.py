@@ -173,18 +173,6 @@ def check_eta_additivity(nterms: int) -> CheckResult:
     return CheckResult("eta-power-additivity", True)
 
 
-def check_fiber_routes(prec: int) -> CheckResult:
-    closed = invariants.f_fiber_closed(prec)
-    direct = invariants.gv_fiber_direct(prec - 1)
-    for n in range(prec):
-        a = closed.coeff_at(n - 1)
-        b = direct.get(geometry.CurveClass(e=n, f=1))
-        if a != b:
-            return CheckResult("fiber-dual-route", False,
-                               f"n={n}: closed {a} vs NL sum {b}")
-    return CheckResult("fiber-dual-route", True)
-
-
 def check_section_routes(prec: int) -> CheckResult:
     closed = invariants.f_section_closed(prec)
     conv = invariants.f_section_convolution(prec)
@@ -199,7 +187,8 @@ def check_section_routes(prec: int) -> CheckResult:
 
 
 def check_multifiber_routes(m: int, nmax: int) -> CheckResult:
-    name = f"multifiber-dual-route-m{m}"
+    """Slice against NL sum for mF + nE; m = 1 is the fibre check."""
+    name = "fiber-dual-route" if m == 1 else f"multifiber-dual-route-m{m}"
     sliced = invariants.f_multifiber_slice(m, nmax)
     direct = invariants.f_multifiber_direct(m, nmax)
     for n in range(nmax + 1):
@@ -212,11 +201,12 @@ def check_multifiber_routes(m: int, nmax: int) -> CheckResult:
 
 
 def check_integrality(prec: int) -> CheckResult:
+    fiber = invariants.f_multifiber_slice(1, prec - 1)
+    section = invariants.f_section_closed(prec)
     streams = {
-        "fiber": [invariants.f_fiber_closed(prec).coeff_at(n - 1)
-                  for n in range(prec)],
-        "section": [invariants.f_section_closed(prec)
-                    .coeff_at(Fraction(2 * n - 1, 2)) for n in range(prec)],
+        "fiber": [fiber.coeff_at(n - 1) for n in range(prec)],
+        "section": [section.coeff_at(Fraction(2 * n - 1, 2))
+                    for n in range(prec)],
         "multifiber-2": list(
             invariants.f_multifiber_direct(2, prec).entries.values()),
         "yau-zaslow": list(forms.yau_zaslow(prec).r),
@@ -239,7 +229,7 @@ def check_euler_hodge() -> CheckResult:
 
 
 def run_checks(prec: int = 16) -> list[CheckResult]:
-    """Run the whole suite at the given term count."""
+    """Run the whole suite at the given term count (at least 2)."""
     return [
         check_ring_laws(),
         check_slice_partition(prec),
@@ -250,7 +240,7 @@ def run_checks(prec: int = 16) -> list[CheckResult]:
         check_theta_is_e4(prec),
         check_e10_sigma9(max(prec, 21)),
         check_eta_additivity(prec),
-        check_fiber_routes(prec),
+        check_multifiber_routes(1, prec - 1),
         check_section_routes(prec),
         check_multifiber_routes(2, prec),
         check_multifiber_routes(3, max(5, (2 * prec) // 3)),

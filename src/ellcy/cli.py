@@ -85,18 +85,7 @@ def cmd_gv(args, out) -> int:
     if args.prec < 1:
         raise _UsageError("--prec must be at least 1")
     prec = args.prec
-    rows: list[tuple[int, str, Fraction]] = []
-    if args.target == "fiber":
-        if args.method == "closed":
-            f = invariants.f_fiber_closed(prec)
-            values = [f.coeff_at(n - 1) for n in range(prec)]
-        else:
-            table = invariants.gv_fiber_direct(prec - 1)
-            values = [table.get(geometry.CurveClass(e=n, f=1))
-                      for n in range(prec)]
-        rows = [(n, geometry.CurveClass(e=n, f=1).label(), v)
-                for n, v in enumerate(values)]
-    elif args.target == "section":
+    if args.target == "section":
         if args.method == "closed":
             f = invariants.f_section_closed(prec)
         else:
@@ -104,20 +93,20 @@ def cmd_gv(args, out) -> int:
         values = [f.coeff_at(Fraction(2 * n - 1, 2)) for n in range(prec)]
         rows = [(n, geometry.CurveClass(c=1, e=n).label(), v)
                 for n, v in enumerate(values)]
-    else:  # multifiber
-        m = args.m
-        if m is None or m < 2:
+    else:  # multifiber; fiber is its m = 1 case
+        m = 1 if args.target == "fiber" else args.m
+        if args.target == "multifiber" and (m is None or m < 2):
             raise _UsageError("multifiber requires --m with m >= 2")
-        nmax = m + prec - 1  # first prec rows from n = m on
+        first = -(-(m * m - 1) // m)  # lowest n with m(n - m) >= -1
+        ns = range(first, first + prec)
         if args.method == "closed":
-            f = invariants.f_multifiber_slice(m, nmax)
-            values = [f.coeff_at(m * (n - m)) for n in range(m, nmax + 1)]
+            f = invariants.f_multifiber_slice(m, ns[-1])
+            values = [f.coeff_at(m * (n - m)) for n in ns]
         else:
-            table = invariants.f_multifiber_direct(m, nmax)
-            values = [table.get(geometry.CurveClass(e=n, f=m))
-                      for n in range(m, nmax + 1)]
+            table = invariants.f_multifiber_direct(m, ns[-1])
+            values = [table.get(geometry.CurveClass(e=n, f=m)) for n in ns]
         rows = [(n, geometry.CurveClass(e=n, f=m).label(), v)
-                for n, v in zip(range(m, nmax + 1), values)]
+                for n, v in zip(ns, values)]
     for n, label, v in rows:
         out.write(f"{n}\t{label}\t{v}\n")
     return 0
@@ -148,6 +137,8 @@ def cmd_euler(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
+    if args.prec < 2:
+        raise _UsageError("--prec must be at least 2")
     results = checks.run_checks(args.prec)
     failures = 0
     for res in results:

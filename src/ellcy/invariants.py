@@ -1,9 +1,10 @@
 """Genus-0 Gopakumar-Vafa invariants of the threefold, by two routes each.
 
-Fibre-direction classes mF + nE are counted through the Noether-Lefschetz
-numbers of the K3 fibration together with the Yau-Zaslow coefficients,
-and independently through closed-form q-expansions in the Eisenstein and
-eta generators.  Section classes C + nE are counted through the closed
+Fibre-direction classes mF + nE (m >= 1; the fibre classes F + nE are
+m = 1) are counted through the Noether-Lefschetz numbers of the K3
+fibration together with the Yau-Zaslow coefficients, and independently
+through congruence slices of -2 E10/Delta, which at m = 1 is the whole
+closed form.  Section classes C + nE are counted through the closed
 form E4/sqrt(Delta) and independently by convolving enumerated E8 vector
 counts with the Bryan-Leung section series 1/sqrt(Delta).  Tests compare
 the routes coefficient by coefficient; the two sides share no generator
@@ -68,46 +69,11 @@ def nl_number(h: int, d1: int, d2: int, prec: int | None = None) -> Fraction:
     disc = geometry.nl_discriminant(K3_POLARIZATION, NLIndex(h, (d1, d2)))
     if disc < 0:
         return Fraction(0)
-    if disc % 2:
-        raise ValueError(
-            f"odd discriminant {disc}: no E10 coefficient at half-integer index")
-    half = disc // 2
+    half = disc // 2  # disc = 2(d2^2 + d1 d2 - h + 1) is always even
     if prec is None:
         prec = half + 1
     e10 = forms.eisenstein(10, prec)
     return -4 * e10.coeff_at(half)
-
-
-def _fiber_class(m: int, n: int) -> CurveClass:
-    return CurveClass(c=0, e=n, f=m)
-
-
-def gv_fiber_direct(nmax: int) -> GVTable:
-    """Invariants of F + nE for 0 <= n <= nmax, by the NL sum.
-
-    n_{F+nE} = (1/2) sum_h r_h NL_{h; n-2, 1}; the sum stops at h = n,
-    where the discriminant 2n - 2h turns negative.
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be non-negative")
-    r = forms.yau_zaslow(nmax)
-    e10_terms = nmax + 1  # largest half-discriminant is n at h = 0
-    table = GVTable(nmax=nmax)
-    for n in range(nmax + 1):
-        total = Fraction(0)
-        for h in range(n + 1):
-            total += r[h] * nl_number(h, n - 2, 1, prec=e10_terms)
-        table.set(_fiber_class(1, n), total / 2, "nl-sum")
-    return table
-
-
-def f_fiber_closed(nterms: int) -> QSeries:
-    """Closed form -2 E10/Delta for the fibre classes F + nE.
-
-    Coefficient of q^(n-1) is n_{F+nE}; nterms terms from q^-1.
-    """
-    e10 = forms.eisenstein(10, nterms + 1)
-    return -2 * (e10 * forms.inverse_delta(nterms + 1))
 
 
 def f_section_closed(nterms: int) -> QSeries:
@@ -148,13 +114,14 @@ def f_section_convolution(nterms: int) -> QSeries:
 
 
 def f_multifiber_direct(m: int, nmax: int) -> GVTable:
-    """Invariants of mF + nE for 0 <= n <= nmax, by the NL sum.
+    """Invariants of mF + nE for m >= 1 and 0 <= n <= nmax, by the NL sum.
 
-    n_{mF+nE} = (1/2) sum_h r_h NL_{h; n-2m, m}; the discriminant
-    2 - 2h + 2nm - 2m^2 bounds h by 1 + m(n - m).
+    n_{mF+nE} = (1/2) sum_h r_h NL_{h; d1, d2}, where (d1, d2) = (n - 2m, m)
+    are the degrees of the class; the discriminant 2 - 2h + 2nm - 2m^2
+    bounds h by 1 + m(n - m).  The fibre classes F + nE are m = 1.
     """
-    if m < 2:
-        raise ValueError("multifibre multiplicity must be at least 2")
+    if m < 1:
+        raise ValueError("fibre multiplicity must be at least 1")
     if nmax < 0:
         raise ValueError("nmax must be non-negative")
     hcap = max(0, 1 + m * (nmax - m))
@@ -162,27 +129,30 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
     e10_terms = hcap + 1
     table = GVTable(nmax=nmax)
     for n in range(nmax + 1):
+        beta = CurveClass(e=n, f=m)
+        d1, d2 = geometry.class_to_degrees(beta)
         hmax = 1 + m * (n - m)
         total = Fraction(0)
         for h in range(max(0, hmax) + 1):
-            total += r[h] * nl_number(h, n - 2 * m, m, prec=e10_terms)
-        table.set(_fiber_class(m, n), total / 2, "nl-sum")
+            total += r[h] * nl_number(h, d1, d2, prec=e10_terms)
+        table.set(beta, total / 2, "nl-sum")
     return table
 
 
 def f_multifiber_slice(m: int, nmax: int) -> QSeries:
-    """Generating series of mF + nE classes via congruence slices.
+    """Generating series of mF + nE classes (m >= 1) via congruence slices.
 
     Returns a series in u, where q = u^m: the coefficient of u^(m(n-m))
     is n_{mF+nE}.  Computed as -2 times the sum over l of the product of
     the slices (1/Delta)_{m, l-1} and (E10)_{m, 1-l}, covering n up to
-    nmax.
+    nmax.  For the fibre classes F + nE (m = 1) the one slice is the
+    whole closed form -2 E10/Delta, with n_{F+nE} at q^(n-1).
     """
-    if m < 2:
-        raise ValueError("multifibre multiplicity must be at least 2")
-    if nmax < m:
-        raise ValueError("nmax must be at least m for a nonempty expansion")
+    if m < 1:
+        raise ValueError("fibre multiplicity must be at least 1")
     uterms = m * (nmax - m) + 2  # need exponents through m(nmax - m)
+    if uterms < 1:
+        raise ValueError("nmax is too small for a nonempty expansion")
     inv_delta_u = forms.inverse_delta(uterms)
     e10_u = forms.eisenstein(10, uterms)
     total: QSeries | None = None

@@ -83,8 +83,8 @@ def test_criterion_6_euler():
 
 def test_criterion_7_dual_routes():
     start = time.perf_counter()
-    closed = invariants.f_fiber_closed(21)
-    direct = invariants.gv_fiber_direct(20)
+    closed = invariants.f_multifiber_slice(1, 20)
+    direct = invariants.f_multifiber_direct(1, 20)
     fiber_ok = all(
         closed.coeff_at(n - 1) == direct.get(CurveClass(e=n, f=1))
         for n in range(21))
@@ -115,7 +115,7 @@ def test_criterion_8_theta_equals_e4():
 
 def test_criterion_9_integrality():
     values = []
-    closed = invariants.f_fiber_closed(21)
+    closed = invariants.f_multifiber_slice(1, 20)
     values += [closed.coeff_at(n - 1) for n in range(21)]
     section = invariants.f_section_closed(20)
     values += [section.coeff_at(Fraction(2 * n - 1, 2)) for n in range(20)]

@@ -154,6 +154,13 @@ class TestCheckCommand:
         assert "FAIL" not in text
         assert text.strip().endswith("checks passed")
 
+    @pytest.mark.parametrize("prec", ["0", "1"])
+    def test_prec_below_two_is_usage_error(self, prec, capsys):
+        code, text = run(["check", "--prec", prec])
+        assert code == 1
+        assert text == ""
+        assert "--prec must be at least 2" in capsys.readouterr().err
+
     def test_corrupted_e10_detected(self, monkeypatch):
         real = forms.eisenstein
 

@@ -148,6 +148,14 @@ class TestNLDiscriminant:
                     idx = NLIndex(h, (n - 2 * m, m))
                     assert geometry.nl_discriminant(K3_POLARIZATION, idx) == \
                         2 - 2 * h + 2 * n * m - 2 * m * m
+        # for arbitrary degrees the discriminant is 2(d2^2 + d1 d2 - h + 1),
+        # so it is always even and nl_number never needs a half-integer index
+        for h in range(8):
+            for d1 in range(-7, 8):
+                for d2 in range(-4, 5):
+                    disc = geometry.nl_discriminant(K3_POLARIZATION,
+                                                    NLIndex(h, (d1, d2)))
+                    assert disc == 2 * (d2 * d2 + d1 * d2 - h + 1)
 
     def test_origin(self):
         assert geometry.nl_discriminant(K3_POLARIZATION,

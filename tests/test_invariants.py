@@ -39,24 +39,37 @@ class TestNLNumber:
 
 class TestFiberRoutes:
     def test_closed_known_values(self):
-        f = invariants.f_fiber_closed(4)
+        f = invariants.f_multifiber_slice(1, 3)
         assert [f.coeff_at(n - 1) for n in range(4)] == \
             [-2, 480, 282888, 17058560]
 
     def test_direct_known_values(self):
-        table = invariants.gv_fiber_direct(3)
+        table = invariants.f_multifiber_direct(1, 3)
         values = [table.get(CurveClass(e=n, f=1)) for n in range(4)]
         assert values == [-2, 480, 282888, 17058560]
 
     def test_routes_agree_to_20(self):
-        closed = invariants.f_fiber_closed(21)
-        direct = invariants.gv_fiber_direct(20)
+        closed = invariants.f_multifiber_slice(1, 20)
+        direct = invariants.f_multifiber_direct(1, 20)
         for n in range(21):
             assert closed.coeff_at(n - 1) == direct.get(CurveClass(e=n, f=1))
 
     def test_provenance_recorded(self):
-        table = invariants.gv_fiber_direct(2)
+        table = invariants.f_multifiber_direct(1, 2)
         assert all(v == "nl-sum" for v in table.provenance.values())
+
+    def test_slice_is_closed_form(self):
+        # at m = 1 the one slice is the whole closed form -2 E10/Delta
+        for nmax in (0, 1, 5, 12):
+            sliced = invariants.f_multifiber_slice(1, nmax)
+            closed = -2 * (forms.eisenstein(10, nmax + 1)
+                           * forms.inverse_delta(nmax + 1))
+            assert sliced == closed.truncate(sliced.prec)
+
+    def test_slice_at_nmax_zero(self):
+        f = invariants.f_multifiber_slice(1, 0)
+        assert f.offset == -1
+        assert f.coeff_at(-1) == -2
 
 
 class TestSectionRoutes:
@@ -129,16 +142,16 @@ class TestMultifiberRoutes:
             for v in table.entries.values():
                 assert v.denominator == 1
 
-    def test_m_below_two_rejected(self):
+    def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
-            invariants.f_multifiber_direct(1, 5)
+            invariants.f_multifiber_direct(0, 5)
         with pytest.raises(ValueError):
-            invariants.f_multifiber_slice(1, 5)
+            invariants.f_multifiber_slice(0, 5)
 
 
 class TestMultipleCover:
     def test_primitive_identity(self):
-        table = invariants.gv_fiber_direct(5)
+        table = invariants.f_multifiber_direct(1, 5)
         for n in range(1, 6):
             beta = CurveClass(e=n, f=1)  # gcd 1: primitive
             assert invariants.gv_to_gw_genus0(table, beta) == table.get(beta)
@@ -154,7 +167,7 @@ class TestMultipleCover:
 
     def test_double_fiber_from_both_tables(self):
         merged = GVTable()
-        fiber = invariants.gv_fiber_direct(0)
+        fiber = invariants.f_multifiber_direct(1, 0)
         double = invariants.f_multifiber_direct(2, 0)
         for t in (fiber, double):
             for beta, v in t.entries.items():
@@ -184,5 +197,5 @@ class TestResolutionFactor:
         for n in range(6):
             raw = sum(r[h] * invariants.nl_number(h, n - 2, 1, prec=6)
                       for h in range(n + 1))
-            table = invariants.gv_fiber_direct(n)
+            table = invariants.f_multifiber_direct(1, n)
             assert 2 * table.get(CurveClass(e=n, f=1)) == raw
