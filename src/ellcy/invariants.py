@@ -60,20 +60,29 @@ class GVTable:
         return len(self.entries)
 
 
+def _nl_from_e10(disc: int, e10: QSeries) -> Fraction:
+    """NL number of bordered discriminant `disc`, read off E10.
+
+    Zero when the discriminant is negative (Hodge index); otherwise -4
+    times the E10 coefficient at half the discriminant, which is always
+    even: disc = 2(d2^2 + d1 d2 - h + 1).
+    """
+    if disc < 0:
+        return Fraction(0)
+    return -4 * e10.coeff_at(disc // 2)
+
+
 def nl_number(h: int, d1: int, d2: int, prec: int | None = None) -> Fraction:
     """Noether-Lefschetz number of the resolved K3 fibration.
 
     Zero when the bordered discriminant is negative (Hodge index);
     otherwise -4 times the E10 coefficient at half the discriminant.
+    E10 = E4 * E6 is built to `prec` terms, by default just enough.
     """
     disc = geometry.nl_discriminant(K3_POLARIZATION, NLIndex(h, (d1, d2)))
-    if disc < 0:
-        return Fraction(0)
-    half = disc // 2  # disc = 2(d2^2 + d1 d2 - h + 1) is always even
     if prec is None:
-        prec = half + 1
-    e10 = forms.eisenstein(10, prec)
-    return -4 * e10.coeff_at(half)
+        prec = max(disc, 0) // 2 + 1
+    return _nl_from_e10(disc, forms.eisenstein(10, prec))
 
 
 def f_section_closed(nterms: int) -> QSeries:
@@ -126,7 +135,7 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
         raise ValueError("nmax must be non-negative")
     hcap = max(0, 1 + m * (nmax - m))
     r = forms.yau_zaslow(hcap)
-    e10_terms = hcap + 1
+    e10 = forms.eisenstein(10, hcap + 1)
     table = GVTable(nmax=nmax)
     for n in range(nmax + 1):
         beta = CurveClass(e=n, f=m)
@@ -134,7 +143,9 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
         hmax = 1 + m * (n - m)
         total = Fraction(0)
         for h in range(max(0, hmax) + 1):
-            total += r[h] * nl_number(h, d1, d2, prec=e10_terms)
+            disc = geometry.nl_discriminant(K3_POLARIZATION,
+                                            NLIndex(h, (d1, d2)))
+            total += r[h] * _nl_from_e10(disc, e10)
         table.set(beta, total / 2, "nl-sum")
     return table
 

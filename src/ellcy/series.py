@@ -9,7 +9,10 @@ QSeries reports is always correct; asking for one beyond the bound raises
 :class:`PrecisionError` rather than silently returning zero.
 
 Coefficients are `fractions.Fraction` throughout; there is no floating
-point anywhere in this module.
+point anywhere in this module.  The product is one exact big-integer
+multiplication: each factor is brought to integer coefficients, packed
+into a single Python int by Kronecker substitution, and the product's
+slots are read back as `Fraction` coefficients.
 """
 
 from __future__ import annotations
@@ -34,6 +37,29 @@ def _sqrt_fraction(c: Fraction) -> Fraction:
     if rn * rn != num or rd * rd != den:
         raise ValueError(f"{c} is not the square of a rational")
     return Fraction(rn, rd)
+
+
+def _int_scale(cs: list[Fraction]) -> tuple[int, int]:
+    """lcm L of the denominators of cs, and the bit length of max |L*c|."""
+    lcm = math.lcm(*(c.denominator for c in cs))
+    top = max(abs(c.numerator) * (lcm // c.denominator) for c in cs)
+    return lcm, top.bit_length()
+
+
+def _pack(cs: list[Fraction], lcm: int, width: int) -> int:
+    """sum of lcm*cs[i] * 2^(8*width*i), each |lcm*cs[i]| < 2^(8*width-2).
+
+    Slots hold two's complement; a slot written negative borrows one
+    from the slot above, and the top slot's sign is the sum's.
+    """
+    buf = bytearray(width * len(cs))
+    borrow = 0
+    for i, c in enumerate(cs):
+        v = c.numerator * (lcm // c.denominator) - borrow
+        buf[i * width:(i + 1) * width] = v.to_bytes(width, "little",
+                                                    signed=True)
+        borrow = v < 0
+    return int.from_bytes(buf, "little", signed=True)
 
 
 class QSeries:
@@ -192,6 +218,15 @@ class QSeries:
                        self.exp_den)
 
     def __mul__(self, other):
+        """Product of two series, or of a series and a rational scalar.
+
+        Computed by signed Kronecker substitution (Harvey, J. Symb. Comp.
+        2009): both factors, scaled to integers by the lcm of their
+        coefficient denominators, are packed into one Python int each,
+        with slots wide enough that no product coefficient overflows its
+        slot.  One big-int multiplication gives every coefficient at once;
+        they are unpacked exactly and divided back to `Fraction`.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, QSeries):
@@ -205,15 +240,25 @@ class QSeries:
         offset = fo + go
         if self.is_zero() or other.is_zero():
             return QSeries.zero(prec, den)
-        cs = [Fraction(0)] * (prec - offset)
-        for i, a in enumerate(fc):
-            if a == 0:
-                continue
-            jmax = min(len(gc), len(cs) - i)
-            for j in range(jmax):
-                b = gc[j]
-                if b != 0:
-                    cs[i + j] += a * b
+        n = prec - offset
+        fc, gc = fc[:n], gc[:n]
+        fl, fbits = _int_scale(fc)
+        gl, gbits = _int_scale(gc)
+        # |product coefficient| < n * max|f| * max|g|; two spare bits keep
+        # it inside the signed slot
+        width = (fbits + gbits + n.bit_length() + 2 + 7) // 8
+        nbytes = width * n
+        # read the first n slots in two's complement: a slot that reads
+        # negative took one from the slot above, which reads one too low
+        raw = ((_pack(fc, fl, width) * _pack(gc, gl, width))
+               % (1 << (8 * nbytes))).to_bytes(nbytes, "little")
+        scale = fl * gl
+        cs = []
+        borrow = 0
+        for i in range(0, nbytes, width):
+            v = int.from_bytes(raw[i:i + width], "little", signed=True)
+            cs.append(Fraction(v + borrow, scale))
+            borrow = v < 0
         return QSeries(cs, offset, prec, den)
 
     __rmul__ = __mul__

@@ -36,6 +36,13 @@ class TestNLNumber:
         with pytest.raises(PrecisionError):
             invariants.nl_number(0, 10, 1, prec=3)
 
+    @pytest.mark.parametrize("h, d1", [(0, 3000), (2, 2500), (1, 1234)])
+    def test_exact_at_large_index(self, h, d1):
+        # half-discriminant d1 - h + 2; E10 coefficients there are ~2^115,
+        # so the series product works with slots of real width
+        expected = 4 * 264 * forms.sigma(9, d1 - h + 2)
+        assert invariants.nl_number(h, d1, 1) == expected
+
 
 class TestFiberRoutes:
     def test_closed_known_values(self):
@@ -141,6 +148,27 @@ class TestMultifiberRoutes:
             table = invariants.f_multifiber_direct(m, 10)
             for v in table.entries.values():
                 assert v.denominator == 1
+
+    def test_e10_built_once_per_table(self, monkeypatch):
+        reference = invariants.f_multifiber_direct(2, 10).entries
+        real = forms.eisenstein
+        weights = []
+
+        def corrupted(k, nterms):
+            weights.append(k)
+            f = real(k, nterms)
+            if k != 10:
+                return f
+            cs = list(f.coeffs)
+            cs[2] += 1
+            return type(f)(cs, f.offset, f.prec, f.exp_den)
+
+        monkeypatch.setattr(forms, "eisenstein", corrupted)
+        assert invariants.f_multifiber_direct(2, 10).entries != reference
+        assert weights.count(10) == 1
+        monkeypatch.undo()
+        # no hidden cache: with the patch gone the table is built afresh
+        assert invariants.f_multifiber_direct(2, 10).entries == reference
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -173,6 +173,50 @@ def unit_series(draw):
     return QSeries(cs, offset, offset + len(cs), 1)
 
 
+def schoolbook_product(f: QSeries, g: QSeries):
+    """Reference product by the double loop over terms.
+
+    Returns the precision bound of f*g as an exponent, and the map from
+    each exponent below it to its coefficient.
+    """
+    bound = min(Fraction(f.prec, f.exp_den) + Fraction(g.offset, g.exp_den),
+                Fraction(g.prec, g.exp_den) + Fraction(f.offset, f.exp_den))
+    out = {}
+    for a, x in f.terms():
+        for b, y in g.terms():
+            if a + b < bound:
+                out[a + b] = out.get(a + b, 0) + x * y
+    return bound, out
+
+
+wide_coeff_st = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+    st.builds(Fraction, st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+              st.integers(min_value=1, max_value=2 ** 70)))
+
+
+@st.composite
+def wide_qseries(draw):
+    zeros = draw(st.integers(min_value=0, max_value=8))
+    cs = [0] * zeros + draw(st.lists(wide_coeff_st, max_size=10))
+    offset = draw(st.integers(min_value=-6, max_value=4))
+    extra = draw(st.integers(min_value=0, max_value=4))
+    den = draw(st.sampled_from([1, 2, 3]))
+    return QSeries(cs, offset, offset + len(cs) + extra, den)
+
+
+@given(wide_qseries(), wide_qseries())
+def test_mul_matches_schoolbook(f, g):
+    p = f * g
+    bound, ref = schoolbook_product(f, g)
+    assert Fraction(p.prec, p.exp_den) == bound
+    for i, c in enumerate(p.coeffs):
+        assert c == ref.get(Fraction(p.offset + i, p.exp_den), 0)
+    for e, c in ref.items():
+        assert p.coeff_at(e) == c
+
+
 @given(qseries(), qseries())
 def test_mul_commutative(f, g):
     assert f * g == g * f
