@@ -125,8 +125,10 @@ def check_nl_vanishing() -> CheckResult:
                 disc = geometry.nl_discriminant(
                     geometry.K3_POLARIZATION,
                     geometry.NLIndex(h, (d1, d2)))
+                if disc >= 0:
+                    continue
                 nl = invariants.nl_number(h, d1, d2)
-                if disc < 0 and nl != 0:
+                if nl != 0:
                     return CheckResult(
                         "nl-vanishing", False,
                         f"NL({h};{d1},{d2}) = {nl} despite discriminant {disc}")
@@ -156,20 +158,52 @@ def check_e10_sigma9(nterms: int) -> CheckResult:
     return CheckResult("e10-sigma9", True)
 
 
+def _jacobi_cube(nterms: int) -> QSeries:
+    """Jacobi's prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2)."""
+    cs = [0] * nterms
+    k = 0
+    while k * (k + 1) // 2 < nterms:
+        cs[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    return QSeries(cs, 0, nterms)
+
+
+def _agree(f: QSeries, g: QSeries) -> bool:
+    """f and g are equal up to the lower of their precision bounds."""
+    p = min(f.prec, g.prec)
+    return f.truncate(p) == g.truncate(p)
+
+
 def check_eta_additivity(nterms: int) -> CheckResult:
-    """eta^12 * eta^12 must reproduce eta^24 = Delta exactly."""
+    """Pin every eta power the routes use against an independent oracle.
+
+    All eta powers share one recurrence, so each is checked against
+    series that never call it: eta^24/q against the eighth power of
+    Jacobi's series for prod (1 - q^n)^3, eta^-24 against the inverse of
+    Delta = (E4^3 - E6^2)/1728 built from divisor sums, and eta^12 and
+    eta^-12 by squaring into eta^24 and eta^-24.
+    """
+    eta24 = forms.eta_power(24, nterms)
     twelve = forms.eta_power(12, nterms)
-    lhs = twelve * twelve
-    rhs = forms.eta_power(24, nterms)
-    p = min(lhs.prec, rhs.prec)
-    if lhs.truncate(p) != rhs.truncate(p):
+    if not _agree(twelve * twelve, eta24):
         return CheckResult("eta-power-additivity", False,
                            "eta^12 squared differs from eta^24")
+    j = _jacobi_cube(nterms)
+    j2 = j * j
+    j4 = j2 * j2
+    if not _agree(j4 * j4, QSeries.monomial(1, -1, nterms) * eta24):
+        return CheckResult("eta-power-additivity", False,
+                           "eta^24/q differs from Jacobi's series to the 8th")
     inv = forms.inverse_delta(nterms)
-    for e, c in inv.terms():
-        if c.denominator != 1 or c < 0:
-            return CheckResult("eta-power-additivity", False,
-                               f"1/Delta coefficient at {e} is {c}")
+    e4, e6 = forms.eisenstein(4, nterms), forms.eisenstein(6, nterms)
+    delta_e = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
+    if not _agree(delta_e * inv, QSeries.constant(1, nterms)):
+        return CheckResult("eta-power-additivity", False,
+                           "(E4^3 - E6^2)/1728 times eta^-24 is not 1")
+    inv_half = forms.inverse_sqrt_delta(nterms)
+    if not _agree(inv_half * inv_half, inv):
+        return CheckResult("eta-power-additivity", False,
+                           "eta^-12 squared differs from eta^-24")
     return CheckResult("eta-power-additivity", True)
 
 

@@ -1,16 +1,21 @@
 """Generators for the specific modular objects the computation needs.
 
 Everything here returns a :class:`~ellcy.series.QSeries` truncated to a
-requested number of terms counted from the leading exponent.  Two of the
-generators are deliberately redundant: the E8 theta series is computed by
-exhaustive lattice-vector counting and never via the weight-4 Eisenstein
-series, so that the classical identity Theta_E8 = E_4 is available as a
-cross-check of two unrelated algorithms.
+requested number of terms counted from the leading exponent.  Every eta
+power, Delta = eta^24 and the denominators 1/Delta = eta^-24 and
+1/sqrt(Delta) = eta^-12 included, comes from one integer recurrence in
+:func:`eta_power`; no generator takes a series square root or inverse.
+Two of the generators are deliberately redundant: the E8 theta series is
+computed by exhaustive lattice-vector counting and never via the weight-4
+Eisenstein series, so that the classical identity Theta_E8 = E_4 is
+available as a cross-check of two unrelated algorithms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,26 +39,32 @@ def sigma(k: int, n: int) -> int:
 def eta_power(e: int, nterms: int) -> QSeries:
     """q^(e/24) * prod_{n>=1} (1 - q^n)^e, keeping nterms terms.
 
-    The exponent denominator is 24/gcd(e, 24): 1 for eta^24 (= Delta)
-    and 2 for eta^12.
+    Any nonzero even e, negative ones included.  The product's
+    coefficients p_n come from Euler's recurrence for powers of a power
+    series (Knuth, TAOCP vol. 2, 4.7): the log-derivative of
+    prod (1 - q^n)^e is -e sum sigma_1(k) q^k, so
+    n p_n = -e sum_{k=1}^{n} sigma_1(k) p_{n-k} with p_0 = 1, all in
+    integers.  The exponent denominator is 24/gcd(e, 24): 1 for
+    eta^(+-24) and 2 for eta^(+-12).
     """
-    if e < 2 or e % 2:
-        raise ValueError("the exponent must be a positive even integer")
+    if e == 0 or e % 2:
+        raise ValueError("the exponent must be a nonzero even integer")
     if nterms < 1:
         raise ValueError("nterms must be positive")
-    # product part, integer exponents 0..nterms-1
-    cs = [Fraction(0)] * nterms
-    cs[0] = Fraction(1)
+    sig = [0] + [sigma(1, k) for k in range(1, nterms)]
+    cs = [1] + [0] * (nterms - 1)
     for n in range(1, nterms):
-        for _ in range(e):
-            # multiply by (1 - q^n) in place
-            for i in range(nterms - 1, n - 1, -1):
-                cs[i] -= cs[i - n]
+        # sig[n], ..., sig[1] against p_0, ..., p_{n-1}
+        s = sum(map(operator.mul, sig[n:0:-1], cs))
+        cs[n], rem = divmod(-e * s, n)
+        if rem:
+            raise ArithmeticError(
+                f"eta^{e}: coefficient {n} is not an integer")
     exp_den = 24 // math.gcd(e, 24)
     shift = e * exp_den // 24  # e/24 in units of 1/exp_den
     if exp_den == 1:
         return QSeries(cs, shift, shift + nterms, 1)
-    scaled = [Fraction(0)] * (nterms * exp_den)
+    scaled = [0] * (nterms * exp_den)
     scaled[::exp_den] = cs
     return QSeries(scaled, shift, shift + nterms * exp_den, exp_den)
 
@@ -64,13 +75,13 @@ def delta(nterms: int) -> QSeries:
 
 
 def inverse_delta(nterms: int) -> QSeries:
-    """1/Delta = q^-1 + 24 + 324q + 3200q^2 + ..., nterms terms."""
-    return delta(nterms).invert()
+    """1/Delta = eta^-24 = q^-1 + 24 + 324q + 3200q^2 + ..., nterms terms."""
+    return eta_power(-24, nterms)
 
 
 def inverse_sqrt_delta(nterms: int) -> QSeries:
-    """1/sqrt(Delta) = q^(-1/2)(1 + 12q + ...), nterms terms."""
-    return delta(nterms).sqrt().invert()
+    """1/sqrt(Delta) = eta^-12 = q^(-1/2)(1 + 12q + ...), nterms terms."""
+    return eta_power(-12, nterms)
 
 
 def eisenstein(k: int, nterms: int) -> QSeries:
@@ -94,38 +105,35 @@ def eisenstein(k: int, nterms: int) -> QSeries:
     raise ValueError(f"unsupported Eisenstein weight {k}; expected 4, 6 or 10")
 
 
+def _profile_product(a: dict[tuple[int, int], int],
+                     b: dict[tuple[int, int], int],
+                     bound: int) -> dict[tuple[int, int], int]:
+    """Convolve two (norm, sum mod 4) count tables, keeping norm <= bound."""
+    counts: dict[tuple[int, int], int] = {}
+    for (na, sa), ca in a.items():
+        for (nb, sb), cb in b.items():
+            n = na + nb
+            if n <= bound:
+                key = (n, (sa + sb) % 4)
+                counts[key] = counts.get(key, 0) + ca * cb
+    return counts
+
+
 @lru_cache(maxsize=None)
 def _half_norm_profiles(parity: int, bound: int) -> dict[tuple[int, int], int]:
     """Count 4-tuples of integers of the given parity by (norm, sum mod 4).
 
     Works in doubled coordinates y = 2x, so `norm` here is sum(y_i^2)
-    and `bound` is its inclusive cap.  Exhaustive enumeration.
+    and `bound` is its inclusive cap.  Exhaustive enumeration: every
+    2-tuple is counted by (norm, sum mod 4), and a 4-tuple is a pair of
+    2-tuples, so the 4-tuple table is that pair table convolved with
+    itself.
     """
     lim = math.isqrt(bound)
-    if parity == 1:
-        vals = [y for y in range(-lim, lim + 1) if y % 2]
-    else:
-        vals = [y for y in range(-lim, lim + 1) if y % 2 == 0]
-    counts: dict[tuple[int, int], int] = {}
-    for y1 in vals:
-        n1 = y1 * y1
-        if n1 > bound:
-            continue
-        for y2 in vals:
-            n2 = n1 + y2 * y2
-            if n2 > bound:
-                continue
-            for y3 in vals:
-                n3 = n2 + y3 * y3
-                if n3 > bound:
-                    continue
-                for y4 in vals:
-                    n4 = n3 + y4 * y4
-                    if n4 > bound:
-                        continue
-                    key = (n4, (y1 + y2 + y3 + y4) % 4)
-                    counts[key] = counts.get(key, 0) + 1
-    return counts
+    vals = [y for y in range(-lim, lim + 1) if y % 2 == parity]
+    singles = Counter((y * y, y % 4) for y in vals)
+    pairs = _profile_product(singles, singles, bound)
+    return _profile_product(pairs, pairs, bound)
 
 
 @lru_cache(maxsize=None)

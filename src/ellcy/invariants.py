@@ -107,7 +107,9 @@ def f_section_convolution(nterms: int) -> QSeries:
     if nterms < 1:
         raise ValueError("nterms must be positive")
     counts = forms.e8_norm_counts(nterms - 1)
-    bl = forms.inverse_sqrt_delta(nterms)
+    inv_sqrt = forms.inverse_sqrt_delta(nterms)
+    # bl[j] counts the pure section class C'' + jE''
+    bl = [inv_sqrt.coeff_at(Fraction(2 * j - 1, 2)) for j in range(nterms)]
     cs = []
     for n in range(nterms):
         total = Fraction(0)
@@ -115,7 +117,7 @@ def f_section_convolution(nterms: int) -> QSeries:
             if counts[m] == 0:
                 continue
             # class shifted down to C'' + (n - m)E''
-            total += counts[m] * bl.coeff_at(Fraction(2 * (n - m) - 1, 2))
+            total += counts[m] * bl[n - m]
         cs.append(total)
     scaled = [Fraction(0)] * (2 * nterms)
     scaled[::2] = cs

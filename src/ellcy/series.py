@@ -81,7 +81,7 @@ class QSeries:
                  exp_den: int = 1):
         if exp_den < 1:
             raise ValueError("exp_den must be a positive integer")
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if offset > prec:
             raise ValueError("offset must not exceed prec")
         n = prec - offset

@@ -161,6 +161,8 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         "e10": ("eisenstein", corrupt_eisenstein(10)),
         "delta": ("eta_power", corrupt_eta(24)),
         "eta12": ("eta_power", corrupt_eta(12)),
+        "inverse-delta": ("eta_power", corrupt_eta(-24)),
+        "inverse-sqrt-delta": ("eta_power", corrupt_eta(-12)),
     }
     for name, (attr, patched) in faults.items():
         monkeypatch.setattr(forms, attr, patched)

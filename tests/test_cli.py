@@ -193,6 +193,46 @@ class TestCheckCommand:
         assert code == 2
         assert "FAIL" in text
 
+    def test_corrupted_inverse_delta_detected(self, monkeypatch):
+        real = forms.eta_power
+
+        def corrupted(e, nterms):
+            f = real(e, nterms)
+            if e != -24 or nterms < 3:
+                return f
+            cs = list(f.coeffs)
+            cs[2] += 1
+            return QSeries(cs, f.offset, f.prec, f.exp_den)
+
+        monkeypatch.setattr(forms, "eta_power", corrupted)
+        code, text = run(["check", "--prec", "6"])
+        assert code == 2
+        assert "eta-power-additivity" in [
+            line.split("\t")[1] for line in text.splitlines()
+            if line.startswith("FAIL")]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_consistent_eta_fault_detected(self, sign, monkeypatch):
+        # eta^(12s) times (1 + q) and eta^(24s) times (1 + q)^2 still
+        # square into each other, so only an oracle outside the eta
+        # recurrence can see it
+        real = forms.eta_power
+        factor = QSeries([1, 1], 0, 1000)
+
+        def corrupted(e, nterms):
+            f = real(e, nterms)
+            if e == 12 * sign:
+                return f * factor
+            if e == 24 * sign:
+                return f * factor * factor
+            return f
+
+        monkeypatch.setattr(forms, "eta_power", corrupted)
+        code, text = run(["check", "--prec", "6"])
+        assert code == 2
+        assert [line.split("\t")[1] for line in text.splitlines()
+                if line.startswith("FAIL")] == ["eta-power-additivity"]
+
     def test_corrupted_e4_detected(self, monkeypatch):
         real = forms.eisenstein
 

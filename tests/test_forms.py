@@ -1,10 +1,12 @@
 """Tests for the modular-form generators, each against an independent oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from ellcy import forms
+from ellcy.series import QSeries
 
 
 def dedekind_product_oracle(power: int, nterms: int) -> list[Fraction]:
@@ -29,6 +31,35 @@ def dedekind_product_oracle(power: int, nterms: int) -> list[Fraction]:
                         out[i + j] += a * factor[j]
             cs = out
     return cs
+
+
+def four_loop_half_profiles(parity: int,
+                            bound: int) -> dict[tuple[int, int], int]:
+    """4-tuples of integers of one parity by (norm, sum mod 4), norm <= bound.
+
+    Independent of forms._half_norm_profiles: four nested loops over the
+    coordinates, pruned only by the running norm.
+    """
+    lim = math.isqrt(bound)
+    vals = [y for y in range(-lim, lim + 1) if y % 2 == parity]
+    counts: dict[tuple[int, int], int] = {}
+    for y1 in vals:
+        n1 = y1 * y1
+        for y2 in vals:
+            n2 = n1 + y2 * y2
+            if n2 > bound:
+                continue
+            for y3 in vals:
+                n3 = n2 + y3 * y3
+                if n3 > bound:
+                    continue
+                for y4 in vals:
+                    n4 = n3 + y4 * y4
+                    if n4 > bound:
+                        continue
+                    key = (n4, (y1 + y2 + y3 + y4) % 4)
+                    counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 class TestEtaPower:
@@ -69,6 +100,49 @@ class TestEtaPower:
     def test_odd_exponent_rejected(self):
         with pytest.raises(ValueError):
             forms.eta_power(7, 4)
+
+    def test_zero_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            forms.eta_power(0, 4)
+
+    @pytest.mark.parametrize("e", [12, 24])
+    def test_recurrence_matches_product_oracle(self, e):
+        s = forms.eta_power(e, 20)
+        for i, c in enumerate(dedekind_product_oracle(e, 20)):
+            assert s.coeff_at(Fraction(e, 24) + i) == c
+
+    @pytest.mark.parametrize("e", [12, 24])
+    def test_negative_power_is_inverse(self, e):
+        prod = forms.eta_power(e, 30) * forms.eta_power(-e, 30)
+        assert prod == QSeries.constant(1, prod.prec)
+        assert prod.prec == 30
+
+    def test_inverse_delta_by_recurrence_known_values(self):
+        inv = forms.eta_power(-24, 4)
+        assert [(e, c) for e, c in inv.terms()] == [
+            (-1, 1), (0, 24), (1, 324), (2, 3200)]
+        assert inv.prec == 3
+
+    def test_ramanujan_tau_at_200_terms(self):
+        d = forms.delta(200)
+        tau = {n: d.coeff_at(n) for n in range(1, 201)}
+        assert tau[1] == 1
+        for m in range(2, 201):
+            for n in range(m + 1, 200 // m + 1):
+                if math.gcd(m, n) == 1:
+                    assert tau[m * n] == tau[m] * tau[n]
+        for p in (2, 3, 5, 7, 11, 13):
+            assert tau[p * p] == tau[p] ** 2 - p ** 11
+
+    def test_inexact_step_raises(self, monkeypatch):
+        # a wrong sigma_1(3) makes 3 * p_3 odd for eta^2; the recurrence
+        # must refuse rather than floor it
+        real = forms.sigma
+        monkeypatch.setattr(
+            forms, "sigma",
+            lambda k, n: 5 if (k, n) == (1, 3) else real(k, n))
+        with pytest.raises(ArithmeticError):
+            forms.eta_power(2, 4)
 
 
 class TestSigma:
@@ -142,6 +216,13 @@ class TestThetaE8:
                                 key = (n, (y1 + y2 + y3 + y4) % 4)
                                 direct[key] = direct.get(key, 0) + 1
             assert profiles == direct
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_half_profiles_match_four_loop(self, parity):
+        from ellcy.forms import _half_norm_profiles
+        for bound in range(0, 81):
+            assert _half_norm_profiles(parity, bound) == \
+                four_loop_half_profiles(parity, bound)
 
     def test_equals_e4_to_16_terms(self):
         assert forms.theta_e8(16) == forms.eisenstein(4, 16)
