@@ -243,7 +243,7 @@ def check_integrality(prec: int) -> CheckResult:
                     for n in range(prec)],
         "multifiber-2": list(
             invariants.f_multifiber_direct(2, prec).entries.values()),
-        "yau-zaslow": list(forms.yau_zaslow(prec).r),
+        "yau-zaslow": forms.yau_zaslow(prec),
     }
     for name, values in streams.items():
         for v in values:

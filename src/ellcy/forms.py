@@ -152,16 +152,19 @@ def e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:
     bound = 8 * max_half_norm  # cap on sum(y_i^2) with y = 2x
     counts = [0] * (max_half_norm + 1)
     for parity in (0, 1):
-        halves = _half_norm_profiles(parity, bound)
-        for (na, sa), ca in halves.items():
-            for (nb, sb), cb in halves.items():
-                if (na + nb) % 8:
-                    continue
-                if (sa + sb) % 4:
-                    continue  # coordinate sum of x must be even
-                m = (na + nb) // 8
-                if m <= max_half_norm:
-                    counts[m] += ca * cb
+        # a pair of halves is a vector iff its norm is 0 mod 8 and its
+        # coordinate sum of x is even, i.e. the y-sum is 0 mod 4; group
+        # the halves by (norm mod 8, sum mod 4), each group by norm
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (n, s), c in sorted(_half_norm_profiles(parity, bound).items()):
+            groups.setdefault((n % 8, s), []).append((n, c))
+        for (r, s), group in groups.items():
+            partners = groups.get((-r % 8, -s % 4), [])
+            for na, ca in group:
+                for nb, cb in partners:
+                    if na + nb > bound:
+                        break
+                    counts[(na + nb) // 8] += ca * cb
     return tuple(counts)
 
 
@@ -177,29 +180,13 @@ def theta_e8(nterms: int) -> QSeries:
     return QSeries([Fraction(c) for c in counts], 0, nterms)
 
 
-class YauZaslowTable:
-    """Reduced genus-0 K3 invariants r_h, read off from 1/Delta.
+def yau_zaslow(hmax: int) -> tuple[Fraction, ...]:
+    """Reduced genus-0 K3 invariants r_0, ..., r_hmax, read off 1/Delta.
 
     r_h is the coefficient of q^(h-1) in 1/Delta; the table starts
     1, 24, 324, 3200, ...
     """
-
-    def __init__(self, r: list[Fraction]):
-        self.r = list(r)
-        self.hmax = len(r) - 1
-
-    def __getitem__(self, h: int) -> Fraction:
-        if not 0 <= h <= self.hmax:
-            raise IndexError(f"h={h} outside the tabulated range 0..{self.hmax}")
-        return self.r[h]
-
-    def __len__(self) -> int:
-        return self.hmax + 1
-
-
-def yau_zaslow(hmax: int) -> YauZaslowTable:
-    """Tabulate the reduced K3 invariants r_0, ..., r_hmax."""
     if hmax < 0:
         raise ValueError("hmax must be non-negative")
     inv = inverse_delta(hmax + 1)
-    return YauZaslowTable([inv.coeff_at(h - 1) for h in range(hmax + 1)])
+    return tuple(inv.coeff_at(h - 1) for h in range(hmax + 1))

@@ -1,11 +1,10 @@
 """Intersection-theoretic skeleton of the threefold.
 
-Houses the constant pairing and triple-intersection tables for the basis
-line bundles L1, L2, L3 against the curve classes C, F, E, the splitting
-of the rational elliptic surface lattice with its pushforward to the
-threefold, effectivity testing against the negative-definite E8 Gram,
+Houses the constant pairing table for the basis line bundles L1, L2, L3
+against the curve classes C, F, E, the splitting of the rational
+elliptic surface lattice with its pushforward to the threefold,
 bordered-Gram discriminants of Noether-Lefschetz indices, and the
-Euler-characteristic bookkeeping of the Weierstrass model.
+Euler-characteristic and Hodge bookkeeping of the Weierstrass model.
 
 Everything here is exact integer arithmetic on small constant tables.
 """
@@ -55,17 +54,6 @@ class LatticeGram:
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
 
-    def det(self) -> int:
-        return _det(self.gram)
-
-    def dot(self, v: Sequence[int], w: Sequence[int]) -> int:
-        """Bilinear pairing of two coordinate vectors."""
-        return sum(v[i] * self.gram[i][j] * w[j]
-                   for i in range(self.rank) for j in range(self.rank))
-
-    def norm(self, v: Sequence[int]) -> int:
-        return self.dot(v, v)
-
 
 @dataclass(frozen=True)
 class CurveClass:
@@ -74,14 +62,6 @@ class CurveClass:
     c: int = 0
     e: int = 0
     f: int = 0
-
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        return CurveClass(self.c + other.c, self.e + other.e, self.f + other.f)
-
-    def __mul__(self, k: int) -> "CurveClass":
-        return CurveClass(k * self.c, k * self.e, k * self.f)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return self.c == self.e == self.f == 0
@@ -130,27 +110,6 @@ _PAIRING = ((-1, -2, 1),
             (-1, 1, 0),
             (1, 0, 0))
 
-# Triple intersections of L_i, L_j, L_k, stored for sorted (i, j, k).
-_TRIPLE = {
-    (1, 1, 1): 8, (1, 1, 2): -1, (1, 1, 3): -2,
-    (1, 2, 2): -1, (1, 2, 3): 1, (1, 3, 3): 0,
-    (2, 2, 2): 0, (2, 2, 3): 0, (2, 3, 3): 0,
-    (3, 3, 3): 0,
-}
-
-# Negative of the E8 Cartan matrix: the even unimodular negative-definite
-# Gram in the simple-root basis (node 8 attached to node 5).
-E8_GRAM = LatticeGram(8, (
-    (-2, 1, 0, 0, 0, 0, 0, 0),
-    (1, -2, 1, 0, 0, 0, 0, 0),
-    (0, 1, -2, 1, 0, 0, 0, 0),
-    (0, 0, 1, -2, 1, 0, 0, 0),
-    (0, 0, 0, 1, -2, 1, 0, 1),
-    (0, 0, 0, 0, 1, -2, 1, 0),
-    (0, 0, 0, 0, 0, 1, -2, 0),
-    (0, 0, 0, 0, 1, 0, 0, -2),
-))
-
 # Restriction of L1, L2 to a K3 fibre: the rank-2 polarizing lattice.
 K3_POLARIZATION = LatticeGram(2, ((-2, 1), (1, 0)))
 
@@ -177,14 +136,6 @@ def class_to_degrees(beta: CurveClass) -> tuple[int, int]:
     return pair(1, beta), pair(2, beta)
 
 
-def triple_intersection(i: int, j: int, k: int) -> int:
-    """Triple intersection number of L_i, L_j, L_k (symmetric lookup)."""
-    key = tuple(sorted((i, j, k)))
-    if key not in _TRIPLE:
-        raise ValueError(f"indices {(i, j, k)} out of range 1..3")
-    return _TRIPLE[key]
-
-
 def pushforward(gamma: Gamma19Class) -> CurveClass:
     """Image in H_2 of the threefold of a class on the elliptic surface.
 
@@ -197,17 +148,6 @@ def pushforward(gamma: Gamma19Class) -> CurveClass:
     c = 3 * gamma.a + b0 + rest
     e = 3 * gamma.a + rest
     return CurveClass(c=c, e=e, f=0)
-
-
-def is_effective(n: int, lam: Sequence[int]) -> bool:
-    """Effectivity of C'' + n E'' + lambda on the rational elliptic surface.
-
-    lam is given in the simple-root coordinates of E8_GRAM (negative
-    definite); the class is effective iff lam.lam >= -2n.
-    """
-    if len(lam) != 8:
-        raise ValueError("expected 8 E8 coordinates")
-    return E8_GRAM.norm(lam) >= -2 * n
 
 
 def nl_discriminant(lattice: LatticeGram, idx: NLIndex) -> int:
@@ -248,32 +188,6 @@ def euler_characteristic(l_squared: int) -> EulerData:
     cusps = 4 * 6 * l_squared
     e_delta = -deg_k + 2 * cusps
     return EulerData(l_squared, deg_k, cusps, e_delta, e_delta + cusps)
-
-
-def blowup_degree(r: int) -> int:
-    """Degree of the blow-up of the plane at r generic points.
-
-    K.K = 9 on the plane; each exceptional curve contributes E.E = -1.
-    """
-    if not 0 <= r <= 8:
-        raise ValueError("the number of blown-up points must be 0..8")
-    return 9 + r * (-1)
-
-
-@dataclass(frozen=True)
-class WeierstrassDegrees:
-    g2_deg: int
-    g3_deg: int
-    delta_deg: int
-
-
-def weierstrass_degrees() -> WeierstrassDegrees:
-    """Plane degrees of g2 in 4L, g3 in 6L and the discriminant in 12L.
-
-    L = 3H - E has degree 3 as a plane curve class.
-    """
-    l_deg = 3
-    return WeierstrassDegrees(4 * l_deg, 6 * l_deg, 12 * l_deg)
 
 
 def hodge_consistency() -> bool:

@@ -12,7 +12,7 @@ construction beyond the series substrate.
 
 The resolution of the singular Weierstrass model doubles every invariant
 of the polarized family; the factor 1/2 undoing it is applied in exactly
-one place per route and each table entry records which route produced it.
+one place per route.
 """
 
 from __future__ import annotations
@@ -32,20 +32,12 @@ class IncompleteTableError(KeyError):
 
 @dataclass
 class GVTable:
-    """Map from curve classes to exact rational invariants.
-
-    `provenance` records, per class, which route produced the entry
-    (closed-form | nl-sum | convolution | slice), so a test can detect a
-    resolution factor applied twice by diffing routes.
-    """
+    """Map from curve classes to exact rational invariants."""
 
     entries: dict[CurveClass, Fraction] = field(default_factory=dict)
-    provenance: dict[CurveClass, str] = field(default_factory=dict)
-    nmax: int = 0
 
-    def set(self, beta: CurveClass, value: Fraction, route: str) -> None:
+    def set(self, beta: CurveClass, value: Fraction) -> None:
         self.entries[beta] = Fraction(value)
-        self.provenance[beta] = route
 
     def get(self, beta: CurveClass) -> Fraction:
         if beta not in self.entries:
@@ -53,36 +45,28 @@ class GVTable:
                 f"no invariant recorded for class {beta.label()}")
         return self.entries[beta]
 
-    def __contains__(self, beta: CurveClass) -> bool:
-        return beta in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def _nl_from_e10(disc: int, e10: QSeries) -> Fraction:
     """NL number of bordered discriminant `disc`, read off E10.
 
-    Zero when the discriminant is negative (Hodge index); otherwise -4
-    times the E10 coefficient at half the discriminant, which is always
-    even: disc = 2(d2^2 + d1 d2 - h + 1).
+    -4 times the E10 coefficient at half the discriminant, which is
+    always even: disc = 2(d2^2 + d1 d2 - h + 1).  A negative
+    discriminant lies below the support of E10, a modular form with no
+    negative powers of q, so its NL number is zero (Maulik-Pandharipande,
+    arXiv:0705.1653); no separate branch supplies that zero.
     """
-    if disc < 0:
-        return Fraction(0)
     return -4 * e10.coeff_at(disc // 2)
 
 
-def nl_number(h: int, d1: int, d2: int, prec: int | None = None) -> Fraction:
+def nl_number(h: int, d1: int, d2: int) -> Fraction:
     """Noether-Lefschetz number of the resolved K3 fibration.
 
-    Zero when the bordered discriminant is negative (Hodge index);
-    otherwise -4 times the E10 coefficient at half the discriminant.
-    E10 = E4 * E6 is built to `prec` terms, by default just enough.
+    -4 times the E10 coefficient at half the bordered discriminant, zero
+    when the discriminant is negative.  E10 = E4 * E6 is built to just
+    enough terms.
     """
     disc = geometry.nl_discriminant(K3_POLARIZATION, NLIndex(h, (d1, d2)))
-    if prec is None:
-        prec = max(disc, 0) // 2 + 1
-    return _nl_from_e10(disc, forms.eisenstein(10, prec))
+    return _nl_from_e10(disc, forms.eisenstein(10, max(disc, 0) // 2 + 1))
 
 
 def f_section_closed(nterms: int) -> QSeries:
@@ -138,7 +122,7 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
     hcap = max(0, 1 + m * (nmax - m))
     r = forms.yau_zaslow(hcap)
     e10 = forms.eisenstein(10, hcap + 1)
-    table = GVTable(nmax=nmax)
+    table = GVTable()
     for n in range(nmax + 1):
         beta = CurveClass(e=n, f=m)
         d1, d2 = geometry.class_to_degrees(beta)
@@ -148,7 +132,7 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
             disc = geometry.nl_discriminant(K3_POLARIZATION,
                                             NLIndex(h, (d1, d2)))
             total += r[h] * _nl_from_e10(disc, e10)
-        table.set(beta, total / 2, "nl-sum")
+        table.set(beta, total / 2)
     return table
 
 

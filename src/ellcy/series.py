@@ -337,12 +337,3 @@ class QSeries:
               for i, c in enumerate(self.coeffs)]
         return QSeries(cs, self.offset, self.prec, 1)
 
-    def substitute_power(self, m: int) -> "QSeries":
-        """Substitute q -> q^m, multiplying every exponent by m."""
-        if m < 1:
-            raise ValueError("power must be a positive integer")
-        if m == 1:
-            return self
-        cs = [Fraction(0)] * ((self.prec - self.offset) * m)
-        cs[::m] = self.coeffs
-        return QSeries(cs, self.offset * m, self.prec * m, self.exp_den)

@@ -1,9 +1,11 @@
 """CLI contract tests: output shapes, JSON round-trips, exit codes."""
 
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellcy import checks, forms
 from ellcy.cli import doc_to_series, main, series_to_doc
@@ -233,6 +235,23 @@ class TestCheckCommand:
         assert [line.split("\t")[1] for line in text.splitlines()
                 if line.startswith("FAIL")] == ["eta-power-additivity"]
 
+    def test_nl_vanishing_reads_e10(self, monkeypatch):
+        # E10 + 1/q has a term below the support of a modular form; the
+        # check must see it, not answer zero for a negative discriminant
+        # before E10 is read
+        real = forms.eisenstein
+
+        def corrupted(k, nterms):
+            f = real(k, nterms)
+            if k != 10:
+                return f
+            return f + QSeries.monomial(1, -1, f.prec)
+
+        monkeypatch.setattr(forms, "eisenstein", corrupted)
+        res = checks.check_nl_vanishing()
+        assert not res.passed
+        assert res.detail == "NL(0;-3,1) = -4 despite discriminant -2"
+
     def test_corrupted_e4_detected(self, monkeypatch):
         real = forms.eisenstein
 
@@ -262,3 +281,49 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+
+def assert_exit_contract(argv):
+    """main(argv) ends in exit 0, 1 or 2 and raises nothing but SystemExit.
+
+    argparse usage errors leave through SystemExit; any other exception
+    fails the calling test.
+    """
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv, out=io.StringIO())
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+
+
+class TestExitContract:
+    """Integer arguments on both sides of every bound, run in process.
+
+    The draws are derandomized so that the run time is fixed: the cost of
+    nl grows with d2^2 + d1 d2, to about 2 s at d1 = d2 = 60.
+    """
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(["fiber", "section", "multifiber"]),
+           st.sampled_from(["closed", "direct"]), st.integers(-3, 30),
+           st.none() | st.integers(-3, 6))
+    def test_gv(self, target, method, prec, m):
+        argv = ["gv", target, "--method", method, "--prec", str(prec)]
+        assert_exit_contract(argv if m is None else argv + ["--m", str(m)])
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60))
+    def test_nl(self, h, d1, d2):
+        assert_exit_contract(["nl", "--h", str(h), "--d1", str(d1),
+                              "--d2", str(d2)])
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(st.integers(-3, 12))
+    def test_euler(self, lsq):
+        assert_exit_contract(["euler", "--lsq", str(lsq)])
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.integers(-2, 5))
+    def test_check(self, prec):
+        assert_exit_contract(["check", "--prec", str(prec)])

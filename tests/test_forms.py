@@ -62,6 +62,27 @@ def four_loop_half_profiles(parity: int,
     return counts
 
 
+def all_pairs_e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:
+    """E8 vector counts by norm, pairing every two half profiles.
+
+    Independent of the grouping in forms.e8_norm_counts: visits every
+    pair of (norm, sum mod 4) keys and keeps those whose norm is 0 mod 8
+    and whose sum is 0 mod 4.
+    """
+    bound = 8 * max_half_norm
+    counts = [0] * (max_half_norm + 1)
+    for parity in (0, 1):
+        halves = four_loop_half_profiles(parity, bound)
+        for (na, sa), ca in halves.items():
+            for (nb, sb), cb in halves.items():
+                if (na + nb) % 8 or (sa + sb) % 4:
+                    continue
+                m = (na + nb) // 8
+                if m <= max_half_norm:
+                    counts[m] += ca * cb
+    return tuple(counts)
+
+
 class TestEtaPower:
     def test_eta24_against_product_oracle(self):
         oracle = dedekind_product_oracle(24, 8)
@@ -223,6 +244,11 @@ class TestThetaE8:
         for bound in range(0, 81):
             assert _half_norm_profiles(parity, bound) == \
                 four_loop_half_profiles(parity, bound)
+
+    def test_norm_counts_match_all_pairs(self):
+        for max_half_norm in range(0, 41):
+            assert forms.e8_norm_counts(max_half_norm) == \
+                all_pairs_e8_norm_counts(max_half_norm)
 
     def test_equals_e4_to_16_terms(self):
         assert forms.theta_e8(16) == forms.eisenstein(4, 16)

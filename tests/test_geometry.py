@@ -4,7 +4,7 @@ import pytest
 
 from ellcy import geometry
 from ellcy.geometry import (CurveClass, Gamma19Class, LatticeGram, NLIndex,
-                            E8_GRAM, K3_POLARIZATION)
+                            K3_POLARIZATION)
 
 
 class TestPairing:
@@ -36,28 +36,6 @@ class TestClassToDegrees:
 
     def test_zero_class(self):
         assert geometry.class_to_degrees(CurveClass()) == (0, 0)
-
-
-class TestTripleIntersections:
-    def test_table(self):
-        expected = {
-            (1, 1, 1): 8, (1, 1, 2): -1, (1, 1, 3): -2,
-            (1, 2, 2): -1, (1, 2, 3): 1, (1, 3, 3): 0,
-            (2, 2, 2): 0, (2, 2, 3): 0, (2, 3, 3): 0, (3, 3, 3): 0,
-        }
-        for (i, j, k), v in expected.items():
-            assert geometry.triple_intersection(i, j, k) == v
-
-    def test_symmetric(self):
-        import itertools
-        for i, j, k in itertools.product((1, 2, 3), repeat=3):
-            base = geometry.triple_intersection(i, j, k)
-            for perm in itertools.permutations((i, j, k)):
-                assert geometry.triple_intersection(*perm) == base
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            geometry.triple_intersection(0, 1, 1)
 
 
 class TestPushforward:
@@ -94,43 +72,6 @@ class TestPushforward:
     def test_fiber_coordinate_always_zero(self):
         gamma = Gamma19Class(5, (2, -3, 1, 0, 4, 0, 0, 1, -2))
         assert geometry.pushforward(gamma).f == 0
-
-
-class TestE8:
-    def test_unimodular(self):
-        assert E8_GRAM.det() == 1
-
-    def test_even_negative_definite_on_samples(self):
-        vectors = [(1, 0, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0, 0),
-                   (2, 3, 1, 0, -1, 2, 0, 1), (0, 0, 0, 0, 0, 0, 0, 1)]
-        for v in vectors:
-            n = E8_GRAM.norm(v)
-            assert n < 0
-            assert n % 2 == 0
-
-    def test_effectivity(self):
-        zero = (0,) * 8
-        root = (1, 0, 0, 0, 0, 0, 0, 0)
-        assert geometry.is_effective(0, zero)
-        assert not geometry.is_effective(0, root)
-        assert geometry.is_effective(1, root)
-
-    def test_effectivity_monotone_in_n(self):
-        lam = (2, 1, -1, 0, 0, 1, 0, 1)
-        states = [geometry.is_effective(n, lam) for n in range(0, 30)]
-        assert states == sorted(states)  # False before True
-
-    def test_effectivity_reflection_invariant(self):
-        # reflect in a simple root: s_i(v) = v + (Gv)_i e_i
-        lam = [2, 1, -1, 0, 0, 1, 0, 1]
-        for i in range(8):
-            gv = sum(E8_GRAM.gram[i][j] * lam[j] for j in range(8))
-            reflected = list(lam)
-            reflected[i] += gv
-            assert E8_GRAM.norm(reflected) == E8_GRAM.norm(lam)
-            for n in range(0, 10):
-                assert geometry.is_effective(n, reflected) == \
-                    geometry.is_effective(n, lam)
 
 
 class TestNLDiscriminant:
@@ -208,23 +149,6 @@ class TestEulerCharacteristic:
             geometry.euler_characteristic(0)
 
 
-class TestBlowupAndWeierstrass:
-    def test_blowup_degrees(self):
-        assert geometry.blowup_degree(0) == 9
-        assert geometry.blowup_degree(1) == 8
-        assert geometry.blowup_degree(8) == 1
-
-    def test_blowup_out_of_range(self):
-        with pytest.raises(ValueError):
-            geometry.blowup_degree(9)
-
-    def test_weierstrass_degrees(self):
-        degs = geometry.weierstrass_degrees()
-        assert degs.g2_deg == 12
-        assert degs.g3_deg == 18
-        assert degs.delta_deg == 36
-
-
 class TestHodge:
     def test_consistency(self):
         assert geometry.hodge_consistency()
@@ -258,4 +182,4 @@ class TestLatticeGram:
         gram = LatticeGram(2, ((dot(c0, c0), dot(c0, fibre)),
                                (dot(fibre, c0), dot(fibre, fibre))))
         assert gram.gram == ((-1, 1), (1, 0))
-        assert abs(gram.det()) == 1
+        assert abs(geometry._det(gram.gram)) == 1

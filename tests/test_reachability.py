@@ -1,0 +1,165 @@
+"""Every function in src/ellcy is reached by importing and running the CLI.
+
+The guard imports a fresh copy of the package and runs one fixed argv per
+subcommand, series name, gv target and method, plus one usage error and
+one domain error, all in process under ``sys.setprofile``, and asserts
+that the code object of every function defined in ``src/ellcy/*.py`` was
+entered, at import or by a command.  Code objects are compared,
+not lines, so functions behind ``lru_cache`` or ``classmethod`` count
+through the code they wrap, and code nested in a function (lambdas,
+generator expressions) is checked too.  Methods that dataclasses
+generate are compiled from ``<string>`` and are not ours to reach.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import io
+import os
+import pkgutil
+import sys
+import types
+
+import ellcy
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(ellcy.__file__))
+
+# Functions that no command reaches on purpose, each with its reason.
+ALLOWED_UNREACHED = {
+    "series.QSeries.invert": "perfbench/trace_child.py wraps it by name",
+    "series.QSeries.sqrt": "perfbench/trace_child.py wraps it by name",
+    "series._sqrt_fraction": "called only by QSeries.sqrt",
+    "series.QSeries.__hash__": "protocol: QSeries defines __eq__",
+    "series.QSeries.__repr__": "protocol: readable series in a debugger",
+    "series.QSeries.terms": "protocol: the nonzero terms, used by __repr__",
+    "invariants.gv_to_gw_genus0": "the paper's GV to GW multiple-cover "
+                                  "formula, documented in the README",
+    "cli.doc_to_series": "reader of the documented JSON series format",
+    "cli.entry_point": "the console script; main is run directly here",
+}
+
+ARGVS = (
+    [["series", name, "--prec", "3"]
+     for name in ("delta", "inv-delta", "inv-sqrt-delta", "e4", "e6",
+                  "e10", "theta-e8")]
+    + [["series", "e4", "--prec", "3", "--json"]]
+    + [["gv", target, "--method", method, "--prec", "3"] + extra
+       for target, extra in (("fiber", []), ("section", []),
+                             ("multifiber", ["--m", "2"]))
+       for method in ("closed", "direct")]
+    # an empty slice: the product of two zero series is QSeries.zero
+    + [["gv", "multifiber", "--m", "3", "--prec", "1"]]
+    + [["nl", "--h", "0", "--d1", "0", "--d2", "0"],
+       ["euler"],
+       ["check", "--prec", "2"]]
+)
+USAGE_ERROR_ARGV = ["series", "zeta"]
+DOMAIN_ERROR_ARGV = ["euler", "--lsq", "0"]
+
+
+@contextlib.contextmanager
+def _fresh_package():
+    """Import ellcy afresh, and put the caller's ellcy modules back after.
+
+    A fresh import runs the module-level code (constants validated at
+    import) and starts every lru_cache empty.
+    """
+    def ours(name: str) -> bool:
+        return name == "ellcy" or name.startswith("ellcy.")
+
+    saved = {k: v for k, v in sys.modules.items() if ours(k)}
+    for k in saved:
+        del sys.modules[k]
+    try:
+        yield
+    finally:
+        for k in [k for k in sys.modules if ours(k)]:
+            del sys.modules[k]
+        sys.modules.update(saved)
+
+
+def _package_modules() -> list[types.ModuleType]:
+    # __main__ runs the CLI on import and defines no function
+    return [importlib.import_module(f"ellcy.{info.name}")
+            for info in pkgutil.iter_modules([PACKAGE_DIR])
+            if info.name != "__main__"]
+
+
+def _functions(value):
+    """Plain functions behind a module or class attribute."""
+    if isinstance(value, (classmethod, staticmethod)):
+        value = value.__func__
+    value = getattr(value, "__wrapped__", value)  # lru_cache
+    if isinstance(value, types.FunctionType):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _functions(v)
+    elif isinstance(value, type):
+        for v in vars(value).values():
+            yield from _functions(v)
+
+
+def _package_code(modules) -> dict[types.CodeType, str]:
+    """Each code object defined in the modules, named module.qualname."""
+    names: dict[types.CodeType, str] = {}
+
+    def add(code: types.CodeType, name: str) -> None:
+        if os.path.dirname(code.co_filename) != PACKAGE_DIR or code in names:
+            return
+        names[code] = name
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                add(const, f"{name}.{const.co_name}")
+
+    for module in modules:
+        for value in vars(module).values():
+            for fn in _functions(value):
+                mod = fn.__module__.rsplit(".", 1)[-1]
+                add(fn.__code__, f"{mod}.{fn.__qualname__}")
+    return names
+
+
+def _run(main, argv: list[str]) -> int:
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv, out=io.StringIO())
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_every_function_is_reached():
+    entered: set[types.CodeType] = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    with _fresh_package():
+        sys.setprofile(profile)
+        try:
+            modules = _package_modules()
+            main = sys.modules["ellcy.cli"].main
+            codes = [_run(main, argv) for argv in ARGVS]
+            usage = _run(main, USAGE_ERROR_ARGV)
+            domain = _run(main, DOMAIN_ERROR_ARGV)
+        finally:
+            sys.setprofile(previous)
+    names = _package_code(modules)
+    assert codes == [0] * len(ARGVS)
+    assert (usage, domain) == (1, 2)
+
+    def allowed(name: str) -> bool:
+        return any(name == a or name.startswith(a + ".")
+                   for a in ALLOWED_UNREACHED)
+
+    unreached = sorted(f"{name} (line {code.co_firstlineno})"
+                       for code, name in names.items()
+                       if code not in entered and not allowed(name))
+    assert unreached == []
+    reached_allowed = sorted(name for code, name in names.items()
+                             if code in entered and name in ALLOWED_UNREACHED)
+    assert reached_allowed == []
+    assert set(ALLOWED_UNREACHED) <= set(names.values())

@@ -129,14 +129,6 @@ def test_slice_requires_integer_exponents():
         f.slice(2, 0)
 
 
-def test_substitute_power_examples():
-    f = QSeries([1, 24], -1, 1)
-    g = f.substitute_power(2)
-    assert g.coeff_at(-2) == 1
-    assert g.coeff_at(0) == 24
-    assert f.substitute_power(1) == f
-
-
 def test_canonical_trims_leading_zeros():
     f = QSeries([0, 0, 7], 0, 3)
     assert f.offset == 2
@@ -262,20 +254,6 @@ def test_slice_partition(f, m):
        st.integers(min_value=-6, max_value=6))
 def test_slice_idempotent(f, m, k):
     assert f.slice(m, k).slice(m, k) == f.slice(m, k)
-
-
-@given(qseries(exp_den=1), qseries(exp_den=1),
-       st.integers(min_value=1, max_value=4))
-def test_substitute_power_is_ring_map(f, g, m):
-    assert (f * g).substitute_power(m) == \
-        f.substitute_power(m) * g.substitute_power(m)
-    assert (f + g).substitute_power(m) == \
-        f.substitute_power(m) + g.substitute_power(m)
-
-
-@given(unit_series(), st.integers(min_value=1, max_value=4))
-def test_substitute_power_commutes_with_invert(f, m):
-    assert f.invert().substitute_power(m) == f.substitute_power(m).invert()
 
 
 @given(qseries())
