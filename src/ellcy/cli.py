@@ -12,7 +12,6 @@ survive any consumer.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -64,6 +63,7 @@ def _fmt_exponent(e: Fraction) -> str:
 
 def _print_series(f: QSeries, as_json: bool, out) -> None:
     if as_json:
+        import json  # only this output needs it; kept off the start-up path
         json.dump(series_to_doc(f), out)
         out.write("\n")
         return

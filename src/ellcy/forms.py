@@ -5,21 +5,21 @@ requested number of terms counted from the leading exponent.  Every eta
 power, Delta = eta^24 and the denominators 1/Delta = eta^-24 and
 1/sqrt(Delta) = eta^-12 included, comes from one integer recurrence in
 :func:`eta_power`; no generator takes a series square root or inverse.
-Two of the generators are deliberately redundant: the E8 theta series is
-computed by exhaustive lattice-vector counting and never via the weight-4
-Eisenstein series, so that the classical identity Theta_E8 = E_4 is
-available as a cross-check of two unrelated algorithms.
+Two of the generators are deliberately redundant: the E8 theta series
+counts lattice vectors by norm through powers of Jacobi theta series
+built from the coordinates, and never via the weight-4 Eisenstein series,
+so that the classical identity Theta_E8 = E_4 is available as a
+cross-check of two unrelated algorithms.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import QSeries
+from .series import QSeries, int_product
 
 
 def sigma(k: int, n: int) -> int:
@@ -93,91 +93,69 @@ def eisenstein(k: int, nterms: int) -> QSeries:
     if nterms < 1:
         raise ValueError("nterms must be positive")
     if k == 4:
-        cs = [Fraction(1)] + [Fraction(240 * sigma(3, n))
-                              for n in range(1, nterms)]
+        cs = [1] + [240 * sigma(3, n) for n in range(1, nterms)]
         return QSeries(cs, 0, nterms)
     if k == 6:
-        cs = [Fraction(1)] + [Fraction(-504 * sigma(5, n))
-                              for n in range(1, nterms)]
+        cs = [1] + [-504 * sigma(5, n) for n in range(1, nterms)]
         return QSeries(cs, 0, nterms)
     if k == 10:
         return eisenstein(4, nterms) * eisenstein(6, nterms)
     raise ValueError(f"unsupported Eisenstein weight {k}; expected 4, 6 or 10")
 
 
-def _profile_product(a: dict[tuple[int, int], int],
-                     b: dict[tuple[int, int], int],
-                     bound: int) -> dict[tuple[int, int], int]:
-    """Convolve two (norm, sum mod 4) count tables, keeping norm <= bound."""
-    counts: dict[tuple[int, int], int] = {}
-    for (na, sa), ca in a.items():
-        for (nb, sb), cb in b.items():
-            n = na + nb
-            if n <= bound:
-                key = (n, (sa + sb) % 4)
-                counts[key] = counts.get(key, 0) + ca * cb
-    return counts
-
-
-@lru_cache(maxsize=None)
-def _half_norm_profiles(parity: int, bound: int) -> dict[tuple[int, int], int]:
-    """Count 4-tuples of integers of the given parity by (norm, sum mod 4).
-
-    Works in doubled coordinates y = 2x, so `norm` here is sum(y_i^2)
-    and `bound` is its inclusive cap.  Exhaustive enumeration: every
-    2-tuple is counted by (norm, sum mod 4), and a 4-tuple is a pair of
-    2-tuples, so the 4-tuple table is that pair table convolved with
-    itself.
-    """
-    lim = math.isqrt(bound)
-    vals = [y for y in range(-lim, lim + 1) if y % 2 == parity]
-    singles = Counter((y * y, y % 4) for y in vals)
-    pairs = _profile_product(singles, singles, bound)
-    return _profile_product(pairs, pairs, bound)
+def _eighth_power(cs: list[int]) -> list[int]:
+    """cs^8 by three squarings, truncated to len(cs) terms."""
+    n = len(cs)
+    for _ in range(3):
+        cs = int_product(cs, cs, n)
+    return cs
 
 
 @lru_cache(maxsize=None)
 def e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:
-    """Number of E8 lattice vectors of each even norm, by enumeration.
+    """Number of E8 lattice vectors of each even norm, by theta powers.
 
     Entry m is the count of vectors with positive-definite norm 2m, for
-    0 <= m <= max_half_norm.  Vectors are modelled in the standard
-    coordinates (all-integer or all-half-integer 8-tuples with even
-    coordinate sum) and counted by exhaustively enumerating each half of
-    the coordinates and convolving the two halves; no modular-forms input
-    is used anywhere.
+    0 <= m <= max_half_norm.  E8 is the set of 8-tuples x, all integer
+    or all half-integer, with even coordinate sum, so its theta series
+    is (theta_3^8 + theta_4^8 + theta_2^8)/2 (Jacobi): theta_3 counts one
+    integer coordinate by x^2, theta_4 the same with sign (-1)^x, and
+    theta_2 one half-integer coordinate.  At an even norm, an integer
+    8-tuple has even sum, so the theta_3 and theta_4 terms agree and
+    their half is theta_3^8 alone.  A half-integer coordinate
+    +-(j + 1/2) has x^2 = 2 T_j + 1/4, T_j = j(j+1)/2, so eight of them
+    have norm 2(T + 1) for T the sum of the T_j, counted by psi^8 with
+    psi = sum_j 2 p^(T_j); flipping one sign moves the sum by an odd
+    number, so half of them have even sum.  No modular-forms input is
+    used anywhere.
     """
     if max_half_norm < 0:
         raise ValueError("max_half_norm must be non-negative")
-    bound = 8 * max_half_norm  # cap on sum(y_i^2) with y = 2x
-    counts = [0] * (max_half_norm + 1)
-    for parity in (0, 1):
-        # a pair of halves is a vector iff its norm is 0 mod 8 and its
-        # coordinate sum of x is even, i.e. the y-sum is 0 mod 4; group
-        # the halves by (norm mod 8, sum mod 4), each group by norm
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (n, s), c in sorted(_half_norm_profiles(parity, bound).items()):
-            groups.setdefault((n % 8, s), []).append((n, c))
-        for (r, s), group in groups.items():
-            partners = groups.get((-r % 8, -s % 4), [])
-            for na, ca in group:
-                for nb, cb in partners:
-                    if na + nb > bound:
-                        break
-                    counts[(na + nb) // 8] += ca * cb
+    top = 2 * max_half_norm  # largest norm sum(x_i^2) counted
+    theta3 = [0] * (top + 1)
+    for x in range(math.isqrt(top) + 1):
+        theta3[x * x] = 2 if x else 1
+    psi = [0] * max_half_norm
+    j = 0
+    while j * (j + 1) // 2 < max_half_norm:
+        psi[j * (j + 1) // 2] = 2
+        j += 1
+    counts = _eighth_power(theta3)[::2]
+    for m, c in enumerate(_eighth_power(psi), 1):
+        counts[m] += c // 2
     return tuple(counts)
 
 
 def theta_e8(nterms: int) -> QSeries:
-    """Theta series of the E8 lattice, by exhaustive vector counting.
+    """Theta series of the E8 lattice, by counting vectors by norm.
 
-    Coefficient of q^m is the number of lattice vectors of norm 2m.
-    Independent of :func:`eisenstein` by construction.
+    Coefficient of q^m is the number of lattice vectors of norm 2m,
+    from :func:`e8_norm_counts`.  Independent of :func:`eisenstein` by
+    construction.
     """
     if nterms < 1:
         raise ValueError("nterms must be positive")
-    counts = e8_norm_counts(nterms - 1)
-    return QSeries([Fraction(c) for c in counts], 0, nterms)
+    return QSeries(e8_norm_counts(nterms - 1), 0, nterms)
 
 
 def yau_zaslow(hmax: int) -> tuple[Fraction, ...]:

@@ -11,8 +11,8 @@ Everything here is exact integer arithmetic on small constant tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
@@ -37,31 +37,26 @@ def _det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class LatticeGram:
+class LatticeGram(namedtuple("LatticeGram", "rank gram")):
     """Integer Gram matrix of a lattice of the given rank."""
 
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", g)
-        if len(g) != self.rank or any(len(r) != self.rank for r in g):
+    def __new__(cls, rank: int, gram: Sequence[Sequence[int]]):
+        g = tuple(tuple(int(x) for x in row) for row in gram)
+        if len(g) != rank or any(len(r) != rank for r in g):
             raise ValueError("Gram matrix shape does not match the rank")
-        for i in range(self.rank):
+        for i in range(rank):
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        return super().__new__(cls, rank, g)
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(namedtuple("CurveClass", "c e f", defaults=(0, 0, 0))):
     """Integer coordinates of a curve class in the basis {C, E, F}."""
 
-    c: int = 0
-    e: int = 0
-    f: int = 0
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return self.c == self.e == self.f == 0
@@ -78,30 +73,28 @@ class CurveClass:
         return "+".join(parts).replace("+-", "-") if parts else "0"
 
 
-@dataclass(frozen=True)
-class Gamma19Class:
+class Gamma19Class(namedtuple("Gamma19Class", "a b")):
     """Class a*H + sum b_i*C_i on the rational elliptic surface."""
 
-    a: int
-    b: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
-        if len(self.b) != 9:
+    def __new__(cls, a: int, b: Sequence[int]):
+        b = tuple(int(x) for x in b)
+        if len(b) != 9:
             raise ValueError("expected 9 exceptional-curve coefficients")
+        return super().__new__(cls, a, b)
 
 
-@dataclass(frozen=True)
-class NLIndex:
+class NLIndex(namedtuple("NLIndex", "h d")):
     """Index (h; d_1, ..., d_r) of a Noether-Lefschetz divisor."""
 
-    h: int
-    d: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        if self.h < 0:
+    def __new__(cls, h: int, d: Sequence[int]):
+        d = tuple(int(x) for x in d)
+        if h < 0:
             raise ValueError("h must be non-negative")
+        return super().__new__(cls, h, d)
 
 
 # Pairing <L_i, beta> of the basis line bundles with the curve classes,
@@ -164,15 +157,11 @@ def nl_discriminant(lattice: LatticeGram, idx: NLIndex) -> int:
     return (-1) ** r * _det(bordered)
 
 
-@dataclass(frozen=True)
-class EulerData:
+class EulerData(namedtuple("EulerData",
+                           "l_squared deg_K_delta cusps e_delta e_X")):
     """Euler-characteristic bookkeeping of the Weierstrass discriminant."""
 
-    l_squared: int
-    deg_K_delta: int
-    cusps: int
-    e_delta: int
-    e_X: int
+    __slots__ = ()
 
 
 def euler_characteristic(l_squared: int) -> EulerData:

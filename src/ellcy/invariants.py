@@ -5,10 +5,12 @@ m = 1) are counted through the Noether-Lefschetz numbers of the K3
 fibration together with the Yau-Zaslow coefficients, and independently
 through congruence slices of -2 E10/Delta, which at m = 1 is the whole
 closed form.  Section classes C + nE are counted through the closed
-form E4/sqrt(Delta) and independently by convolving enumerated E8 vector
-counts with the Bryan-Leung section series 1/sqrt(Delta).  Tests compare
-the routes coefficient by coefficient; the two sides share no generator
-construction beyond the series substrate.
+form E4/sqrt(Delta) and independently by convolving E8 vector counts
+(by norm, from Jacobi theta powers) with the Bryan-Leung section series
+1/sqrt(Delta).  Tests compare the routes coefficient by coefficient; the
+two sides share no generator construction beyond the series substrate.
+The NL sum and the section convolution run on plain integers: one dot
+product of two int lists per class.
 
 The resolution of the singular Weierstrass model doubles every invariant
 of the polarized family; the factor 1/2 undoing it is applied in exactly
@@ -17,24 +19,33 @@ one place per route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import forms, geometry
 from .geometry import CurveClass, NLIndex, K3_POLARIZATION
-from .series import QSeries
+from .series import QSeries, _int_scale
 
 
 class IncompleteTableError(KeyError):
     """A multiple-cover sum needed an invariant the table does not hold."""
 
 
-@dataclass
 class GVTable:
     """Map from curve classes to exact rational invariants."""
 
-    entries: dict[CurveClass, Fraction] = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self):
+        self.entries: dict[CurveClass, Fraction] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GVTable):
+            return NotImplemented
+        return self.entries == other.entries
+
+    __hash__ = None  # mutable
 
     def set(self, beta: CurveClass, value: Fraction) -> None:
         self.entries[beta] = Fraction(value)
@@ -79,7 +90,7 @@ def f_section_closed(nterms: int) -> QSeries:
 
 
 def f_section_convolution(nterms: int) -> QSeries:
-    """Section-class series by E8 enumeration against Bryan-Leung counts.
+    """Section-class series by E8 vector counts against Bryan-Leung counts.
 
     A section class C + nE pulls back to classes C'' + nE'' + lambda on
     the rational elliptic surface; shifting by half the (negative) norm
@@ -93,16 +104,11 @@ def f_section_convolution(nterms: int) -> QSeries:
     counts = forms.e8_norm_counts(nterms - 1)
     inv_sqrt = forms.inverse_sqrt_delta(nterms)
     # bl[j] counts the pure section class C'' + jE''
-    bl = [inv_sqrt.coeff_at(Fraction(2 * j - 1, 2)) for j in range(nterms)]
-    cs = []
-    for n in range(nterms):
-        total = Fraction(0)
-        for m in range(n + 1):
-            if counts[m] == 0:
-                continue
-            # class shifted down to C'' + (n - m)E''
-            total += counts[m] * bl[n - m]
-        cs.append(total)
+    scale, bl = _int_scale([inv_sqrt.coeff_at(Fraction(2 * j - 1, 2))
+                            for j in range(nterms)])
+    # norm 2m shifts level n down to C'' + (n - m)E''
+    cs = [Fraction(sum(map(mul, counts[:n + 1], bl[n::-1])), scale)
+          for n in range(nterms)]
     scaled = [Fraction(0)] * (2 * nterms)
     scaled[::2] = cs
     return QSeries(scaled, -1, 2 * nterms - 1, 2)
@@ -114,25 +120,30 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
     n_{mF+nE} = (1/2) sum_h r_h NL_{h; d1, d2}, where (d1, d2) = (n - 2m, m)
     are the degrees of the class; the discriminant 2 - 2h + 2nm - 2m^2
     bounds h by 1 + m(n - m).  The fibre classes F + nE are m = 1.
+    With r and E10 read into int lists once, each class is one dot
+    product, halved at the end.
     """
     if m < 1:
         raise ValueError("fibre multiplicity must be at least 1")
     if nmax < 0:
         raise ValueError("nmax must be non-negative")
     hcap = max(0, 1 + m * (nmax - m))
-    r = forms.yau_zaslow(hcap)
+    rscale, r = _int_scale(forms.yau_zaslow(hcap))
     e10 = forms.eisenstein(10, hcap + 1)
+    escale, e10 = _int_scale([e10.coeff_at(k) for k in range(hcap + 1)])
     table = GVTable()
     for n in range(nmax + 1):
         beta = CurveClass(e=n, f=m)
         d1, d2 = geometry.class_to_degrees(beta)
-        hmax = 1 + m * (n - m)
-        total = Fraction(0)
-        for h in range(max(0, hmax) + 1):
-            disc = geometry.nl_discriminant(K3_POLARIZATION,
-                                            NLIndex(h, (d1, d2)))
-            total += r[h] * _nl_from_e10(disc, e10)
-        table.set(beta, total / 2)
+        # disc(h) = disc(0) - 2h, so h runs up to half0 = disc(0)/2 and
+        # NL_h = -4 [q^(half0 - h)] E10 (see _nl_from_e10); below
+        # half0 = 0 every discriminant is negative and the sum is empty
+        half0 = geometry.nl_discriminant(K3_POLARIZATION,
+                                         NLIndex(0, (d1, d2))) // 2
+        total = 0
+        if half0 >= 0:
+            total = -4 * sum(map(mul, r[:half0 + 1], e10[half0::-1]))
+        table.set(beta, Fraction(total, 2 * rscale * escale))
     return table
 
 

@@ -10,18 +10,20 @@ QSeries reports is always correct; asking for one beyond the bound raises
 
 Coefficients are `fractions.Fraction` throughout; there is no floating
 point anywhere in this module.  The product is one exact big-integer
-multiplication: each factor is brought to integer coefficients, packed
-into a single Python int by Kronecker substitution, and the product's
-slots are read back as `Fraction` coefficients.
+multiplication: each factor is brought to integer coefficients, and
+:func:`int_product` packs both into single Python ints by Kronecker
+substitution, multiplies them once and reads the product's slots back.
+The generators that work on plain integer coefficient lists (the E8
+theta powers) call :func:`int_product` directly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class PrecisionError(ValueError):
@@ -39,15 +41,14 @@ def _sqrt_fraction(c: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-def _int_scale(cs: list[Fraction]) -> tuple[int, int]:
-    """lcm L of the denominators of cs, and the bit length of max |L*c|."""
+def _int_scale(cs: list[Fraction]) -> tuple[int, list[int]]:
+    """lcm L of the denominators of cs, and the integers L*c."""
     lcm = math.lcm(*(c.denominator for c in cs))
-    top = max(abs(c.numerator) * (lcm // c.denominator) for c in cs)
-    return lcm, top.bit_length()
+    return lcm, [c.numerator * (lcm // c.denominator) for c in cs]
 
 
-def _pack(cs: list[Fraction], lcm: int, width: int) -> int:
-    """sum of lcm*cs[i] * 2^(8*width*i), each |lcm*cs[i]| < 2^(8*width-2).
+def _pack(cs: list[int], width: int) -> int:
+    """sum of cs[i] * 2^(8*width*i), each |cs[i]| < 2^(8*width-2).
 
     Slots hold two's complement; a slot written negative borrows one
     from the slot above, and the top slot's sign is the sum's.
@@ -55,11 +56,41 @@ def _pack(cs: list[Fraction], lcm: int, width: int) -> int:
     buf = bytearray(width * len(cs))
     borrow = 0
     for i, c in enumerate(cs):
-        v = c.numerator * (lcm // c.denominator) - borrow
+        v = c - borrow
         buf[i * width:(i + 1) * width] = v.to_bytes(width, "little",
                                                     signed=True)
         borrow = v < 0
     return int.from_bytes(buf, "little", signed=True)
+
+
+def int_product(f: list[int], g: list[int], n: int) -> list[int]:
+    """First n coefficients of the product of two integer polynomials.
+
+    Signed Kronecker substitution (Harvey, J. Symb. Comp. 2009): f and g
+    are packed into one Python int each, with slots wide enough that no
+    product coefficient overflows its slot, multiplied once, and the
+    first n slots of the product are read back exactly.
+    """
+    f, g = f[:n], g[:n]
+    if not f or not g:
+        return [0] * n
+    fbits = max(map(abs, f)).bit_length()
+    gbits = max(map(abs, g)).bit_length()
+    # |product coefficient| < n * max|f| * max|g|; two spare bits keep
+    # it inside the signed slot
+    width = (fbits + gbits + n.bit_length() + 2 + 7) // 8
+    nbytes = width * n
+    # read the first n slots in two's complement: a slot that reads
+    # negative took one from the slot above, which reads one too low
+    raw = ((_pack(f, width) * _pack(g, width))
+           & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
+    out = []
+    borrow = 0
+    for i in range(0, nbytes, width):
+        v = int.from_bytes(raw[i:i + width], "little", signed=True)
+        out.append(v + borrow)
+        borrow = v < 0
+    return out
 
 
 class QSeries:
@@ -220,12 +251,9 @@ class QSeries:
     def __mul__(self, other):
         """Product of two series, or of a series and a rational scalar.
 
-        Computed by signed Kronecker substitution (Harvey, J. Symb. Comp.
-        2009): both factors, scaled to integers by the lcm of their
-        coefficient denominators, are packed into one Python int each,
-        with slots wide enough that no product coefficient overflows its
-        slot.  One big-int multiplication gives every coefficient at once;
-        they are unpacked exactly and divided back to `Fraction`.
+        Both factors are scaled to integers by the lcm of their
+        coefficient denominators and multiplied by :func:`int_product`;
+        the result is divided back to `Fraction`.
         """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -241,24 +269,12 @@ class QSeries:
         if self.is_zero() or other.is_zero():
             return QSeries.zero(prec, den)
         n = prec - offset
-        fc, gc = fc[:n], gc[:n]
-        fl, fbits = _int_scale(fc)
-        gl, gbits = _int_scale(gc)
-        # |product coefficient| < n * max|f| * max|g|; two spare bits keep
-        # it inside the signed slot
-        width = (fbits + gbits + n.bit_length() + 2 + 7) // 8
-        nbytes = width * n
-        # read the first n slots in two's complement: a slot that reads
-        # negative took one from the slot above, which reads one too low
-        raw = ((_pack(fc, fl, width) * _pack(gc, gl, width))
-               % (1 << (8 * nbytes))).to_bytes(nbytes, "little")
+        fl, fi = _int_scale(fc[:n])
+        gl, gi = _int_scale(gc[:n])
+        cs = int_product(fi, gi, n)
         scale = fl * gl
-        cs = []
-        borrow = 0
-        for i in range(0, nbytes, width):
-            v = int.from_bytes(raw[i:i + width], "little", signed=True)
-            cs.append(Fraction(v + borrow, scale))
-            borrow = v < 0
+        if scale != 1:
+            cs = [Fraction(v, scale) for v in cs]
         return QSeries(cs, offset, prec, den)
 
     __rmul__ = __mul__

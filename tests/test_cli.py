@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellcy import checks, forms
+from ellcy import checks, forms, series
 from ellcy.cli import doc_to_series, main, series_to_doc
 from ellcy.series import QSeries
 
@@ -251,6 +251,17 @@ class TestCheckCommand:
         res = checks.check_nl_vanishing()
         assert not res.passed
         assert res.detail == "NL(0;-3,1) = -4 despite discriminant -2"
+
+    def test_ring_laws_compare_with_schoolbook(self, monkeypatch):
+        # a kernel that doubles every product is still commutative,
+        # associative and distributive; only the schoolbook product,
+        # which never calls the kernel, can see it
+        real = series.int_product
+        monkeypatch.setattr(series, "int_product",
+                            lambda f, g, n: [2 * v for v in real(f, g, n)])
+        res = checks.check_ring_laws()
+        assert not res.passed
+        assert res.detail == "product differs from the schoolbook product"
 
     def test_corrupted_e4_detected(self, monkeypatch):
         real = forms.eisenstein

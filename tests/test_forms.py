@@ -1,5 +1,6 @@
 """Tests for the modular-form generators, each against an independent oracle."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -37,8 +38,8 @@ def four_loop_half_profiles(parity: int,
                             bound: int) -> dict[tuple[int, int], int]:
     """4-tuples of integers of one parity by (norm, sum mod 4), norm <= bound.
 
-    Independent of forms._half_norm_profiles: four nested loops over the
-    coordinates, pruned only by the running norm.
+    Four nested loops over the doubled coordinates y = 2x, pruned only by
+    the running norm; the E8 oracle below pairs two of these halves.
     """
     lim = math.isqrt(bound)
     vals = [y for y in range(-lim, lim + 1) if y % 2 == parity]
@@ -65,9 +66,10 @@ def four_loop_half_profiles(parity: int,
 def all_pairs_e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:
     """E8 vector counts by norm, pairing every two half profiles.
 
-    Independent of the grouping in forms.e8_norm_counts: visits every
-    pair of (norm, sum mod 4) keys and keeps those whose norm is 0 mod 8
-    and whose sum is 0 mod 4.
+    Independent of forms.e8_norm_counts, which takes theta powers through
+    the series kernel: enumerates the halves of each vector and visits
+    every pair of (norm, sum mod 4) keys, keeping those whose norm is
+    0 mod 8 and whose sum is 0 mod 4.
     """
     bound = 8 * max_half_norm
     counts = [0] * (max_half_norm + 1)
@@ -81,6 +83,23 @@ def all_pairs_e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:
                 if m <= max_half_norm:
                     counts[m] += ca * cb
     return tuple(counts)
+
+
+def box_half_profiles(parity: int, bound: int) -> dict[tuple[int, int], int]:
+    """The same table as four_loop_half_profiles, from the whole 4-dim box.
+
+    No pruning: every 4-tuple of the box of half-width isqrt(bound) is
+    visited and kept when its norm is at most bound.
+    """
+    lim = math.isqrt(bound)
+    vals = [y for y in range(-lim, lim + 1) if y % 2 == parity]
+    counts: dict[tuple[int, int], int] = {}
+    for ys in itertools.product(vals, repeat=4):
+        n = sum(y * y for y in ys)
+        if n <= bound:
+            key = (n, sum(ys) % 4)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 class TestEtaPower:
@@ -223,9 +242,8 @@ class TestThetaE8:
 
     def test_half_profiles_by_direct_box_enumeration(self):
         # oracle: walk the 4-dim box in doubled coordinates directly
-        from ellcy.forms import _half_norm_profiles
         for parity in (0, 1):
-            profiles = _half_norm_profiles(parity, 8)
+            profiles = four_loop_half_profiles(parity, 8)
             direct: dict[tuple[int, int], int] = {}
             vals = [y for y in range(-3, 4) if y % 2 == parity]
             for y1 in vals:
@@ -240,13 +258,12 @@ class TestThetaE8:
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_half_profiles_match_four_loop(self, parity):
-        from ellcy.forms import _half_norm_profiles
         for bound in range(0, 81):
-            assert _half_norm_profiles(parity, bound) == \
+            assert box_half_profiles(parity, bound) == \
                 four_loop_half_profiles(parity, bound)
 
     def test_norm_counts_match_all_pairs(self):
-        for max_half_norm in range(0, 41):
+        for max_half_norm in list(range(0, 41)) + [199]:
             assert forms.e8_norm_counts(max_half_norm) == \
                 all_pairs_e8_norm_counts(max_half_norm)
 
@@ -261,7 +278,6 @@ class TestThetaE8:
 
         monkeypatch.setattr(forms, "eisenstein", poisoned)
         forms.e8_norm_counts.cache_clear()
-        forms._half_norm_profiles.cache_clear()
         assert forms.theta_e8(5).coeff_at(4) == 240 * forms.sigma(3, 4)
 
 

@@ -10,6 +10,47 @@ from ellcy.invariants import GVTable, IncompleteTableError
 from ellcy.series import PrecisionError
 
 
+def fraction_nl_sum(m: int, nmax: int) -> dict[CurveClass, Fraction]:
+    """n_{mF+nE} by the NL sum as a Fraction loop over every (n, h).
+
+    Independent of the integer dot products in f_multifiber_direct: one
+    bordered discriminant and one NL number per (n, h), summed in
+    Fractions and halved per class.
+    """
+    hcap = max(0, 1 + m * (nmax - m))
+    r = forms.yau_zaslow(hcap)
+    e10 = forms.eisenstein(10, hcap + 1)
+    out = {}
+    for n in range(nmax + 1):
+        beta = CurveClass(e=n, f=m)
+        d1, d2 = geometry.class_to_degrees(beta)
+        total = Fraction(0)
+        for h in range(max(0, 1 + m * (n - m)) + 1):
+            disc = geometry.nl_discriminant(geometry.K3_POLARIZATION,
+                                            geometry.NLIndex(h, (d1, d2)))
+            total += r[h] * invariants._nl_from_e10(disc, e10)
+        out[beta] = total / 2
+    return out
+
+
+def fraction_section_convolution(nterms: int) -> list[Fraction]:
+    """n_{C+nE} for n < nterms by a Fraction double loop.
+
+    Independent of the integer dot products in f_section_convolution:
+    each E8 norm count times the Bryan-Leung count it shifts to, read
+    one coefficient at a time.
+    """
+    counts = forms.e8_norm_counts(nterms - 1)
+    bl = forms.inverse_sqrt_delta(nterms)
+    out = []
+    for n in range(nterms):
+        total = Fraction(0)
+        for m in range(n + 1):
+            total += counts[m] * bl.coeff_at(Fraction(2 * (n - m) - 1, 2))
+        out.append(total)
+    return out
+
+
 class TestNLNumber:
     def test_origin_value(self):
         assert invariants.nl_number(0, 0, 0) == 1056
@@ -96,6 +137,13 @@ class TestSectionRoutes:
         conv = invariants.f_section_convolution(20)
         assert closed == conv
 
+    @pytest.mark.parametrize("nterms", [1, 2, 3, 17, 200])
+    def test_convolution_matches_fraction_loop(self, nterms):
+        conv = invariants.f_section_convolution(nterms)
+        assert [conv.coeff_at(Fraction(2 * n - 1, 2))
+                for n in range(nterms)] == \
+            fraction_section_convolution(nterms)
+
     def test_ineffective_pairs_do_not_contribute(self):
         # every E8 vector of norm 2m contributes only from level n = m on;
         # truncating at n < m must reproduce the truncated convolution
@@ -166,6 +214,15 @@ class TestMultifiberRoutes:
         monkeypatch.undo()
         # no hidden cache: with the patch gone the table is built afresh
         assert invariants.f_multifiber_direct(2, 10).entries == reference
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_nl_sum_matches_fraction_loop(self, m):
+        # n runs from 0, so for m >= 2 the first classes have every
+        # discriminant negative (half0 < 0) and must read 0, never the
+        # end of the E10 list
+        direct = invariants.f_multifiber_direct(m, 40).entries
+        assert direct == fraction_nl_sum(m, 40)
+        assert any(1 + m * (n - m) < 0 for n in range(41)) == (m > 1)
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
