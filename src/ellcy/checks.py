@@ -36,11 +36,20 @@ def _sample_series() -> list[QSeries]:
     ]
 
 
+def _fraction_grid(f: QSeries,
+                   exp_den: int) -> tuple[int, int, list[Fraction]]:
+    """(offset, prec, exact coefficients) of f in units of 1/exp_den."""
+    m = exp_den // f.exp_den
+    cs = [Fraction(0)] * ((f.prec - f.offset) * m)
+    cs[::m] = f.coeffs
+    return f.offset * m, f.prec * m, cs
+
+
 def _schoolbook(f: QSeries, g: QSeries) -> QSeries:
     """f * g by the Fraction double loop, sharing no code with the kernel."""
     den = math.lcm(f.exp_den, g.exp_den)
-    fo, fp, fc = f._upscaled(den)
-    go, gp, gc = g._upscaled(den)
+    fo, fp, fc = _fraction_grid(f, den)
+    go, gp, gc = _fraction_grid(g, den)
     prec = min(fp + go, gp + fo)
     offset = fo + go
     n = prec - offset
@@ -51,31 +60,64 @@ def _schoolbook(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(cs, offset, prec, den)
 
 
+def _fraction_sum(f: QSeries, g: QSeries) -> QSeries:
+    """f + g term by term in Fractions, sharing no code with the int sum."""
+    den = math.lcm(f.exp_den, g.exp_den)
+    fo, fp, fc = _fraction_grid(f, den)
+    go, gp, gc = _fraction_grid(g, den)
+    offset, prec = min(fo, go), min(fp, gp)
+    cs = [Fraction(0)] * (prec - offset)
+    for so, sc in ((fo, fc), (go, gc)):
+        for i, c in enumerate(sc[:max(0, prec - so)], so - offset):
+            cs[i] += c
+    return QSeries(cs, offset, prec, den)
+
+
+# a scalar with a denominator, as the 1/1728 of the eta oracle has
+_SCALAR = Fraction(-3, 1728)
+
+
 def check_ring_laws() -> CheckResult:
-    """Series product against the schoolbook product, then ring laws.
+    """Sums, scaling and products against Fraction loops, then ring laws.
 
     Every route and the E8 theta powers multiply through one integer
-    kernel, so the kernel is compared with a product that never calls it.
+    kernel, and sums and scaling run on integer numerators, so each is
+    compared with a Fraction computation that never calls them.  Each
+    pair sum and pair product is made once and reused by the laws.
     """
     fs = _sample_series()
+    sums = []
     for f in fs:
-        for g in fs:
-            if f * g != _schoolbook(f, g):
+        scaled = QSeries([_SCALAR * c for c in f.coeffs], f.offset, f.prec,
+                         f.exp_den)
+        if f.scale(_SCALAR) != scaled:
+            return CheckResult("ring-laws", False,
+                               "scaling differs from the Fraction product")
+        sums.append([f + g for g in fs])
+        for g, s in zip(fs, sums[-1]):
+            if s != _fraction_sum(f, g):
+                return CheckResult("ring-laws", False,
+                                   "sum differs from the Fraction sum")
+    prods = [[f * g for g in fs] for f in fs]
+    for i, f in enumerate(fs):
+        for j, g in enumerate(fs):
+            fg = prods[i][j]
+            if fg != _schoolbook(f, g):
                 return CheckResult("ring-laws", False,
                                    "product differs from the schoolbook "
                                    "product")
-            if f * g != g * f:
+            if fg != prods[j][i]:
                 return CheckResult("ring-laws", False,
                                    "multiplication is not commutative")
-            for h in fs:
-                lhs = (f * g) * h
-                rhs = f * (g * h)
+            for k, h in enumerate(fs):
+                lhs = fg * h
+                rhs = f * prods[j][k]
                 if lhs.truncate(min(lhs.prec, rhs.prec)) != \
                         rhs.truncate(min(lhs.prec, rhs.prec)):
                     return CheckResult("ring-laws", False,
                                        "multiplication is not associative")
-                d1 = f * (g + h)
-                d2 = f * g + f * h
+                d1 = f * sums[j][k]
+                d2 = fg + prods[i][k]
                 p = min(d1.prec, d2.prec)
                 if d1.truncate(p) != d2.truncate(p):
                     return CheckResult("ring-laws", False,
@@ -171,7 +213,8 @@ def check_e10_sigma9(nterms: int) -> CheckResult:
     """E10 = E4*E6 against the weight-10 divisor-sum expansion.
 
     The coefficient of q^n must equal -264*sigma_9(n); this pins the E10
-    stream against an oracle that never touches the series product.
+    stream against an oracle that touches neither the series product nor
+    the divisor-sum sieve behind E4 and E6: sigma_9 by trial division.
     """
     e10 = forms.eisenstein(10, nterms)
     for n in range(1, nterms):

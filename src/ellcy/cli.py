@@ -53,8 +53,35 @@ def series_to_doc(f: QSeries, variable: str = "q") -> dict:
 
 
 def doc_to_series(doc: dict) -> QSeries:
-    coeffs = [Fraction(int(c["num"]), int(c["den"])) for c in doc["coeffs"]]
-    return QSeries(coeffs, doc["offset"], doc["prec"], doc["exp_den"])
+    """Series from a document of :func:`series_to_doc`.
+
+    A malformed document raises ValueError: a missing key, a field of the
+    wrong type, a numerator or denominator that is not an integer string,
+    a denominator below 1, exp_den below 1, or offset above prec.
+    """
+    try:
+        offset, prec, exp_den = doc["offset"], doc["prec"], doc["exp_den"]
+        pairs = [(c["num"], c["den"]) for c in doc["coeffs"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed series document: {exc!r}") from None
+    for key, value in (("offset", offset), ("prec", prec),
+                       ("exp_den", exp_den)):
+        if type(value) is not int:
+            raise ValueError(f"{key} must be an integer, not {value!r}")
+    if exp_den < 1:
+        raise ValueError("exp_den must be at least 1")
+    if offset > prec:
+        raise ValueError("offset must not exceed prec")
+    coeffs = []
+    for num, den in pairs:
+        if type(num) is not str or type(den) is not str:
+            raise ValueError(f"coefficient {num!r}/{den!r} is not a pair "
+                             f"of integer strings")
+        num, den = int(num), int(den)  # ValueError unless integer strings
+        if den < 1:
+            raise ValueError(f"denominator {den} is not positive")
+        coeffs.append(Fraction(num, den))
+    return QSeries(coeffs, offset, prec, exp_den)
 
 
 def _fmt_exponent(e: Fraction) -> str:

@@ -25,7 +25,7 @@ from operator import mul
 
 from . import forms, geometry
 from .geometry import CurveClass, NLIndex, K3_POLARIZATION
-from .series import QSeries, _int_scale
+from .series import QSeries, Rational
 
 
 class IncompleteTableError(KeyError):
@@ -57,7 +57,7 @@ class GVTable:
         return self.entries[beta]
 
 
-def _nl_from_e10(disc: int, e10: QSeries) -> Fraction:
+def _nl_from_e10(disc: int, e10: QSeries) -> Rational:
     """NL number of bordered discriminant `disc`, read off E10.
 
     -4 times the E10 coefficient at half the discriminant, which is
@@ -69,7 +69,7 @@ def _nl_from_e10(disc: int, e10: QSeries) -> Fraction:
     return -4 * e10.coeff_at(disc // 2)
 
 
-def nl_number(h: int, d1: int, d2: int) -> Fraction:
+def nl_number(h: int, d1: int, d2: int) -> Rational:
     """Noether-Lefschetz number of the resolved K3 fibration.
 
     -4 times the E10 coefficient at half the bordered discriminant, zero
@@ -103,15 +103,13 @@ def f_section_convolution(nterms: int) -> QSeries:
         raise ValueError("nterms must be positive")
     counts = forms.e8_norm_counts(nterms - 1)
     inv_sqrt = forms.inverse_sqrt_delta(nterms)
-    # bl[j] counts the pure section class C'' + jE''
-    scale, bl = _int_scale([inv_sqrt.coeff_at(Fraction(2 * j - 1, 2))
-                            for j in range(nterms)])
+    # bl[j] counts the pure section class C'' + jE'', at q^(j - 1/2)
+    bl = inv_sqrt.window(-1, 2 * nterms - 1, 2)[::2]
     # norm 2m shifts level n down to C'' + (n - m)E''
-    cs = [Fraction(sum(map(mul, counts[:n + 1], bl[n::-1])), scale)
-          for n in range(nterms)]
-    scaled = [Fraction(0)] * (2 * nterms)
-    scaled[::2] = cs
-    return QSeries(scaled, -1, 2 * nterms - 1, 2)
+    cs = [0] * (2 * nterms)
+    cs[::2] = [sum(map(mul, counts[:n + 1], bl[n::-1]))
+               for n in range(nterms)]
+    return QSeries.from_ints(cs, inv_sqrt.den, -1, 2 * nterms - 1, 2)
 
 
 def f_multifiber_direct(m: int, nmax: int) -> GVTable:
@@ -128,9 +126,9 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
     if nmax < 0:
         raise ValueError("nmax must be non-negative")
     hcap = max(0, 1 + m * (nmax - m))
-    rscale, r = _int_scale(forms.yau_zaslow(hcap))
+    r = forms.yau_zaslow(hcap)
     e10 = forms.eisenstein(10, hcap + 1)
-    escale, e10 = _int_scale([e10.coeff_at(k) for k in range(hcap + 1)])
+    ev = e10.window(0, hcap + 1)  # numerators over e10.den
     table = GVTable()
     for n in range(nmax + 1):
         beta = CurveClass(e=n, f=m)
@@ -142,8 +140,8 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
                                          NLIndex(0, (d1, d2))) // 2
         total = 0
         if half0 >= 0:
-            total = -4 * sum(map(mul, r[:half0 + 1], e10[half0::-1]))
-        table.set(beta, Fraction(total, 2 * rscale * escale))
+            total = -4 * sum(map(mul, r[:half0 + 1], ev[half0::-1]))
+        table.set(beta, Fraction(total, 2 * e10.den))
     return table
 
 

@@ -8,19 +8,24 @@ arithmetic propagates precision pessimistically, so a coefficient that a
 QSeries reports is always correct; asking for one beyond the bound raises
 :class:`PrecisionError` rather than silently returning zero.
 
-Coefficients are `fractions.Fraction` throughout; there is no floating
-point anywhere in this module.  The product is one exact big-integer
-multiplication: each factor is brought to integer coefficients, and
-:func:`int_product` packs both into single Python ints by Kronecker
-substitution, multiplies them once and reads the product's slots back.
-The generators that work on plain integer coefficient lists (the E8
-theta powers) call :func:`int_product` directly.
+The coefficients are stored as integer numerators ``nums`` over one
+shared positive denominator ``den``, in lowest terms.  The generators'
+series are integral, so they keep ``den == 1`` and never touch
+`fractions.Fraction`; the few true rationals (the resolution factor 1/2,
+1/1728, the test samples) cost one denominator per series, not one per
+coefficient.  ``coeffs`` yields the exact values: ints when ``den`` is 1,
+`Fraction` otherwise.  There is no floating point anywhere in this
+module.  The product is one exact big-integer multiplication of the
+numerators: :func:`int_product` packs both into single Python ints by
+Kronecker substitution, multiplies them once and reads the product's
+slots back.  The generators that work on plain integer coefficient lists
+(the E8 theta powers) call :func:`int_product` directly.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 Rational = int | Fraction
@@ -39,12 +44,6 @@ def _sqrt_fraction(c: Fraction) -> Fraction:
     if rn * rn != num or rd * rd != den:
         raise ValueError(f"{c} is not the square of a rational")
     return Fraction(rn, rd)
-
-
-def _int_scale(cs: list[Fraction]) -> tuple[int, list[int]]:
-    """lcm L of the denominators of cs, and the integers L*c."""
-    lcm = math.lcm(*(c.denominator for c in cs))
-    return lcm, [c.numerator * (lcm // c.denominator) for c in cs]
 
 
 def _pack(cs: list[int], width: int) -> int:
@@ -93,57 +92,92 @@ def int_product(f: list[int], g: list[int], n: int) -> list[int]:
     return out
 
 
+def _canonical(nums: Sequence[int], den: int, offset: int, prec: int,
+               exp_den: int) -> tuple[tuple[int, ...], int, int, int, int]:
+    """The canonical (nums, den, offset, prec, exp_den) of a series.
+
+    Leading zeros move into the offset, numerators and denominator lose
+    their common factor, and exp_den is reduced whenever the offset, the
+    precision bound and the support allow it.
+    """
+    lead = 0
+    while lead < len(nums) and nums[lead] == 0:
+        lead += 1
+    if lead:
+        offset += lead
+        nums = nums[lead:]
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
+    d = math.gcd(exp_den, offset, prec)
+    for i, c in enumerate(nums):
+        if d == 1:
+            break
+        if c:
+            d = math.gcd(d, offset + i)
+    if d > 1:
+        nums = nums[::d]
+        offset //= d
+        prec //= d
+        exp_den //= d
+    return tuple(nums), den, offset, prec, exp_den
+
+
 class QSeries:
     """Immutable truncated series over Q in one formal variable.
 
     Exponents are integers divided by ``exp_den``.  ``offset`` is the
     lowest stored exponent and ``prec`` the exclusive upper bound, both
-    in units of ``1/exp_den``; ``coeffs`` has length ``prec - offset``.
+    in units of ``1/exp_den``.  The coefficient of q^((offset + i)/exp_den)
+    is ``nums[i] / den``, and ``nums`` has length ``prec - offset``.
 
-    Instances are canonical: leading zero coefficients are absorbed into
-    the offset and ``exp_den`` is reduced whenever the support, offset
-    and precision bound allow it, so structural equality coincides with
-    equality of (series, precision) pairs.
+    Instances are canonical: ``gcd(den, *nums) == 1``, leading zero
+    coefficients are absorbed into the offset and ``exp_den`` is reduced
+    whenever the support, offset and precision bound allow it, so
+    structural equality coincides with equality of (series, precision)
+    pairs.
     """
 
-    __slots__ = ("exp_den", "offset", "prec", "coeffs")
+    __slots__ = ("exp_den", "offset", "prec", "nums", "den")
 
     def __init__(self, coeffs: Iterable[Rational], offset: int, prec: int,
                  exp_den: int = 1):
         if exp_den < 1:
             raise ValueError("exp_den must be a positive integer")
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if offset > prec:
             raise ValueError("offset must not exceed prec")
+        cs = list(coeffs)
         n = prec - offset
         if len(cs) < n:
-            cs.extend([Fraction(0)] * (n - len(cs)))
+            cs.extend([0] * (n - len(cs)))
         elif len(cs) > n:
-            cs = cs[:n]
-        # canonical form: absorb leading zeros into the offset
-        lead = 0
-        while lead < len(cs) and cs[lead] == 0:
-            lead += 1
-        offset += lead
-        cs = cs[lead:]
-        # reduce exp_den when offset, prec and the support permit
-        d = math.gcd(exp_den, offset, prec)
-        for i, c in enumerate(cs):
-            if d == 1:
-                break
-            if c != 0:
-                d = math.gcd(d, offset + i)
-        if d > 1:
-            cs = cs[::d]
-            offset //= d
-            prec //= d
-            exp_den //= d
-        self.exp_den = exp_den
-        self.offset = offset
-        self.prec = prec
-        self.coeffs = tuple(cs)
+            del cs[n:]
+        den = 1
+        if not all(type(c) is int for c in cs):
+            cs = [c if type(c) is Fraction else Fraction(c) for c in cs]
+            den = math.lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (den // c.denominator) for c in cs]
+        (self.nums, self.den, self.offset, self.prec,
+         self.exp_den) = _canonical(cs, den, offset, prec, exp_den)
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def from_ints(cls, nums: Sequence[int], den: int, offset: int, prec: int,
+                  exp_den: int = 1) -> "QSeries":
+        """The series with coefficients nums[i]/den from q^(offset/exp_den).
+
+        nums must hold exactly prec - offset integers and den must be
+        positive; the result is brought to canonical form.
+        """
+        f = cls.__new__(cls)
+        f.nums, f.den, f.offset, f.prec, f.exp_den = _canonical(
+            nums, den, offset, prec, exp_den)
+        return f
 
     @classmethod
     def zero(cls, prec: int, exp_den: int = 1) -> "QSeries":
@@ -161,22 +195,28 @@ class QSeries:
 
     # -- basic protocol --------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Rational, ...]:
+        """The exact stored coefficients: ints when den is 1."""
+        if self.den == 1:
+            return self.nums
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
         return (self.exp_den == other.exp_den and self.offset == other.offset
-                and self.prec == other.prec and self.coeffs == other.coeffs)
+                and self.prec == other.prec and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.exp_den, self.offset, self.prec, self.coeffs))
+        return hash((self.exp_den, self.offset, self.prec, self.den,
+                     self.nums))
 
     def __bool__(self) -> bool:
-        return any(c != 0 for c in self.coeffs)
+        return bool(self.nums)  # canonical: a stored term is nonzero
 
-    def is_zero(self) -> bool:
-        return not self
-
-    def terms(self) -> Iterator[tuple[Fraction, Fraction]]:
+    def terms(self) -> Iterator[tuple[Fraction, Rational]]:
         """Yield (exponent, coefficient) for each nonzero stored term."""
         for i, c in enumerate(self.coeffs):
             if c != 0:
@@ -191,8 +231,8 @@ class QSeries:
 
     # -- rescaling helpers -----------------------------------------------
 
-    def _upscaled(self, exp_den: int) -> tuple[int, int, list[Fraction]]:
-        """Raw (offset, prec, coeffs) in units of 1/exp_den (a multiple).
+    def _upscaled(self, exp_den: int) -> tuple[int, int, Sequence[int]]:
+        """Raw (offset, prec, nums) in units of 1/exp_den (a multiple).
 
         Returns plain data rather than a QSeries: the constructor would
         canonicalize the finer grid straight back down.
@@ -201,9 +241,9 @@ class QSeries:
             raise ValueError("new exp_den must be a multiple of the old one")
         m = exp_den // self.exp_den
         if m == 1:
-            return self.offset, self.prec, list(self.coeffs)
-        cs = [Fraction(0)] * ((self.prec - self.offset) * m)
-        cs[::m] = self.coeffs
+            return self.offset, self.prec, self.nums
+        cs = [0] * ((self.prec - self.offset) * m)
+        cs[::m] = self.nums
         return self.offset * m, self.prec * m, cs
 
     def truncate(self, prec: int) -> "QSeries":
@@ -212,78 +252,74 @@ class QSeries:
             raise PrecisionError(
                 f"cannot extend precision from {self.prec} to {prec}")
         n = max(0, prec - self.offset)
-        return QSeries(self.coeffs[:n], min(self.offset, prec), prec,
-                       self.exp_den)
+        return QSeries.from_ints(self.nums[:n], self.den,
+                                 min(self.offset, prec), prec, self.exp_den)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
+        """Sum over the lcm of the two denominators, in integers."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        den = self.exp_den * other.exp_den // math.gcd(self.exp_den,
-                                                       other.exp_den)
-        fo, fp, fc = self._upscaled(den)
-        go, gp, gc = other._upscaled(den)
+        exp_den = math.lcm(self.exp_den, other.exp_den)
+        fo, fp, fn = self._upscaled(exp_den)
+        go, gp, gn = other._upscaled(exp_den)
+        den = math.lcm(self.den, other.den)
         offset = min(fo, go)
         prec = min(fp, gp)
-        cs = [Fraction(0)] * (prec - offset)
-        for so, sc in ((fo, fc), (go, gc)):
-            for i, c in enumerate(sc):
-                j = so + i - offset
-                if j < len(cs):
-                    cs[j] += c
-        return QSeries(cs, offset, prec, den)
+        cs = [0] * (prec - offset)
+        for so, sn, sden in ((fo, fn, self.den), (go, gn, other.den)):
+            m = den // sden
+            for i, c in enumerate(sn[:max(0, prec - so)], so - offset):
+                cs[i] += m * c
+        return QSeries.from_ints(cs, den, offset, prec, exp_den)
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self.coeffs], self.offset, self.prec,
-                       self.exp_den)
+        return QSeries.from_ints([-c for c in self.nums], self.den,
+                                 self.offset, self.prec, self.exp_den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def scale(self, c: Rational) -> "QSeries":
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         if c == 0:
             return QSeries.zero(self.prec, self.exp_den)
-        return QSeries([c * a for a in self.coeffs], self.offset, self.prec,
-                       self.exp_den)
+        num = c.numerator
+        return QSeries.from_ints([num * a for a in self.nums],
+                                 self.den * c.denominator, self.offset,
+                                 self.prec, self.exp_den)
 
     def __mul__(self, other):
         """Product of two series, or of a series and a rational scalar.
 
-        Both factors are scaled to integers by the lcm of their
-        coefficient denominators and multiplied by :func:`int_product`;
-        the result is divided back to `Fraction`.
+        The numerators are multiplied by :func:`int_product` and the
+        denominators by each other; one gcd brings the result back to
+        lowest terms.
         """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        den = self.exp_den * other.exp_den // math.gcd(self.exp_den,
-                                                       other.exp_den)
-        fo, fp, fc = self._upscaled(den)
-        go, gp, gc = other._upscaled(den)
+        exp_den = math.lcm(self.exp_den, other.exp_den)
+        fo, fp, fn = self._upscaled(exp_den)
+        go, gp, gn = other._upscaled(exp_den)
         # unknown tails start at f.prec + g.offset and g.prec + f.offset
         prec = min(fp + go, gp + fo)
         offset = fo + go
-        if self.is_zero() or other.is_zero():
-            return QSeries.zero(prec, den)
-        n = prec - offset
-        fl, fi = _int_scale(fc[:n])
-        gl, gi = _int_scale(gc[:n])
-        cs = int_product(fi, gi, n)
-        scale = fl * gl
-        if scale != 1:
-            cs = [Fraction(v, scale) for v in cs]
-        return QSeries(cs, offset, prec, den)
+        if not self or not other:
+            return QSeries.zero(prec, exp_den)
+        return QSeries.from_ints(int_product(fn, gn, prec - offset),
+                                 self.den * other.den, offset, prec, exp_den)
 
     __rmul__ = __mul__
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient."""
-        if self.is_zero():
+        if not self:
             raise ValueError("non-invertible series: zero leading coefficient")
-        a = self.coeffs
+        a = [Fraction(c, self.den) for c in self.nums]
         n = len(a)
         b = [Fraction(0)] * n
         b[0] = 1 / a[0]
@@ -299,9 +335,9 @@ class QSeries:
         The leading coefficient must be a rational square; if the leading
         exponent is odd in the current units, exp_den is doubled.
         """
-        if self.is_zero():
+        if not self:
             raise ValueError("square root of the zero series is ambiguous")
-        a = self.coeffs
+        a = [Fraction(c, self.den) for c in self.nums]
         try:
             b0 = _sqrt_fraction(a[0])
         except ValueError as exc:
@@ -325,20 +361,37 @@ class QSeries:
 
     # -- coefficient access ----------------------------------------------
 
-    def coeff_at(self, e: Rational) -> Fraction:
-        """Exact coefficient of q^e; errors past the precision bound."""
-        e = Fraction(e)
-        if e >= Fraction(self.prec, self.exp_den):
+    def _check_bound(self, num: int, den: int) -> None:
+        """Raise PrecisionError unless q^(num/den) is below the bound."""
+        if num * self.exp_den >= self.prec * den:
             raise PrecisionError(
-                f"coefficient of q^({e}) is beyond the precision bound "
-                f"q^({Fraction(self.prec, self.exp_den)})")
-        u = e * self.exp_den
-        if u.denominator != 1:
-            return Fraction(0)
-        i = int(u) - self.offset
-        if i < 0:
-            return Fraction(0)
-        return self.coeffs[i]
+                f"coefficient of q^({Fraction(num, den)}) is beyond the "
+                f"precision bound q^({Fraction(self.prec, self.exp_den)})")
+
+    def coeff_at(self, e: Rational) -> Rational:
+        """Exact coefficient of q^e; errors past the precision bound."""
+        if type(e) is not int:
+            e = Fraction(e)
+        self._check_bound(e.numerator, e.denominator)
+        u, r = divmod(e.numerator * self.exp_den, e.denominator)
+        i = u - self.offset
+        if r or i < 0:
+            return 0
+        c = self.nums[i]
+        return c if self.den == 1 else Fraction(c, self.den)
+
+    def window(self, lo: int, hi: int, exp_den: int = 1) -> list[int]:
+        """Numerators over ``den`` at q^(j/exp_den) for lo <= j < hi.
+
+        exp_den must be a multiple of the series' own.  Terms below the
+        support read 0; one at or past the precision bound raises
+        PrecisionError.
+        """
+        offset, _, nums = self._upscaled(exp_den)
+        if hi > lo:
+            self._check_bound(hi - 1, exp_den)
+        pad = [0] * max(0, min(offset, hi) - lo)
+        return pad + list(nums[max(0, lo - offset):max(0, hi - offset)])
 
     # -- exponent surgery ------------------------------------------------
 
@@ -348,8 +401,7 @@ class QSeries:
             raise ValueError("modulus must be a positive integer")
         if self.exp_den != 1:
             raise ValueError("slice requires an integer-exponent series")
-        k %= m
-        cs = [c if (self.offset + i) % m == k else Fraction(0)
-              for i, c in enumerate(self.coeffs)]
-        return QSeries(cs, self.offset, self.prec, 1)
-
+        first = (k - self.offset) % m  # index of the first kept term
+        cs = [0] * len(self.nums)
+        cs[first::m] = self.nums[first::m]
+        return QSeries.from_ints(cs, self.den, self.offset, self.prec, 1)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,61 @@ class TestJsonRoundTrip:
         for c in doc["coeffs"]:
             assert isinstance(c["num"], str)
             assert isinstance(c["den"], str)
+
+    def test_rational_half_integer_round_trip(self):
+        f = QSeries([Fraction(1, 2), 0, Fraction(-3, 4), 5], -1, 5, 2)
+        assert (f.den, f.exp_den) == (4, 2)
+        doc = json.loads(json.dumps(series_to_doc(f)))
+        assert doc["exp_den"] == 2
+        assert doc_to_series(doc) == f
+
+
+def _doc(**changes):
+    """A valid series document with some fields replaced or deleted."""
+    doc = {"variable": "q", "exp_den": 2, "offset": -1, "prec": 3,
+           "coeffs": [{"num": "1", "den": "2"}, {"num": "0", "den": "1"},
+                      {"num": "-3", "den": "4"}, {"num": "5", "den": "1"}]}
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+class TestDocValidation:
+    def test_valid_document(self):
+        assert doc_to_series(_doc()) == QSeries(
+            [Fraction(1, 2), 0, Fraction(-3, 4), 5], -1, 3, 2)
+
+    @pytest.mark.parametrize("doc", [
+        _doc(coeffs=[{"num": "1", "den": "0"}]),
+        _doc(coeffs=[{"num": "1", "den": "-2"}]),
+        _doc(coeffs=[{"num": "1.5", "den": "1"}]),
+        _doc(coeffs=[{"num": "1", "den": "one"}]),
+        _doc(coeffs=[{"num": 1, "den": "1"}]),
+        _doc(coeffs=[{"num": "1", "den": None}]),
+        _doc(exp_den=0),
+        _doc(exp_den=-2),
+        _doc(exp_den="2"),
+        _doc(offset=4),
+        _doc(prec=1.5),
+        _doc(offset=None),
+        _doc(prec=None),
+        _doc(exp_den=None),
+        _doc(coeffs=None),
+        _doc(coeffs=[{"num": "1"}]),
+        _doc(coeffs=[{"den": "1"}]),
+        _doc(coeffs=["1"]),
+        [],
+    ], ids=["den-zero", "den-negative", "num-decimal", "den-word",
+            "num-not-string", "den-null", "exp-den-zero", "exp-den-negative",
+            "exp-den-string", "offset-above-prec", "prec-float",
+            "no-offset", "no-prec", "no-exp-den", "no-coeffs", "no-den",
+            "no-num", "coeff-not-object", "not-an-object"])
+    def test_malformed_document_is_value_error(self, doc):
+        with pytest.raises(ValueError):
+            doc_to_series(doc)
 
 
 class TestGvCommand:
@@ -262,6 +318,27 @@ class TestCheckCommand:
         res = checks.check_ring_laws()
         assert not res.passed
         assert res.detail == "product differs from the schoolbook product"
+
+    def test_ring_laws_compare_sum_with_fractions(self, monkeypatch):
+        # an integer sum that drops the second operand's denominator
+        # still commutes; only the Fraction sum can see it
+        real = QSeries.__add__
+        monkeypatch.setattr(
+            QSeries, "__add__",
+            lambda f, g: real(f, QSeries(g.nums, g.offset, g.prec,
+                                         g.exp_den)))
+        res = checks.check_ring_laws()
+        assert not res.passed
+        assert res.detail == "sum differs from the Fraction sum"
+
+    def test_ring_laws_compare_scale_with_fractions(self, monkeypatch):
+        # scaling by the numerator alone, the scalar's denominator dropped
+        real = QSeries.scale
+        monkeypatch.setattr(QSeries, "scale",
+                            lambda f, c: real(f, Fraction(c).numerator))
+        res = checks.check_ring_laws()
+        assert not res.passed
+        assert res.detail == "scaling differs from the Fraction product"
 
     def test_corrupted_e4_detected(self, monkeypatch):
         real = forms.eisenstein

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellcy import forms
+from ellcy import checks, forms
 from ellcy.series import QSeries
 
 
@@ -177,10 +177,15 @@ class TestEtaPower:
     def test_inexact_step_raises(self, monkeypatch):
         # a wrong sigma_1(3) makes 3 * p_3 odd for eta^2; the recurrence
         # must refuse rather than floor it
-        real = forms.sigma
-        monkeypatch.setattr(
-            forms, "sigma",
-            lambda k, n: 5 if (k, n) == (1, 3) else real(k, n))
+        real = forms.divisor_sums
+
+        def wrong(k, n):
+            sums = real(k, n)
+            if k == 1 and n > 3:
+                sums[3] = 5
+            return sums
+
+        monkeypatch.setattr(forms, "divisor_sums", wrong)
         with pytest.raises(ArithmeticError):
             forms.eta_power(2, 4)
 
@@ -200,6 +205,37 @@ class TestSigma:
     def test_invalid_argument(self):
         with pytest.raises(ValueError):
             forms.sigma(3, 0)
+
+
+class TestDivisorSums:
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    def test_sieve_matches_trial_division(self, k):
+        sums = forms.divisor_sums(k, 2000)
+        assert sums[0] == 0
+        assert sums[1:] == [forms.sigma(k, n) for n in range(1, 2000)]
+
+    def test_short_lengths(self):
+        assert forms.divisor_sums(3, 0) == []
+        assert forms.divisor_sums(3, 1) == [0]
+        assert forms.divisor_sums(3, 2) == [0, 1]
+
+    def test_sieve_without_n_itself_is_detected(self, monkeypatch):
+        real = forms.divisor_sums
+
+        def proper_divisor_sums(k, n):
+            return [s - m ** k if m else 0 for m, s in enumerate(real(k, n))]
+
+        monkeypatch.setattr(forms, "divisor_sums", proper_divisor_sums)
+        # a wrong sigma_1 makes the eta recurrence inexact, and it refuses
+        with pytest.raises(ArithmeticError):
+            checks.run_checks(6)
+        # with sigma_1 intact, E4 and E6 are still wrong; the lattice
+        # count and the trial-division oracle see it
+        monkeypatch.setattr(
+            forms, "divisor_sums",
+            lambda k, n: real(k, n) if k == 1 else proper_divisor_sums(k, n))
+        failed = {r.name for r in checks.run_checks(6) if not r.passed}
+        assert {"theta-e8-equals-e4", "e10-sigma9"} <= failed
 
 
 class TestEisenstein:

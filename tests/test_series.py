@@ -1,5 +1,6 @@
 """Unit and property tests for the exact truncated-series arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -260,3 +261,135 @@ def test_slice_idempotent(f, m, k):
 def test_precision_honesty(f):
     with pytest.raises(PrecisionError):
         f.coeff_at(Fraction(f.prec, f.exp_den))
+
+
+# -- the integer representation against a Fraction oracle ----------------
+#
+# Each series is drawn as raw data (coefficients, offset, prec, exp_den).
+# The oracle reads the same data as a map from exponent to Fraction with
+# a precision bound, and does every operation term by term in Fractions,
+# so it shares nothing with the numerators-over-one-denominator kernel.
+
+rational_st = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@st.composite
+def raw_series(draw, exp_den=None):
+    cs = draw(st.lists(rational_st, max_size=8))
+    offset = draw(st.integers(min_value=-3, max_value=3))
+    prec = offset + draw(st.integers(min_value=0, max_value=len(cs) + 3))
+    den = exp_den if exp_den is not None else draw(st.sampled_from([1, 2, 3]))
+    return cs, offset, prec, den
+
+
+def oracle(raw):
+    """(precision bound, {exponent: nonzero Fraction coefficient})."""
+    cs, offset, prec, den = raw
+    terms = {Fraction(offset + i, den): Fraction(c)
+             for i, c in enumerate(cs[:prec - offset]) if c}
+    return Fraction(prec, den), terms
+
+
+def oracle_add(f, g):
+    bound = min(f[0], g[0])
+    terms = {}
+    for t in (f[1], g[1]):
+        for e, c in t.items():
+            if e < bound:
+                terms[e] = terms.get(e, 0) + c
+    return bound, terms
+
+
+def oracle_neg(f):
+    return f[0], {e: -c for e, c in f[1].items()}
+
+
+def oracle_mul(f, g):
+    # an unknown tail starts at each bound plus the other's lowest term
+    low_f, low_g = min(f[1], default=f[0]), min(g[1], default=g[0])
+    bound = min(f[0] + low_g, g[0] + low_f)
+    terms = {}
+    for a, x in f[1].items():
+        for b, y in g[1].items():
+            if a + b < bound:
+                terms[a + b] = terms.get(a + b, 0) + x * y
+    return bound, terms
+
+
+def assert_matches(p: QSeries, expected):
+    """p is canonical and agrees with the oracle coefficient by coefficient."""
+    bound, terms = expected
+    assert p.den >= 1 and math.gcd(p.den, *p.nums) == 1
+    assert len(p.nums) == p.prec - p.offset
+    assert not p.nums or p.nums[0] != 0
+    assert Fraction(p.prec, p.exp_den) == bound
+    for i, c in enumerate(p.coeffs):
+        assert c == terms.get(Fraction(p.offset + i, p.exp_den), 0)
+    for e, c in terms.items():
+        assert p.coeff_at(e) == c
+
+
+@given(raw_series(), raw_series())
+def test_ring_ops_match_fraction_oracle(a, b):
+    f, g = QSeries(*a), QSeries(*b)
+    fo, go = oracle(a), oracle(b)
+    assert_matches(f, fo)
+    assert_matches(f + g, oracle_add(fo, go))
+    assert_matches(f - g, oracle_add(fo, oracle_neg(go)))
+    assert_matches(-f, oracle_neg(fo))
+    assert_matches(f * g, oracle_mul(fo, go))
+
+
+@given(raw_series(), rational_st)
+def test_scale_matches_fraction_oracle(a, c):
+    bound, terms = oracle(a)
+    expected = (bound, {e: v * c for e, v in terms.items()})
+    assert_matches(QSeries(*a).scale(c), expected)
+    assert_matches(c * QSeries(*a), expected)
+
+
+@given(raw_series(), st.integers(min_value=-8, max_value=12))
+def test_truncate_matches_fraction_oracle(a, t):
+    f = QSeries(*a)
+    if t > f.prec:
+        with pytest.raises(PrecisionError):
+            f.truncate(t)
+        return
+    bound = Fraction(t, f.exp_den)
+    _, terms = oracle(a)
+    assert_matches(f.truncate(t),
+                   (bound, {e: c for e, c in terms.items() if e < bound}))
+
+
+@given(raw_series(exp_den=1), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=-6, max_value=6))
+def test_slice_matches_fraction_oracle(a, m, k):
+    bound, terms = oracle(a)
+    assert_matches(QSeries(*a).slice(m, k),
+                   (bound, {e: c for e, c in terms.items()
+                            if e.numerator % m == k % m}))
+
+
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
+       st.integers(min_value=-3, max_value=3), st.sampled_from([1, 2, 3]),
+       st.integers(min_value=1, max_value=12))
+def test_int_and_fraction_construction_agree(cs, offset, exp_den, k):
+    prec = offset + len(cs)
+    f = QSeries(cs, offset, prec, exp_den)
+    g = QSeries([Fraction(c) for c in cs], offset, prec, exp_den)
+    h = QSeries([Fraction(c, k) for c in cs], offset, prec, exp_den).scale(k)
+    scaled = QSeries.from_ints([c * k for c in cs], k, offset, prec, exp_den)
+    assert f == g == h == scaled
+    assert hash(f) == hash(g) == hash(h) == hash(scaled)
+    assert f.den == 1
+    assert all(type(c) is int for c in f.coeffs)
+
+
+@given(raw_series())
+def test_coeffs_are_the_exact_values(a):
+    f = QSeries(*a)
+    assert all(type(c) is int for c in f.coeffs) == (f.den == 1)
+    assert [Fraction(c) for c in f.coeffs] == [
+        Fraction(n, f.den) for n in f.nums]
