@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
+from math import gcd
 
-from . import checks, forms, geometry, invariants
+from . import forms, geometry, invariants
 from .series import QSeries
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
+
+# largest h, |d1| and |d2| that nl accepts (h < 0 is a domain error): the
+# half-discriminant stays below about 2e12, so sigma_9 by trial division
+# takes about 0.15 s on a 2-core VM
+NL_BOUND = 10 ** 6
 
 _SERIES = {
     "delta": forms.delta,
@@ -59,6 +64,7 @@ def doc_to_series(doc: dict) -> QSeries:
     wrong type, a numerator or denominator that is not an integer string,
     a denominator below 1, exp_den below 1, or offset above prec.
     """
+    from fractions import Fraction
     try:
         offset, prec, exp_den = doc["offset"], doc["prec"], doc["exp_den"]
         pairs = [(c["num"], c["den"]) for c in doc["coeffs"]]
@@ -84,20 +90,21 @@ def doc_to_series(doc: dict) -> QSeries:
     return QSeries(coeffs, offset, prec, exp_den)
 
 
-def _fmt_exponent(e: Fraction) -> str:
-    return str(e.numerator) if e.denominator == 1 else str(e)
+def _fmt_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) as `Fraction` prints it: "n" or "n/d", reduced."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _print_series(f: QSeries, as_json: bool, out) -> None:
     if as_json:
         import json  # only this output needs it; kept off the start-up path
-        json.dump(series_to_doc(f), out)
-        out.write("\n")
+        # dumps runs the C encoder; dump to a stream writes chunk by chunk
+        out.write(json.dumps(series_to_doc(f)) + "\n")
         return
-    for i, c in enumerate(f.coeffs):
-        e = Fraction(f.offset + i, f.exp_den)
+    for i, c in enumerate(f.coeffs, f.offset):
         if f.exp_den == 1 or c != 0:
-            out.write(f"{_fmt_exponent(e)}\t{c}\n")
+            out.write(f"{_fmt_ratio(i, f.exp_den)}\t{c}\n")
 
 
 def cmd_series(args, out) -> int:
@@ -117,7 +124,9 @@ def cmd_gv(args, out) -> int:
             f = invariants.f_section_closed(prec)
         else:
             f = invariants.f_section_convolution(prec)
-        values = [f.coeff_at(Fraction(2 * n - 1, 2)) for n in range(prec)]
+        # the coefficients at q^(n - 1/2) for n < prec
+        values = [_fmt_ratio(v, f.den)
+                  for v in f.window(-1, 2 * prec - 1, 2)[::2]]
         rows = [(n, geometry.CurveClass(c=1, e=n).label(), v)
                 for n, v in enumerate(values)]
     else:  # multifiber; fiber is its m = 1 case
@@ -140,6 +149,9 @@ def cmd_gv(args, out) -> int:
 
 
 def cmd_nl(args, out) -> int:
+    if max(args.h, abs(args.d1), abs(args.d2)) > NL_BOUND:
+        raise _UsageError(f"--h, |--d1| and |--d2| must be at most "
+                          f"{NL_BOUND}")
     disc = geometry.nl_discriminant(
         geometry.K3_POLARIZATION, geometry.NLIndex(args.h, (args.d1, args.d2)))
     value = invariants.nl_number(args.h, args.d1, args.d2)
@@ -166,6 +178,7 @@ def cmd_euler(args, out) -> int:
 def cmd_check(args, out) -> int:
     if args.prec < 2:
         raise _UsageError("--prec must be at least 2")
+    from . import checks  # its Fraction oracles stay off the other commands
     results = checks.run_checks(args.prec)
     failures = 0
     for res in results:

@@ -9,7 +9,8 @@ Two of the generators are deliberately redundant: the E8 theta series
 counts lattice vectors by norm through powers of Jacobi theta series
 built from the coordinates, and never via the weight-4 Eisenstein series,
 so that the classical identity Theta_E8 = E_4 is available as a
-cross-check of two unrelated algorithms.
+cross-check of two unrelated algorithms.  Likewise a single E10
+coefficient comes from sigma_9 by trial division, never from E4 * E6.
 """
 
 from __future__ import annotations
@@ -41,13 +42,28 @@ def divisor_sums(k: int, n: int) -> list[int]:
 
     Each d adds d^k to every multiple of d below n: O(n log n) integer
     additions, where :func:`sigma` term by term costs O(n^1.5).  The
-    generators use the sieve; trial-division :func:`sigma` stays as the
-    independent oracle of the weight-10 check.
+    series generators use the sieve; trial-division :func:`sigma` gives
+    the single coefficients of :func:`e10_coefficient`.
     """
     sums = [0] * n
     for d in range(1, n):
         sums[d::d] = map(operator.add, sums[d::d], repeat(d ** k))
     return sums
+
+
+def e10_coefficient(k: int) -> int:
+    """Coefficient of q^k in E10, from sigma_9 alone in O(sqrt k).
+
+    E10 = 1 - 264 sum_{k>=1} sigma_9(k) q^k is a modular form, so it has
+    no negative powers of q: 0 for k < 0 and 1 at k = 0.  Trial division
+    touches neither the series product nor the divisor-sum sieve behind
+    :func:`eisenstein`, so E4 * E6 and this function check each other.
+    """
+    if k < 0:
+        return 0
+    if k == 0:
+        return 1
+    return -264 * sigma(9, k)
 
 
 def eta_power(e: int, nterms: int) -> QSeries:

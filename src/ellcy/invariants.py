@@ -19,13 +19,12 @@ one place per route.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
 from . import forms, geometry
 from .geometry import CurveClass, NLIndex, K3_POLARIZATION
-from .series import QSeries, Rational
+from .series import QSeries
 
 
 class IncompleteTableError(KeyError):
@@ -33,12 +32,12 @@ class IncompleteTableError(KeyError):
 
 
 class GVTable:
-    """Map from curve classes to exact rational invariants."""
+    """Map from curve classes to exact invariants, int when integral."""
 
     __slots__ = ("entries",)
 
     def __init__(self):
-        self.entries: dict[CurveClass, Fraction] = {}
+        self.entries: dict[CurveClass, int | Fraction] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GVTable):
@@ -47,37 +46,27 @@ class GVTable:
 
     __hash__ = None  # mutable
 
-    def set(self, beta: CurveClass, value: Fraction) -> None:
-        self.entries[beta] = Fraction(value)
+    def set(self, beta: CurveClass, value: int | Fraction) -> None:
+        self.entries[beta] = value
 
-    def get(self, beta: CurveClass) -> Fraction:
+    def get(self, beta: CurveClass) -> int | Fraction:
         if beta not in self.entries:
             raise IncompleteTableError(
                 f"no invariant recorded for class {beta.label()}")
         return self.entries[beta]
 
 
-def _nl_from_e10(disc: int, e10: QSeries) -> Rational:
-    """NL number of bordered discriminant `disc`, read off E10.
-
-    -4 times the E10 coefficient at half the discriminant, which is
-    always even: disc = 2(d2^2 + d1 d2 - h + 1).  A negative
-    discriminant lies below the support of E10, a modular form with no
-    negative powers of q, so its NL number is zero (Maulik-Pandharipande,
-    arXiv:0705.1653); no separate branch supplies that zero.
-    """
-    return -4 * e10.coeff_at(disc // 2)
-
-
-def nl_number(h: int, d1: int, d2: int) -> Rational:
+def nl_number(h: int, d1: int, d2: int) -> int:
     """Noether-Lefschetz number of the resolved K3 fibration.
 
-    -4 times the E10 coefficient at half the bordered discriminant, zero
-    when the discriminant is negative.  E10 = E4 * E6 is built to just
-    enough terms.
+    -4 times the E10 coefficient at half the bordered discriminant, which
+    is always even: disc = 2(d2^2 + d1 d2 - h + 1).  The coefficient
+    comes from sigma_9 (:func:`forms.e10_coefficient`), so a negative
+    discriminant gives zero, since E10 has no negative powers of q
+    (Maulik-Pandharipande, arXiv:0705.1653), and no series is built.
     """
     disc = geometry.nl_discriminant(K3_POLARIZATION, NLIndex(h, (d1, d2)))
-    return _nl_from_e10(disc, forms.eisenstein(10, max(disc, 0) // 2 + 1))
+    return -4 * forms.e10_coefficient(disc // 2)
 
 
 def f_section_closed(nterms: int) -> QSeries:
@@ -134,14 +123,18 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
         beta = CurveClass(e=n, f=m)
         d1, d2 = geometry.class_to_degrees(beta)
         # disc(h) = disc(0) - 2h, so h runs up to half0 = disc(0)/2 and
-        # NL_h = -4 [q^(half0 - h)] E10 (see _nl_from_e10); below
+        # NL_h = -4 [q^(half0 - h)] E10 (see nl_number); below
         # half0 = 0 every discriminant is negative and the sum is empty
         half0 = geometry.nl_discriminant(K3_POLARIZATION,
                                          NLIndex(0, (d1, d2))) // 2
         total = 0
         if half0 >= 0:
             total = -4 * sum(map(mul, r[:half0 + 1], ev[half0::-1]))
-        table.set(beta, Fraction(total, 2 * e10.den))
+        value, rem = divmod(total, 2 * e10.den)
+        if rem:
+            from fractions import Fraction
+            value = Fraction(total, 2 * e10.den)
+        table.set(beta, value)
     return table
 
 
@@ -176,11 +169,12 @@ def gv_to_gw_genus0(table: GVTable, beta: CurveClass) -> Fraction:
     """
     if beta.is_zero():
         raise ValueError("the zero class has no multiple-cover expansion")
+    from fractions import Fraction
     g = gcd(gcd(abs(beta.c), abs(beta.e)), abs(beta.f))
     total = Fraction(0)
     for k in range(1, g + 1):
         if g % k:
             continue
         eta = CurveClass(beta.c // k, beta.e // k, beta.f // k)
-        total += table.get(eta) / k ** 3
+        total += Fraction(table.get(eta), k ** 3)
     return total

@@ -14,21 +14,21 @@ series are integral, so they keep ``den == 1`` and never touch
 `fractions.Fraction`; the few true rationals (the resolution factor 1/2,
 1/1728, the test samples) cost one denominator per series, not one per
 coefficient.  ``coeffs`` yields the exact values: ints when ``den`` is 1,
-`Fraction` otherwise.  There is no floating point anywhere in this
-module.  The product is one exact big-integer multiplication of the
-numerators: :func:`int_product` packs both into single Python ints by
-Kronecker substitution, multiplies them once and reads the product's
-slots back.  The generators that work on plain integer coefficient lists
-(the E8 theta powers) call :func:`int_product` directly.
+`Fraction` otherwise.  `fractions` is imported only inside the code that
+meets a true rational (a denominator above 1, a non-integer scalar or
+exponent, ``invert`` and ``sqrt``), so integer work never loads it.
+There is no floating point anywhere in this module.  The product is one
+exact big-integer multiplication of the numerators: :func:`int_product`
+packs both into single Python ints by Kronecker substitution, multiplies
+them once and reads the product's slots back.  The generators that work
+on plain integer coefficient lists (the E8 theta powers) call
+:func:`int_product` directly.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from fractions import Fraction
-
-Rational = int | Fraction
 
 
 class PrecisionError(ValueError):
@@ -37,6 +37,7 @@ class PrecisionError(ValueError):
 
 def _sqrt_fraction(c: Fraction) -> Fraction:
     """Exact positive square root of a rational, or raise ValueError."""
+    from fractions import Fraction
     if c <= 0:
         raise ValueError(f"{c} is not a positive rational square")
     num, den = c.numerator, c.denominator
@@ -144,8 +145,8 @@ class QSeries:
 
     __slots__ = ("exp_den", "offset", "prec", "nums", "den")
 
-    def __init__(self, coeffs: Iterable[Rational], offset: int, prec: int,
-                 exp_den: int = 1):
+    def __init__(self, coeffs: Iterable[int | Fraction], offset: int,
+                 prec: int, exp_den: int = 1):
         if exp_den < 1:
             raise ValueError("exp_den must be a positive integer")
         if offset > prec:
@@ -158,6 +159,7 @@ class QSeries:
             del cs[n:]
         den = 1
         if not all(type(c) is int for c in cs):
+            from fractions import Fraction
             cs = [c if type(c) is Fraction else Fraction(c) for c in cs]
             den = math.lcm(*(c.denominator for c in cs))
             cs = [c.numerator * (den // c.denominator) for c in cs]
@@ -184,11 +186,12 @@ class QSeries:
         return cls([], prec, prec, exp_den)
 
     @classmethod
-    def constant(cls, c: Rational, prec: int, exp_den: int = 1) -> "QSeries":
+    def constant(cls, c: int | Fraction, prec: int,
+                 exp_den: int = 1) -> "QSeries":
         return cls([c], 0, prec, exp_den)
 
     @classmethod
-    def monomial(cls, c: Rational, e: int, prec: int,
+    def monomial(cls, c: int | Fraction, e: int, prec: int,
                  exp_den: int = 1) -> "QSeries":
         """c * q^(e/exp_den), known up to exponent prec/exp_den."""
         return cls([c], e, prec, exp_den)
@@ -196,10 +199,11 @@ class QSeries:
     # -- basic protocol --------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Rational, ...]:
+    def coeffs(self) -> tuple[int | Fraction, ...]:
         """The exact stored coefficients: ints when den is 1."""
         if self.den == 1:
             return self.nums
+        from fractions import Fraction
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __eq__(self, other: object) -> bool:
@@ -216,13 +220,15 @@ class QSeries:
     def __bool__(self) -> bool:
         return bool(self.nums)  # canonical: a stored term is nonzero
 
-    def terms(self) -> Iterator[tuple[Fraction, Rational]]:
+    def terms(self) -> Iterator[tuple[Fraction, int | Fraction]]:
         """Yield (exponent, coefficient) for each nonzero stored term."""
+        from fractions import Fraction
         for i, c in enumerate(self.coeffs):
             if c != 0:
                 yield Fraction(self.offset + i, self.exp_den), c
 
     def __repr__(self) -> str:
+        from fractions import Fraction
         parts = []
         for e, c in self.terms():
             parts.append(f"{c}*q^({e})")
@@ -281,8 +287,9 @@ class QSeries:
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
-    def scale(self, c: Rational) -> "QSeries":
+    def scale(self, c: int | Fraction) -> "QSeries":
         if type(c) is not int:
+            from fractions import Fraction
             c = Fraction(c)
         if c == 0:
             return QSeries.zero(self.prec, self.exp_den)
@@ -298,9 +305,10 @@ class QSeries:
         denominators by each other; one gcd brings the result back to
         lowest terms.
         """
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, QSeries):
+            # int and Fraction scalars alike carry a denominator
+            if hasattr(other, "denominator"):
+                return self.scale(other)
             return NotImplemented
         exp_den = math.lcm(self.exp_den, other.exp_den)
         fo, fp, fn = self._upscaled(exp_den)
@@ -319,6 +327,7 @@ class QSeries:
         """Multiplicative inverse; requires a nonzero leading coefficient."""
         if not self:
             raise ValueError("non-invertible series: zero leading coefficient")
+        from fractions import Fraction
         a = [Fraction(c, self.den) for c in self.nums]
         n = len(a)
         b = [Fraction(0)] * n
@@ -337,6 +346,7 @@ class QSeries:
         """
         if not self:
             raise ValueError("square root of the zero series is ambiguous")
+        from fractions import Fraction
         a = [Fraction(c, self.den) for c in self.nums]
         try:
             b0 = _sqrt_fraction(a[0])
@@ -364,13 +374,15 @@ class QSeries:
     def _check_bound(self, num: int, den: int) -> None:
         """Raise PrecisionError unless q^(num/den) is below the bound."""
         if num * self.exp_den >= self.prec * den:
+            from fractions import Fraction
             raise PrecisionError(
                 f"coefficient of q^({Fraction(num, den)}) is beyond the "
                 f"precision bound q^({Fraction(self.prec, self.exp_den)})")
 
-    def coeff_at(self, e: Rational) -> Rational:
+    def coeff_at(self, e: int | Fraction) -> int | Fraction:
         """Exact coefficient of q^e; errors past the precision bound."""
         if type(e) is not int:
+            from fractions import Fraction
             e = Fraction(e)
         self._check_bound(e.numerator, e.denominator)
         u, r = divmod(e.numerator * self.exp_den, e.denominator)
@@ -378,7 +390,10 @@ class QSeries:
         if r or i < 0:
             return 0
         c = self.nums[i]
-        return c if self.den == 1 else Fraction(c, self.den)
+        if self.den == 1:
+            return c
+        from fractions import Fraction
+        return Fraction(c, self.den)
 
     def window(self, lo: int, hi: int, exp_den: int = 1) -> list[int]:
         """Numerators over ``den`` at q^(j/exp_den) for lo <= j < hi.

@@ -134,6 +134,7 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
     detected = []
     real_eis = forms.eisenstein
     real_eta = forms.eta_power
+    real_e10 = forms.e10_coefficient
 
     def corrupt_eisenstein(weight):
         def patched(k, nterms):
@@ -155,6 +156,9 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
             return type(f)(cs, f.offset, f.prec, f.exp_den)
         return patched
 
+    def corrupt_sigma9(k):
+        return real_e10(k) + (k == 2)
+
     faults = {
         "e4": ("eisenstein", corrupt_eisenstein(4)),
         "e6": ("eisenstein", corrupt_eisenstein(6)),
@@ -163,13 +167,17 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         "eta12": ("eta_power", corrupt_eta(12)),
         "inverse-delta": ("eta_power", corrupt_eta(-24)),
         "inverse-sqrt-delta": ("eta_power", corrupt_eta(-12)),
+        "sigma9": ("e10_coefficient", corrupt_sigma9),
     }
     for name, (attr, patched) in faults.items():
         monkeypatch.setattr(forms, attr, patched)
-        results = checks.run_checks(6)
-        detected.append((name, any(not r.passed for r in results)))
+        failed = {r.name for r in checks.run_checks(6) if not r.passed}
+        # the sigma_9 oracle must be caught by the check that reads it
+        detected.append((name, "e10-sigma9" in failed if name == "sigma9"
+                         else bool(failed)))
         monkeypatch.setattr(forms, attr, {"eisenstein": real_eis,
-                                          "eta_power": real_eta}[attr])
+                                          "eta_power": real_eta,
+                                          "e10_coefficient": real_e10}[attr])
 
     ok = clean_ok and all(found for _, found in detected)
     report("10 (check suite + fault injection)", ok)

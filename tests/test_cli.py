@@ -1,16 +1,23 @@
 """CLI contract tests: output shapes, JSON round-trips, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ellcy
 from ellcy import checks, forms, series
-from ellcy.cli import doc_to_series, main, series_to_doc
+from ellcy.cli import NL_BOUND, doc_to_series, main, series_to_doc
 from ellcy.series import QSeries
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(argv):
@@ -186,6 +193,79 @@ class TestNlCommand:
         assert code == 0
         assert text == "-4\n"
 
+    def test_builds_no_series(self, monkeypatch):
+        # one NL number comes from sigma_9, never from E4 * E6
+        def poisoned(k, nterms):
+            raise AssertionError("nl must not build an Eisenstein series")
+
+        monkeypatch.setattr(forms, "eisenstein", poisoned)
+        argv = ["nl", "--h", "0", "--d1", "1000", "--d2", "1"]
+        code, text = run(argv)
+        assert code == 0
+        with open(os.path.join(REPO, "perfbench", "reference.json")) as f:
+            reference = json.load(f)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            reference[" ".join(argv)]
+
+    def test_large_discriminant(self):
+        # half-discriminant 80001: E4 * E6 to that length took seconds
+        code, text = run(["nl", "--h", "0", "--d1", "200", "--d2", "200"])
+        assert code == 0
+        assert text == ("141757068636577435386651148462735365462651479040"
+                        "\n")
+
+    @pytest.mark.parametrize("flag", ["--h", "--d1", "--d2"])
+    def test_above_bound_is_usage_error(self, flag, capsys):
+        argv = {"--h": "0", "--d1": "0", "--d2": "0"}
+        argv[flag] = str(NL_BOUND + 1)
+        code, text = run(["nl", *[x for kv in argv.items() for x in kv]])
+        assert code == 1
+        assert text == ""
+        assert f"must be at most {NL_BOUND}" in capsys.readouterr().err
+
+
+class TestIntegerCommandsLoadNoFractions:
+    """Commands without a true rational never import fractions or decimal.
+
+    The commands run one after another in one fresh interpreter without
+    site, so only ellcy's own imports count; after each, neither module
+    may be loaded.
+    """
+
+    ARGVS = (
+        [["euler"], ["nl", "--h", "0", "--d1", "12", "--d2", "1"],
+         ["nl", "--h", "5", "--d1", "0", "--d2", "1"]]
+        + [["series", name, "--prec", "5"] + extra
+           for name in ("delta", "inv-delta", "inv-sqrt-delta", "e4", "e6",
+                        "e10", "theta-e8")
+           for extra in ([], ["--json"])]
+        + [["gv", target, "--method", method, "--prec", "5"] + extra
+           for target, extra in (("fiber", []), ("section", []),
+                                 ("multifiber", ["--m", "2"]))
+           for method in ("closed", "direct")]
+    )
+    SCRIPT = """
+import io, json, sys
+from ellcy.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    code = main(argv, out=io.StringIO())
+    loaded.append([code] + sorted({"fractions", "decimal"} & set(sys.modules)))
+print(json.dumps(loaded))
+"""
+
+    def test_no_fractions_module(self):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       os.path.abspath(ellcy.__file__))))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", self.SCRIPT,
+             json.dumps(self.ARGVS)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert loaded == [[0]] * len(self.ARGVS)
+
 
 class TestEulerCommand:
     def test_default(self):
@@ -292,18 +372,12 @@ class TestCheckCommand:
                 if line.startswith("FAIL")] == ["eta-power-additivity"]
 
     def test_nl_vanishing_reads_e10(self, monkeypatch):
-        # E10 + 1/q has a term below the support of a modular form; the
-        # check must see it, not answer zero for a negative discriminant
-        # before E10 is read
-        real = forms.eisenstein
-
-        def corrupted(k, nterms):
-            f = real(k, nterms)
-            if k != 10:
-                return f
-            return f + QSeries.monomial(1, -1, f.prec)
-
-        monkeypatch.setattr(forms, "eisenstein", corrupted)
+        # an E10 coefficient at q^-1 lies below the support of a modular
+        # form; the check must see it, not answer zero for a negative
+        # discriminant before the coefficient is read
+        real = forms.e10_coefficient
+        monkeypatch.setattr(forms, "e10_coefficient",
+                            lambda k: 1 if k == -1 else real(k))
         res = checks.check_nl_vanishing()
         assert not res.passed
         assert res.detail == "NL(0;-3,1) = -4 despite discriminant -2"
@@ -359,6 +433,24 @@ class TestCheckCommand:
             if line.startswith("FAIL")]
 
 
+    def test_raising_generator_is_a_fail_line(self, monkeypatch, capsys):
+        # a sieve without n itself makes the eta recurrence inexact, and
+        # it raises; each check it ends must be a FAIL, not a traceback
+        real = forms.divisor_sums
+        monkeypatch.setattr(
+            forms, "divisor_sums",
+            lambda k, n: [s - m ** k if m else 0
+                          for m, s in enumerate(real(k, n))])
+        code, text = run(["check", "--prec", "6"])
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        fails = [line.split("\t") for line in text.splitlines()
+                 if line.startswith("FAIL")]
+        assert any(detail.startswith("ArithmeticError: ")
+                   for _, _, detail in fails)
+        assert text.endswith(f"{len(fails)} check(s) failed\n")
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -375,7 +467,7 @@ def assert_exit_contract(argv):
     """main(argv) ends in exit 0, 1 or 2 and raises nothing but SystemExit.
 
     argparse usage errors leave through SystemExit; any other exception
-    fails the calling test.
+    fails the calling test.  Returns the exit code.
     """
     with contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -383,13 +475,19 @@ def assert_exit_contract(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+    return code
+
+
+# small values, and values on both sides of nl's bound
+_NL_ARGS = (st.integers(-60, 60) | st.integers(NL_BOUND - 1, NL_BOUND + 1)
+            | st.integers(-NL_BOUND - 1, -NL_BOUND + 1))
 
 
 class TestExitContract:
     """Integer arguments on both sides of every bound, run in process.
 
-    The draws are derandomized so that the run time is fixed: the cost of
-    nl grows with d2^2 + d1 d2, to about 2 s at d1 = d2 = 60.
+    The draws are derandomized so that the run time is fixed: nl costs
+    O(sqrt(d2^2 + d1 d2)), about 0.15 s at its bound.
     """
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -400,11 +498,12 @@ class TestExitContract:
         argv = ["gv", target, "--method", method, "--prec", str(prec)]
         assert_exit_contract(argv if m is None else argv + ["--m", str(m)])
 
-    @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_NL_ARGS, _NL_ARGS, _NL_ARGS)
     def test_nl(self, h, d1, d2):
-        assert_exit_contract(["nl", "--h", str(h), "--d1", str(d1),
-                              "--d2", str(d2)])
+        code = assert_exit_contract(["nl", "--h", str(h), "--d1", str(d1),
+                                     "--d2", str(d2)])
+        assert (code == 1) == (max(h, abs(d1), abs(d2)) > NL_BOUND)
 
     @settings(max_examples=16, deadline=None, derandomize=True)
     @given(st.integers(-3, 12))

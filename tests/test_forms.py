@@ -226,9 +226,12 @@ class TestDivisorSums:
             return [s - m ** k if m else 0 for m, s in enumerate(real(k, n))]
 
         monkeypatch.setattr(forms, "divisor_sums", proper_divisor_sums)
-        # a wrong sigma_1 makes the eta recurrence inexact, and it refuses
-        with pytest.raises(ArithmeticError):
-            checks.run_checks(6)
+        # a wrong sigma_1 makes the eta recurrence inexact, and it refuses;
+        # the checks it ends are FAILs that name the exception
+        results = checks.run_checks(6)
+        assert len(results) == 15
+        assert any(not r.passed and r.detail.startswith("ArithmeticError: ")
+                   for r in results)
         # with sigma_1 intact, E4 and E6 are still wrong; the lattice
         # count and the trial-division oracle see it
         monkeypatch.setattr(
@@ -263,6 +266,12 @@ class TestEisenstein:
         e10 = forms.eisenstein(10, 21)
         for n in range(1, 21):
             assert e10.coeff_at(n) == -264 * forms.sigma(9, n)
+
+    def test_e10_coefficient_matches_product(self):
+        # below the support, the constant term and 300 terms of E4 * E6
+        e10 = forms.eisenstein(4, 300) * forms.eisenstein(6, 300)
+        for k in range(-5, 300):
+            assert forms.e10_coefficient(k) == e10.coeff_at(k), k
 
     def test_unsupported_weight(self):
         with pytest.raises(ValueError):

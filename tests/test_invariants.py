@@ -28,7 +28,7 @@ def fraction_nl_sum(m: int, nmax: int) -> dict[CurveClass, Fraction]:
         for h in range(max(0, 1 + m * (n - m)) + 1):
             disc = geometry.nl_discriminant(geometry.K3_POLARIZATION,
                                             geometry.NLIndex(h, (d1, d2)))
-            total += r[h] * invariants._nl_from_e10(disc, e10)
+            total += r[h] * -4 * e10.coeff_at(disc // 2)
         out[beta] = total / 2
     return out
 
@@ -67,23 +67,33 @@ class TestNLNumber:
         assert invariants.nl_number(1, -1, 1) == -4
 
     def test_via_e10_coefficients(self):
-        e10 = forms.eisenstein(10, 10)
-        for h in range(4):
-            for n in range(h, 8):
-                expected = -4 * e10.coeff_at(n - h)
-                assert invariants.nl_number(h, n - 2, 1) == expected
+        # sigma_9 against -4 [q^(disc/2)] of the E4 * E6 series, over
+        # negative, zero and positive discriminants
+        e10 = forms.eisenstein(4, 32) * forms.eisenstein(6, 32)
+        signs = set()
+        for h in range(5):
+            for d1 in range(-6, 8):
+                for d2 in range(-3, 4):
+                    disc = geometry.nl_discriminant(
+                        geometry.K3_POLARIZATION,
+                        geometry.NLIndex(h, (d1, d2)))
+                    signs.add((disc > 0) - (disc < 0))
+                    assert invariants.nl_number(h, d1, d2) == \
+                        -4 * e10.coeff_at(disc // 2), (h, d1, d2)
+        assert signs == {-1, 0, 1}
 
     def test_precision_error(self):
-        # half-discriminant 11 lies past a 3-term E10: an error, not a zero
+        # index 11 lies past a 3-term E10: an error, not a zero
         with pytest.raises(PrecisionError):
-            invariants._nl_from_e10(22, forms.eisenstein(10, 3))
+            forms.eisenstein(10, 3).coeff_at(11)
 
     @pytest.mark.parametrize("h, d1", [(0, 3000), (2, 2500), (1, 1234)])
     def test_exact_at_large_index(self, h, d1):
-        # half-discriminant d1 - h + 2; E10 coefficients there are ~2^115,
-        # so the series product works with slots of real width
-        expected = 4 * 264 * forms.sigma(9, d1 - h + 2)
-        assert invariants.nl_number(h, d1, 1) == expected
+        # half-discriminant k = d1 - h + 2; E10 coefficients there are
+        # ~2^115, and the E4 * E6 series has them in slots of real width
+        k = d1 - h + 2
+        e10 = forms.eisenstein(4, k + 1) * forms.eisenstein(6, k + 1)
+        assert invariants.nl_number(h, d1, 1) == -4 * e10.coeff_at(k)
 
 
 class TestFiberRoutes:
@@ -193,6 +203,7 @@ class TestMultifiberRoutes:
             table = invariants.f_multifiber_direct(m, 10)
             for v in table.entries.values():
                 assert v.denominator == 1
+                assert type(v) is int  # an exact halving stores an int
 
     def test_e10_built_once_per_table(self, monkeypatch):
         reference = invariants.f_multifiber_direct(2, 10).entries
@@ -255,9 +266,12 @@ class TestMultipleCover:
             for beta, v in t.entries.items():
                 merged.set(beta, v)
         beta = CurveClass(f=2)
-        expected = double.get(beta) + fiber.get(CurveClass(f=1)) / 8
-        assert invariants.gv_to_gw_genus0(merged, beta) == expected
+        expected = double.get(beta) + Fraction(fiber.get(CurveClass(f=1)), 8)
+        result = invariants.gv_to_gw_genus0(merged, beta)
+        assert result == expected
         assert expected == Fraction(-2, 8)
+        # int entries over k^3 must stay exact, never a float
+        assert type(result) is Fraction
 
     def test_missing_entry_errors(self):
         table = GVTable()
