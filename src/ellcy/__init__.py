@@ -2,17 +2,13 @@
 threefold over the degree-8 del Pezzo surface."""
 
 from .series import PrecisionError, QSeries
-from .geometry import CurveClass, Gamma19Class, LatticeGram, NLIndex
-from .invariants import GVTable
+from .geometry import CurveClass, Gamma19Class
 
 __all__ = [
     "QSeries",
     "PrecisionError",
     "CurveClass",
     "Gamma19Class",
-    "LatticeGram",
-    "NLIndex",
-    "GVTable",
 ]
 
 __version__ = "0.1.0"

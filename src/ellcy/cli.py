@@ -26,6 +26,12 @@ DOMAIN_ERROR = 2
 # takes about 0.15 s on a 2-core VM
 NL_BOUND = 10 ** 6
 
+# most series terms that series and gv build, and largest --m: at the bound
+# gv section, the slowest, takes about 2.2 s on a 2-core VM
+TERMS_BOUND = 3000
+# largest check --prec: at the bound the suite takes about 0.5 s
+CHECK_BOUND = 300
+
 _SERIES = {
     "delta": forms.delta,
     "inv-delta": forms.inverse_delta,
@@ -107,17 +113,22 @@ def _print_series(f: QSeries, as_json: bool, out) -> None:
             out.write(f"{_fmt_ratio(i, f.exp_den)}\t{c}\n")
 
 
-def cmd_series(args, out) -> int:
-    if args.prec < 1:
+def _check_prec(prec: int) -> None:
+    if prec < 1:
         raise _UsageError("--prec must be at least 1")
+    if prec > TERMS_BOUND:
+        raise _UsageError(f"--prec must be at most {TERMS_BOUND}")
+
+
+def cmd_series(args, out) -> int:
+    _check_prec(args.prec)
     f = _SERIES[args.name](args.prec)
     _print_series(f, args.json, out)
     return 0
 
 
 def cmd_gv(args, out) -> int:
-    if args.prec < 1:
-        raise _UsageError("--prec must be at least 1")
+    _check_prec(args.prec)
     prec = args.prec
     if args.target == "section":
         if args.method == "closed":
@@ -135,12 +146,16 @@ def cmd_gv(args, out) -> int:
             raise _UsageError("multifiber requires --m with m >= 2")
         first = -(-(m * m - 1) // m)  # lowest n with m(n - m) >= -1
         ns = range(first, first + prec)
+        # the slice builds m(n_max - m) + 2 terms; the NL sum runs n from 0
+        if max(m, m * (ns[-1] - m) + 2) > TERMS_BOUND:
+            raise _UsageError(f"--m and m * (n_max - m) + 2 must be at most "
+                              f"{TERMS_BOUND}")
         if args.method == "closed":
             f = invariants.f_multifiber_slice(m, ns[-1])
             values = [f.coeff_at(m * (n - m)) for n in ns]
         else:
             table = invariants.f_multifiber_direct(m, ns[-1])
-            values = [table.get(geometry.CurveClass(e=n, f=m)) for n in ns]
+            values = [table[geometry.CurveClass(e=n, f=m)] for n in ns]
         rows = [(n, geometry.CurveClass(e=n, f=m).label(), v)
                 for n, v in zip(ns, values)]
     for n, label, v in rows:
@@ -152,8 +167,7 @@ def cmd_nl(args, out) -> int:
     if max(args.h, abs(args.d1), abs(args.d2)) > NL_BOUND:
         raise _UsageError(f"--h, |--d1| and |--d2| must be at most "
                           f"{NL_BOUND}")
-    disc = geometry.nl_discriminant(
-        geometry.K3_POLARIZATION, geometry.NLIndex(args.h, (args.d1, args.d2)))
+    disc = geometry.nl_discriminant(args.h, args.d1, args.d2)
     value = invariants.nl_number(args.h, args.d1, args.d2)
     if disc < 0:
         out.write(f"{value} (discriminant negative)\n")
@@ -178,6 +192,8 @@ def cmd_euler(args, out) -> int:
 def cmd_check(args, out) -> int:
     if args.prec < 2:
         raise _UsageError("--prec must be at least 2")
+    if args.prec > CHECK_BOUND:
+        raise _UsageError(f"--prec must be at most {CHECK_BOUND}")
     from . import checks  # its Fraction oracles stay off the other commands
     results = checks.run_checks(args.prec)
     failures = 0

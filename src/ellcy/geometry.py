@@ -37,22 +37,6 @@ def _det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-class LatticeGram(namedtuple("LatticeGram", "rank gram")):
-    """Integer Gram matrix of a lattice of the given rank."""
-
-    __slots__ = ()
-
-    def __new__(cls, rank: int, gram: Sequence[Sequence[int]]):
-        g = tuple(tuple(int(x) for x in row) for row in gram)
-        if len(g) != rank or any(len(r) != rank for r in g):
-            raise ValueError("Gram matrix shape does not match the rank")
-        for i in range(rank):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        return super().__new__(cls, rank, g)
-
-
 class CurveClass(namedtuple("CurveClass", "c e f", defaults=(0, 0, 0))):
     """Integer coordinates of a curve class in the basis {C, E, F}."""
 
@@ -85,26 +69,14 @@ class Gamma19Class(namedtuple("Gamma19Class", "a b")):
         return super().__new__(cls, a, b)
 
 
-class NLIndex(namedtuple("NLIndex", "h d")):
-    """Index (h; d_1, ..., d_r) of a Noether-Lefschetz divisor."""
-
-    __slots__ = ()
-
-    def __new__(cls, h: int, d: Sequence[int]):
-        d = tuple(int(x) for x in d)
-        if h < 0:
-            raise ValueError("h must be non-negative")
-        return super().__new__(cls, h, d)
-
-
 # Pairing <L_i, beta> of the basis line bundles with the curve classes,
 # columns ordered (C, F, E).
 _PAIRING = ((-1, -2, 1),
             (-1, 1, 0),
             (1, 0, 0))
 
-# Restriction of L1, L2 to a K3 fibre: the rank-2 polarizing lattice.
-K3_POLARIZATION = LatticeGram(2, ((-2, 1), (1, 0)))
+# Gram matrix of L1, L2 restricted to a K3 fibre: the polarizing lattice.
+K3_GRAM = ((-2, 1), (1, 0))
 
 # Stored constants (computed via Mordell-Weil rank in the literature).
 H11 = 3
@@ -143,18 +115,16 @@ def pushforward(gamma: Gamma19Class) -> CurveClass:
     return CurveClass(c=c, e=e, f=0)
 
 
-def nl_discriminant(lattice: LatticeGram, idx: NLIndex) -> int:
-    """Discriminant of a Noether-Lefschetz index over a polarizing lattice.
+def nl_discriminant(h: int, d1: int, d2: int) -> int:
+    """Discriminant of the Noether-Lefschetz index (h; d1, d2).
 
-    (-1)^r times the determinant of the Gram matrix bordered by the row
-    and column (d_1, ..., d_r, 2h - 2).
+    The determinant of the K3 polarizing Gram matrix bordered by the row
+    and column (d1, d2, 2h - 2); the general sign (-1)^rank is +1 here.
     """
-    r = lattice.rank
-    if len(idx.d) != r:
-        raise ValueError("degree vector length must equal the lattice rank")
-    bordered = [list(lattice.gram[i]) + [idx.d[i]] for i in range(r)]
-    bordered.append(list(idx.d) + [2 * idx.h - 2])
-    return (-1) ** r * _det(bordered)
+    if h < 0:
+        raise ValueError("h must be non-negative")
+    rows = [row + (d,) for row, d in zip(K3_GRAM, (d1, d2))]
+    return _det(rows + [(d1, d2, 2 * h - 2)])
 
 
 class EulerData(namedtuple("EulerData",

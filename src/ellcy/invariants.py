@@ -3,8 +3,8 @@
 Fibre-direction classes mF + nE (m >= 1; the fibre classes F + nE are
 m = 1) are counted through the Noether-Lefschetz numbers of the K3
 fibration together with the Yau-Zaslow coefficients, and independently
-through congruence slices of -2 E10/Delta, which at m = 1 is the whole
-closed form.  Section classes C + nE are counted through the closed
+through the slice at 0 mod m of -2 E10/Delta, which at m = 1 is the
+whole closed form.  Section classes C + nE are counted through the closed
 form E4/sqrt(Delta) and independently by convolving E8 vector counts
 (by norm, from Jacobi theta powers) with the Bryan-Leung section series
 1/sqrt(Delta).  Tests compare the routes coefficient by coefficient; the
@@ -23,37 +23,8 @@ from math import gcd
 from operator import mul
 
 from . import forms, geometry
-from .geometry import CurveClass, NLIndex, K3_POLARIZATION
+from .geometry import CurveClass
 from .series import QSeries
-
-
-class IncompleteTableError(KeyError):
-    """A multiple-cover sum needed an invariant the table does not hold."""
-
-
-class GVTable:
-    """Map from curve classes to exact invariants, int when integral."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: dict[CurveClass, int | Fraction] = {}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GVTable):
-            return NotImplemented
-        return self.entries == other.entries
-
-    __hash__ = None  # mutable
-
-    def set(self, beta: CurveClass, value: int | Fraction) -> None:
-        self.entries[beta] = value
-
-    def get(self, beta: CurveClass) -> int | Fraction:
-        if beta not in self.entries:
-            raise IncompleteTableError(
-                f"no invariant recorded for class {beta.label()}")
-        return self.entries[beta]
 
 
 def nl_number(h: int, d1: int, d2: int) -> int:
@@ -65,7 +36,7 @@ def nl_number(h: int, d1: int, d2: int) -> int:
     discriminant gives zero, since E10 has no negative powers of q
     (Maulik-Pandharipande, arXiv:0705.1653), and no series is built.
     """
-    disc = geometry.nl_discriminant(K3_POLARIZATION, NLIndex(h, (d1, d2)))
+    disc = geometry.nl_discriminant(h, d1, d2)
     return -4 * forms.e10_coefficient(disc // 2)
 
 
@@ -101,7 +72,8 @@ def f_section_convolution(nterms: int) -> QSeries:
     return QSeries.from_ints(cs, inv_sqrt.den, -1, 2 * nterms - 1, 2)
 
 
-def f_multifiber_direct(m: int, nmax: int) -> GVTable:
+def f_multifiber_direct(m: int,
+                        nmax: int) -> dict[CurveClass, int | Fraction]:
     """Invariants of mF + nE for m >= 1 and 0 <= n <= nmax, by the NL sum.
 
     n_{mF+nE} = (1/2) sum_h r_h NL_{h; d1, d2}, where (d1, d2) = (n - 2m, m)
@@ -118,15 +90,14 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
     r = forms.yau_zaslow(hcap)
     e10 = forms.eisenstein(10, hcap + 1)
     ev = e10.window(0, hcap + 1)  # numerators over e10.den
-    table = GVTable()
+    table = {}
     for n in range(nmax + 1):
         beta = CurveClass(e=n, f=m)
         d1, d2 = geometry.class_to_degrees(beta)
         # disc(h) = disc(0) - 2h, so h runs up to half0 = disc(0)/2 and
         # NL_h = -4 [q^(half0 - h)] E10 (see nl_number); below
         # half0 = 0 every discriminant is negative and the sum is empty
-        half0 = geometry.nl_discriminant(K3_POLARIZATION,
-                                         NLIndex(0, (d1, d2))) // 2
+        half0 = geometry.nl_discriminant(0, d1, d2) // 2
         total = 0
         if half0 >= 0:
             total = -4 * sum(map(mul, r[:half0 + 1], ev[half0::-1]))
@@ -134,38 +105,35 @@ def f_multifiber_direct(m: int, nmax: int) -> GVTable:
         if rem:
             from fractions import Fraction
             value = Fraction(total, 2 * e10.den)
-        table.set(beta, value)
+        table[beta] = value
     return table
 
 
 def f_multifiber_slice(m: int, nmax: int) -> QSeries:
-    """Generating series of mF + nE classes (m >= 1) via congruence slices.
+    """Generating series of mF + nE classes (m >= 1) via a congruence slice.
 
     Returns a series in u, where q = u^m: the coefficient of u^(m(n-m))
-    is n_{mF+nE}.  Computed as -2 times the sum over l of the product of
-    the slices (1/Delta)_{m, l-1} and (E10)_{m, 1-l}, covering n up to
-    nmax.  For the fibre classes F + nE (m = 1) the one slice is the
-    whole closed form -2 E10/Delta, with n_{F+nE} at q^(n-1).
+    is n_{mF+nE}, for n up to nmax.  That is -2 times the sum over l of
+    the slice products (1/Delta)_{m, l-1} (E10)_{m, 1-l}, which pair the
+    residue a = l - 1 of 1/Delta with -a of E10 for every a mod m: the
+    slice at 0 mod m of the one product -2 E10/Delta.  For the fibre
+    classes F + nE (m = 1) it is the whole product, n_{F+nE} at q^(n-1).
     """
     if m < 1:
         raise ValueError("fibre multiplicity must be at least 1")
     uterms = m * (nmax - m) + 2  # need exponents through m(nmax - m)
     if uterms < 1:
         raise ValueError("nmax is too small for a nonempty expansion")
-    inv_delta_u = forms.inverse_delta(uterms)
-    e10_u = forms.eisenstein(10, uterms)
-    total: QSeries | None = None
-    for ell in range(m):
-        piece = inv_delta_u.slice(m, ell - 1) * e10_u.slice(m, 1 - ell)
-        total = piece if total is None else total + piece
-    return -2 * total
+    product = forms.inverse_delta(uterms) * forms.eisenstein(10, uterms)
+    return (-2 * product).slice(m, 0)
 
 
-def gv_to_gw_genus0(table: GVTable, beta: CurveClass) -> Fraction:
+def gv_to_gw_genus0(table: dict[CurveClass, int | Fraction],
+                    beta: CurveClass) -> Fraction:
     """Genus-0 Gromov-Witten invariant from BPS counts by multiple cover.
 
-    N_{0,beta} = sum over k dividing beta of n_{0,beta/k} / k^3.  Every
-    needed divisor class must be present in the table.
+    N_{0,beta} = sum over k dividing beta of n_{0,beta/k} / k^3; a class
+    beta/k missing from the table raises KeyError naming it.
     """
     if beta.is_zero():
         raise ValueError("the zero class has no multiple-cover expansion")
@@ -176,5 +144,7 @@ def gv_to_gw_genus0(table: GVTable, beta: CurveClass) -> Fraction:
         if g % k:
             continue
         eta = CurveClass(beta.c // k, beta.e // k, beta.f // k)
-        total += Fraction(table.get(eta), k ** 3)
+        if eta not in table:
+            raise KeyError(f"no invariant recorded for class {eta.label()}")
+        total += Fraction(table[eta], k ** 3)
     return total

@@ -182,10 +182,6 @@ class QSeries:
         return f
 
     @classmethod
-    def zero(cls, prec: int, exp_den: int = 1) -> "QSeries":
-        return cls([], prec, prec, exp_den)
-
-    @classmethod
     def constant(cls, c: int | Fraction, prec: int,
                  exp_den: int = 1) -> "QSeries":
         return cls([c], 0, prec, exp_den)
@@ -291,8 +287,6 @@ class QSeries:
         if type(c) is not int:
             from fractions import Fraction
             c = Fraction(c)
-        if c == 0:
-            return QSeries.zero(self.prec, self.exp_den)
         num = c.numerator
         return QSeries.from_ints([num * a for a in self.nums],
                                  self.den * c.denominator, self.offset,
@@ -317,7 +311,7 @@ class QSeries:
         prec = min(fp + go, gp + fo)
         offset = fo + go
         if not self or not other:
-            return QSeries.zero(prec, exp_den)
+            return QSeries([], prec, prec, exp_den)
         return QSeries.from_ints(int_product(fn, gn, prec - offset),
                                  self.den * other.den, offset, prec, exp_den)
 

@@ -86,7 +86,7 @@ def test_criterion_7_dual_routes():
     closed = invariants.f_multifiber_slice(1, 20)
     direct = invariants.f_multifiber_direct(1, 20)
     fiber_ok = all(
-        closed.coeff_at(n - 1) == direct.get(CurveClass(e=n, f=1))
+        closed.coeff_at(n - 1) == direct[CurveClass(e=n, f=1)]
         for n in range(21))
 
     section_ok = (invariants.f_section_closed(20)
@@ -97,7 +97,7 @@ def test_criterion_7_dual_routes():
         sliced = invariants.f_multifiber_slice(m, nmax)
         table = invariants.f_multifiber_direct(m, nmax)
         multi_ok = multi_ok and all(
-            sliced.coeff_at(m * (n - m)) == table.get(CurveClass(e=n, f=m))
+            sliced.coeff_at(m * (n - m)) == table[CurveClass(e=n, f=m)]
             for n in range(nmax + 1))
 
     elapsed = time.perf_counter() - start
@@ -120,8 +120,7 @@ def test_criterion_9_integrality():
     section = invariants.f_section_closed(20)
     values += [section.coeff_at(Fraction(2 * n - 1, 2)) for n in range(20)]
     for m, nmax in ((2, 16), (3, 12)):
-        values += list(invariants.f_multifiber_direct(m, nmax)
-                       .entries.values())
+        values += list(invariants.f_multifiber_direct(m, nmax).values())
     ok = all(Fraction(v).denominator == 1 for v in values)
     report("9 (GV integrality)", ok)
 

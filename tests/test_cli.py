@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ellcy
-from ellcy import checks, forms, series
-from ellcy.cli import NL_BOUND, doc_to_series, main, series_to_doc
+from ellcy import checks, forms, invariants, series
+from ellcy.cli import (CHECK_BOUND, NL_BOUND, TERMS_BOUND, doc_to_series,
+                       main, series_to_doc)
 from ellcy.series import QSeries
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -222,6 +223,12 @@ class TestNlCommand:
         assert code == 1
         assert text == ""
         assert f"must be at most {NL_BOUND}" in capsys.readouterr().err
+
+    def test_negative_h_is_domain_error(self, capsys):
+        code, text = run(["nl", "--h", "-1", "--d1", "0", "--d2", "0"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == \
+            "ellcy: error: h must be non-negative\n"
 
 
 class TestIntegerCommandsLoadNoFractions:
@@ -487,7 +494,10 @@ class TestExitContract:
     """Integer arguments on both sides of every bound, run in process.
 
     The draws are derandomized so that the run time is fixed: nl costs
-    O(sqrt(d2^2 + d1 d2)), about 0.15 s at its bound.
+    O(sqrt(d2^2 + d1 d2)), about 0.15 s at its bound.  A series command
+    at the term bound takes seconds, so the term and check bounds are
+    tested at the bound and one past it, with a stub route or stub suite
+    where the real one would be slow.
     """
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -514,3 +524,51 @@ class TestExitContract:
     @given(st.integers(-2, 5))
     def test_check(self, prec):
         assert_exit_contract(["check", "--prec", str(prec)])
+
+    # one step past each bound, m(n_max - m) + 2 = 2999 + 2 for the
+    # multifibre case with n_max = m + 1
+    @pytest.mark.parametrize("argv", [
+        ["series", "inv-delta", "--prec", str(TERMS_BOUND + 1)],
+        ["series", "theta-e8", "--json", "--prec", str(TERMS_BOUND + 1)],
+        ["gv", "section", "--prec", str(TERMS_BOUND + 1)],
+        ["gv", "fiber", "--method", "direct", "--prec", str(TERMS_BOUND + 1)],
+        ["gv", "multifiber", "--m", str(TERMS_BOUND - 1), "--prec", "2"],
+        ["gv", "multifiber", "--m", str(TERMS_BOUND + 1), "--prec", "1",
+         "--method", "direct"],
+        ["check", "--prec", str(CHECK_BOUND + 1)],
+    ])
+    def test_above_bound_is_usage_error(self, argv, monkeypatch, capsys):
+        # the bound is checked before any series is built
+        def poisoned(*args):
+            raise AssertionError("a series was built past a bound")
+
+        for name in ("eta_power", "eisenstein", "e8_norm_counts"):
+            monkeypatch.setattr(forms, name, poisoned)
+        assert run(argv) == (1, "")
+        bound = CHECK_BOUND if argv[0] == "check" else TERMS_BOUND
+        assert f"must be at most {bound}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, route", [
+        ("closed", "f_multifiber_slice"), ("direct", "f_multifiber_direct")])
+    def test_at_bound_reaches_the_route(self, method, route, monkeypatch):
+        # 1499 * (n_max - 1499) + 2 = TERMS_BOUND at --prec 3, and --m at
+        # its bound with one row; a stub route ends each run cheaply
+        seen = []
+
+        def stub(m, nmax):
+            seen.append((m, m * (nmax - m) + 2))
+            raise ValueError("stub route")
+
+        monkeypatch.setattr(invariants, route, stub)
+        for m, prec in ((1499, 3), (TERMS_BOUND, 1)):
+            assert run(["gv", "multifiber", "--m", str(m), "--prec",
+                        str(prec), "--method", method]) == (2, "")
+        assert seen == [(1499, TERMS_BOUND), (TERMS_BOUND, 2)]
+
+    def test_at_bound_runs(self, monkeypatch):
+        code, text = run(["series", "e4", "--prec", str(TERMS_BOUND)])
+        assert code == 0
+        assert len(text.splitlines()) == TERMS_BOUND
+        monkeypatch.setattr(checks, "run_checks", lambda prec: [])
+        assert run(["check", "--prec", str(CHECK_BOUND)]) == \
+            (0, "all 0 checks passed\n")

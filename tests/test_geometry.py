@@ -3,8 +3,7 @@
 import pytest
 
 from ellcy import geometry
-from ellcy.geometry import (CurveClass, Gamma19Class, LatticeGram, NLIndex,
-                            K3_POLARIZATION)
+from ellcy.geometry import CurveClass, Gamma19Class
 
 
 class TestPairing:
@@ -78,43 +77,28 @@ class TestNLDiscriminant:
     def test_fiber_formula(self):
         for h in range(5):
             for n in range(-2, 6):
-                idx = NLIndex(h, (n - 2, 1))
-                assert geometry.nl_discriminant(K3_POLARIZATION, idx) == \
-                    2 * n - 2 * h
+                assert geometry.nl_discriminant(h, n - 2, 1) == 2 * n - 2 * h
 
     def test_multifiber_formula(self):
         for h in range(4):
             for m in range(1, 4):
                 for n in range(-2, 6):
-                    idx = NLIndex(h, (n - 2 * m, m))
-                    assert geometry.nl_discriminant(K3_POLARIZATION, idx) == \
+                    assert geometry.nl_discriminant(h, n - 2 * m, m) == \
                         2 - 2 * h + 2 * n * m - 2 * m * m
         # for arbitrary degrees the discriminant is 2(d2^2 + d1 d2 - h + 1),
         # so it is always even and nl_number never needs a half-integer index
         for h in range(8):
             for d1 in range(-7, 8):
                 for d2 in range(-4, 5):
-                    disc = geometry.nl_discriminant(K3_POLARIZATION,
-                                                    NLIndex(h, (d1, d2)))
+                    disc = geometry.nl_discriminant(h, d1, d2)
                     assert disc == 2 * (d2 * d2 + d1 * d2 - h + 1)
 
     def test_origin(self):
-        assert geometry.nl_discriminant(K3_POLARIZATION,
-                                        NLIndex(0, (0, 0))) == 2
+        assert geometry.nl_discriminant(0, 0, 0) == 2
 
-    def test_symmetric_under_basis_permutation(self):
-        g = LatticeGram(2, ((-2, 1), (1, 0)))
-        swapped = LatticeGram(2, ((0, 1), (1, -2)))
-        for h in range(3):
-            for d1 in range(-3, 3):
-                for d2 in range(-3, 3):
-                    assert geometry.nl_discriminant(g, NLIndex(h, (d1, d2))) \
-                        == geometry.nl_discriminant(swapped,
-                                                    NLIndex(h, (d2, d1)))
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            geometry.nl_discriminant(K3_POLARIZATION, NLIndex(0, (1, 2, 3)))
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError, match="h must be non-negative"):
+            geometry.nl_discriminant(-1, 0, 0)
 
 
 class TestEulerCharacteristic:
@@ -161,13 +145,7 @@ class TestHodge:
 
 
 class TestLatticeGram:
-    def test_symmetry_enforced(self):
-        with pytest.raises(ValueError):
-            LatticeGram(2, ((0, 1), (2, 0)))
-
-    def test_shape_enforced(self):
-        with pytest.raises(ValueError):
-            LatticeGram(3, ((1, 0), (0, 1)))
+    """Gram matrices of sublattices, as plain tuples of rows."""
 
     def test_gamma11_discriminant(self):
         # Gram of the sublattice spanned by C0 and 3H - sum C_i in the
@@ -179,7 +157,7 @@ class TestLatticeGram:
         def dot(u, v):
             return sum(d * a * b for d, a, b in zip(diag, u, v))
 
-        gram = LatticeGram(2, ((dot(c0, c0), dot(c0, fibre)),
-                               (dot(fibre, c0), dot(fibre, fibre))))
-        assert gram.gram == ((-1, 1), (1, 0))
-        assert abs(geometry._det(gram.gram)) == 1
+        gram = ((dot(c0, c0), dot(c0, fibre)),
+                (dot(fibre, c0), dot(fibre, fibre)))
+        assert gram == ((-1, 1), (1, 0))
+        assert abs(geometry._det(gram)) == 1

@@ -6,8 +6,7 @@ import pytest
 
 from ellcy import forms, geometry, invariants
 from ellcy.geometry import CurveClass
-from ellcy.invariants import GVTable, IncompleteTableError
-from ellcy.series import PrecisionError
+from ellcy.series import PrecisionError, QSeries
 
 
 def fraction_nl_sum(m: int, nmax: int) -> dict[CurveClass, Fraction]:
@@ -26,11 +25,29 @@ def fraction_nl_sum(m: int, nmax: int) -> dict[CurveClass, Fraction]:
         d1, d2 = geometry.class_to_degrees(beta)
         total = Fraction(0)
         for h in range(max(0, 1 + m * (n - m)) + 1):
-            disc = geometry.nl_discriminant(geometry.K3_POLARIZATION,
-                                            geometry.NLIndex(h, (d1, d2)))
+            disc = geometry.nl_discriminant(h, d1, d2)
             total += r[h] * -4 * e10.coeff_at(disc // 2)
         out[beta] = total / 2
     return out
+
+
+def slice_product_sum(m: int, nmax: int) -> QSeries:
+    """The slice route as m slice products summed, one per residue.
+
+    -2 times the sum over l of (1/Delta)_{m, l-1} (E10)_{m, 1-l}: the
+    route's former algorithm, which f_multifiber_slice replaces by the
+    slice at 0 mod m of one product.
+    """
+    uterms = m * (nmax - m) + 2  # need exponents through m(nmax - m)
+    if uterms < 1:
+        raise ValueError("nmax is too small for a nonempty expansion")
+    inv_delta_u = forms.inverse_delta(uterms)
+    e10_u = forms.eisenstein(10, uterms)
+    total: QSeries | None = None
+    for ell in range(m):
+        piece = inv_delta_u.slice(m, ell - 1) * e10_u.slice(m, 1 - ell)
+        total = piece if total is None else total + piece
+    return -2 * total
 
 
 def fraction_section_convolution(nterms: int) -> list[Fraction]:
@@ -62,8 +79,7 @@ class TestNLNumber:
 
     def test_discriminant_zero_case(self):
         # (1; -1, 1) has discriminant 0, so the value is -4 [0]E10 = -4
-        assert geometry.nl_discriminant(
-            geometry.K3_POLARIZATION, geometry.NLIndex(1, (-1, 1))) == 0
+        assert geometry.nl_discriminant(1, -1, 1) == 0
         assert invariants.nl_number(1, -1, 1) == -4
 
     def test_via_e10_coefficients(self):
@@ -74,9 +90,7 @@ class TestNLNumber:
         for h in range(5):
             for d1 in range(-6, 8):
                 for d2 in range(-3, 4):
-                    disc = geometry.nl_discriminant(
-                        geometry.K3_POLARIZATION,
-                        geometry.NLIndex(h, (d1, d2)))
+                    disc = geometry.nl_discriminant(h, d1, d2)
                     signs.add((disc > 0) - (disc < 0))
                     assert invariants.nl_number(h, d1, d2) == \
                         -4 * e10.coeff_at(disc // 2), (h, d1, d2)
@@ -104,14 +118,14 @@ class TestFiberRoutes:
 
     def test_direct_known_values(self):
         table = invariants.f_multifiber_direct(1, 3)
-        values = [table.get(CurveClass(e=n, f=1)) for n in range(4)]
+        values = [table[CurveClass(e=n, f=1)] for n in range(4)]
         assert values == [-2, 480, 282888, 17058560]
 
     def test_routes_agree_to_20(self):
         closed = invariants.f_multifiber_slice(1, 20)
         direct = invariants.f_multifiber_direct(1, 20)
         for n in range(21):
-            assert closed.coeff_at(n - 1) == direct.get(CurveClass(e=n, f=1))
+            assert closed.coeff_at(n - 1) == direct[CurveClass(e=n, f=1)]
 
     def test_slice_is_closed_form(self):
         # at m = 1 the one slice is the whole closed form -2 E10/Delta
@@ -120,6 +134,39 @@ class TestFiberRoutes:
             closed = -2 * (forms.eisenstein(10, nmax + 1)
                            * forms.inverse_delta(nmax + 1))
             assert sliced == closed.truncate(sliced.prec)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_slice_matches_slice_product_sum(self, m):
+        # every nmax up to 40 with a nonempty expansion: the same series,
+        # coefficients, offset and precision bound alike
+        for nmax in (n for n in range(41) if m * (n - m) + 2 >= 1):
+            assert invariants.f_multifiber_slice(m, nmax) == \
+                slice_product_sum(m, nmax), nmax
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_slice_makes_one_product(self, m, monkeypatch):
+        # E10 = E4 * E6 is built before counting, so only the route's
+        # own series-by-series products are counted
+        uterms = m * 10 + 2  # nmax = m + 10
+        e10 = forms.eisenstein(10, uterms)
+
+        def built_e10(k, nterms):
+            assert (k, nterms) == (10, uterms)
+            return e10
+
+        real = QSeries.__mul__
+        products = []
+
+        def counting(a, b):
+            if isinstance(b, QSeries):
+                products.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(forms, "eisenstein", built_e10)
+        monkeypatch.setattr(QSeries, "__mul__", counting)
+        monkeypatch.setattr(QSeries, "__rmul__", counting)
+        invariants.f_multifiber_slice(m, m + 10)
+        assert len(products) == 1
 
     def test_slice_at_nmax_zero(self):
         f = invariants.f_multifiber_slice(1, 0)
@@ -169,11 +216,11 @@ class TestSectionRoutes:
 class TestMultifiberRoutes:
     def test_below_threshold_vanishes(self):
         table = invariants.f_multifiber_direct(2, 6)
-        assert table.get(CurveClass(e=0, f=2)) == 0
-        assert table.get(CurveClass(e=1, f=2)) == 0
+        assert table[CurveClass(e=0, f=2)] == 0
+        assert table[CurveClass(e=1, f=2)] == 0
         table3 = invariants.f_multifiber_direct(3, 6)
         for n in range(3):
-            assert table3.get(CurveClass(e=n, f=3)) == 0
+            assert table3[CurveClass(e=n, f=3)] == 0
 
     def test_routes_agree_m2(self):
         nmax = 16  # 15 q-terms from the first possibly-nonzero level
@@ -181,7 +228,7 @@ class TestMultifiberRoutes:
         direct = invariants.f_multifiber_direct(2, nmax)
         for n in range(nmax + 1):
             assert sliced.coeff_at(2 * (n - 2)) == \
-                direct.get(CurveClass(e=n, f=2))
+                direct[CurveClass(e=n, f=2)]
 
     def test_routes_agree_m3(self):
         nmax = 12  # 10 q-terms
@@ -189,7 +236,7 @@ class TestMultifiberRoutes:
         direct = invariants.f_multifiber_direct(3, nmax)
         for n in range(nmax + 1):
             assert sliced.coeff_at(3 * (n - 3)) == \
-                direct.get(CurveClass(e=n, f=3))
+                direct[CurveClass(e=n, f=3)]
 
     def test_slice_exponents_are_multiples_of_m(self):
         for m in (2, 3):
@@ -201,12 +248,12 @@ class TestMultifiberRoutes:
     def test_integrality(self):
         for m in (2, 3):
             table = invariants.f_multifiber_direct(m, 10)
-            for v in table.entries.values():
+            for v in table.values():
                 assert v.denominator == 1
                 assert type(v) is int  # an exact halving stores an int
 
     def test_e10_built_once_per_table(self, monkeypatch):
-        reference = invariants.f_multifiber_direct(2, 10).entries
+        reference = invariants.f_multifiber_direct(2, 10)
         real = forms.eisenstein
         weights = []
 
@@ -220,18 +267,18 @@ class TestMultifiberRoutes:
             return type(f)(cs, f.offset, f.prec, f.exp_den)
 
         monkeypatch.setattr(forms, "eisenstein", corrupted)
-        assert invariants.f_multifiber_direct(2, 10).entries != reference
+        assert invariants.f_multifiber_direct(2, 10) != reference
         assert weights.count(10) == 1
         monkeypatch.undo()
         # no hidden cache: with the patch gone the table is built afresh
-        assert invariants.f_multifiber_direct(2, 10).entries == reference
+        assert invariants.f_multifiber_direct(2, 10) == reference
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_nl_sum_matches_fraction_loop(self, m):
         # n runs from 0, so for m >= 2 the first classes have every
         # discriminant negative (half0 < 0) and must read 0, never the
         # end of the E10 list
-        direct = invariants.f_multifiber_direct(m, 40).entries
+        direct = invariants.f_multifiber_direct(m, 40)
         assert direct == fraction_nl_sum(m, 40)
         assert any(1 + m * (n - m) < 0 for n in range(41)) == (m > 1)
 
@@ -247,26 +294,21 @@ class TestMultipleCover:
         table = invariants.f_multifiber_direct(1, 5)
         for n in range(1, 6):
             beta = CurveClass(e=n, f=1)  # gcd 1: primitive
-            assert invariants.gv_to_gw_genus0(table, beta) == table.get(beta)
+            assert invariants.gv_to_gw_genus0(table, beta) == table[beta]
 
     def test_double_class_formula(self):
-        table = GVTable()
         eta = CurveClass(e=1, f=1)
         beta = CurveClass(e=2, f=2)
-        table.set(eta, Fraction(7))
-        table.set(beta, Fraction(100))
+        table = {eta: Fraction(7), beta: Fraction(100)}
         assert invariants.gv_to_gw_genus0(table, beta) == \
             Fraction(100) + Fraction(7, 8)
 
     def test_double_fiber_from_both_tables(self):
-        merged = GVTable()
         fiber = invariants.f_multifiber_direct(1, 0)
         double = invariants.f_multifiber_direct(2, 0)
-        for t in (fiber, double):
-            for beta, v in t.entries.items():
-                merged.set(beta, v)
+        merged = {**fiber, **double}
         beta = CurveClass(f=2)
-        expected = double.get(beta) + Fraction(fiber.get(CurveClass(f=1)), 8)
+        expected = double[beta] + Fraction(fiber[CurveClass(f=1)], 8)
         result = invariants.gv_to_gw_genus0(merged, beta)
         assert result == expected
         assert expected == Fraction(-2, 8)
@@ -274,14 +316,15 @@ class TestMultipleCover:
         assert type(result) is Fraction
 
     def test_missing_entry_errors(self):
-        table = GVTable()
-        table.set(CurveClass(f=2), Fraction(1))
-        with pytest.raises(IncompleteTableError):
+        table = {CurveClass(f=2): Fraction(1)}
+        with pytest.raises(KeyError) as exc:
             invariants.gv_to_gw_genus0(table, CurveClass(f=2))
+        # the divisor class F = (2F)/2 is missing, named by its label
+        assert exc.value.args == ("no invariant recorded for class F",)
 
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError):
-            invariants.gv_to_gw_genus0(GVTable(), CurveClass())
+            invariants.gv_to_gw_genus0({}, CurveClass())
 
 
 class TestResolutionFactor:
@@ -294,4 +337,4 @@ class TestResolutionFactor:
             raw = sum(r[h] * invariants.nl_number(h, n - 2, 1)
                       for h in range(n + 1))
             table = invariants.f_multifiber_direct(1, n)
-            assert 2 * table.get(CurveClass(e=n, f=1)) == raw
+            assert 2 * table[CurveClass(e=n, f=1)] == raw

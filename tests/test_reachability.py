@@ -34,8 +34,6 @@ ALLOWED_UNREACHED = {
     "series.QSeries.__hash__": "protocol: QSeries defines __eq__",
     "series.QSeries.__repr__": "protocol: readable series in a debugger",
     "series.QSeries.terms": "protocol: the nonzero terms, used by __repr__",
-    "invariants.GVTable.__eq__": "protocol: tables are equal when their "
-                                 "entries are",
     "invariants.gv_to_gw_genus0": "the paper's GV to GW multiple-cover "
                                   "formula, documented in the README",
     "cli.doc_to_series": "reader of the documented JSON series format",
@@ -51,7 +49,6 @@ ARGVS = (
        for target, extra in (("fiber", []), ("section", []),
                              ("multifiber", ["--m", "2"]))
        for method in ("closed", "direct")]
-    # an empty slice: the product of two zero series is QSeries.zero
     + [["gv", "multifiber", "--m", "3", "--prec", "1"]]
     + [["nl", "--h", "0", "--d1", "0", "--d2", "0"],
        ["euler"],
