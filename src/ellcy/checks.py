@@ -274,12 +274,11 @@ def check_section_routes(prec: int) -> CheckResult:
     closed = invariants.f_section_closed(prec)
     conv = invariants.f_section_convolution(prec)
     for n in range(prec):
-        e = Fraction(2 * n - 1, 2)
-        if closed.coeff_at(e) != conv.coeff_at(e):
+        if closed.coeff_at(n) != conv.coeff_at(n):
             return CheckResult(
                 "section-dual-route", False,
-                f"n={n}: closed {closed.coeff_at(e)} vs "
-                f"convolution {conv.coeff_at(e)}")
+                f"n={n}: closed {closed.coeff_at(n)} vs "
+                f"convolution {conv.coeff_at(n)}")
     return CheckResult("section-dual-route", True)
 
 
@@ -306,8 +305,7 @@ def check_integrality(prec: int) -> CheckResult:
     section = invariants.f_section_closed(prec)
     streams = {
         "fiber": [fiber.coeff_at(n - 1) for n in range(prec)],
-        "section": [section.coeff_at(Fraction(2 * n - 1, 2))
-                    for n in range(prec)],
+        "section": [section.coeff_at(n) for n in range(prec)],
         "multifiber-2": invariants.f_multifiber_direct(2, prec).values(),
         "yau-zaslow": forms.yau_zaslow(prec),
     }

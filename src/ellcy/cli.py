@@ -27,7 +27,7 @@ DOMAIN_ERROR = 2
 NL_BOUND = 10 ** 6
 
 # most series terms that series and gv build, and largest --m: at the bound
-# gv section, the slowest, takes about 2.2 s on a 2-core VM
+# gv fiber --method direct, the slowest, takes about 2.0 s on a 2-core VM
 TERMS_BOUND = 3000
 # largest check --prec: at the bound the suite takes about 0.5 s
 CHECK_BOUND = 300
@@ -135,9 +135,7 @@ def cmd_gv(args, out) -> int:
             f = invariants.f_section_closed(prec)
         else:
             f = invariants.f_section_convolution(prec)
-        # the coefficients at q^(n - 1/2) for n < prec
-        values = [_fmt_ratio(v, f.den)
-                  for v in f.window(-1, 2 * prec - 1, 2)[::2]]
+        values = [_fmt_ratio(v, f.den) for v in f.window(0, prec)]
         rows = [(n, geometry.CurveClass(c=1, e=n).label(), v)
                 for n, v in enumerate(values)]
     else:  # multifiber; fiber is its m = 1 case

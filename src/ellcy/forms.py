@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 from itertools import repeat
 
 from .series import QSeries, int_product
@@ -143,7 +142,6 @@ def _eighth_power(cs: list[int]) -> list[int]:
     return cs
 
 
-@lru_cache(maxsize=None)
 def e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:
     """Number of E8 lattice vectors of each even norm, by theta powers.
 

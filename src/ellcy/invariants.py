@@ -7,8 +7,11 @@ through the slice at 0 mod m of -2 E10/Delta, which at m = 1 is the
 whole closed form.  Section classes C + nE are counted through the closed
 form E4/sqrt(Delta) and independently by convolving E8 vector counts
 (by norm, from Jacobi theta powers) with the Bryan-Leung section series
-1/sqrt(Delta).  Tests compare the routes coefficient by coefficient; the
-two sides share no generator construction beyond the series substrate.
+1/sqrt(Delta).  Both section routes return n_{C+nE} at q^n: the q^(-1/2)
+of 1/sqrt(Delta) is dropped in one place, :func:`_bryan_leung`.  Tests
+compare the routes coefficient by coefficient.  Each pair shares
+generators: both section routes read eta^-12, and both mF + nE routes
+read eta^-24 and E10 = E4 * E6; separate oracle checks pin those.
 The NL sum and the section convolution run on plain integers: one dot
 product of two int lists per class.
 
@@ -40,36 +43,38 @@ def nl_number(h: int, d1: int, d2: int) -> int:
     return -4 * forms.e10_coefficient(disc // 2)
 
 
-def f_section_closed(nterms: int) -> QSeries:
-    """Closed form E4/sqrt(Delta) for the section classes C + nE.
+def _bryan_leung(nterms: int) -> QSeries:
+    """q^(1/2)/sqrt(Delta) = 1 + 12q + ...: C'' + jE'' counted at q^j."""
+    inv = forms.inverse_sqrt_delta(nterms)
+    return QSeries.from_ints(inv.window(-1, 2 * nterms - 1, 2)[::2],
+                             inv.den, 0, nterms)
 
-    Coefficient of q^(n-1/2) is n_{C+nE}; nterms terms from q^(-1/2).
+
+def f_section_closed(nterms: int) -> QSeries:
+    """Closed form q^(1/2) E4/sqrt(Delta) for the section classes C + nE.
+
+    Coefficient of q^n is n_{C+nE}, for 0 <= n < nterms.
     """
-    e4 = forms.eisenstein(4, nterms)
-    return e4 * forms.inverse_sqrt_delta(nterms)
+    return forms.eisenstein(4, nterms) * _bryan_leung(nterms)
 
 
 def f_section_convolution(nterms: int) -> QSeries:
     """Section-class series by E8 vector counts against Bryan-Leung counts.
 
-    A section class C + nE pulls back to classes C'' + nE'' + lambda on
-    the rational elliptic surface; shifting by half the (negative) norm
-    of lambda reduces each to a pure section class, whose counts are the
-    coefficients of 1/sqrt(Delta).  Only effective classes contribute:
-    lambda of positive-definite norm 2m enters at level n iff m <= n,
-    which is exactly the effectivity bound on the surface.
+    Coefficient of q^n is n_{C+nE}, as in :func:`f_section_closed`.  A
+    section class C + nE pulls back to classes C'' + nE'' + lambda on the
+    rational elliptic surface; shifting by half the (negative) norm of
+    lambda reduces each to a pure section class, counted by
+    :func:`_bryan_leung`.  Only effective classes contribute: lambda of
+    positive-definite norm 2m enters at level n iff m <= n, which is
+    exactly the effectivity bound on the surface.
     """
-    if nterms < 1:
-        raise ValueError("nterms must be positive")
+    bl = _bryan_leung(nterms)  # raises ValueError unless nterms >= 1
+    bv = bl.window(0, nterms)
     counts = forms.e8_norm_counts(nterms - 1)
-    inv_sqrt = forms.inverse_sqrt_delta(nterms)
-    # bl[j] counts the pure section class C'' + jE'', at q^(j - 1/2)
-    bl = inv_sqrt.window(-1, 2 * nterms - 1, 2)[::2]
     # norm 2m shifts level n down to C'' + (n - m)E''
-    cs = [0] * (2 * nterms)
-    cs[::2] = [sum(map(mul, counts[:n + 1], bl[n::-1]))
-               for n in range(nterms)]
-    return QSeries.from_ints(cs, inv_sqrt.den, -1, 2 * nterms - 1, 2)
+    cs = [sum(map(mul, counts[:n + 1], bv[n::-1])) for n in range(nterms)]
+    return QSeries.from_ints(cs, bl.den, 0, nterms)
 
 
 def f_multifiber_direct(m: int,

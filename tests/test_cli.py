@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ellcy
-from ellcy import checks, forms, invariants, series
+from ellcy import checks, cli, forms, invariants, series
 from ellcy.cli import (CHECK_BOUND, NL_BOUND, TERMS_BOUND, doc_to_series,
                        main, series_to_doc)
 from ellcy.series import QSeries
@@ -64,6 +64,14 @@ class TestSeriesCommand:
         assert a == b
 
 
+def assert_doc_is_exact(doc, f):
+    """doc states f's grid, bounds and every exact coefficient."""
+    assert (doc["offset"], doc["prec"], doc["exp_den"]) == \
+        (f.offset, f.prec, f.exp_den)
+    assert [(c["num"], c["den"]) for c in doc["coeffs"]] == \
+        [(str(v.numerator), str(v.denominator)) for v in f.coeffs]
+
+
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("name", ["delta", "inv-delta", "e4", "e6",
                                       "e10", "theta-e8", "inv-sqrt-delta"])
@@ -72,6 +80,7 @@ class TestJsonRoundTrip:
         assert code == 0
         doc = json.loads(text)
         assert set(doc) == {"variable", "exp_den", "offset", "prec", "coeffs"}
+        assert_doc_is_exact(doc, cli._SERIES[name](6))
         restored = doc_to_series(doc)
         code2, text2 = run(["series", name, "--prec", "6", "--json"])
         assert json.loads(text2) == series_to_doc(restored)
@@ -79,6 +88,7 @@ class TestJsonRoundTrip:
     def test_big_integers_survive(self):
         f = forms.inverse_delta(40)
         doc = series_to_doc(f)
+        assert_doc_is_exact(doc, f)
         assert doc_to_series(doc) == f
         # coefficients overflow 64 bits well before 40 terms
         assert any(int(c["num"]) > 2 ** 64 for c in doc["coeffs"])
@@ -94,6 +104,7 @@ class TestJsonRoundTrip:
         assert (f.den, f.exp_den) == (4, 2)
         doc = json.loads(json.dumps(series_to_doc(f)))
         assert doc["exp_den"] == 2
+        assert_doc_is_exact(doc, f)
         assert doc_to_series(doc) == f
 
 

@@ -322,7 +322,6 @@ class TestThetaE8:
             raise AssertionError("theta_e8 must not call eisenstein")
 
         monkeypatch.setattr(forms, "eisenstein", poisoned)
-        forms.e8_norm_counts.cache_clear()
         assert forms.theta_e8(5).coeff_at(4) == 240 * forms.sigma(3, 4)
 
 

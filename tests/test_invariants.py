@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellcy import forms, geometry, invariants
+from ellcy import forms, geometry, invariants, series
 from ellcy.geometry import CurveClass
 from ellcy.series import PrecisionError, QSeries
 
@@ -177,17 +177,43 @@ class TestFiberRoutes:
 class TestSectionRoutes:
     def test_closed_known_values(self):
         f = invariants.f_section_closed(4)
-        assert f.coeff_at(Fraction(-1, 2)) == 1
-        assert f.coeff_at(Fraction(1, 2)) == 252
-        assert f.coeff_at(Fraction(3, 2)) == 5130
-        assert f.coeff_at(Fraction(5, 2)) == 54760
+        assert f.coeff_at(0) == 1
+        assert f.coeff_at(1) == 252
+        assert f.coeff_at(2) == 5130
+        assert f.coeff_at(3) == 54760
+
+    def test_closed_multiplies_on_the_integer_grid(self, monkeypatch):
+        # E4 and the Bryan-Leung series share the integer grid, so the
+        # product packs no slot beyond the terms it returns
+        sizes = []
+        real = series.int_product
+
+        def recording(f, g, n):
+            sizes.append(n)
+            return real(f, g, n)
+
+        monkeypatch.setattr(series, "int_product", recording)
+        for nterms in (1, 4, 50):
+            sizes.clear()
+            invariants.f_section_closed(nterms)
+            assert sizes and max(sizes) <= nterms
+        f = invariants.f_section_closed(4)
+        assert (f.exp_den, f.offset) == (1, 0)
+        assert [f.coeff_at(n) for n in range(4)] == [1, 252, 5130, 54760]
+
+    @pytest.mark.parametrize("route", ["f_section_closed",
+                                       "f_section_convolution"])
+    def test_integer_grid_from_q0(self, route):
+        for nterms in (1, 2, 30):
+            f = getattr(invariants, route)(nterms)
+            assert (f.exp_den, f.offset, f.prec) == (1, 0, nterms)
 
     def test_zero_vector_contribution_is_bryan_leung(self):
         # the lambda = 0 term of the convolution alone is 1/sqrt(Delta)
         bl = forms.inverse_sqrt_delta(6)
         conv = invariants.f_section_convolution(6)
         # at n = 0 only lambda = 0 is effective
-        assert conv.coeff_at(Fraction(-1, 2)) == bl.coeff_at(Fraction(-1, 2))
+        assert conv.coeff_at(0) == bl.coeff_at(Fraction(-1, 2))
 
     def test_routes_agree_to_20(self):
         closed = invariants.f_section_closed(20)
@@ -197,8 +223,7 @@ class TestSectionRoutes:
     @pytest.mark.parametrize("nterms", [1, 2, 3, 17, 200])
     def test_convolution_matches_fraction_loop(self, nterms):
         conv = invariants.f_section_convolution(nterms)
-        assert [conv.coeff_at(Fraction(2 * n - 1, 2))
-                for n in range(nterms)] == \
+        assert [conv.coeff_at(n) for n in range(nterms)] == \
             fraction_section_convolution(nterms)
 
     def test_ineffective_pairs_do_not_contribute(self):
@@ -210,7 +235,7 @@ class TestSectionRoutes:
         n = 2
         manual = sum(counts[m] * bl.coeff_at(Fraction(2 * (n - m) - 1, 2))
                      for m in range(n + 1))
-        assert conv.coeff_at(Fraction(2 * n - 1, 2)) == manual
+        assert conv.coeff_at(n) == manual
 
 
 class TestMultifiberRoutes:
