@@ -270,16 +270,24 @@ def check_eta_additivity(nterms: int) -> CheckResult:
     return CheckResult("eta-power-additivity", True)
 
 
+def _first_mismatch(name: str, a_name: str, a: list, b_name: str,
+                    b: list) -> CheckResult:
+    """Two routes' rows compared entry by entry; a FAIL names the first n."""
+    for n, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return CheckResult(name, False,
+                               f"n={n}: {a_name} {x} vs {b_name} {y}")
+    if len(a) != len(b):
+        return CheckResult(name, False, f"{len(a)} rows from {a_name} vs "
+                                        f"{len(b)} from {b_name}")
+    return CheckResult(name, True)
+
+
 def check_section_routes(prec: int) -> CheckResult:
-    closed = invariants.f_section_closed(prec)
-    conv = invariants.f_section_convolution(prec)
-    for n in range(prec):
-        if closed.coeff_at(n) != conv.coeff_at(n):
-            return CheckResult(
-                "section-dual-route", False,
-                f"n={n}: closed {closed.coeff_at(n)} vs "
-                f"convolution {conv.coeff_at(n)}")
-    return CheckResult("section-dual-route", True)
+    return _first_mismatch("section-dual-route",
+                           "closed", invariants.f_section_closed(prec),
+                           "convolution",
+                           invariants.f_section_convolution(prec))
 
 
 def _multifiber_name(m: int) -> str:
@@ -288,25 +296,16 @@ def _multifiber_name(m: int) -> str:
 
 def check_multifiber_routes(m: int, nmax: int) -> CheckResult:
     """Slice against NL sum for mF + nE; m = 1 is the fibre check."""
-    name = _multifiber_name(m)
-    sliced = invariants.f_multifiber_slice(m, nmax)
-    direct = invariants.f_multifiber_direct(m, nmax)
-    for n in range(nmax + 1):
-        a = sliced.coeff_at(m * (n - m))
-        b = direct[geometry.CurveClass(e=n, f=m)]
-        if a != b:
-            return CheckResult(name, False,
-                               f"n={n}: slice {a} vs NL sum {b}")
-    return CheckResult(name, True)
+    return _first_mismatch(_multifiber_name(m),
+                           "slice", invariants.f_multifiber_slice(m, nmax),
+                           "NL sum", invariants.f_multifiber_direct(m, nmax))
 
 
 def check_integrality(prec: int) -> CheckResult:
-    fiber = invariants.f_multifiber_slice(1, prec - 1)
-    section = invariants.f_section_closed(prec)
     streams = {
-        "fiber": [fiber.coeff_at(n - 1) for n in range(prec)],
-        "section": [section.coeff_at(n) for n in range(prec)],
-        "multifiber-2": invariants.f_multifiber_direct(2, prec).values(),
+        "fiber": invariants.f_multifiber_slice(1, prec - 1),
+        "section": invariants.f_section_closed(prec),
+        "multifiber-2": invariants.f_multifiber_direct(2, prec),
         "yau-zaslow": forms.yau_zaslow(prec),
     }
     for name, values in streams.items():

@@ -63,39 +63,6 @@ def series_to_doc(f: QSeries, variable: str = "q") -> dict:
     }
 
 
-def doc_to_series(doc: dict) -> QSeries:
-    """Series from a document of :func:`series_to_doc`.
-
-    A malformed document raises ValueError: a missing key, a field of the
-    wrong type, a numerator or denominator that is not an integer string,
-    a denominator below 1, exp_den below 1, or offset above prec.
-    """
-    from fractions import Fraction
-    try:
-        offset, prec, exp_den = doc["offset"], doc["prec"], doc["exp_den"]
-        pairs = [(c["num"], c["den"]) for c in doc["coeffs"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed series document: {exc!r}") from None
-    for key, value in (("offset", offset), ("prec", prec),
-                       ("exp_den", exp_den)):
-        if type(value) is not int:
-            raise ValueError(f"{key} must be an integer, not {value!r}")
-    if exp_den < 1:
-        raise ValueError("exp_den must be at least 1")
-    if offset > prec:
-        raise ValueError("offset must not exceed prec")
-    coeffs = []
-    for num, den in pairs:
-        if type(num) is not str or type(den) is not str:
-            raise ValueError(f"coefficient {num!r}/{den!r} is not a pair "
-                             f"of integer strings")
-        num, den = int(num), int(den)  # ValueError unless integer strings
-        if den < 1:
-            raise ValueError(f"denominator {den} is not positive")
-        coeffs.append(Fraction(num, den))
-    return QSeries(coeffs, offset, prec, exp_den)
-
-
 def _fmt_ratio(num: int, den: int) -> str:
     """num/den (den > 0) as `Fraction` prints it: "n" or "n/d", reduced."""
     g = gcd(num, den)
@@ -131,33 +98,28 @@ def cmd_gv(args, out) -> int:
     _check_prec(args.prec)
     prec = args.prec
     if args.target == "section":
-        if args.method == "closed":
-            f = invariants.f_section_closed(prec)
-        else:
-            f = invariants.f_section_convolution(prec)
-        values = [_fmt_ratio(v, f.den) for v in f.window(0, prec)]
-        rows = [(n, geometry.CurveClass(c=1, e=n).label(), v)
-                for n, v in enumerate(values)]
+        route = (invariants.f_section_closed if args.method == "closed"
+                 else invariants.f_section_convolution)
+        values = route(prec)
+        rows = [(n, geometry.CurveClass(c=1, e=n)) for n in range(prec)]
     else:  # multifiber; fiber is its m = 1 case
         m = 1 if args.target == "fiber" else args.m
         if args.target == "multifiber" and (m is None or m < 2):
             raise _UsageError("multifiber requires --m with m >= 2")
-        first = -(-(m * m - 1) // m)  # lowest n with m(n - m) >= -1
-        ns = range(first, first + prec)
-        # the slice builds m(n_max - m) + 2 terms; the NL sum runs n from 0
-        if max(m, m * (ns[-1] - m) + 2) > TERMS_BOUND:
+        first = invariants.first_row(m)
+        nmax = first + prec - 1
+        # the slice builds m(n_max - m) + 2 terms, and both routes return
+        # their rows from n = 0, so n_max + 1 > m entries
+        if max(m, m * (nmax - m) + 2) > TERMS_BOUND:
             raise _UsageError(f"--m and m * (n_max - m) + 2 must be at most "
                               f"{TERMS_BOUND}")
-        if args.method == "closed":
-            f = invariants.f_multifiber_slice(m, ns[-1])
-            values = [f.coeff_at(m * (n - m)) for n in ns]
-        else:
-            table = invariants.f_multifiber_direct(m, ns[-1])
-            values = [table[geometry.CurveClass(e=n, f=m)] for n in ns]
-        rows = [(n, geometry.CurveClass(e=n, f=m).label(), v)
-                for n, v in zip(ns, values)]
-    for n, label, v in rows:
-        out.write(f"{n}\t{label}\t{v}\n")
+        route = (invariants.f_multifiber_slice if args.method == "closed"
+                 else invariants.f_multifiber_direct)
+        values = route(m, nmax)
+        rows = [(n, geometry.CurveClass(e=n, f=m))
+                for n in range(first, nmax + 1)]
+    for n, beta in rows:
+        out.write(f"{n}\t{beta.label()}\t{values[n]}\n")
     return 0
 
 

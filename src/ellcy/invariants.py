@@ -1,5 +1,10 @@
 """Genus-0 Gopakumar-Vafa invariants of the threefold, by two routes each.
 
+Every route returns a plain list whose entry n is the invariant of the
+n-th class, from n = 0: n_{C+nE} for the section routes, n_{mF+nE} for
+the fibre-direction routes.  An entry is an int, or a Fraction only
+where the NL halving is inexact.
+
 Fibre-direction classes mF + nE (m >= 1; the fibre classes F + nE are
 m = 1) are counted through the Noether-Lefschetz numbers of the K3
 fibration together with the Yau-Zaslow coefficients, and independently
@@ -7,13 +12,12 @@ through the slice at 0 mod m of -2 E10/Delta, which at m = 1 is the
 whole closed form.  Section classes C + nE are counted through the closed
 form E4/sqrt(Delta) and independently by convolving E8 vector counts
 (by norm, from Jacobi theta powers) with the Bryan-Leung section series
-1/sqrt(Delta).  Both section routes return n_{C+nE} at q^n: the q^(-1/2)
-of 1/sqrt(Delta) is dropped in one place, :func:`_bryan_leung`.  Tests
-compare the routes coefficient by coefficient.  Each pair shares
-generators: both section routes read eta^-12, and both mF + nE routes
-read eta^-24 and E10 = E4 * E6; separate oracle checks pin those.
-The NL sum and the section convolution run on plain integers: one dot
-product of two int lists per class.
+1/sqrt(Delta).  The q^(-1/2) of 1/sqrt(Delta) is dropped in one place,
+:func:`_bryan_leung`.  Tests compare the routes entry by entry.  Each
+pair shares generators: both section routes read eta^-12, and both
+mF + nE routes read eta^-24 and E10 = E4 * E6; separate oracle checks
+pin those.  The NL sum and the section convolution run on plain
+integers: one dot product of two int lists per class.
 
 The resolution of the singular Weierstrass model doubles every invariant
 of the polarized family; the factor 1/2 undoing it is applied in exactly
@@ -50,19 +54,20 @@ def _bryan_leung(nterms: int) -> QSeries:
                              inv.den, 0, nterms)
 
 
-def f_section_closed(nterms: int) -> QSeries:
-    """Closed form q^(1/2) E4/sqrt(Delta) for the section classes C + nE.
+def f_section_closed(nterms: int) -> list[int]:
+    """n_{C+nE} for 0 <= n < nterms, by the closed form q^(1/2) E4/sqrt(Delta).
 
-    Coefficient of q^n is n_{C+nE}, for 0 <= n < nterms.
+    Entry n is the coefficient of q^n.
     """
-    return forms.eisenstein(4, nterms) * _bryan_leung(nterms)
+    f = forms.eisenstein(4, nterms) * _bryan_leung(nterms)
+    return [f.coeff_at(n) for n in range(nterms)]
 
 
-def f_section_convolution(nterms: int) -> QSeries:
-    """Section-class series by E8 vector counts against Bryan-Leung counts.
+def f_section_convolution(nterms: int) -> list[int]:
+    """n_{C+nE} for 0 <= n < nterms, by E8 vector counts against Bryan-Leung.
 
-    Coefficient of q^n is n_{C+nE}, as in :func:`f_section_closed`.  A
-    section class C + nE pulls back to classes C'' + nE'' + lambda on the
+    Entry n is n_{C+nE}, as in :func:`f_section_closed`.  A section
+    class C + nE pulls back to classes C'' + nE'' + lambda on the
     rational elliptic surface; shifting by half the (negative) norm of
     lambda reduces each to a pure section class, counted by
     :func:`_bryan_leung`.  Only effective classes contribute: lambda of
@@ -70,22 +75,31 @@ def f_section_convolution(nterms: int) -> QSeries:
     exactly the effectivity bound on the surface.
     """
     bl = _bryan_leung(nterms)  # raises ValueError unless nterms >= 1
-    bv = bl.window(0, nterms)
+    bv = [bl.coeff_at(n) for n in range(nterms)]
     counts = forms.e8_norm_counts(nterms - 1)
     # norm 2m shifts level n down to C'' + (n - m)E''
-    cs = [sum(map(mul, counts[:n + 1], bv[n::-1])) for n in range(nterms)]
-    return QSeries.from_ints(cs, bl.den, 0, nterms)
+    return [sum(map(mul, counts[:n + 1], bv[n::-1])) for n in range(nterms)]
 
 
-def f_multifiber_direct(m: int,
-                        nmax: int) -> dict[CurveClass, int | Fraction]:
-    """Invariants of mF + nE for m >= 1 and 0 <= n <= nmax, by the NL sum.
+def first_row(m: int) -> int:
+    """Lowest n for which the class mF + nE has a nonempty NL sum.
 
-    n_{mF+nE} = (1/2) sum_h r_h NL_{h; d1, d2}, where (d1, d2) = (n - 2m, m)
+    The NL sum of mF + nE runs h from 0 to 1 + m(n - m) (see
+    :func:`f_multifiber_direct`), so it is empty below n = m for m >= 2
+    and never for m = 1.  Every invariant before this row is 0.
+    """
+    return m if m > 1 else 0
+
+
+def f_multifiber_direct(m: int, nmax: int) -> list[int | Fraction]:
+    """n_{mF+nE} for m >= 1 and 0 <= n <= nmax, by the NL sum.
+
+    Entry n is (1/2) sum_h r_h NL_{h; d1, d2}, where (d1, d2) = (n - 2m, m)
     are the degrees of the class; the discriminant 2 - 2h + 2nm - 2m^2
     bounds h by 1 + m(n - m).  The fibre classes F + nE are m = 1.
-    With r and E10 read into int lists once, each class is one dot
-    product, halved at the end.
+    With r and E10 read into int lists once, each class from
+    :func:`first_row` on is one dot product, halved at the end; the
+    classes before it read 0 without a discriminant.
     """
     if m < 1:
         raise ValueError("fibre multiplicity must be at least 1")
@@ -95,34 +109,31 @@ def f_multifiber_direct(m: int,
     r = forms.yau_zaslow(hcap)
     e10 = forms.eisenstein(10, hcap + 1)
     ev = e10.window(0, hcap + 1)  # numerators over e10.den
-    table = {}
-    for n in range(nmax + 1):
-        beta = CurveClass(e=n, f=m)
-        d1, d2 = geometry.class_to_degrees(beta)
+    first = min(first_row(m), nmax + 1)
+    values = [0] * first
+    for n in range(first, nmax + 1):
+        d1, d2 = geometry.class_to_degrees(CurveClass(e=n, f=m))
         # disc(h) = disc(0) - 2h, so h runs up to half0 = disc(0)/2 and
-        # NL_h = -4 [q^(half0 - h)] E10 (see nl_number); below
-        # half0 = 0 every discriminant is negative and the sum is empty
+        # NL_h = -4 [q^(half0 - h)] E10 (see nl_number)
         half0 = geometry.nl_discriminant(0, d1, d2) // 2
-        total = 0
-        if half0 >= 0:
-            total = -4 * sum(map(mul, r[:half0 + 1], ev[half0::-1]))
+        total = -4 * sum(map(mul, r[:half0 + 1], ev[half0::-1]))
         value, rem = divmod(total, 2 * e10.den)
         if rem:
             from fractions import Fraction
             value = Fraction(total, 2 * e10.den)
-        table[beta] = value
-    return table
+        values.append(value)
+    return values
 
 
-def f_multifiber_slice(m: int, nmax: int) -> QSeries:
-    """Generating series of mF + nE classes (m >= 1) via a congruence slice.
+def f_multifiber_slice(m: int, nmax: int) -> list[int | Fraction]:
+    """n_{mF+nE} for m >= 1 and 0 <= n <= nmax, by a congruence slice.
 
-    Returns a series in u, where q = u^m: the coefficient of u^(m(n-m))
-    is n_{mF+nE}, for n up to nmax.  That is -2 times the sum over l of
-    the slice products (1/Delta)_{m, l-1} (E10)_{m, 1-l}, which pair the
-    residue a = l - 1 of 1/Delta with -a of E10 for every a mod m: the
-    slice at 0 mod m of the one product -2 E10/Delta.  For the fibre
-    classes F + nE (m = 1) it is the whole product, n_{F+nE} at q^(n-1).
+    Entry n is the coefficient of q^(m(n-m)) in the slice at 0 mod m of
+    the one product -2 E10/Delta.  That slice is -2 times the sum over l
+    of the slice products (1/Delta)_{m, l-1} (E10)_{m, 1-l}, which pair
+    the residue a = l - 1 of 1/Delta with -a of E10 for every a mod m.
+    For the fibre classes F + nE (m = 1) it is the whole product, and
+    entry n is its coefficient of q^(n-1).
     """
     if m < 1:
         raise ValueError("fibre multiplicity must be at least 1")
@@ -130,7 +141,8 @@ def f_multifiber_slice(m: int, nmax: int) -> QSeries:
     if uterms < 1:
         raise ValueError("nmax is too small for a nonempty expansion")
     product = forms.inverse_delta(uterms) * forms.eisenstein(10, uterms)
-    return (-2 * product).slice(m, 0)
+    sliced = (-2 * product).slice(m, 0)
+    return [sliced.coeff_at(m * (n - m)) for n in range(nmax + 1)]
 
 
 def gv_to_gw_genus0(table: dict[CurveClass, int | Fraction],

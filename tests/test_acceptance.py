@@ -13,7 +13,6 @@ import pytest
 
 from ellcy import checks, forms, invariants
 from ellcy.cli import main
-from ellcy.geometry import CurveClass
 
 
 def run_cli(argv, limit_seconds):
@@ -55,9 +54,8 @@ def test_criterion_4_section():
     code, text = run_cli(["gv", "section", "--prec", "4"], 1.0)
     values = [line.split("\t")[2] for line in text.splitlines()]
     ok = code == 0 and values == ["1", "252", "5130", "54760"]
-    # row n is the coefficient of q^n
-    f = invariants.f_section_closed(4)
-    ok = ok and [f.coeff_at(n) for n in range(4)] == [1, 252, 5130, 54760]
+    # row n is entry n of the route
+    ok = ok and invariants.f_section_closed(4) == [1, 252, 5130, 54760]
     report("4 (gv section)", ok)
 
 
@@ -82,22 +80,16 @@ def test_criterion_6_euler():
 
 def test_criterion_7_dual_routes():
     start = time.perf_counter()
-    closed = invariants.f_multifiber_slice(1, 20)
-    direct = invariants.f_multifiber_direct(1, 20)
-    fiber_ok = all(
-        closed.coeff_at(n - 1) == direct[CurveClass(e=n, f=1)]
-        for n in range(21))
+    fiber_ok = (invariants.f_multifiber_slice(1, 20)
+                == invariants.f_multifiber_direct(1, 20))
 
     section_ok = (invariants.f_section_closed(20)
                   == invariants.f_section_convolution(20))
 
     multi_ok = True
     for m, nmax in ((2, 16), (3, 12)):  # 15 resp. 10 q-terms
-        sliced = invariants.f_multifiber_slice(m, nmax)
-        table = invariants.f_multifiber_direct(m, nmax)
-        multi_ok = multi_ok and all(
-            sliced.coeff_at(m * (n - m)) == table[CurveClass(e=n, f=m)]
-            for n in range(nmax + 1))
+        multi_ok = multi_ok and (invariants.f_multifiber_slice(m, nmax)
+                                 == invariants.f_multifiber_direct(m, nmax))
 
     elapsed = time.perf_counter() - start
     ok = fiber_ok and section_ok and multi_ok and elapsed < 60.0
@@ -113,14 +105,11 @@ def test_criterion_8_theta_equals_e4():
 
 
 def test_criterion_9_integrality():
-    values = []
-    closed = invariants.f_multifiber_slice(1, 20)
-    values += [closed.coeff_at(n - 1) for n in range(21)]
-    section = invariants.f_section_closed(20)
-    section_values = [section.coeff_at(n) for n in range(20)]
+    values = invariants.f_multifiber_slice(1, 20)
+    section_values = invariants.f_section_closed(20)
     values += section_values
     for m, nmax in ((2, 16), (3, 12)):
-        values += list(invariants.f_multifiber_direct(m, nmax).values())
+        values += invariants.f_multifiber_direct(m, nmax)
     ok = all(Fraction(v).denominator == 1 for v in values)
     # every section count is positive, so the stream is not read off-grid
     ok = ok and all(v > 0 for v in section_values)

@@ -9,8 +9,8 @@ from ellcy.geometry import CurveClass
 from ellcy.series import PrecisionError, QSeries
 
 
-def fraction_nl_sum(m: int, nmax: int) -> dict[CurveClass, Fraction]:
-    """n_{mF+nE} by the NL sum as a Fraction loop over every (n, h).
+def fraction_nl_sum(m: int, nmax: int) -> list[Fraction]:
+    """n_{mF+nE} for 0 <= n <= nmax by a Fraction loop over every (n, h).
 
     Independent of the integer dot products in f_multifiber_direct: one
     bordered discriminant and one NL number per (n, h), summed in
@@ -19,15 +19,14 @@ def fraction_nl_sum(m: int, nmax: int) -> dict[CurveClass, Fraction]:
     hcap = max(0, 1 + m * (nmax - m))
     r = forms.yau_zaslow(hcap)
     e10 = forms.eisenstein(10, hcap + 1)
-    out = {}
+    out = []
     for n in range(nmax + 1):
-        beta = CurveClass(e=n, f=m)
-        d1, d2 = geometry.class_to_degrees(beta)
+        d1, d2 = geometry.class_to_degrees(CurveClass(e=n, f=m))
         total = Fraction(0)
         for h in range(max(0, 1 + m * (n - m)) + 1):
             disc = geometry.nl_discriminant(h, d1, d2)
             total += r[h] * -4 * e10.coeff_at(disc // 2)
-        out[beta] = total / 2
+        out.append(total / 2)
     return out
 
 
@@ -112,36 +111,34 @@ class TestNLNumber:
 
 class TestFiberRoutes:
     def test_closed_known_values(self):
-        f = invariants.f_multifiber_slice(1, 3)
-        assert [f.coeff_at(n - 1) for n in range(4)] == \
+        assert invariants.f_multifiber_slice(1, 3) == \
             [-2, 480, 282888, 17058560]
 
     def test_direct_known_values(self):
-        table = invariants.f_multifiber_direct(1, 3)
-        values = [table[CurveClass(e=n, f=1)] for n in range(4)]
-        assert values == [-2, 480, 282888, 17058560]
+        assert invariants.f_multifiber_direct(1, 3) == \
+            [-2, 480, 282888, 17058560]
 
     def test_routes_agree_to_20(self):
-        closed = invariants.f_multifiber_slice(1, 20)
-        direct = invariants.f_multifiber_direct(1, 20)
-        for n in range(21):
-            assert closed.coeff_at(n - 1) == direct[CurveClass(e=n, f=1)]
+        assert invariants.f_multifiber_slice(1, 20) == \
+            invariants.f_multifiber_direct(1, 20)
 
     def test_slice_is_closed_form(self):
-        # at m = 1 the one slice is the whole closed form -2 E10/Delta
+        # at m = 1 the one slice is the whole closed form -2 E10/Delta,
+        # and entry n is its coefficient of q^(n-1)
         for nmax in (0, 1, 5, 12):
-            sliced = invariants.f_multifiber_slice(1, nmax)
             closed = -2 * (forms.eisenstein(10, nmax + 1)
                            * forms.inverse_delta(nmax + 1))
-            assert sliced == closed.truncate(sliced.prec)
+            assert invariants.f_multifiber_slice(1, nmax) == \
+                [closed.coeff_at(n - 1) for n in range(nmax + 1)]
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_slice_matches_slice_product_sum(self, m):
-        # every nmax up to 40 with a nonempty expansion: the same series,
-        # coefficients, offset and precision bound alike
+        # every nmax up to 40 with a nonempty expansion: entry n is the
+        # coefficient of q^(m(n-m)) in the sum of the slice products
         for nmax in (n for n in range(41) if m * (n - m) + 2 >= 1):
+            ref = slice_product_sum(m, nmax)
             assert invariants.f_multifiber_slice(m, nmax) == \
-                slice_product_sum(m, nmax), nmax
+                [ref.coeff_at(m * (n - m)) for n in range(nmax + 1)], nmax
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_slice_makes_one_product(self, m, monkeypatch):
@@ -169,18 +166,13 @@ class TestFiberRoutes:
         assert len(products) == 1
 
     def test_slice_at_nmax_zero(self):
-        f = invariants.f_multifiber_slice(1, 0)
-        assert f.offset == -1
-        assert f.coeff_at(-1) == -2
+        # one row, read at q^-1, the lowest exponent of -2 E10/Delta
+        assert invariants.f_multifiber_slice(1, 0) == [-2]
 
 
 class TestSectionRoutes:
     def test_closed_known_values(self):
-        f = invariants.f_section_closed(4)
-        assert f.coeff_at(0) == 1
-        assert f.coeff_at(1) == 252
-        assert f.coeff_at(2) == 5130
-        assert f.coeff_at(3) == 54760
+        assert invariants.f_section_closed(4) == [1, 252, 5130, 54760]
 
     def test_closed_multiplies_on_the_integer_grid(self, monkeypatch):
         # E4 and the Bryan-Leung series share the integer grid, so the
@@ -197,23 +189,33 @@ class TestSectionRoutes:
             sizes.clear()
             invariants.f_section_closed(nterms)
             assert sizes and max(sizes) <= nterms
-        f = invariants.f_section_closed(4)
-        assert (f.exp_den, f.offset) == (1, 0)
-        assert [f.coeff_at(n) for n in range(4)] == [1, 252, 5130, 54760]
+        assert invariants.f_section_closed(4) == [1, 252, 5130, 54760]
 
     @pytest.mark.parametrize("route", ["f_section_closed",
-                                       "f_section_convolution"])
+                                       "f_section_convolution",
+                                       "f_multifiber_slice",
+                                       "f_multifiber_direct"])
     def test_integer_grid_from_q0(self, route):
-        for nterms in (1, 2, 30):
-            f = getattr(invariants, route)(nterms)
-            assert (f.exp_den, f.offset, f.prec) == (1, 0, nterms)
+        # every route returns one plain list, entry n for the n-th class
+        # from n = 0, and every entry an int for these m
+        fn = getattr(invariants, route)
+        if route.startswith("f_section"):
+            calls = [((nterms,), nterms) for nterms in (1, 2, 30)]
+        else:
+            calls = [((m, nmax), nmax + 1) for m in (1, 2, 3)
+                     for nmax in (invariants.first_row(m),
+                                  invariants.first_row(m) + 1, 30)]
+        for args, length in calls:
+            values = fn(*args)
+            assert type(values) is list and len(values) == length, args
+            assert all(type(v) is int for v in values), args
 
     def test_zero_vector_contribution_is_bryan_leung(self):
         # the lambda = 0 term of the convolution alone is 1/sqrt(Delta)
         bl = forms.inverse_sqrt_delta(6)
         conv = invariants.f_section_convolution(6)
         # at n = 0 only lambda = 0 is effective
-        assert conv.coeff_at(0) == bl.coeff_at(Fraction(-1, 2))
+        assert conv[0] == bl.coeff_at(Fraction(-1, 2))
 
     def test_routes_agree_to_20(self):
         closed = invariants.f_section_closed(20)
@@ -222,8 +224,7 @@ class TestSectionRoutes:
 
     @pytest.mark.parametrize("nterms", [1, 2, 3, 17, 200])
     def test_convolution_matches_fraction_loop(self, nterms):
-        conv = invariants.f_section_convolution(nterms)
-        assert [conv.coeff_at(n) for n in range(nterms)] == \
+        assert invariants.f_section_convolution(nterms) == \
             fraction_section_convolution(nterms)
 
     def test_ineffective_pairs_do_not_contribute(self):
@@ -235,45 +236,46 @@ class TestSectionRoutes:
         n = 2
         manual = sum(counts[m] * bl.coeff_at(Fraction(2 * (n - m) - 1, 2))
                      for m in range(n + 1))
-        assert conv.coeff_at(n) == manual
+        assert conv[n] == manual
 
 
 class TestMultifiberRoutes:
     def test_below_threshold_vanishes(self):
-        table = invariants.f_multifiber_direct(2, 6)
-        assert table[CurveClass(e=0, f=2)] == 0
-        assert table[CurveClass(e=1, f=2)] == 0
-        table3 = invariants.f_multifiber_direct(3, 6)
-        for n in range(3):
-            assert table3[CurveClass(e=n, f=3)] == 0
+        assert invariants.f_multifiber_direct(2, 6)[:2] == [0, 0]
+        assert invariants.f_multifiber_direct(3, 6)[:3] == [0, 0, 0]
 
     def test_routes_agree_m2(self):
         nmax = 16  # 15 q-terms from the first possibly-nonzero level
-        sliced = invariants.f_multifiber_slice(2, nmax)
-        direct = invariants.f_multifiber_direct(2, nmax)
-        for n in range(nmax + 1):
-            assert sliced.coeff_at(2 * (n - 2)) == \
-                direct[CurveClass(e=n, f=2)]
+        assert invariants.f_multifiber_slice(2, nmax) == \
+            invariants.f_multifiber_direct(2, nmax)
 
     def test_routes_agree_m3(self):
         nmax = 12  # 10 q-terms
-        sliced = invariants.f_multifiber_slice(3, nmax)
-        direct = invariants.f_multifiber_direct(3, nmax)
-        for n in range(nmax + 1):
-            assert sliced.coeff_at(3 * (n - 3)) == \
-                direct[CurveClass(e=n, f=3)]
+        assert invariants.f_multifiber_slice(3, nmax) == \
+            invariants.f_multifiber_direct(3, nmax)
 
-    def test_slice_exponents_are_multiples_of_m(self):
+    def test_slice_exponents_are_multiples_of_m(self, monkeypatch):
+        # the route reads its rows off the slice it makes
+        real = QSeries.slice
+        kept = []
+
+        def recording(f, m, k):
+            kept.append(real(f, m, k))
+            return kept[-1]
+
+        monkeypatch.setattr(QSeries, "slice", recording)
         for m in (2, 3):
-            f = invariants.f_multifiber_slice(m, m + 5)
+            kept.clear()
+            invariants.f_multifiber_slice(m, m + 5)
+            (f,) = kept
+            assert f
             for e, c in f.terms():
                 assert e.denominator == 1
                 assert int(e) % m == 0
 
     def test_integrality(self):
         for m in (2, 3):
-            table = invariants.f_multifiber_direct(m, 10)
-            for v in table.values():
+            for v in invariants.f_multifiber_direct(m, 10):
                 assert v.denominator == 1
                 assert type(v) is int  # an exact halving stores an int
 
@@ -300,12 +302,30 @@ class TestMultifiberRoutes:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_nl_sum_matches_fraction_loop(self, m):
-        # n runs from 0, so for m >= 2 the first classes have every
+        # rows run from n = 0, so for m >= 2 the first classes have every
         # discriminant negative (half0 < 0) and must read 0, never the
         # end of the E10 list
         direct = invariants.f_multifiber_direct(m, 40)
         assert direct == fraction_nl_sum(m, 40)
         assert any(1 + m * (n - m) < 0 for n in range(41)) == (m > 1)
+
+    def test_no_discriminant_before_first_row(self, monkeypatch):
+        # first_row is the lowest n with 1 + m(n - m) >= 0, and the NL
+        # sum computes one discriminant per row from it on, none before
+        for m in range(1, 12):
+            assert invariants.first_row(m) == min(
+                n for n in range(m + 1) if 1 + m * (n - m) >= 0)
+        real = geometry.nl_discriminant
+        calls = []
+
+        def counting(h, d1, d2):
+            calls.append((h, d1, d2))
+            return real(h, d1, d2)
+
+        monkeypatch.setattr(geometry, "nl_discriminant", counting)
+        values = invariants.f_multifiber_direct(50, 50)
+        assert len(calls) == 1
+        assert values == [0] * 50 + [fraction_nl_sum(50, 50)[50]]
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -316,7 +336,8 @@ class TestMultifiberRoutes:
 
 class TestMultipleCover:
     def test_primitive_identity(self):
-        table = invariants.f_multifiber_direct(1, 5)
+        rows = invariants.f_multifiber_direct(1, 5)
+        table = {CurveClass(e=n, f=1): v for n, v in enumerate(rows)}
         for n in range(1, 6):
             beta = CurveClass(e=n, f=1)  # gcd 1: primitive
             assert invariants.gv_to_gw_genus0(table, beta) == table[beta]
@@ -329,8 +350,10 @@ class TestMultipleCover:
             Fraction(100) + Fraction(7, 8)
 
     def test_double_fiber_from_both_tables(self):
-        fiber = invariants.f_multifiber_direct(1, 0)
-        double = invariants.f_multifiber_direct(2, 0)
+        fiber = {CurveClass(e=n, f=1): v for n, v in
+                 enumerate(invariants.f_multifiber_direct(1, 0))}
+        double = {CurveClass(e=n, f=2): v for n, v in
+                  enumerate(invariants.f_multifiber_direct(2, 0))}
         merged = {**fiber, **double}
         beta = CurveClass(f=2)
         expected = double[beta] + Fraction(fiber[CurveClass(f=1)], 8)
@@ -361,5 +384,4 @@ class TestResolutionFactor:
         for n in range(6):
             raw = sum(r[h] * invariants.nl_number(h, n - 2, 1)
                       for h in range(n + 1))
-            table = invariants.f_multifiber_direct(1, n)
-            assert 2 * table[CurveClass(e=n, f=1)] == raw
+            assert 2 * invariants.f_multifiber_direct(1, n)[n] == raw

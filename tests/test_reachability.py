@@ -36,7 +36,6 @@ ALLOWED_UNREACHED = {
     "series.QSeries.terms": "protocol: the nonzero terms, used by __repr__",
     "invariants.gv_to_gw_genus0": "the paper's GV to GW multiple-cover "
                                   "formula, documented in the README",
-    "cli.doc_to_series": "reader of the documented JSON series format",
     "cli.entry_point": "the console script; main is run directly here",
 }
 
