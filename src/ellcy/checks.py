@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import forms, geometry, invariants
 from .geometry import CurveClass, Gamma19Class
-from .series import PrecisionError, QSeries
+from .series import _SCHOOLBOOK_TERMS, PrecisionError, QSeries
 
 
 class CheckResult(namedtuple("CheckResult", "name passed detail",
@@ -82,8 +82,11 @@ def check_ring_laws() -> CheckResult:
 
     Every route and the E8 theta powers multiply through one integer
     kernel, and sums and scaling run on integer numerators, so each is
-    compared with a Fraction computation that never calls them.  Each
-    pair sum and pair product is made once and reused by the laws.
+    compared with a Fraction computation that never calls them.  The
+    kernel takes dot products for the short sample products and packs
+    longer ones, so one product above its cutover, Jacobi's series
+    squared, is compared too.  Each pair sum and pair product is made
+    once and reused by the laws.
     """
     fs = _sample_series()
     sums = []
@@ -98,6 +101,10 @@ def check_ring_laws() -> CheckResult:
             if s != _fraction_sum(f, g):
                 return CheckResult("ring-laws", False,
                                    "sum differs from the Fraction sum")
+    jac = _jacobi_cube(_SCHOOLBOOK_TERMS + 1)
+    if jac * jac != _schoolbook(jac, jac):
+        return CheckResult("ring-laws", False,
+                           "product differs from the schoolbook product")
     prods = [[f * g for g in fs] for f in fs]
     for i, f in enumerate(fs):
         for j, g in enumerate(fs):

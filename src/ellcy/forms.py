@@ -23,16 +23,35 @@ from .series import QSeries, int_product
 
 
 def sigma(k: int, n: int) -> int:
-    """Divisor power sum: sum of d^k over the divisors d of n."""
+    """Divisor power sum: sum of d^k over the divisors d of n.
+
+    By trial division: each prime p found is divided out of n as often
+    as it divides, contributing 1 + p^k + ... + p^(ak) to the product,
+    and the search stops at the square root of what is left, which is 1
+    or a prime.  That takes at most sqrt(n) trial divisors, all of them
+    for a prime n, and about 2600 for 2*10^12 + 1 = 3*43*2347*6605827.
+    Only this loop is used, never the divisor-sum sieve.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    total = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            total += d ** k
-            e = n // d
-            if e != d:
-                total += e ** k
+    total = 1
+    p = 2
+    while True:
+        for p in range(p, math.isqrt(n) + 1):
+            if n % p == 0:
+                break
+        else:
+            break
+        pk = p ** k
+        term = part = 1
+        while n % p == 0:
+            n //= p
+            term *= pk
+            part += term
+        total *= part
+        p += 1
+    if n > 1:
+        total *= 1 + n ** k
     return total
 
 

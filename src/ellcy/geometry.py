@@ -75,9 +75,6 @@ _PAIRING = ((-1, -2, 1),
             (-1, 1, 0),
             (1, 0, 0))
 
-# Gram matrix of L1, L2 restricted to a K3 fibre: the polarizing lattice.
-K3_GRAM = ((-2, 1), (1, 0))
-
 # Stored constants (computed via Mordell-Weil rank in the literature).
 H11 = 3
 H21 = 243
@@ -118,13 +115,14 @@ def pushforward(gamma: Gamma19Class) -> CurveClass:
 def nl_discriminant(h: int, d1: int, d2: int) -> int:
     """Discriminant of the Noether-Lefschetz index (h; d1, d2).
 
-    The determinant of the K3 polarizing Gram matrix bordered by the row
-    and column (d1, d2, 2h - 2); the general sign (-1)^rank is +1 here.
+    The determinant of the K3 polarizing Gram matrix ((-2, 1), (1, 0))
+    of L1, L2 bordered by the row and column (d1, d2, 2h - 2), with the
+    general sign (-1)^rank = +1, in closed form: 2(d2^2 + d1 d2 - h + 1).
+    It is always even, so an NL number never needs a half-integer index.
     """
     if h < 0:
         raise ValueError("h must be non-negative")
-    rows = [row + (d,) for row, d in zip(K3_GRAM, (d1, d2))]
-    return _det(rows + [(d1, d2, 2 * h - 2)])
+    return 2 * (d2 * d2 + d1 * d2 - h + 1)
 
 
 class EulerData(namedtuple("EulerData",

@@ -133,13 +133,17 @@ def f_multifiber_slice(m: int, nmax: int) -> list[int | Fraction]:
     of the slice products (1/Delta)_{m, l-1} (E10)_{m, 1-l}, which pair
     the residue a = l - 1 of 1/Delta with -a of E10 for every a mod m.
     For the fibre classes F + nE (m = 1) it is the whole product, and
-    entry n is its coefficient of q^(n-1).
+    entry n is its coefficient of q^(n-1).  The product starts at q^-1,
+    so when m(nmax - m) is below that every entry is 0, as in
+    :func:`f_multifiber_direct`.
     """
     if m < 1:
         raise ValueError("fibre multiplicity must be at least 1")
+    if nmax < 0:
+        raise ValueError("nmax must be non-negative")
     uterms = m * (nmax - m) + 2  # need exponents through m(nmax - m)
     if uterms < 1:
-        raise ValueError("nmax is too small for a nonempty expansion")
+        return [0] * (nmax + 1)
     product = forms.inverse_delta(uterms) * forms.eisenstein(10, uterms)
     sliced = (-2 * product).slice(m, 0)
     return [sliced.coeff_at(m * (n - m)) for n in range(nmax + 1)]

@@ -17,11 +17,13 @@ coefficient.  ``coeffs`` yields the exact values: ints when ``den`` is 1,
 `Fraction` otherwise.  `fractions` is imported only inside the code that
 meets a true rational (a denominator above 1, a non-integer scalar or
 exponent, ``invert`` and ``sqrt``), so integer work never loads it.
-There is no floating point anywhere in this module.  The product is one
-exact big-integer multiplication of the numerators: :func:`int_product`
-packs both into single Python ints by Kronecker substitution, multiplies
-them once and reads the product's slots back.  The generators that work
-on plain integer coefficient lists (the E8 theta powers) call
+There is no floating point anywhere in this module.  Every product of
+numerators goes through :func:`int_product`, which picks its algorithm
+by the number n of product terms: up to ``_SCHOOLBOOK_TERMS`` terms each
+coefficient is one dot product of two int lists, and above that both
+factors are packed into single Python ints by Kronecker substitution,
+multiplied once and the product's slots read back.  The generators that
+work on plain integer coefficient lists (the E8 theta powers) call
 :func:`int_product` directly.
 """
 
@@ -29,6 +31,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from operator import mul
+
+# Products of at most this many terms are dot products, longer ones are
+# packed.  For 1/Delta * E10 on a 2-core Xeon VM with Python 3.11 the dot
+# products win up to 32-40 terms (5 terms: 4 vs 11 us, 22 terms: 46 vs
+# 64 us) and lose above (200 terms: 2.9 vs 2.2 ms); the README has the
+# table.  The cutover sits lower so that `check --prec 2` still multiplies
+# through the packed path (the 21-term E4 * E6 of e10-sigma9) and every
+# product of 40 terms or more stays packed.
+_SCHOOLBOOK_TERMS = 16
 
 
 class PrecisionError(ValueError):
@@ -66,14 +78,20 @@ def _pack(cs: list[int], width: int) -> int:
 def int_product(f: list[int], g: list[int], n: int) -> list[int]:
     """First n coefficients of the product of two integer polynomials.
 
-    Signed Kronecker substitution (Harvey, J. Symb. Comp. 2009): f and g
-    are packed into one Python int each, with slots wide enough that no
+    Up to ``_SCHOOLBOOK_TERMS`` terms, coefficient k is the dot product
+    of f[:k + 1] with g[k::-1], both zero-padded to n.  Above it, signed
+    Kronecker substitution (Harvey, J. Symb. Comp. 2009): f and g are
+    packed into one Python int each, with slots wide enough that no
     product coefficient overflows its slot, multiplied once, and the
     first n slots of the product are read back exactly.
     """
     f, g = f[:n], g[:n]
     if not f or not g:
         return [0] * n
+    if n <= _SCHOOLBOOK_TERMS:
+        f = list(f) + [0] * (n - len(f))
+        g = list(g) + [0] * (n - len(g))
+        return [sum(map(mul, f[:k + 1], g[k::-1])) for k in range(n)]
     fbits = max(map(abs, f)).bit_length()
     gbits = max(map(abs, g)).bit_length()
     # |product coefficient| < n * max|f| * max|g|; two spare bits keep
@@ -250,6 +268,8 @@ class QSeries:
 
     def truncate(self, prec: int) -> "QSeries":
         """Forget all terms at or above prec/exp_den (prec in self's units)."""
+        if prec == self.prec:
+            return self  # immutable and canonical
         if prec > self.prec:
             raise PrecisionError(
                 f"cannot extend precision from {self.prec} to {prec}")
@@ -304,9 +324,14 @@ class QSeries:
             if hasattr(other, "denominator"):
                 return self.scale(other)
             return NotImplemented
-        exp_den = math.lcm(self.exp_den, other.exp_den)
-        fo, fp, fn = self._upscaled(exp_den)
-        go, gp, gn = other._upscaled(exp_den)
+        exp_den = self.exp_den
+        if other.exp_den == exp_den:
+            fo, fp, fn = self.offset, self.prec, self.nums
+            go, gp, gn = other.offset, other.prec, other.nums
+        else:
+            exp_den = math.lcm(exp_den, other.exp_den)
+            fo, fp, fn = self._upscaled(exp_den)
+            go, gp, gn = other._upscaled(exp_den)
         # unknown tails start at f.prec + g.offset and g.prec + f.offset
         prec = min(fp + go, gp + fo)
         offset = fo + go

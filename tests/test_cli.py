@@ -378,6 +378,20 @@ class TestCheckCommand:
         assert not res.passed
         assert res.detail == "product differs from the schoolbook product"
 
+    def test_packed_kernel_fault_fails_ring_laws(self, monkeypatch):
+        # every sample product is short enough for dot products, so only
+        # ring-laws' one long product keeps the packed path under the
+        # schoolbook oracle, even at the lowest --prec
+        real = series._pack
+        monkeypatch.setattr(series, "_pack",
+                            lambda cs, width: real([cs[0] + 1, *cs[1:]],
+                                                   width))
+        code, text = run(["check", "--prec", "2"])
+        assert code == 2
+        assert "ring-laws" in [line.split("\t")[1]
+                               for line in text.splitlines()
+                               if line.startswith("FAIL")]
+
     def test_ring_laws_compare_sum_with_fractions(self, monkeypatch):
         # an integer sum that drops the second operand's denominator
         # still commutes; only the Fraction sum can see it

@@ -206,13 +206,26 @@ class TestSigma:
         with pytest.raises(ValueError):
             forms.sigma(3, 0)
 
+    def test_prime_square_and_large_factored(self, monkeypatch):
+        # prime powers multiply out exactly, and sigma never reads the
+        # sieve, so that E4 * E6 and sigma_9 stay independent
+        monkeypatch.setattr(forms, "divisor_sums", None)
+        p = 1000003
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        primes = (3, 43, 2347, 6605827)
+        assert math.prod(primes) == 2 * 10 ** 12 + 1
+        for k in (1, 3, 9):
+            assert forms.sigma(k, p * p) == 1 + p ** k + p ** (2 * k)
+            assert forms.sigma(k, 2 * 10 ** 12 + 1) == \
+                math.prod(1 + q ** k for q in primes)
+
 
 class TestDivisorSums:
     @pytest.mark.parametrize("k", [1, 3, 5, 9])
     def test_sieve_matches_trial_division(self, k):
-        sums = forms.divisor_sums(k, 2000)
+        sums = forms.divisor_sums(k, 3000)
         assert sums[0] == 0
-        assert sums[1:] == [forms.sigma(k, n) for n in range(1, 2000)]
+        assert sums[1:] == [forms.sigma(k, n) for n in range(1, 3000)]
 
     def test_short_lengths(self):
         assert forms.divisor_sums(3, 0) == []

@@ -5,6 +5,9 @@ import pytest
 from ellcy import geometry
 from ellcy.geometry import CurveClass, Gamma19Class
 
+# Gram matrix of L1, L2 restricted to a K3 fibre: the polarizing lattice.
+K3_GRAM = ((-2, 1), (1, 0))
+
 
 class TestPairing:
     def test_determinant(self):
@@ -85,13 +88,17 @@ class TestNLDiscriminant:
                 for n in range(-2, 6):
                     assert geometry.nl_discriminant(h, n - 2 * m, m) == \
                         2 - 2 * h + 2 * n * m - 2 * m * m
-        # for arbitrary degrees the discriminant is 2(d2^2 + d1 d2 - h + 1),
-        # so it is always even and nl_number never needs a half-integer index
-        for h in range(8):
-            for d1 in range(-7, 8):
-                for d2 in range(-4, 5):
-                    disc = geometry.nl_discriminant(h, d1, d2)
-                    assert disc == 2 * (d2 * d2 + d1 * d2 - h + 1)
+
+    def test_closed_form_is_the_bordered_gram_determinant(self):
+        # the definition: the K3 polarizing Gram matrix of L1, L2
+        # bordered by (d1, d2, 2h - 2), its determinant by elimination
+        for h in range(7):
+            for d1 in range(-6, 7):
+                for d2 in range(-6, 7):
+                    rows = [row + (d,) for row, d in zip(K3_GRAM, (d1, d2))]
+                    bordered = rows + [(d1, d2, 2 * h - 2)]
+                    assert geometry.nl_discriminant(h, d1, d2) == \
+                        geometry._det(bordered)
 
     def test_origin(self):
         assert geometry.nl_discriminant(0, 0, 0) == 2

@@ -333,6 +333,19 @@ class TestMultifiberRoutes:
         with pytest.raises(ValueError):
             invariants.f_multifiber_slice(0, 5)
 
+    def test_routes_share_their_domain(self):
+        # both routes are total on m >= 1, nmax >= 0, the slice route
+        # too where m(nmax - m) lies below the q^-1 its product starts at
+        for m in range(1, 7):
+            for nmax in range(13):
+                assert invariants.f_multifiber_slice(m, nmax) == \
+                    invariants.f_multifiber_direct(m, nmax)
+        assert invariants.f_multifiber_slice(2, 0) == [0]
+        for route in (invariants.f_multifiber_slice,
+                      invariants.f_multifiber_direct):
+            with pytest.raises(ValueError, match="nmax must be non-negative"):
+                route(1, -1)
+
 
 class TestMultipleCover:
     def test_primitive_identity(self):

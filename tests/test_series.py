@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellcy import series
 from ellcy.series import PrecisionError, QSeries
 
 
@@ -128,6 +129,47 @@ def test_slice_requires_integer_exponents():
     f = QSeries([1], 1, 3, exp_den=2)
     with pytest.raises(ValueError):
         f.slice(2, 0)
+
+
+def test_truncate_at_own_precision_is_the_series():
+    f = QSeries([1, 0, -3], -1, 2)
+    assert f.truncate(2) is f
+    assert f.truncate(1) == QSeries([1, 0], -1, 1)
+
+
+def double_loop(f: list[int], g: list[int], n: int) -> list[int]:
+    """First n coefficients of f * g, one term pair at a time."""
+    out = [0] * n
+    for i, x in enumerate(f[:n]):
+        for j, y in enumerate(g[:n - i]):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("n", [series._SCHOOLBOOK_TERMS - 1,
+                               series._SCHOOLBOOK_TERMS,
+                               series._SCHOOLBOOK_TERMS + 1, 50])
+def test_int_product_matches_double_loop(n):
+    # both sides of the size cutover, with negative, zero and 300-bit
+    # slots, and factors shorter and longer than n
+    big = 2 ** 300 - 1
+    f = [(-1) ** i * (big if i % 3 == 0 else i) for i in range(n // 2 + 1)]
+    f[1] = 0
+    g = [0, -big, 7, 0, big] * n
+    for a, b in ((f, g), (g, f), (f, f), (g[:n - 1], g[:n - 1])):
+        assert series.int_product(a, b, n) == double_loop(a, b, n)
+
+
+slot_st = st.one_of(st.integers(min_value=-30, max_value=30),
+                    st.integers(min_value=-2 ** 300, max_value=2 ** 300))
+
+
+@given(st.lists(slot_st, max_size=40), st.lists(slot_st, max_size=40),
+       st.integers(min_value=0, max_value=45))
+def test_int_product_matches_double_loop_at_any_size(f, g, n):
+    # the series property tests below draw short series, whose products
+    # all take dot products; these lists reach the packed path too
+    assert series.int_product(f, g, n) == double_loop(f, g, n)
 
 
 def test_canonical_trims_leading_zeros():
