@@ -11,7 +11,6 @@ survive any consumer.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from math import gcd
 
@@ -41,14 +40,6 @@ _SERIES = {
     "theta-e8": forms.theta_e8,
     "inv-sqrt-delta": forms.inverse_sqrt_delta,
 }
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; the contract says 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def series_to_doc(f: QSeries, variable: str = "q") -> dict:
@@ -176,52 +167,120 @@ class _UsageError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ellcy",
-                     description="Exact curve-count generating functions for "
-                                 "the elliptic Calabi-Yau threefold over the "
-                                 "degree-8 del Pezzo surface.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of an option that must be given
+# Each command: (function, help, positional, options).  The positional is
+# (name, choices) or None.  An option maps its flag, "--" and the attribute
+# it sets, to (kind, default, help); the kind is int, bool (a flag, which
+# takes no value) or a tuple of string choices.
+_COMMANDS = {
+    "series": (cmd_series, "print a named q-expansion",
+               ("name", tuple(sorted(_SERIES))),
+               {"--prec": (int, 32, "terms from the leading exponent"),
+                "--json": (bool, False, "emit a JSON series document")}),
+    "gv": (cmd_gv, "print a table of genus-0 GV invariants",
+           ("target", ("fiber", "section", "multifiber")),
+           {"--m": (int, None, "fibre multiplicity (multifiber only)"),
+            "--prec": (int, 16, "number of entries"),
+            "--method": (("closed", "direct"), "closed", "which route")}),
+    "nl": (cmd_nl, "print one Noether-Lefschetz number", None,
+           {"--h": (int, _REQUIRED, "h of the index (h; d1, d2)"),
+            "--d1": (int, _REQUIRED, "d1 of the index"),
+            "--d2": (int, _REQUIRED, "d2 of the index")}),
+    "euler": (cmd_euler, "Euler characteristic bookkeeping", None,
+              {"--lsq": (int, 8, "self-intersection of the polarization")}),
+    "check": (cmd_check, "run the full consistency suite", None,
+              {"--prec": (int, 16, "terms of the series comparisons")}),
+}
+# the top level in the same shape: its positional is the command
+_TOP = (None, "Exact curve-count generating functions for the elliptic "
+              "Calabi-Yau threefold over the degree-8 del Pezzo surface.",
+        ("command", tuple(_COMMANDS)), {})
 
-    p = sub.add_parser("series", help="print a named q-expansion")
-    p.add_argument("name", choices=sorted(_SERIES))
-    p.add_argument("--prec", type=int, default=32,
-                   help="number of terms from the leading exponent")
-    p.add_argument("--json", action="store_true",
-                   help="emit a JSON series document")
-    p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("gv", help="print a table of genus-0 GV invariants")
-    p.add_argument("target", choices=["fiber", "section", "multifiber"])
-    p.add_argument("--m", type=int, default=None,
-                   help="fibre multiplicity (multifiber only)")
-    p.add_argument("--prec", type=int, default=16, help="number of entries")
-    p.add_argument("--method", choices=["closed", "direct"], default="closed")
-    p.set_defaults(func=cmd_gv)
+class _Args:
+    """The parsed command line: one attribute per positional and option."""
 
-    p = sub.add_parser("nl", help="print one Noether-Lefschetz number")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--d2", type=int, required=True)
-    p.set_defaults(func=cmd_nl)
 
-    p = sub.add_parser("euler", help="Euler characteristic bookkeeping")
-    p.add_argument("--lsq", type=int, default=8,
-                   help="self-intersection of the polarizing bundle")
-    p.set_defaults(func=cmd_euler)
+def _help(cmd: str | None) -> str:
+    """Help for the top level (cmd None) or a command; line 1 is usage."""
+    _, about, positional, options = _COMMANDS[cmd] if cmd else _TOP
+    usage = f"usage: ellcy{f' {cmd}' if cmd else ''} [-h]"
+    rows = [(name, entry[1]) for name, entry in _COMMANDS.items() if not cmd]
+    rows.append(("-h, --help", "show this help and exit"))
+    for flag, (kind, default, text) in options.items():
+        word = flag if kind is bool else f"{flag} " + (
+            flag[2:].upper() if kind is int else "{" + ",".join(kind) + "}")
+        usage += f" {word}" if default is _REQUIRED else f" [{word}]"
+        note = "required" if default is _REQUIRED else f"default: {default}"
+        rows.append((word, text if kind is bool else f"{text} ({note})"))
+    if positional:
+        usage += " {" + ",".join(positional[1]) + ("}" if cmd else "} ...")
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([usage, "", about, ""] + [
+        f"  {left:{width}}  {right}" for left, right in rows]) + "\n"
 
-    p = sub.add_parser("check", help="run the full consistency suite")
-    p.add_argument("--prec", type=int, default=16,
-                   help="term count for the series comparisons")
-    p.set_defaults(func=cmd_check)
 
-    return parser
+def _fail(cmd: str | None, message: str):
+    """A usage error: usage and message to stderr, and exit status 1."""
+    prog = f"ellcy {cmd}" if cmd else "ellcy"
+    usage = _help(cmd).splitlines()[0]
+    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+    raise SystemExit(USAGE_ERROR)
+
+
+def parse_args(argv: list[str], out) -> _Args:
+    """argv read against the table, in the forms the README's CLI lists."""
+    args, cmd, (_, _, positional, options) = _Args(), None, _TOP
+    for token in (tokens := iter(argv)):
+        if not token.startswith("-"):
+            if positional is None:
+                _fail(cmd, f"unrecognized arguments: {token}")
+            (name, kind), text, positional = positional, token, None
+        else:
+            name, eq, text = token.partition("=")
+            names = ("-h", "--help", *options)
+            found = [name] if name in names else [  # or a unique prefix
+                f for f in names if f.startswith(name) and len(name) > 2]
+            if len(found) != 1:
+                _fail(cmd, f"option {name} matches {len(found)} of "
+                           f"{', '.join(names)}")
+            name = found[0]
+            kind = options[name][0] if name in options else None  # help
+            if eq and kind in (bool, None):
+                _fail(cmd, f"argument {name}: ignored explicit argument "
+                           f"{text!r}")
+            if kind is None:  # help at once, whatever follows
+                out.write(_help(cmd))
+                raise SystemExit(0)
+            if kind is not bool and not eq:
+                text = next(tokens, "-")  # "-": no value is left
+                if text.startswith("-") and not text[1:].isdecimal():
+                    _fail(cmd, f"argument {name}: expected one argument")
+        value = True if kind is bool else text
+        if kind is int:
+            try:
+                value = int(text)
+            except ValueError:
+                _fail(cmd, f"argument {name}: invalid int value: {text!r}")
+        elif kind is not bool and text not in kind:
+            _fail(cmd, f"argument {name}: invalid choice: {text!r} (choose "
+                       f"from {', '.join(kind)})")
+        setattr(args, name.lstrip("-"), value)
+        if cmd is None:  # the rest of argv belongs to the command
+            cmd = value
+            args.func, _, positional, options = _COMMANDS[cmd]
+            for flag, (_, default, _) in options.items():
+                setattr(args, flag[2:], default)
+    missing = [positional[0]] if positional else []
+    missing += [f for f in options if getattr(args, f[2:]) is _REQUIRED]
+    if missing:
+        _fail(cmd, f"missing required arguments: {', '.join(missing)}")
+    return args
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv, out)
     try:
         return args.func(args, out)
     except _UsageError as exc:

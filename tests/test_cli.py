@@ -231,6 +231,42 @@ print(json.dumps(loaded))
         assert loaded == [[0]] * len(self.ARGVS)
 
 
+class TestStartupLoadsNoArgparse:
+    """No command, usage error or help loads argparse, gettext or locale.
+
+    Run like TestIntegerCommandsLoadNoFractions, in one fresh interpreter
+    without site, with its argvs plus check, a usage error and help.
+    """
+
+    ARGVS = TestIntegerCommandsLoadNoFractions.ARGVS + [
+        ["check", "--prec", "2"], ["series", "zeta"], ["--help"]]
+    SCRIPT = """
+import io, json, sys
+from ellcy.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv, out=io.StringIO())
+    except SystemExit as exc:
+        code = exc.code
+    loaded.append([code] + sorted({"argparse", "gettext", "locale"}
+                                  & set(sys.modules)))
+print(json.dumps(loaded))
+"""
+
+    def test_no_argparse_module(self):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       os.path.abspath(ellcy.__file__))))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", self.SCRIPT,
+             json.dumps(self.ARGVS)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == \
+            [[0]] * (len(self.ARGVS) - 2) + [[1], [0]]
+
+
 class TestEulerCommand:
     def test_default(self):
         code, text = run(["euler"])
@@ -462,11 +498,178 @@ class TestExitCodes:
         assert exc.value.code == 1
 
 
+# The argv forms that the argparse parser, which this one replaced, took
+# and refused, with the exit code and stdout each gave there.
+E4_3 = "0\t1\n1\t240\n2\t2160\n"
+E4_2_JSON = ('{"variable": "q", "exp_den": 1, "offset": 0, "prec": 2, '
+             '"coeffs": [{"num": "1", "den": "1"}, {"num": "240", '
+             '"den": "1"}]}\n')
+FIBER_3 = "0\tF\t-2\n1\tF+E\t480\n2\tF+2E\t282888\n"
+ACCEPTED = [
+    # options before or after the positional
+    (["series", "--prec", "3", "e4"], 0, E4_3),
+    (["series", "e4", "--prec", "3"], 0, E4_3),
+    (["gv", "--method", "direct", "--prec", "3", "fiber"], 0, FIBER_3),
+    (["gv", "--prec", "3", "fiber", "--method", "direct"], 0, FIBER_3),
+    # --opt value and --opt=value
+    (["series", "e4", "--prec=3"], 0, E4_3),
+    (["gv", "fiber", "--prec=3", "--method=direct"], 0, FIBER_3),
+    (["nl", "--h=0", "--d1=0", "--d2=0"], 0, "1056\n"),
+    # a unique prefix, and an exact flag that is also a prefix
+    (["series", "e4", "--pre", "3"], 0, E4_3),
+    (["series", "e4", "--p=3"], 0, E4_3),
+    (["gv", "fiber", "--me", "direct", "--prec", "3"], 0, FIBER_3),
+    (["gv", "fiber", "--meth=direct", "--pr", "3"], 0, FIBER_3),
+    (["gv", "multifiber", "--m", "2", "--prec", "2"], 0,
+     "2\t2F+2E\t480\n3\t2F+3E\t17058560\n"),
+    (["nl", "--d1", "0", "--d2", "1", "--h", "5"], 0,
+     "0 (discriminant negative)\n"),
+    (["euler", "--l", "1"], 0,
+     "deg K_Delta\t132\ncusps\t24\ne(Delta)\t-84\ne(X)\t-60\n"),
+    (["series", "e4", "--prec", "2", "--js"], 0, E4_2_JSON),
+    # signed ints, and anything else int() takes
+    (["nl", "--h", "1", "--d1", "-1", "--d2", "1"], 0, "-4\n"),
+    (["nl", "--h", "0", "--d1=-12", "--d2", "+1"], 0,
+     "0 (discriminant negative)\n"),
+    (["series", "e4", "--prec", "+3"], 0, E4_3),
+    (["series", "e4", "--prec", " 3 "], 0, E4_3),
+    (["series", "e4", "--prec", "0_3"], 0, E4_3),
+    (["euler", "--lsq", "-1"], 2, ""),
+    # a repeated option: the last one wins
+    (["series", "e4", "--prec", "9", "--prec", "3"], 0, E4_3),
+    (["gv", "fiber", "--method", "direct", "--method", "closed",
+      "--prec", "2"], 0, "0\tF\t-2\n1\tF+E\t480\n"),
+    # --json anywhere
+    (["series", "--json", "e4", "--prec", "2"], 0, E4_2_JSON),
+    (["series", "--prec", "2", "--json", "e4"], 0, E4_2_JSON),
+    (["series", "e4", "--json", "--prec", "2"], 0, E4_2_JSON),
+    (["series", "--json", "e4", "--json", "--prec", "2"], 0, E4_2_JSON),
+    # parsed, then refused by the command
+    (["series", "e4", "--prec", "0"], 1, ""),
+    (["euler", "--lsq", "0"], 2, ""),
+]
+REJECTED = [
+    # no command, or an unknown one (commands take no prefix)
+    [], ["frobnicate"], ["ser", "e4"], ["--prec", "3", "series", "e4"],
+    # a bad choice
+    ["series", "zeta"], ["gv", "fibre"], ["gv", "fiber", "--method", "fast"],
+    # a missing positional or required option
+    ["series"], ["gv", "--prec", "3"], ["nl", "--h", "1"],
+    # a value that is not an int
+    ["series", "e4", "--prec", "x"], ["series", "e4", "--prec="],
+    ["nl", "--h", "0", "--d1", "1.5", "--d2", "0"],
+    ["nl", "--h", "0", "--d1", "-1_0", "--d2", "0"],
+    # an option with no value: at the end, or before another option
+    ["series", "e4", "--prec"], ["gv", "fiber", "--method"],
+    ["series", "e4", "--prec", "--json"], ["nl", "--h"],
+    # an unknown or ambiguous option, or a value given to a flag
+    ["series", "e4", "--m", "2"], ["euler", "-x"], ["euler", "-"], ["--"],
+    ["nl", "--d", "1", "--h", "0", "--d2", "0"],
+    ["series", "e4", "--json=1"], ["series", "e4", "-h=1"],
+    ["euler", "--help=1"],
+    # an extra positional
+    ["series", "e4", "e6"], ["euler", "8"], ["series", "zeta", "-h"],
+]
+
+
+def run_exit(argv):
+    """main(argv) as a process ends: (status, stdout, stderr, raised)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code, raised = main(argv, out=out), False
+        except SystemExit as exc:
+            code, raised = exc.code, True
+    return code, out.getvalue(), err.getvalue(), raised
+
+
+class TestArgvForms:
+    @pytest.mark.parametrize("argv, code, text", ACCEPTED,
+                             ids=[" ".join(a) for a, _, _ in ACCEPTED])
+    def test_accepted(self, argv, code, text):
+        assert run_exit(argv)[:2] == (code, text)
+
+    @pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+    def test_rejected(self, argv):
+        # usage on stderr, then "ellcy[ CMD]: error: ...", and SystemExit(1)
+        code, text, err, raised = run_exit(argv)
+        assert (code, text, raised) == (1, "", True)
+        lines = err.splitlines()
+        prog, sep, _ = lines[-1].partition(": error: ")
+        assert lines[0].startswith("usage: ellcy") and sep
+        assert prog in ("ellcy", *(f"ellcy {c}" for c in cli._COMMANDS))
+
+    def test_parser_lines_all_run(self):
+        # the tables above and the help forms run every line of the parser
+        def lines(code):
+            found = {line for _, _, line in code.co_lines() if line}
+            for const in code.co_consts:
+                if isinstance(const, type(code)):
+                    found |= lines(const)
+            return found
+
+        parser = (cli.parse_args, cli._help, cli._fail)
+        want = set().union(*(lines(f.__code__) for f in parser))
+        seen = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename == cli.__file__:
+                seen.add(frame.f_lineno)
+                return trace
+            return None
+
+        argvs = [a for a, _, _ in ACCEPTED] + REJECTED + HELP_FORMS
+        sys.settrace(trace)
+        try:
+            for argv in argvs:
+                with contextlib.suppress(SystemExit), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    cli.parse_args(argv, io.StringIO())
+        finally:
+            sys.settrace(None)
+        assert sorted(want - seen) == []
+
+
+# help at the top level and after a command, by -h, --help or a prefix of
+# it, before any positional is checked and whatever follows
+HELP_FORMS = [["-h"], ["--help"], ["--he"], ["-h", "frob"],
+              ["series", "-h"], ["series", "e4", "--h"], ["nl", "--he"],
+              ["gv", "fiber", "--prec", "3", "-h"], ["series", "-h", "zeta"]]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", HELP_FORMS, ids=" ".join)
+    def test_help_forms(self, argv, capsys):
+        # help goes to stdout, from the same table as the parser
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        cmd = argv[0] if argv[0] in cli._COMMANDS else None
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (cli._help(cmd), "")
+
+    @pytest.mark.parametrize("cmd", [None, *cli._COMMANDS])
+    def test_help_shows_the_table(self, cmd):
+        code, text, _, _ = run_exit(["-h"] if cmd is None else [cmd, "-h"])
+        assert code == 0
+        _, about, positional, options = \
+            cli._COMMANDS[cmd] if cmd else cli._TOP
+        words = [about, *positional[1]] if positional else [about]
+        words += [entry[1] for entry in cli._COMMANDS.values() if not cmd]
+        for flag, (kind, default, about) in options.items():
+            words += [flag, about]
+            if kind is not bool:
+                words.append("required" if default is cli._REQUIRED
+                             else f"default: {default}")
+            if kind not in (int, bool):
+                words += kind
+        assert [w for w in words if w not in text] == []
+
+
 def assert_exit_contract(argv):
     """main(argv) ends in exit 0, 1 or 2 and raises nothing but SystemExit.
 
-    argparse usage errors leave through SystemExit; any other exception
-    fails the calling test.  Returns the exit code.
+    the parser's usage errors leave through SystemExit; any other
+    exception fails the calling test.  Returns the exit code.
     """
     with contextlib.redirect_stderr(io.StringIO()):
         try:

@@ -1,13 +1,13 @@
 """Every function in src/ellcy is reached by importing and running the CLI.
 
 The guard imports a fresh copy of the package and runs one fixed argv per
-subcommand, series name, gv target and method, plus one usage error and
-one domain error, all in process under ``sys.setprofile``, and asserts
-that the code object of every function defined in ``src/ellcy/*.py`` was
-entered, at import or by a command.  Code objects are compared,
-not lines, so functions behind ``lru_cache`` or ``classmethod`` count
-through the code they wrap, and code nested in a function (lambdas,
-generator expressions) is checked too.  Methods that
+subcommand, series name, gv target and method, one with an abbreviated
+option, plus one usage error and one domain error, all in process under
+``sys.setprofile``, and asserts that the code object of every function
+defined in ``src/ellcy/*.py`` was entered, at import or by a command.
+Code objects are compared, not lines, so functions behind ``lru_cache``
+or ``classmethod`` count through the code they wrap, and code nested in
+a function (lambdas, generator expressions) is checked too.  Methods that
 ``collections.namedtuple`` generates are compiled from ``<string>`` and
 are not ours to reach.
 """
@@ -51,6 +51,7 @@ ARGVS = (
     + [["gv", "multifiber", "--m", "3", "--prec", "1"]]
     + [["nl", "--h", "0", "--d1", "0", "--d2", "0"],
        ["euler"],
+       ["euler", "--l", "8"],
        ["check", "--prec", "2"]]
 )
 USAGE_ERROR_ARGV = ["series", "zeta"]
