@@ -4,24 +4,35 @@ Each check recomputes a headline identity by two independent routes (or
 verifies a structural invariant) and compares exactly.  The suite is a
 plain list of named callables so tests can fault-inject a generator and
 assert that at least one dual-route comparison catches the corruption.
+The oracles of the series arithmetic accumulate term by term from an
+exact 0, so they run in ints where a coefficient is integral and in
+`Fraction` where it is rational, and never call the series kernel.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 
 from . import forms, geometry, invariants
 from .geometry import CurveClass, Gamma19Class
 from .series import _SCHOOLBOOK_TERMS, PrecisionError, QSeries
 
 
-class CheckResult(namedtuple("CheckResult", "name passed detail",
-                             defaults=("",))):
-    """Outcome of one named check, with a detail line when it failed."""
+class CheckResult(tuple):
+    """Outcome of one named check, with a detail line when it failed.
+
+    A tuple (name, passed, detail) with named fields.
+    """
 
     __slots__ = ()
+    name = property(itemgetter(0))
+    passed = property(itemgetter(1))
+    detail = property(itemgetter(2))
+
+    def __new__(cls, name: str, passed: bool, detail: str = ""):
+        return tuple.__new__(cls, (name, passed, detail))
 
 
 def _sample_series() -> list[QSeries]:
@@ -37,23 +48,27 @@ def _sample_series() -> list[QSeries]:
 
 
 def _fraction_grid(f: QSeries,
-                   exp_den: int) -> tuple[int, int, list[Fraction]]:
+                   exp_den: int) -> tuple[int, int, list[int | Fraction]]:
     """(offset, prec, exact coefficients) of f in units of 1/exp_den."""
     m = exp_den // f.exp_den
-    cs = [Fraction(0)] * ((f.prec - f.offset) * m)
+    cs = [0] * ((f.prec - f.offset) * m)
     cs[::m] = f.coeffs
     return f.offset * m, f.prec * m, cs
 
 
 def _schoolbook(f: QSeries, g: QSeries) -> QSeries:
-    """f * g by the Fraction double loop, sharing no code with the kernel."""
+    """f * g by the double loop, sharing no code with the kernel.
+
+    The terms accumulate from an exact 0: in ints where the coefficients
+    are integral, in Fraction where they are rational.
+    """
     den = math.lcm(f.exp_den, g.exp_den)
     fo, fp, fc = _fraction_grid(f, den)
     go, gp, gc = _fraction_grid(g, den)
     prec = min(fp + go, gp + fo)
     offset = fo + go
     n = prec - offset
-    cs = [Fraction(0)] * n
+    cs = [0] * n
     for i, a in enumerate(fc[:n]):
         for j, b in enumerate(gc[:n - i]):
             cs[i + j] += a * b
@@ -61,12 +76,15 @@ def _schoolbook(f: QSeries, g: QSeries) -> QSeries:
 
 
 def _fraction_sum(f: QSeries, g: QSeries) -> QSeries:
-    """f + g term by term in Fractions, sharing no code with the int sum."""
+    """f + g term by term, sharing no code with the series sum.
+
+    The terms accumulate from an exact 0, as in :func:`_schoolbook`.
+    """
     den = math.lcm(f.exp_den, g.exp_den)
     fo, fp, fc = _fraction_grid(f, den)
     go, gp, gc = _fraction_grid(g, den)
     offset, prec = min(fo, go), min(fp, gp)
-    cs = [Fraction(0)] * (prec - offset)
+    cs = [0] * (prec - offset)
     for so, sc in ((fo, fc), (go, gc)):
         for i, c in enumerate(sc[:max(0, prec - so)], so - offset):
             cs[i] += c
@@ -78,15 +96,16 @@ _SCALAR = Fraction(-3, 1728)
 
 
 def check_ring_laws() -> CheckResult:
-    """Sums, scaling and products against Fraction loops, then ring laws.
+    """Sums, scaling and products against exact term loops, then ring laws.
 
     Every route and the E8 theta powers multiply through one integer
     kernel, and sums and scaling run on integer numerators, so each is
-    compared with a Fraction computation that never calls them.  The
-    kernel takes dot products for the short sample products and packs
-    longer ones, so one product above its cutover, Jacobi's series
-    squared, is compared too.  Each pair sum and pair product is made
-    once and reused by the laws.
+    compared with a term-by-term computation that never calls them: in
+    ints where a sample's coefficients are integral, in Fraction where
+    they are rational (one sample and the scalar).  The kernel adds rows
+    for the short sample products and packs longer ones, so one product
+    above its cutover, Jacobi's series squared, is compared too.  Each
+    pair sum and pair product is made once and reused by the laws.
     """
     fs = _sample_series()
     sums = []
@@ -178,7 +197,8 @@ def check_pushforward_kernel() -> CheckResult:
     for gamma in complement:
         if not geometry.pushforward(gamma).is_zero():
             return CheckResult("pushforward-kernel", False,
-                               f"complement class {gamma} survives")
+                               "complement class Gamma19Class(a={}, b={}) "
+                               "survives".format(*gamma))
     section = geometry.pushforward(Gamma19Class(0, (1, 0, 0, 0, 0, 0, 0, 0, 0)))
     fibre = geometry.pushforward(Gamma19Class(3, (-1,) * 9))
     if section != CurveClass(c=1) or fibre != CurveClass(e=1):
@@ -328,8 +348,9 @@ def check_euler_hodge() -> CheckResult:
     ok = (data.deg_K_delta == 1056 and data.cusps == 192
           and data.e_delta == -672 and data.e_X == -480
           and geometry.hodge_consistency())
-    return CheckResult("euler-hodge", ok,
-                       "" if ok else f"got {data}")
+    return CheckResult("euler-hodge", ok, "" if ok else
+                       "got EulerData(l_squared={}, deg_K_delta={}, cusps={}, "
+                       "e_delta={}, e_X={})".format(*data))
 
 
 def _guarded(name: str, check, *args) -> CheckResult:

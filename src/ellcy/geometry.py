@@ -7,12 +7,15 @@ bordered-Gram discriminants of Noether-Lefschetz indices, and the
 Euler-characteristic and Hodge bookkeeping of the Weierstrass model.
 
 Everything here is exact integer arithmetic on small constant tables.
+The value classes are tuples with named fields, equal and hashed as
+tuples, built without the class-building cost of
+`collections.namedtuple`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
+from operator import itemgetter
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
@@ -37,10 +40,16 @@ def _det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-class CurveClass(namedtuple("CurveClass", "c e f", defaults=(0, 0, 0))):
-    """Integer coordinates of a curve class in the basis {C, E, F}."""
+class CurveClass(tuple):
+    """Integer coordinates (c, e, f) of a curve class in the basis {C, E, F}."""
 
     __slots__ = ()
+    c = property(itemgetter(0))
+    e = property(itemgetter(1))
+    f = property(itemgetter(2))
+
+    def __new__(cls, c: int = 0, e: int = 0, f: int = 0):
+        return tuple.__new__(cls, (c, e, f))
 
     def is_zero(self) -> bool:
         return self.c == self.e == self.f == 0
@@ -57,16 +66,18 @@ class CurveClass(namedtuple("CurveClass", "c e f", defaults=(0, 0, 0))):
         return "+".join(parts).replace("+-", "-") if parts else "0"
 
 
-class Gamma19Class(namedtuple("Gamma19Class", "a b")):
-    """Class a*H + sum b_i*C_i on the rational elliptic surface."""
+class Gamma19Class(tuple):
+    """Class a*H + sum b_i*C_i on the rational elliptic surface, as (a, b)."""
 
     __slots__ = ()
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
 
     def __new__(cls, a: int, b: Sequence[int]):
         b = tuple(int(x) for x in b)
         if len(b) != 9:
             raise ValueError("expected 9 exceptional-curve coefficients")
-        return super().__new__(cls, a, b)
+        return tuple.__new__(cls, (a, b))
 
 
 # Pairing <L_i, beta> of the basis line bundles with the curve classes,
@@ -125,11 +136,20 @@ def nl_discriminant(h: int, d1: int, d2: int) -> int:
     return 2 * (d2 * d2 + d1 * d2 - h + 1)
 
 
-class EulerData(namedtuple("EulerData",
-                           "l_squared deg_K_delta cusps e_delta e_X")):
+class EulerData(tuple):
     """Euler-characteristic bookkeeping of the Weierstrass discriminant."""
 
     __slots__ = ()
+    l_squared = property(itemgetter(0))
+    deg_K_delta = property(itemgetter(1))
+    cusps = property(itemgetter(2))
+    e_delta = property(itemgetter(3))
+    e_X = property(itemgetter(4))
+
+    def __new__(cls, l_squared: int, deg_K_delta: int, cusps: int,
+                e_delta: int, e_X: int):
+        return tuple.__new__(cls, (l_squared, deg_K_delta, cusps, e_delta,
+                                   e_X))
 
 
 def euler_characteristic(l_squared: int) -> EulerData:

@@ -19,27 +19,33 @@ meets a true rational (a denominator above 1, a non-integer scalar or
 exponent, ``invert`` and ``sqrt``), so integer work never loads it.
 There is no floating point anywhere in this module.  Every product of
 numerators goes through :func:`int_product`, which picks its algorithm
-by the number n of product terms: up to ``_SCHOOLBOOK_TERMS`` terms each
-coefficient is one dot product of two int lists, and above that both
-factors are packed into single Python ints by Kronecker substitution,
-multiplied once and the product's slots read back.  The generators that
-work on plain integer coefficient lists (the E8 theta powers) call
-:func:`int_product` directly.
+by the number n of product terms: up to ``_SCHOOLBOOK_TERMS`` terms it
+adds one row a * g into the result for each nonzero term a of f, so the
+zeros of a sparse factor (an ``exp_den`` lift leaves every other slot
+empty) cost nothing, and above that both factors are packed into single
+Python ints by Kronecker substitution, multiplied once and the product's
+slots read back, each step a C-level ``map`` over the terms.  Sums add
+each operand's aligned run of numerators by one slice assignment.  The
+generators that work on plain integer coefficient lists (the E8 theta
+powers) call :func:`int_product` directly.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from operator import mul
+from itertools import repeat
+from operator import add, mul, sub
 
-# Products of at most this many terms are dot products, longer ones are
-# packed.  For 1/Delta * E10 on a 2-core Xeon VM with Python 3.11 the dot
-# products win up to 32-40 terms (5 terms: 4 vs 11 us, 22 terms: 46 vs
-# 64 us) and lose above (200 terms: 2.9 vs 2.2 ms); the README has the
-# table.  The cutover sits lower so that `check --prec 2` still multiplies
-# through the packed path (the 21-term E4 * E6 of e10-sigma9) and every
-# product of 40 terms or more stays packed.
+# Products of at most this many terms are row loops, longer ones are
+# packed.  For 1/Delta * E10 on a 2-core Xeon VM with Python 3.11 the row
+# loop wins up to about 22 terms (5 terms: 2.3 vs 9.5 us, 22 terms: 28 vs
+# 30 us) and loses above (32 terms: 59 vs 48 us, 200 terms: 2.4 vs
+# 1.3 ms); on factors with every other term zero it wins up to about 100
+# terms.  The README has the table.  The cutover sits lower so that
+# `check --prec 2` still multiplies through the packed path (the 21-term
+# E4 * E6 of e10-sigma9, and ring-laws' 17-term product) and every dense
+# product of 32 terms or more stays packed.
 _SCHOOLBOOK_TERMS = 16
 
 
@@ -59,56 +65,61 @@ def _sqrt_fraction(c: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
+def _half_slots(width: int, n: int) -> int:
+    """n packed slots of ``width`` bytes, each holding 2^(8*width-1)."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
 def _pack(cs: list[int], width: int) -> int:
     """sum of cs[i] * 2^(8*width*i), each |cs[i]| < 2^(8*width-2).
 
-    Slots hold two's complement; a slot written negative borrows one
-    from the slot above, and the top slot's sign is the sum's.
+    Packing is linear, so each slot is written unsigned with the half-slot
+    bias 2^(8*width-1) added, and the packed biases are subtracted once.
     """
-    buf = bytearray(width * len(cs))
-    borrow = 0
-    for i, c in enumerate(cs):
-        v = c - borrow
-        buf[i * width:(i + 1) * width] = v.to_bytes(width, "little",
-                                                    signed=True)
-        borrow = v < 0
-    return int.from_bytes(buf, "little", signed=True)
+    half = 1 << (8 * width - 1)
+    biased = b"".join(map(int.to_bytes, map(half.__add__, cs),
+                          repeat(width), repeat("little")))
+    return int.from_bytes(biased, "little") - _half_slots(width, len(cs))
 
 
 def int_product(f: list[int], g: list[int], n: int) -> list[int]:
     """First n coefficients of the product of two integer polynomials.
 
-    Up to ``_SCHOOLBOOK_TERMS`` terms, coefficient k is the dot product
-    of f[:k + 1] with g[k::-1], both zero-padded to n.  Above it, signed
-    Kronecker substitution (Harvey, J. Symb. Comp. 2009): f and g are
-    packed into one Python int each, with slots wide enough that no
-    product coefficient overflows its slot, multiplied once, and the
-    first n slots of the product are read back exactly.
+    Up to ``_SCHOOLBOOK_TERMS`` terms, each nonzero term a = f[i] adds the
+    row a * g into the coefficients from i on.  Above it, signed Kronecker
+    substitution (Harvey, J. Symb. Comp. 2009): f and g are packed into
+    one Python int each, with slots wide enough that no product
+    coefficient overflows its slot, multiplied once, and the first n
+    slots of the product are read back exactly.
     """
     f, g = f[:n], g[:n]
     if not f or not g:
         return [0] * n
     if n <= _SCHOOLBOOK_TERMS:
-        f = list(f) + [0] * (n - len(f))
-        g = list(g) + [0] * (n - len(g))
-        return [sum(map(mul, f[:k + 1], g[k::-1])) for k in range(n)]
+        out = [0] * n
+        for i, a in enumerate(f):
+            if a:
+                k = i
+                for b in g[:n - i]:
+                    out[k] += a * b
+                    k += 1
+        return out
     fbits = max(map(abs, f)).bit_length()
     gbits = max(map(abs, g)).bit_length()
     # |product coefficient| < n * max|f| * max|g|; two spare bits keep
-    # it inside the signed slot
+    # it below a quarter of the slot
     width = (fbits + gbits + n.bit_length() + 2 + 7) // 8
     nbytes = width * n
-    # read the first n slots in two's complement: a slot that reads
-    # negative took one from the slot above, which reads one too low
-    raw = ((_pack(f, width) * _pack(g, width))
+    half = 1 << (8 * width - 1)
+    # with the half-slot bias added, each of the first n slots holds its
+    # coefficient plus half, in (0, 2^(8*width)), so no slot borrows from
+    # the next and every slot reads unsigned
+    raw = ((_pack(f, width) * _pack(g, width) + _half_slots(width, n))
            & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
-    out = []
-    borrow = 0
-    for i in range(0, nbytes, width):
-        v = int.from_bytes(raw[i:i + width], "little", signed=True)
-        out.append(v + borrow)
-        borrow = v < 0
-    return out
+    slots = map(raw.__getitem__, map(slice, range(0, nbytes, width),
+                                     range(width, nbytes + width, width)))
+    return list(map(sub, map(int.from_bytes, slots, repeat("little")),
+                    repeat(half)))
 
 
 def _canonical(nums: Sequence[int], den: int, offset: int, prec: int,
@@ -280,7 +291,11 @@ class QSeries:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        """Sum over the lcm of the two denominators, in integers."""
+        """Sum over the lcm of the two denominators, in integers.
+
+        Each operand's numerators below the common bound form one aligned
+        run, placed by slice assignment: no Python step per coefficient.
+        """
         if not isinstance(other, QSeries):
             return NotImplemented
         exp_den = math.lcm(self.exp_den, other.exp_den)
@@ -290,10 +305,15 @@ class QSeries:
         offset = min(fo, go)
         prec = min(fp, gp)
         cs = [0] * (prec - offset)
+        first = True
         for so, sn, sden in ((fo, fn, self.den), (go, gn, other.den)):
-            m = den // sden
-            for i, c in enumerate(sn[:max(0, prec - so)], so - offset):
-                cs[i] += m * c
+            run = sn[:max(0, prec - so)]
+            if sden != den:
+                run = list(map(mul, run, repeat(den // sden)))
+            i, j = so - offset, so - offset + len(run)
+            # the first run lands on zeros, the second is added to it
+            cs[i:j] = run if first else map(add, cs[i:j], run)
+            first = False
         return QSeries.from_ints(cs, den, offset, prec, exp_den)
 
     def __neg__(self) -> "QSeries":

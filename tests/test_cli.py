@@ -415,7 +415,7 @@ class TestCheckCommand:
         assert res.detail == "product differs from the schoolbook product"
 
     def test_packed_kernel_fault_fails_ring_laws(self, monkeypatch):
-        # every sample product is short enough for dot products, so only
+        # every sample product is short enough for the row loop, so only
         # ring-laws' one long product keeps the packed path under the
         # schoolbook oracle, even at the lowest --prec
         real = series._pack
@@ -427,6 +427,55 @@ class TestCheckCommand:
         assert "ring-laws" in [line.split("\t")[1]
                                for line in text.splitlines()
                                if line.startswith("FAIL")]
+
+    def test_row_loop_fault_fails_ring_laws(self, monkeypatch):
+        # short products that skip the last nonzero term of f, as a row
+        # loop stopping one row early would; the sample products are all
+        # short, so the schoolbook comparison sees it
+        real = series.int_product
+
+        def drop_last_row(f, g, n):
+            f = list(f[:n])
+            if n <= series._SCHOOLBOOK_TERMS and any(f):
+                f[max(i for i, a in enumerate(f) if a)] = 0
+            return real(f, g, n)
+
+        monkeypatch.setattr(series, "int_product", drop_last_row)
+        res = checks.check_ring_laws()
+        assert not res.passed
+        assert res.detail == "product differs from the schoolbook product"
+
+    def test_slice_add_fault_fails_ring_laws(self, monkeypatch):
+        # a sum that places the second operand's run one slot too high
+        real = QSeries.__add__
+
+        def shifted(f, g):
+            if not g.nums:
+                return real(f, g)
+            return real(f, QSeries.from_ints(g.nums[:-1], g.den, g.offset + 1,
+                                             g.prec, g.exp_den))
+
+        monkeypatch.setattr(QSeries, "__add__", shifted)
+        res = checks.check_ring_laws()
+        assert not res.passed
+        assert res.detail == "sum differs from the Fraction sum"
+
+    def test_oracles_never_call_the_series_arithmetic(self, monkeypatch):
+        # the schoolbook product and the term-by-term sum are computed
+        # with the kernel, the series product and the series sum all
+        # raising, and equal what the working arithmetic makes
+        fs = checks._sample_series()
+        pairs = [(f, g) for f in fs for g in fs]
+        expected = [(f * g, f + g) for f, g in pairs]
+
+        def broken(*args):
+            raise AssertionError("an oracle called the series arithmetic")
+
+        monkeypatch.setattr(series, "int_product", broken)
+        monkeypatch.setattr(QSeries, "__mul__", broken)
+        monkeypatch.setattr(QSeries, "__add__", broken)
+        assert [(checks._schoolbook(f, g), checks._fraction_sum(f, g))
+                for f, g in pairs] == expected
 
     def test_ring_laws_compare_sum_with_fractions(self, monkeypatch):
         # an integer sum that drops the second operand's denominator

@@ -168,3 +168,61 @@ class TestLatticeGram:
                 (dot(fibre, c0), dot(fibre, fibre)))
         assert gram == ((-1, 1), (1, 0))
         assert abs(geometry._det(gram)) == 1
+
+
+class TestValueClasses:
+    """The tuple-based value classes keep their namedtuple behaviour."""
+
+    def test_curve_class_construction_and_defaults(self):
+        assert CurveClass() == CurveClass(0, 0, 0) == (0, 0, 0)
+        beta = CurveClass(1, f=3)
+        assert (beta.c, beta.e, beta.f) == (1, 0, 3)
+        assert CurveClass(e=2) == CurveClass(0, 2) == CurveClass(c=0, e=2, f=0)
+
+    def test_curve_class_keys_a_dict(self):
+        table = {CurveClass(e=n, f=1): n for n in range(5)}
+        assert table[CurveClass(0, 3, 1)] == 3
+        assert hash(CurveClass(1, 2, 3)) == hash(CurveClass(c=1, e=2, f=3))
+        assert CurveClass(1, 2, 3) != CurveClass(1, 2, 4)
+        assert CurveClass(e=1).is_zero() is False and CurveClass().is_zero()
+
+    def test_curve_class_label(self):
+        assert [CurveClass(*v).label() for v in
+                ((0, 0, 0), (1, 0, 0), (1, 2, 0), (0, -1, 2), (2, 1, 1))] == \
+            ["0", "C", "C+2E", "2F-1E", "2C+F+E"]
+
+    def test_gamma19_class(self):
+        gamma = Gamma19Class(a=2, b=[1, 0, 0, 0, 0, 0, 0, 0, -1])
+        assert gamma == Gamma19Class(2, (1, 0, 0, 0, 0, 0, 0, 0, -1))
+        assert (gamma.a, gamma.b) == (2, (1, 0, 0, 0, 0, 0, 0, 0, -1))
+        assert hash(gamma) == hash(Gamma19Class(2, (1,) + (0,) * 7 + (-1,)))
+        with pytest.raises(ValueError, match="9 exceptional"):
+            Gamma19Class(0, (1, 2))
+
+    def test_euler_data(self):
+        data = geometry.euler_characteristic(8)
+        assert data == geometry.EulerData(8, 1056, 192, -672, -480)
+        assert data == geometry.EulerData(l_squared=8, deg_K_delta=1056,
+                                          cusps=192, e_delta=-672, e_X=-480)
+        assert (data.l_squared, data.e_X) == (8, -480)
+
+    def test_fail_details_name_the_classes(self, monkeypatch):
+        # the FAIL details of pushforward-kernel and euler-hodge print
+        # the classes as their namedtuple reprs did
+        from ellcy import checks
+        monkeypatch.setattr(geometry, "pushforward",
+                            lambda gamma: CurveClass(c=1))
+        monkeypatch.setattr(geometry, "hodge_consistency", lambda: False)
+        assert checks.check_pushforward_kernel().detail == (
+            "complement class Gamma19Class(a=1, b=(0, -3, 0, 0, 0, 0, 0, 0, "
+            "0)) survives")
+        assert checks.check_euler_hodge().detail == (
+            "got EulerData(l_squared=8, deg_K_delta=1056, cusps=192, "
+            "e_delta=-672, e_X=-480)")
+
+    def test_check_result(self):
+        from ellcy import checks
+        res = checks.CheckResult("ring-laws", True)
+        assert (res.name, res.passed, res.detail) == ("ring-laws", True, "")
+        assert checks.CheckResult(name="x", passed=False, detail="d") == \
+            checks.CheckResult("x", False, "d")

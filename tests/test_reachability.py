@@ -7,9 +7,7 @@ option, plus one usage error and one domain error, all in process under
 defined in ``src/ellcy/*.py`` was entered, at import or by a command.
 Code objects are compared, not lines, so functions behind ``lru_cache``
 or ``classmethod`` count through the code they wrap, and code nested in
-a function (lambdas, generator expressions) is checked too.  Methods that
-``collections.namedtuple`` generates are compiled from ``<string>`` and
-are not ours to reach.
+a function (lambdas, generator expressions) is checked too.
 """
 
 from __future__ import annotations

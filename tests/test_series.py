@@ -151,12 +151,14 @@ def double_loop(f: list[int], g: list[int], n: int) -> list[int]:
                                series._SCHOOLBOOK_TERMS + 1, 50])
 def test_int_product_matches_double_loop(n):
     # both sides of the size cutover, with negative, zero and 300-bit
-    # slots, and factors shorter and longer than n
+    # slots, factors shorter and longer than n, and all-zero and empty
+    # factors
     big = 2 ** 300 - 1
     f = [(-1) ** i * (big if i % 3 == 0 else i) for i in range(n // 2 + 1)]
     f[1] = 0
     g = [0, -big, 7, 0, big] * n
-    for a, b in ((f, g), (g, f), (f, f), (g[:n - 1], g[:n - 1])):
+    for a, b in ((f, g), (g, f), (f, f), (g[:n - 1], g[:n - 1]),
+                 ([0] * n, g), ([5], f), ([], g)):
         assert series.int_product(a, b, n) == double_loop(a, b, n)
 
 
@@ -168,8 +170,69 @@ slot_st = st.one_of(st.integers(min_value=-30, max_value=30),
        st.integers(min_value=0, max_value=45))
 def test_int_product_matches_double_loop_at_any_size(f, g, n):
     # the series property tests below draw short series, whose products
-    # all take dot products; these lists reach the packed path too
+    # all take the row loop; these lists reach the packed path too
     assert series.int_product(f, g, n) == double_loop(f, g, n)
+
+
+small_slot_st = st.one_of(st.just(0), st.integers(min_value=-30, max_value=30),
+                         st.integers(min_value=-2 ** 300, max_value=2 ** 300))
+
+
+@st.composite
+def sparse_factor(draw):
+    """An int list with the zero patterns the kernel meets.
+
+    Runs of zeros, every other slot zero (as after an exp_den lift), or
+    all zero, drawn on both sides of the size cutover.
+    """
+    cs = draw(st.lists(small_slot_st, max_size=2 * series._SCHOOLBOOK_TERMS))
+    kind = draw(st.sampled_from(["runs", "lifted", "zero"]))
+    if kind == "lifted":
+        lifted = [0] * (2 * len(cs))
+        lifted[::2] = cs
+        return lifted
+    if kind == "zero":
+        return [0] * len(cs)
+    start = draw(st.integers(min_value=0, max_value=len(cs)))
+    stop = draw(st.integers(min_value=start, max_value=len(cs)))
+    cs[start:stop] = [0] * (stop - start)
+    return cs
+
+
+@given(sparse_factor(), sparse_factor(),
+       st.integers(min_value=0, max_value=3 * series._SCHOOLBOOK_TERMS))
+def test_int_product_matches_double_loop_on_sparse_factors(f, g, n):
+    # n is drawn independently, so the factors are often shorter than n
+    assert series.int_product(f, g, n) == double_loop(f, g, n)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 16])
+def test_pack_reads_negative_slots(width):
+    # the largest slots the kernel packs, |c| < 2^(8*width-2), with a
+    # negative top slot, a negative last slot and a negative slot under
+    # a positive one
+    top = 2 ** (8 * width - 2) - 1
+    for cs in ([-top], [top, -top], [-1, 0, -top], [0, -top, top, -1],
+               [top, top, 0, -top], [-top] * 5):
+        packed = series._pack(cs, width)
+        assert packed == sum(c << (8 * width * i) for i, c in enumerate(cs))
+
+
+@pytest.mark.parametrize("bits", [4, 8, 12, 16, 60, 64])
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_packed_slots_on_byte_boundaries(bits, extra):
+    # n = 31 terms (5 bits) fill a coefficient to within a twentieth of a
+    # bit of n * max|f| * max|g|.  The slot takes bits + (bits + extra) +
+    # 5 + 2 bits: a whole number of bytes at extra = 1, one bit under or
+    # over it at 0 and 2, and at 3 a slot without the two spare bits
+    # would be exactly full.  The top and last coefficients are negative.
+    n = 2 ** 5 - 1
+    assert n > series._SCHOOLBOOK_TERMS
+    a, b = 2 ** bits - 1, 2 ** (bits + extra) - 1
+    for f, g in (([a] * n, [-b] * n), ([-a, 0, a] * n, [b] * n),
+                 ([a] * (n - 1) + [-a], [b] + [0] * (n - 2) + [-b]),
+                 ([-a] + [a] * (n - 1), [-b] * n)):
+        assert series.int_product(f, g, n) == double_loop(f, g, n)
 
 
 def test_canonical_trims_leading_zeros():
@@ -382,6 +445,27 @@ def test_ring_ops_match_fraction_oracle(a, b):
     assert_matches(f - g, oracle_add(fo, oracle_neg(go)))
     assert_matches(-f, oracle_neg(fo))
     assert_matches(f * g, oracle_mul(fo, go))
+
+
+@st.composite
+def sum_operands(draw):
+    """Two raw series with mismatched offsets, precisions, exp_den and den."""
+    def one():
+        cs = draw(st.lists(rational_st, max_size=24))
+        offset = draw(st.integers(min_value=-6, max_value=6))
+        prec = offset + draw(st.integers(min_value=0, max_value=len(cs) + 4))
+        return cs, offset, prec, draw(st.sampled_from([1, 2, 3, 4, 6]))
+    return one(), one()
+
+
+@given(sum_operands())
+def test_add_matches_the_check_suite_oracle(operands):
+    # the slice-assignment sum against the term-by-term sum that
+    # ring-laws compares it with
+    from ellcy import checks
+    f, g = (QSeries(*raw) for raw in operands)
+    assert f + g == checks._fraction_sum(f, g)
+    assert g + f == checks._fraction_sum(g, f)
 
 
 @given(raw_series(), rational_st)
