@@ -4,15 +4,14 @@ Each check recomputes a headline identity by two independent routes (or
 verifies a structural invariant) and compares exactly.  The suite is a
 plain list of named callables so tests can fault-inject a generator and
 assert that at least one dual-route comparison catches the corruption.
-The oracles of the series arithmetic accumulate term by term from an
-exact 0, so they run in ints where a coefficient is integral and in
-`Fraction` where it is rational, and never call the series kernel.
+The oracles of the series arithmetic accumulate in ints term by term and
+never call the series kernel.  Every sample, scalar and oracle is an
+integer, so the suite never imports `fractions`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import itemgetter
 
 from . import forms, geometry, invariants
@@ -40,16 +39,15 @@ def _sample_series() -> list[QSeries]:
     return [
         QSeries([1, 24, 324, 3200], -1, 3),
         QSeries([2, 0, -5, 7], 0, 4),
-        QSeries([Fraction(1, 2), 3], 2, 4),
+        QSeries([-7, 3], 2, 4),
         forms.eisenstein(4, 6),
         forms.delta(5),
         forms.eta_power(12, 5),
     ]
 
 
-def _fraction_grid(f: QSeries,
-                   exp_den: int) -> tuple[int, int, list[int | Fraction]]:
-    """(offset, prec, exact coefficients) of f in units of 1/exp_den."""
+def _grid(f: QSeries, exp_den: int) -> tuple[int, int, list[int]]:
+    """(offset, prec, coefficients) of f in units of 1/exp_den."""
     m = exp_den // f.exp_den
     cs = [0] * ((f.prec - f.offset) * m)
     cs[::m] = f.coeffs
@@ -57,14 +55,10 @@ def _fraction_grid(f: QSeries,
 
 
 def _schoolbook(f: QSeries, g: QSeries) -> QSeries:
-    """f * g by the double loop, sharing no code with the kernel.
-
-    The terms accumulate from an exact 0: in ints where the coefficients
-    are integral, in Fraction where they are rational.
-    """
+    """f * g by the double loop, sharing no code with the kernel."""
     den = math.lcm(f.exp_den, g.exp_den)
-    fo, fp, fc = _fraction_grid(f, den)
-    go, gp, gc = _fraction_grid(g, den)
+    fo, fp, fc = _grid(f, den)
+    go, gp, gc = _grid(g, den)
     prec = min(fp + go, gp + fo)
     offset = fo + go
     n = prec - offset
@@ -75,14 +69,11 @@ def _schoolbook(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(cs, offset, prec, den)
 
 
-def _fraction_sum(f: QSeries, g: QSeries) -> QSeries:
-    """f + g term by term, sharing no code with the series sum.
-
-    The terms accumulate from an exact 0, as in :func:`_schoolbook`.
-    """
+def _term_sum(f: QSeries, g: QSeries) -> QSeries:
+    """f + g term by term, sharing no code with the series sum."""
     den = math.lcm(f.exp_den, g.exp_den)
-    fo, fp, fc = _fraction_grid(f, den)
-    go, gp, gc = _fraction_grid(g, den)
+    fo, fp, fc = _grid(f, den)
+    go, gp, gc = _grid(g, den)
     offset, prec = min(fo, go), min(fp, gp)
     cs = [0] * (prec - offset)
     for so, sc in ((fo, fc), (go, gc)):
@@ -91,21 +82,20 @@ def _fraction_sum(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(cs, offset, prec, den)
 
 
-# a scalar with a denominator, as the 1/1728 of the eta oracle has
-_SCALAR = Fraction(-3, 1728)
+# a negative scalar, so that a scaling which loses the sign shows
+_SCALAR = -3
 
 
 def check_ring_laws() -> CheckResult:
     """Sums, scaling and products against exact term loops, then ring laws.
 
     Every route and the E8 theta powers multiply through one integer
-    kernel, and sums and scaling run on integer numerators, so each is
-    compared with a term-by-term computation that never calls them: in
-    ints where a sample's coefficients are integral, in Fraction where
-    they are rational (one sample and the scalar).  The kernel adds rows
-    for the short sample products and packs longer ones, so one product
-    above its cutover, Jacobi's series squared, is compared too.  Each
-    pair sum and pair product is made once and reused by the laws.
+    kernel, and sums and scaling run on the coefficient tuples, so each
+    is compared with a term-by-term computation that never calls them.
+    The kernel adds rows for the short sample products and packs longer
+    ones, so one product above its cutover, Jacobi's series squared, is
+    compared too.  Each pair sum and pair product is made once and
+    reused by the laws.
     """
     fs = _sample_series()
     sums = []
@@ -114,12 +104,12 @@ def check_ring_laws() -> CheckResult:
                          f.exp_den)
         if f.scale(_SCALAR) != scaled:
             return CheckResult("ring-laws", False,
-                               "scaling differs from the Fraction product")
+                               "scaling differs from the term-by-term product")
         sums.append([f + g for g in fs])
         for g, s in zip(fs, sums[-1]):
-            if s != _fraction_sum(f, g):
+            if s != _term_sum(f, g):
                 return CheckResult("ring-laws", False,
-                                   "sum differs from the Fraction sum")
+                                   "sum differs from the term-by-term sum")
     jac = _jacobi_cube(_SCHOOLBOOK_TERMS + 1)
     if jac * jac != _schoolbook(jac, jac):
         return CheckResult("ring-laws", False,
@@ -270,8 +260,9 @@ def check_eta_additivity(nterms: int) -> CheckResult:
     All eta powers share one recurrence, so each is checked against
     series that never call it: eta^24/q against the eighth power of
     Jacobi's series for prod (1 - q^n)^3, eta^-24 against the inverse of
-    Delta = (E4^3 - E6^2)/1728 built from divisor sums, and eta^12 and
-    eta^-12 by squaring into eta^24 and eta^-24.
+    Delta = (E4^3 - E6^2)/1728 built from divisor sums, stated in the
+    integers as (E4^3 - E6^2) eta^-24 = 1728, and eta^12 and eta^-12 by
+    squaring into eta^24 and eta^-24.
     """
     eta24 = forms.eta_power(24, nterms)
     twelve = forms.eta_power(12, nterms)
@@ -286,8 +277,8 @@ def check_eta_additivity(nterms: int) -> CheckResult:
                            "eta^24/q differs from Jacobi's series to the 8th")
     inv = forms.inverse_delta(nterms)
     e4, e6 = forms.eisenstein(4, nterms), forms.eisenstein(6, nterms)
-    delta_e = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
-    if not _agree(delta_e * inv, QSeries.constant(1, nterms)):
+    if not _agree((e4 * e4 * e4 - e6 * e6) * inv,
+                  QSeries.constant(1728, nterms)):
         return CheckResult("eta-power-additivity", False,
                            "(E4^3 - E6^2)/1728 times eta^-24 is not 1")
     inv_half = forms.inverse_sqrt_delta(nterms)
@@ -337,7 +328,7 @@ def check_integrality(prec: int) -> CheckResult:
     }
     for name, values in streams.items():
         for v in values:
-            if Fraction(v).denominator != 1:
+            if type(v) is not int:
                 return CheckResult("gv-integrality", False,
                                    f"{name} produced non-integer {v}")
     return CheckResult("gv-integrality", True)

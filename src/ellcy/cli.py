@@ -4,18 +4,16 @@ Subcommands: `series` (named q-expansions), `gv` (invariant tables by
 either route), `nl` (a single Noether-Lefschetz number), `euler`
 (Euler-characteristic bookkeeping) and `check` (the full consistency
 suite).  Exit codes: 0 success, 1 usage error, 2 domain or consistency
-failure.  All numeric output is exact; rationals serialize in JSON as
-decimal-string numerator/denominator pairs so arbitrary magnitudes
-survive any consumer.
+failure.  All numeric output is exact; JSON coefficients are decimal
+strings so arbitrary magnitudes survive any consumer.
 """
 
 from __future__ import annotations
 
 import sys
-from math import gcd
 
 from . import forms, geometry, invariants
-from .series import QSeries
+from .series import QSeries, _fmt_ratio
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
@@ -43,21 +41,18 @@ _SERIES = {
 
 
 def series_to_doc(f: QSeries, variable: str = "q") -> dict:
-    """Lossless JSON document for a series."""
+    """Lossless JSON document for a series.
+
+    Every coefficient is an int; its "den" is always "1" and stays so
+    that the document keeps its numerator/denominator format.
+    """
     return {
         "variable": variable,
         "exp_den": f.exp_den,
         "offset": f.offset,
         "prec": f.prec,
-        "coeffs": [{"num": str(c.numerator), "den": str(c.denominator)}
-                   for c in f.coeffs],
+        "coeffs": [{"num": str(c), "den": "1"} for c in f.coeffs],
     }
-
-
-def _fmt_ratio(num: int, den: int) -> str:
-    """num/den (den > 0) as `Fraction` prints it: "n" or "n/d", reduced."""
-    g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _print_series(f: QSeries, as_json: bool, out) -> None:
@@ -145,7 +140,7 @@ def cmd_check(args, out) -> int:
         raise _UsageError("--prec must be at least 2")
     if args.prec > CHECK_BOUND:
         raise _UsageError(f"--prec must be at most {CHECK_BOUND}")
-    from . import checks  # its Fraction oracles stay off the other commands
+    from . import checks  # the suite's code stays off the other commands
     results = checks.run_checks(args.prec)
     failures = 0
     for res in results:

@@ -59,8 +59,8 @@ class CurveClass(tuple):
         for coef, sym in ((self.c, "C"), (self.f, "F"), (self.e, "E")):
             if coef == 0:
                 continue
-            if coef == 1:
-                parts.append(sym)
+            if coef in (1, -1):  # a unit coefficient writes as its sign
+                parts.append(sym if coef == 1 else f"-{sym}")
             else:
                 parts.append(f"{coef}{sym}")
         return "+".join(parts).replace("+-", "-") if parts else "0"

@@ -2,8 +2,7 @@
 
 Every route returns a plain list whose entry n is the invariant of the
 n-th class, from n = 0: n_{C+nE} for the section routes, n_{mF+nE} for
-the fibre-direction routes.  An entry is an int, or a Fraction only
-where the NL halving is inexact.
+the fibre-direction routes.  Every entry is an int.
 
 Fibre-direction classes mF + nE (m >= 1; the fibre classes F + nE are
 m = 1) are counted through the Noether-Lefschetz numbers of the K3
@@ -50,8 +49,8 @@ def nl_number(h: int, d1: int, d2: int) -> int:
 def _bryan_leung(nterms: int) -> QSeries:
     """q^(1/2)/sqrt(Delta) = 1 + 12q + ...: C'' + jE'' counted at q^j."""
     inv = forms.inverse_sqrt_delta(nterms)
-    return QSeries.from_ints(inv.window(-1, 2 * nterms - 1, 2)[::2],
-                             inv.den, 0, nterms)
+    return QSeries.from_ints(inv.window(-1, 2 * nterms - 1, 2)[::2], 0,
+                             nterms)
 
 
 def f_section_closed(nterms: int) -> list[int]:
@@ -91,15 +90,16 @@ def first_row(m: int) -> int:
     return m if m > 1 else 0
 
 
-def f_multifiber_direct(m: int, nmax: int) -> list[int | Fraction]:
+def f_multifiber_direct(m: int, nmax: int) -> list[int]:
     """n_{mF+nE} for m >= 1 and 0 <= n <= nmax, by the NL sum.
 
     Entry n is (1/2) sum_h r_h NL_{h; d1, d2}, where (d1, d2) = (n - 2m, m)
     are the degrees of the class; the discriminant 2 - 2h + 2nm - 2m^2
     bounds h by 1 + m(n - m).  The fibre classes F + nE are m = 1.
     With r and E10 read into int lists once, each class from
-    :func:`first_row` on is one dot product, halved at the end; the
-    classes before it read 0 without a discriminant.
+    :func:`first_row` on is one dot product times -2, the NL factor -4
+    halved (E10 is integral, so the halving is exact); the classes before
+    it read 0 without a discriminant.
     """
     if m < 1:
         raise ValueError("fibre multiplicity must be at least 1")
@@ -108,7 +108,7 @@ def f_multifiber_direct(m: int, nmax: int) -> list[int | Fraction]:
     hcap = max(0, 1 + m * (nmax - m))
     r = forms.yau_zaslow(hcap)
     e10 = forms.eisenstein(10, hcap + 1)
-    ev = e10.window(0, hcap + 1)  # numerators over e10.den
+    ev = e10.window(0, hcap + 1)
     first = min(first_row(m), nmax + 1)
     values = [0] * first
     for n in range(first, nmax + 1):
@@ -116,22 +116,19 @@ def f_multifiber_direct(m: int, nmax: int) -> list[int | Fraction]:
         # disc(h) = disc(0) - 2h, so h runs up to half0 = disc(0)/2 and
         # NL_h = -4 [q^(half0 - h)] E10 (see nl_number)
         half0 = geometry.nl_discriminant(0, d1, d2) // 2
-        total = -4 * sum(map(mul, r[:half0 + 1], ev[half0::-1]))
-        value, rem = divmod(total, 2 * e10.den)
-        if rem:
-            from fractions import Fraction
-            value = Fraction(total, 2 * e10.den)
-        values.append(value)
+        values.append(-2 * sum(map(mul, r[:half0 + 1], ev[half0::-1])))
     return values
 
 
-def f_multifiber_slice(m: int, nmax: int) -> list[int | Fraction]:
+def f_multifiber_slice(m: int, nmax: int) -> list[int]:
     """n_{mF+nE} for m >= 1 and 0 <= n <= nmax, by a congruence slice.
 
     Entry n is the coefficient of q^(m(n-m)) in the slice at 0 mod m of
     the one product -2 E10/Delta.  That slice is -2 times the sum over l
     of the slice products (1/Delta)_{m, l-1} (E10)_{m, 1-l}, which pair
     the residue a = l - 1 of 1/Delta with -a of E10 for every a mod m.
+    The exponents m(n-m) are multiples of m, so the slice keeps them, and
+    the entries are read straight off the product.
     For the fibre classes F + nE (m = 1) it is the whole product, and
     entry n is its coefficient of q^(n-1).  The product starts at q^-1,
     so when m(nmax - m) is below that every entry is 0, as in
@@ -145,11 +142,10 @@ def f_multifiber_slice(m: int, nmax: int) -> list[int | Fraction]:
     if uterms < 1:
         return [0] * (nmax + 1)
     product = forms.inverse_delta(uterms) * forms.eisenstein(10, uterms)
-    sliced = (-2 * product).slice(m, 0)
-    return [sliced.coeff_at(m * (n - m)) for n in range(nmax + 1)]
+    return [-2 * product.coeff_at(m * (n - m)) for n in range(nmax + 1)]
 
 
-def gv_to_gw_genus0(table: dict[CurveClass, int | Fraction],
+def gv_to_gw_genus0(table: dict[CurveClass, int],
                     beta: CurveClass) -> Fraction:
     """Genus-0 Gromov-Witten invariant from BPS counts by multiple cover.
 

@@ -1,33 +1,30 @@
-"""Truncated Laurent/Puiseux series with exact rational coefficients.
+"""Truncated Laurent/Puiseux series with exact integer coefficients.
 
-A :class:`QSeries` stores finitely many coefficients of a formal series
-sum a_e q^e, where the exponents e run over (1/exp_den)Z.  Every series
-carries an explicit precision bound: all coefficients of exponents below
-``prec / exp_den`` are exact, everything at or above it is unknown.  All
-arithmetic propagates precision pessimistically, so a coefficient that a
-QSeries reports is always correct; asking for one beyond the bound raises
-:class:`PrecisionError` rather than silently returning zero.
+A :class:`QSeries` stores finitely many integer coefficients of a formal
+series sum a_e q^e, where the exponents e run over the grid (1/exp_den)Z.
+Every series carries an explicit precision bound: all coefficients of
+exponents below ``prec / exp_den`` are exact, everything at or above it
+is unknown.  All arithmetic propagates precision pessimistically, so a
+coefficient that a QSeries reports is always correct; asking for one
+beyond the bound raises :class:`PrecisionError` rather than silently
+returning zero.
 
-The coefficients are stored as integer numerators ``nums`` over one
-shared positive denominator ``den``, in lowest terms.  The generators'
-series are integral, so they keep ``den == 1`` and never touch
-`fractions.Fraction`; the few true rationals (the resolution factor 1/2,
-1/1728, the test samples) cost one denominator per series, not one per
-coefficient.  ``coeffs`` yields the exact values: ints when ``den`` is 1,
-`Fraction` otherwise.  `fractions` is imported only inside the code that
-meets a true rational (a denominator above 1, a non-integer scalar or
-exponent, ``invert`` and ``sqrt``), so integer work never loads it.
-There is no floating point anywhere in this module.  Every product of
-numerators goes through :func:`int_product`, which picks its algorithm
-by the number n of product terms: up to ``_SCHOOLBOOK_TERMS`` terms it
-adds one row a * g into the result for each nonzero term a of f, so the
-zeros of a sparse factor (an ``exp_den`` lift leaves every other slot
-empty) cost nothing, and above that both factors are packed into single
-Python ints by Kronecker substitution, multiplied once and the product's
-slots read back, each step a C-level ``map`` over the terms.  Sums add
-each operand's aligned run of numerators by one slice assignment.  The
-generators that work on plain integer coefficient lists (the E8 theta
-powers) call :func:`int_product` directly.
+Every q-expansion the routes need has integer coefficients, so only ints
+are stored: any other coefficient is a ``TypeError`` at construction, a
+scalar must be an int, and ``invert`` and ``sqrt`` raise rather than
+leave the integers.  Only the exponents are rational, kept as integers
+over ``exp_den`` and printed by :func:`_fmt_ratio`; no arithmetic here
+imports `fractions` or uses floating point.  Every product of
+coefficient lists goes through :func:`int_product`, which picks its
+algorithm by the number n of product terms: up to ``_SCHOOLBOOK_TERMS``
+terms it adds one row a * g into the result for each nonzero term a of
+f, so the zeros of a sparse factor (an ``exp_den`` lift leaves every
+other slot empty) cost nothing, and above that both factors are packed
+into single Python ints by Kronecker substitution, multiplied once and
+the product's slots read back, each step a C-level ``map`` over the
+terms.  Sums add each operand's aligned run of coefficients by one slice
+assignment.  The generators that work on plain integer coefficient lists
+(the E8 theta powers) call :func:`int_product` directly.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, sub
 
 # Products of at most this many terms are row loops, longer ones are
 # packed.  For 1/Delta * E10 on a 2-core Xeon VM with Python 3.11 the row
@@ -53,16 +50,10 @@ class PrecisionError(ValueError):
     """A coefficient at or beyond the known-precision bound was requested."""
 
 
-def _sqrt_fraction(c: Fraction) -> Fraction:
-    """Exact positive square root of a rational, or raise ValueError."""
-    from fractions import Fraction
-    if c <= 0:
-        raise ValueError(f"{c} is not a positive rational square")
-    num, den = c.numerator, c.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError(f"{c} is not the square of a rational")
-    return Fraction(rn, rd)
+def _fmt_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) as `Fraction` prints it: "n" or "n/d", reduced."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _half_slots(width: int, n: int) -> int:
@@ -122,13 +113,12 @@ def int_product(f: list[int], g: list[int], n: int) -> list[int]:
                     repeat(half)))
 
 
-def _canonical(nums: Sequence[int], den: int, offset: int, prec: int,
-               exp_den: int) -> tuple[tuple[int, ...], int, int, int, int]:
-    """The canonical (nums, den, offset, prec, exp_den) of a series.
+def _canonical(nums: Sequence[int], offset: int, prec: int,
+               exp_den: int) -> tuple[tuple[int, ...], int, int, int]:
+    """The canonical (nums, offset, prec, exp_den) of a series.
 
-    Leading zeros move into the offset, numerators and denominator lose
-    their common factor, and exp_den is reduced whenever the offset, the
-    precision bound and the support allow it.
+    Leading zeros move into the offset, and exp_den is reduced whenever
+    the offset, the precision bound and the support allow it.
     """
     lead = 0
     while lead < len(nums) and nums[lead] == 0:
@@ -136,13 +126,6 @@ def _canonical(nums: Sequence[int], den: int, offset: int, prec: int,
     if lead:
         offset += lead
         nums = nums[lead:]
-    if not nums:
-        den = 1
-    elif den != 1:
-        g = math.gcd(den, *nums)
-        if g != 1:
-            den //= g
-            nums = [c // g for c in nums]
     d = math.gcd(exp_den, offset, prec)
     for i, c in enumerate(nums):
         if d == 1:
@@ -154,28 +137,27 @@ def _canonical(nums: Sequence[int], den: int, offset: int, prec: int,
         offset //= d
         prec //= d
         exp_den //= d
-    return tuple(nums), den, offset, prec, exp_den
+    return tuple(nums), offset, prec, exp_den
 
 
 class QSeries:
-    """Immutable truncated series over Q in one formal variable.
+    """Immutable truncated series over Z in one formal variable.
 
     Exponents are integers divided by ``exp_den``.  ``offset`` is the
     lowest stored exponent and ``prec`` the exclusive upper bound, both
     in units of ``1/exp_den``.  The coefficient of q^((offset + i)/exp_den)
-    is ``nums[i] / den``, and ``nums`` has length ``prec - offset``.
+    is the int ``nums[i]``, and ``nums`` has length ``prec - offset``.
 
-    Instances are canonical: ``gcd(den, *nums) == 1``, leading zero
-    coefficients are absorbed into the offset and ``exp_den`` is reduced
-    whenever the support, offset and precision bound allow it, so
-    structural equality coincides with equality of (series, precision)
-    pairs.
+    Instances are canonical: leading zero coefficients are absorbed into
+    the offset and ``exp_den`` is reduced whenever the support, offset
+    and precision bound allow it, so structural equality coincides with
+    equality of (series, precision) pairs.
     """
 
-    __slots__ = ("exp_den", "offset", "prec", "nums", "den")
+    __slots__ = ("exp_den", "offset", "prec", "nums")
 
-    def __init__(self, coeffs: Iterable[int | Fraction], offset: int,
-                 prec: int, exp_den: int = 1):
+    def __init__(self, coeffs: Iterable[int], offset: int, prec: int,
+                 exp_den: int = 1):
         if exp_den < 1:
             raise ValueError("exp_den must be a positive integer")
         if offset > prec:
@@ -186,37 +168,32 @@ class QSeries:
             cs.extend([0] * (n - len(cs)))
         elif len(cs) > n:
             del cs[n:]
-        den = 1
         if not all(type(c) is int for c in cs):
-            from fractions import Fraction
-            cs = [c if type(c) is Fraction else Fraction(c) for c in cs]
-            den = math.lcm(*(c.denominator for c in cs))
-            cs = [c.numerator * (den // c.denominator) for c in cs]
-        (self.nums, self.den, self.offset, self.prec,
-         self.exp_den) = _canonical(cs, den, offset, prec, exp_den)
+            raise TypeError("QSeries coefficients must be ints")
+        (self.nums, self.offset, self.prec,
+         self.exp_den) = _canonical(cs, offset, prec, exp_den)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_ints(cls, nums: Sequence[int], den: int, offset: int, prec: int,
+    def from_ints(cls, nums: Sequence[int], offset: int, prec: int,
                   exp_den: int = 1) -> "QSeries":
-        """The series with coefficients nums[i]/den from q^(offset/exp_den).
+        """The series with coefficients nums[i] from q^(offset/exp_den).
 
-        nums must hold exactly prec - offset integers and den must be
-        positive; the result is brought to canonical form.
+        nums must hold exactly prec - offset ints; the result is brought
+        to canonical form.
         """
         f = cls.__new__(cls)
-        f.nums, f.den, f.offset, f.prec, f.exp_den = _canonical(
-            nums, den, offset, prec, exp_den)
+        f.nums, f.offset, f.prec, f.exp_den = _canonical(
+            nums, offset, prec, exp_den)
         return f
 
     @classmethod
-    def constant(cls, c: int | Fraction, prec: int,
-                 exp_den: int = 1) -> "QSeries":
+    def constant(cls, c: int, prec: int, exp_den: int = 1) -> "QSeries":
         return cls([c], 0, prec, exp_den)
 
     @classmethod
-    def monomial(cls, c: int | Fraction, e: int, prec: int,
+    def monomial(cls, c: int, e: int, prec: int,
                  exp_den: int = 1) -> "QSeries":
         """c * q^(e/exp_den), known up to exponent prec/exp_den."""
         return cls([c], e, prec, exp_den)
@@ -224,41 +201,36 @@ class QSeries:
     # -- basic protocol --------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[int | Fraction, ...]:
-        """The exact stored coefficients: ints when den is 1."""
-        if self.den == 1:
-            return self.nums
-        from fractions import Fraction
-        return tuple(Fraction(c, self.den) for c in self.nums)
+    def coeffs(self) -> tuple[int, ...]:
+        """The stored coefficients, the same tuple as ``nums``."""
+        return self.nums
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
         return (self.exp_den == other.exp_den and self.offset == other.offset
-                and self.prec == other.prec and self.den == other.den
-                and self.nums == other.nums)
+                and self.prec == other.prec and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.exp_den, self.offset, self.prec, self.den,
-                     self.nums))
+        return hash((self.exp_den, self.offset, self.prec, self.nums))
 
     def __bool__(self) -> bool:
         return bool(self.nums)  # canonical: a stored term is nonzero
 
-    def terms(self) -> Iterator[tuple[Fraction, int | Fraction]]:
+    def terms(self) -> Iterator[tuple[Fraction, int]]:
         """Yield (exponent, coefficient) for each nonzero stored term."""
         from fractions import Fraction
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c != 0:
                 yield Fraction(self.offset + i, self.exp_den), c
 
     def __repr__(self) -> str:
-        from fractions import Fraction
         parts = []
         for e, c in self.terms():
             parts.append(f"{c}*q^({e})")
         body = " + ".join(parts) if parts else "0"
-        return f"QSeries({body} + O(q^({Fraction(self.prec, self.exp_den)})))"
+        return (f"QSeries({body} + "
+                f"O(q^({_fmt_ratio(self.prec, self.exp_den)})))")
 
     # -- rescaling helpers -----------------------------------------------
 
@@ -285,63 +257,53 @@ class QSeries:
             raise PrecisionError(
                 f"cannot extend precision from {self.prec} to {prec}")
         n = max(0, prec - self.offset)
-        return QSeries.from_ints(self.nums[:n], self.den,
-                                 min(self.offset, prec), prec, self.exp_den)
+        return QSeries.from_ints(self.nums[:n], min(self.offset, prec), prec,
+                                 self.exp_den)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        """Sum over the lcm of the two denominators, in integers.
+        """Sum on the common exponent grid.
 
-        Each operand's numerators below the common bound form one aligned
-        run, placed by slice assignment: no Python step per coefficient.
+        Each operand's coefficients below the common bound form one
+        aligned run, placed by slice assignment: no Python step per
+        coefficient.
         """
         if not isinstance(other, QSeries):
             return NotImplemented
         exp_den = math.lcm(self.exp_den, other.exp_den)
         fo, fp, fn = self._upscaled(exp_den)
         go, gp, gn = other._upscaled(exp_den)
-        den = math.lcm(self.den, other.den)
         offset = min(fo, go)
         prec = min(fp, gp)
         cs = [0] * (prec - offset)
-        first = True
-        for so, sn, sden in ((fo, fn, self.den), (go, gn, other.den)):
-            run = sn[:max(0, prec - so)]
-            if sden != den:
-                run = list(map(mul, run, repeat(den // sden)))
-            i, j = so - offset, so - offset + len(run)
-            # the first run lands on zeros, the second is added to it
-            cs[i:j] = run if first else map(add, cs[i:j], run)
-            first = False
-        return QSeries.from_ints(cs, den, offset, prec, exp_den)
+        i, j = fo - offset, max(fo, prec) - offset
+        cs[i:j] = fn[:j - i]  # the first run lands on zeros
+        i, j = go - offset, max(go, prec) - offset
+        cs[i:j] = map(add, cs[i:j], gn[:j - i])
+        return QSeries.from_ints(cs, offset, prec, exp_den)
 
     def __neg__(self) -> "QSeries":
-        return QSeries.from_ints([-c for c in self.nums], self.den,
-                                 self.offset, self.prec, self.exp_den)
+        return QSeries.from_ints([-c for c in self.nums], self.offset,
+                                 self.prec, self.exp_den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
-    def scale(self, c: int | Fraction) -> "QSeries":
+    def scale(self, c: int) -> "QSeries":
+        """c times the series, for an int c."""
         if type(c) is not int:
-            from fractions import Fraction
-            c = Fraction(c)
-        num = c.numerator
-        return QSeries.from_ints([num * a for a in self.nums],
-                                 self.den * c.denominator, self.offset,
+            raise TypeError("a QSeries scalar must be an int")
+        return QSeries.from_ints([c * a for a in self.nums], self.offset,
                                  self.prec, self.exp_den)
 
     def __mul__(self, other):
-        """Product of two series, or of a series and a rational scalar.
+        """Product of two series, or of a series and an int scalar.
 
-        The numerators are multiplied by :func:`int_product` and the
-        denominators by each other; one gcd brings the result back to
-        lowest terms.
+        The coefficient lists are multiplied by :func:`int_product`.
         """
         if not isinstance(other, QSeries):
-            # int and Fraction scalars alike carry a denominator
-            if hasattr(other, "denominator"):
+            if type(other) is int:
                 return self.scale(other)
             return NotImplemented
         exp_den = self.exp_den
@@ -358,84 +320,90 @@ class QSeries:
         if not self or not other:
             return QSeries([], prec, prec, exp_den)
         return QSeries.from_ints(int_product(fn, gn, prec - offset),
-                                 self.den * other.den, offset, prec, exp_den)
+                                 offset, prec, exp_den)
 
     __rmul__ = __mul__
 
     def invert(self) -> "QSeries":
-        """Multiplicative inverse; requires a nonzero leading coefficient."""
+        """Multiplicative inverse; the leading coefficient must be +-1.
+
+        Any other leading coefficient would leave the integers, so it
+        raises ArithmeticError.
+        """
         if not self:
             raise ValueError("non-invertible series: zero leading coefficient")
-        from fractions import Fraction
-        a = [Fraction(c, self.den) for c in self.nums]
+        a = self.nums
+        if a[0] not in (1, -1):
+            raise ArithmeticError(
+                f"leading coefficient {a[0]} is not a unit of the integers")
         n = len(a)
-        b = [Fraction(0)] * n
-        b[0] = 1 / a[0]
+        b = [0] * n
+        b[0] = a[0]  # 1/a0 = a0 for a unit
         for k in range(1, n):
-            s = sum(a[j] * b[k - j] for j in range(1, k + 1) if a[j] != 0)
-            b[k] = -s / a[0]
-        return QSeries(b, -self.offset, self.prec - 2 * self.offset,
-                       self.exp_den)
+            s = sum(a[j] * b[k - j] for j in range(1, k + 1) if a[j])
+            b[k] = -s * a[0]
+        return QSeries.from_ints(b, -self.offset, self.prec - 2 * self.offset,
+                                 self.exp_den)
 
     def sqrt(self) -> "QSeries":
         """Square root with positive leading coefficient.
 
-        The leading coefficient must be a rational square; if the leading
-        exponent is odd in the current units, exp_den is doubled.
+        The leading coefficient must be a perfect square, and every later
+        step must divide exactly, or ArithmeticError is raised; if the
+        leading exponent is odd in the current units, exp_den is doubled.
         """
         if not self:
             raise ValueError("square root of the zero series is ambiguous")
-        from fractions import Fraction
-        a = [Fraction(c, self.den) for c in self.nums]
-        try:
-            b0 = _sqrt_fraction(a[0])
-        except ValueError as exc:
-            raise ValueError(f"non-square leading coefficient: {exc}") from exc
+        a = self.nums
+        b0 = math.isqrt(a[0]) if a[0] > 0 else 0
+        if b0 * b0 != a[0]:
+            raise ValueError(f"non-square leading coefficient: {a[0]} is "
+                             f"not the square of a positive integer")
         n = len(a)
-        b = [Fraction(0)] * n
+        b = [0] * n
         b[0] = b0
         for k in range(1, n):
             s = sum(b[j] * b[k - j] for j in range(1, k))
-            b[k] = (a[k] - s) / (2 * b0)
+            b[k], rem = divmod(a[k] - s, 2 * b0)
+            if rem:
+                raise ArithmeticError(
+                    f"square root: coefficient {k} is not an integer")
         if self.offset % 2 == 0:
             half = self.offset // 2
-            return QSeries(b, half, half + n, self.exp_den)
+            return QSeries.from_ints(b, half, half + n, self.exp_den)
         # odd leading exponent: move to the doubled grid, where the unit
         # part keeps its stride of 2 and the interleaved terms are known
         # zeros
-        cs = [Fraction(0)] * (2 * n)
+        cs = [0] * (2 * n)
         cs[::2] = b
-        return QSeries(cs, self.offset, self.offset + 2 * n,
-                       2 * self.exp_den)
+        return QSeries.from_ints(cs, self.offset, self.offset + 2 * n,
+                                 2 * self.exp_den)
 
     # -- coefficient access ----------------------------------------------
 
     def _check_bound(self, num: int, den: int) -> None:
         """Raise PrecisionError unless q^(num/den) is below the bound."""
         if num * self.exp_den >= self.prec * den:
-            from fractions import Fraction
             raise PrecisionError(
-                f"coefficient of q^({Fraction(num, den)}) is beyond the "
-                f"precision bound q^({Fraction(self.prec, self.exp_den)})")
+                f"coefficient of q^({_fmt_ratio(num, den)}) is beyond the "
+                f"precision bound q^({_fmt_ratio(self.prec, self.exp_den)})")
 
-    def coeff_at(self, e: int | Fraction) -> int | Fraction:
-        """Exact coefficient of q^e; errors past the precision bound."""
-        if type(e) is not int:
-            from fractions import Fraction
-            e = Fraction(e)
-        self._check_bound(e.numerator, e.denominator)
-        u, r = divmod(e.numerator * self.exp_den, e.denominator)
+    def coeff_at(self, e: int | Fraction) -> int:
+        """Exact coefficient of q^e; errors past the precision bound.
+
+        The exponent e is an int or a `Fraction`: anything with a
+        numerator and a positive denominator.
+        """
+        num, den = e.numerator, e.denominator
+        self._check_bound(num, den)
+        u, r = divmod(num * self.exp_den, den)
         i = u - self.offset
         if r or i < 0:
             return 0
-        c = self.nums[i]
-        if self.den == 1:
-            return c
-        from fractions import Fraction
-        return Fraction(c, self.den)
+        return self.nums[i]
 
     def window(self, lo: int, hi: int, exp_den: int = 1) -> list[int]:
-        """Numerators over ``den`` at q^(j/exp_den) for lo <= j < hi.
+        """Coefficients at q^(j/exp_den) for lo <= j < hi.
 
         exp_den must be a multiple of the series' own.  Terms below the
         support read 0; one at or past the precision bound raises
@@ -458,4 +426,4 @@ class QSeries:
         first = (k - self.offset) % m  # index of the first kept term
         cs = [0] * len(self.nums)
         cs[first::m] = self.nums[first::m]
-        return QSeries.from_ints(cs, self.den, self.offset, self.prec, 1)
+        return QSeries.from_ints(cs, self.offset, self.prec, 1)

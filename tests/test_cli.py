@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,11 +94,13 @@ class TestJsonRoundTrip:
             assert isinstance(c["den"], str)
 
     def test_rational_half_integer_round_trip(self):
-        f = QSeries([Fraction(1, 2), 0, Fraction(-3, 4), 5], -1, 5, 2)
-        assert (f.den, f.exp_den) == (4, 2)
+        # half-integer exponents; every coefficient's den is "1"
+        f = QSeries([1, 0, -3, 5], -1, 5, 2)
+        assert f.exp_den == 2
         doc = json.loads(json.dumps(series_to_doc(f)))
         assert doc["exp_den"] == 2
         assert_doc_is_exact(doc, f)
+        assert {c["den"] for c in doc["coeffs"]} == {"1"}
 
 
 class TestGvCommand:
@@ -229,6 +230,26 @@ print(json.dumps(loaded))
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout)
         assert loaded == [[0]] * len(self.ARGVS)
+
+
+class TestCheckLoadsNoFractions:
+    """check runs in plain integers too: its samples, scalar and oracles.
+
+    Run like TestIntegerCommandsLoadNoFractions, in one fresh interpreter
+    without site.
+    """
+
+    def test_check_loads_no_fractions_module(self):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       os.path.abspath(ellcy.__file__))))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             TestIntegerCommandsLoadNoFractions.SCRIPT,
+             json.dumps([["check", "--prec", "5"]])],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0]]
 
 
 class TestStartupLoadsNoArgparse:
@@ -452,13 +473,13 @@ class TestCheckCommand:
         def shifted(f, g):
             if not g.nums:
                 return real(f, g)
-            return real(f, QSeries.from_ints(g.nums[:-1], g.den, g.offset + 1,
+            return real(f, QSeries.from_ints(g.nums[:-1], g.offset + 1,
                                              g.prec, g.exp_den))
 
         monkeypatch.setattr(QSeries, "__add__", shifted)
         res = checks.check_ring_laws()
         assert not res.passed
-        assert res.detail == "sum differs from the Fraction sum"
+        assert res.detail == "sum differs from the term-by-term sum"
 
     def test_oracles_never_call_the_series_arithmetic(self, monkeypatch):
         # the schoolbook product and the term-by-term sum are computed
@@ -474,29 +495,26 @@ class TestCheckCommand:
         monkeypatch.setattr(series, "int_product", broken)
         monkeypatch.setattr(QSeries, "__mul__", broken)
         monkeypatch.setattr(QSeries, "__add__", broken)
-        assert [(checks._schoolbook(f, g), checks._fraction_sum(f, g))
+        assert [(checks._schoolbook(f, g), checks._term_sum(f, g))
                 for f, g in pairs] == expected
 
-    def test_ring_laws_compare_sum_with_fractions(self, monkeypatch):
-        # an integer sum that drops the second operand's denominator
-        # still commutes; only the Fraction sum can see it
+    def test_ring_laws_compare_sum_term_by_term(self, monkeypatch):
+        # a sum that doubles both operands still commutes and keeps
+        # distributivity; only the term-by-term sum can see it
         real = QSeries.__add__
-        monkeypatch.setattr(
-            QSeries, "__add__",
-            lambda f, g: real(f, QSeries(g.nums, g.offset, g.prec,
-                                         g.exp_den)))
+        monkeypatch.setattr(QSeries, "__add__",
+                            lambda f, g: real(f.scale(2), g.scale(2)))
         res = checks.check_ring_laws()
         assert not res.passed
-        assert res.detail == "sum differs from the Fraction sum"
+        assert res.detail == "sum differs from the term-by-term sum"
 
-    def test_ring_laws_compare_scale_with_fractions(self, monkeypatch):
-        # scaling by the numerator alone, the scalar's denominator dropped
+    def test_ring_laws_compare_scale_term_by_term(self, monkeypatch):
+        # scaling by the scalar's absolute value, its sign dropped
         real = QSeries.scale
-        monkeypatch.setattr(QSeries, "scale",
-                            lambda f, c: real(f, Fraction(c).numerator))
+        monkeypatch.setattr(QSeries, "scale", lambda f, c: real(f, abs(c)))
         res = checks.check_ring_laws()
         assert not res.passed
-        assert res.detail == "scaling differs from the Fraction product"
+        assert res.detail == "scaling differs from the term-by-term product"
 
     def test_corrupted_e4_detected(self, monkeypatch):
         real = forms.eisenstein

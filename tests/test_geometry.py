@@ -189,7 +189,14 @@ class TestValueClasses:
     def test_curve_class_label(self):
         assert [CurveClass(*v).label() for v in
                 ((0, 0, 0), (1, 0, 0), (1, 2, 0), (0, -1, 2), (2, 1, 1))] == \
-            ["0", "C", "C+2E", "2F-1E", "2C+F+E"]
+            ["0", "C", "C+2E", "2F-E", "2C+F+E"]
+
+    def test_curve_class_label_writes_minus_one_as_a_sign(self):
+        # -1 is written as its sign alone, as 1 is written as nothing
+        assert [CurveClass(*v).label() for v in
+                ((0, -1, 0), (-1, 0, 0), (-1, -1, -1), (1, -1, 1),
+                 (-2, 1, -1))] == \
+            ["-E", "-C", "-C-F-E", "C+F-E", "-2C-F+E"]
 
     def test_gamma19_class(self):
         gamma = Gamma19Class(a=2, b=[1, 0, 0, 0, 0, 0, 0, 0, -1])

@@ -28,7 +28,6 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(ellcy.__file__))
 ALLOWED_UNREACHED = {
     "series.QSeries.invert": "perfbench/trace_child.py wraps it by name",
     "series.QSeries.sqrt": "perfbench/trace_child.py wraps it by name",
-    "series._sqrt_fraction": "called only by QSeries.sqrt",
     "series.QSeries.__hash__": "protocol: QSeries defines __eq__",
     "series.QSeries.__repr__": "protocol: readable series in a debugger",
     "series.QSeries.terms": "protocol: the nonzero terms, used by __repr__",

@@ -1,6 +1,5 @@
 """Unit and property tests for the exact truncated-series arithmetic."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -41,7 +40,7 @@ def test_add_eisenstein_like():
 
 
 def test_mul_identity():
-    f = QSeries([2, -7, Fraction(1, 3)], -2, 1)
+    f = QSeries([2, -7, 3], -2, 1)
     one = QSeries.constant(1, 5)
     assert_agree(f * one, f)
 
@@ -74,6 +73,13 @@ def test_invert_zero_leading_coefficient():
         QSeries([], 4, 4).invert()
 
 
+def test_invert_non_unit_leading_coefficient():
+    # 1/(2 + q) leaves the integers at its first coefficient
+    with pytest.raises(ArithmeticError, match="not a unit"):
+        QSeries([2, 1], 0, 3).invert()
+    assert QSeries([-1, 2], 0, 3).invert() == QSeries([-1, -2, -4], 0, 3)
+
+
 def test_sqrt_identity():
     assert QSeries.constant(1, 5).sqrt() == QSeries.constant(1, 5)
 
@@ -81,6 +87,32 @@ def test_sqrt_identity():
 def test_sqrt_non_square_leading():
     with pytest.raises(ValueError, match="non-square"):
         QSeries([2, 1], 0, 3).sqrt()
+    with pytest.raises(ValueError, match="non-square"):
+        QSeries([-4, 1], 0, 3).sqrt()
+
+
+def test_sqrt_inexact_step_raises():
+    # sqrt(1 + q) = 1 + q/2 - ...: the q coefficient is not an integer
+    with pytest.raises(ArithmeticError, match="coefficient 1"):
+        QSeries([1, 1], 0, 3).sqrt()
+
+
+def test_non_integer_coefficient_is_a_type_error():
+    with pytest.raises(TypeError):
+        QSeries([Fraction(1, 2)], 0, 1)
+    with pytest.raises(TypeError):
+        QSeries([1, 2.0], 0, 2)
+
+
+def test_non_integer_scalar_is_a_type_error():
+    f = QSeries([1, 2], 0, 2)
+    with pytest.raises(TypeError):
+        f.scale(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        f * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(3) * f
+    assert f * 3 == 3 * f == f.scale(3) == QSeries([3, 6], 0, 2)
 
 
 def test_sqrt_odd_offset_doubles_exp_den():
@@ -249,9 +281,8 @@ def test_canonical_reduces_exp_den():
 
 # -- property tests ------------------------------------------------------
 
-coeffs_st = st.lists(
-    st.fractions(min_value=-20, max_value=20, max_denominator=6),
-    min_size=0, max_size=6)
+coeffs_st = st.lists(st.integers(min_value=-20, max_value=20),
+                     min_size=0, max_size=6)
 
 
 @st.composite
@@ -264,9 +295,8 @@ def qseries(draw, exp_den=None):
 
 
 @st.composite
-def unit_series(draw):
-    lead = draw(st.fractions(min_value=1, max_value=10, max_denominator=4))
-    cs = [lead] + draw(coeffs_st)
+def unit_series(draw, leads=st.integers(min_value=1, max_value=10)):
+    cs = [draw(leads)] + draw(coeffs_st)
     offset = draw(st.integers(min_value=-3, max_value=3))
     return QSeries(cs, offset, offset + len(cs), 1)
 
@@ -288,10 +318,8 @@ def schoolbook_product(f: QSeries, g: QSeries):
 
 
 wide_coeff_st = st.one_of(
-    st.fractions(min_value=-20, max_value=20, max_denominator=6),
-    st.integers(min_value=-2 ** 100, max_value=2 ** 100),
-    st.builds(Fraction, st.integers(min_value=-2 ** 80, max_value=2 ** 80),
-              st.integers(min_value=1, max_value=2 ** 70)))
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=-2 ** 100, max_value=2 ** 100))
 
 
 @st.composite
@@ -337,7 +365,7 @@ def test_distributive(f, g, h):
     assert_agree(f * (g + h), f * g + f * h)
 
 
-@given(unit_series())
+@given(unit_series(leads=st.sampled_from([1, -1])))
 def test_invert_roundtrip(f):
     assert_agree(f * f.invert(), QSeries.constant(1, 1))
 
@@ -371,13 +399,11 @@ def test_precision_honesty(f):
 # -- the integer representation against a Fraction oracle ----------------
 #
 # Each series is drawn as raw data (coefficients, offset, prec, exp_den).
-# The oracle reads the same data as a map from exponent to Fraction with
-# a precision bound, and does every operation term by term in Fractions,
-# so it shares nothing with the numerators-over-one-denominator kernel.
+# The oracle reads the same data as a map from Fraction exponent to
+# coefficient with a precision bound, and does every operation term by
+# term, so it shares nothing with the kernel's aligned coefficient lists.
 
-rational_st = st.one_of(
-    st.integers(min_value=-30, max_value=30),
-    st.fractions(min_value=-20, max_value=20, max_denominator=12))
+rational_st = st.integers(min_value=-30, max_value=30)
 
 
 @st.composite
@@ -426,7 +452,7 @@ def oracle_mul(f, g):
 def assert_matches(p: QSeries, expected):
     """p is canonical and agrees with the oracle coefficient by coefficient."""
     bound, terms = expected
-    assert p.den >= 1 and math.gcd(p.den, *p.nums) == 1
+    assert all(type(c) is int for c in p.nums)
     assert len(p.nums) == p.prec - p.offset
     assert not p.nums or p.nums[0] != 0
     assert Fraction(p.prec, p.exp_den) == bound
@@ -449,7 +475,7 @@ def test_ring_ops_match_fraction_oracle(a, b):
 
 @st.composite
 def sum_operands(draw):
-    """Two raw series with mismatched offsets, precisions, exp_den and den."""
+    """Two raw series with mismatched offsets, precisions and exp_den."""
     def one():
         cs = draw(st.lists(rational_st, max_size=24))
         offset = draw(st.integers(min_value=-6, max_value=6))
@@ -464,8 +490,8 @@ def test_add_matches_the_check_suite_oracle(operands):
     # ring-laws compares it with
     from ellcy import checks
     f, g = (QSeries(*raw) for raw in operands)
-    assert f + g == checks._fraction_sum(f, g)
-    assert g + f == checks._fraction_sum(g, f)
+    assert f + g == checks._term_sum(f, g)
+    assert g + f == checks._term_sum(g, f)
 
 
 @given(raw_series(), rational_st)
@@ -501,21 +527,21 @@ def test_slice_matches_fraction_oracle(a, m, k):
 @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
        st.integers(min_value=-3, max_value=3), st.sampled_from([1, 2, 3]),
        st.integers(min_value=1, max_value=12))
-def test_int_and_fraction_construction_agree(cs, offset, exp_den, k):
+def test_constructor_and_from_ints_agree(cs, offset, exp_den, k):
     prec = offset + len(cs)
     f = QSeries(cs, offset, prec, exp_den)
-    g = QSeries([Fraction(c) for c in cs], offset, prec, exp_den)
-    h = QSeries([Fraction(c, k) for c in cs], offset, prec, exp_den).scale(k)
-    scaled = QSeries.from_ints([c * k for c in cs], k, offset, prec, exp_den)
-    assert f == g == h == scaled
-    assert hash(f) == hash(g) == hash(h) == hash(scaled)
-    assert f.den == 1
-    assert all(type(c) is int for c in f.coeffs)
+    g = QSeries.from_ints(cs, offset, prec, exp_den)
+    h = QSeries([c * k for c in cs], offset, prec, exp_den)
+    scaled = QSeries.from_ints(cs, offset, prec, exp_den).scale(k)
+    assert f == g and h == scaled
+    assert hash(f) == hash(g) and hash(h) == hash(scaled)
+    assert all(type(c) is int for c in f.coeffs + scaled.coeffs)
 
 
 @given(raw_series())
 def test_coeffs_are_the_exact_values(a):
     f = QSeries(*a)
-    assert all(type(c) is int for c in f.coeffs) == (f.den == 1)
-    assert [Fraction(c) for c in f.coeffs] == [
-        Fraction(n, f.den) for n in f.nums]
+    assert f.coeffs is f.nums
+    assert all(type(c) is int for c in f.coeffs)
+    _, terms = oracle(a)
+    assert dict(f.terms()) == terms
