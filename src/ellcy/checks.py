@@ -313,7 +313,7 @@ def _multifiber_name(m: int) -> str:
 
 
 def check_multifiber_routes(m: int, nmax: int) -> CheckResult:
-    """Slice against NL sum for mF + nE; m = 1 is the fibre check."""
+    """Slice of the closed form against NL sum, fibre row by fibre row."""
     return _first_mismatch(_multifiber_name(m),
                            "slice", invariants.f_multifiber_slice(m, nmax),
                            "NL sum", invariants.f_multifiber_direct(m, nmax))

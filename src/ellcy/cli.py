@@ -94,9 +94,8 @@ def cmd_gv(args, out) -> int:
             raise _UsageError("multifiber requires --m with m >= 2")
         first = invariants.first_row(m)
         nmax = first + prec - 1
-        # the slice builds m(n_max - m) + 2 terms, and both routes return
-        # their rows from n = 0, so n_max + 1 > m entries
-        if max(m, m * (nmax - m) + 2) > TERMS_BOUND:
+        # n_max + 1 > m rows, and the closed route builds fiber_row + 1 terms
+        if max(m, invariants.fiber_row(m, nmax) + 1) > TERMS_BOUND:
             raise _UsageError(f"--m and m * (n_max - m) + 2 must be at most "
                               f"{TERMS_BOUND}")
         route = (invariants.f_multifiber_slice if args.method == "closed"

@@ -96,19 +96,6 @@ def pairing_matrix() -> tuple[tuple[int, ...], ...]:
     return _PAIRING
 
 
-def pair(i: int, beta: CurveClass) -> int:
-    """Pairing of L_i (i in 1..3) with a curve class."""
-    if i not in (1, 2, 3):
-        raise ValueError("line-bundle index must be 1, 2 or 3")
-    row = _PAIRING[i - 1]
-    return row[0] * beta.c + row[1] * beta.f + row[2] * beta.e
-
-
-def class_to_degrees(beta: CurveClass) -> tuple[int, int]:
-    """Degrees (d1, d2) of a curve class against L1, L2."""
-    return pair(1, beta), pair(2, beta)
-
-
 def pushforward(gamma: Gamma19Class) -> CurveClass:
     """Image in H_2 of the threefold of a class on the elliptic surface.
 

@@ -5,10 +5,10 @@ n-th class, from n = 0: n_{C+nE} for the section routes, n_{mF+nE} for
 the fibre-direction routes.  Every entry is an int.
 
 Fibre-direction classes mF + nE (m >= 1; the fibre classes F + nE are
-m = 1) are counted through the Noether-Lefschetz numbers of the K3
-fibration together with the Yau-Zaslow coefficients, and independently
-through the slice at 0 mod m of -2 E10/Delta, which at m = 1 is the
-whole closed form.  Section classes C + nE are counted through the closed
+m = 1) are fibre rows, n_{mF+nE} = n_{F+kE} with k = :func:`fiber_row`
+(m, n), read through the Noether-Lefschetz numbers of the K3 fibration
+with the Yau-Zaslow coefficients, and independently off the closed form
+-2 E10/Delta.  Section classes C + nE are counted through the closed
 form E4/sqrt(Delta) and independently by convolving E8 vector counts
 (by norm, from Jacobi theta powers) with the Bryan-Leung section series
 1/sqrt(Delta).  The q^(-1/2) of 1/sqrt(Delta) is dropped in one place,
@@ -31,6 +31,10 @@ from operator import mul
 from . import forms, geometry
 from .geometry import CurveClass
 from .series import QSeries
+
+TYPE_CHECKING = False  # typing's flag unimported; checkers read it as true
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def nl_number(h: int, d1: int, d2: int) -> int:
@@ -80,69 +84,58 @@ def f_section_convolution(nterms: int) -> list[int]:
     return [sum(map(mul, counts[:n + 1], bv[n::-1])) for n in range(nterms)]
 
 
-def first_row(m: int) -> int:
-    """Lowest n for which the class mF + nE has a nonempty NL sum.
+def fiber_row(m: int, n: int) -> int:
+    """Fibre row k of the class mF + nE, so that n_{mF+nE} = n_{F+kE}.
 
-    The NL sum of mF + nE runs h from 0 to 1 + m(n - m) (see
-    :func:`f_multifiber_direct`), so it is empty below n = m for m >= 2
-    and never for m = 1.  Every invariant before this row is 0.
+    The class has degrees (d1, d2) = (n - 2m, m) against L1, L2
+    (:func:`geometry.pairing_matrix`), so :func:`geometry.nl_discriminant`
+    is 2(m^2 + (n - 2m)m - h + 1) = 2(k - h): the NL sum sees (m, n) only
+    through k.  A row with k < 0 has no h >= 0 and reads 0.
     """
+    return m * (n - m) + 1
+
+
+def first_row(m: int) -> int:
+    """Lowest n with :func:`fiber_row` (m, n) >= 0; earlier rows read 0."""
     return m if m > 1 else 0
+
+
+def _fiber_rows(m: int, nmax: int) -> list[int]:
+    """The fibre rows of mF + nE for 0 <= n <= nmax, in increasing order."""
+    if m < 1:
+        raise ValueError("fibre multiplicity must be at least 1")
+    if nmax < 0:
+        raise ValueError("nmax must be non-negative")
+    return [fiber_row(m, n) for n in range(nmax + 1)]
 
 
 def f_multifiber_direct(m: int, nmax: int) -> list[int]:
     """n_{mF+nE} for m >= 1 and 0 <= n <= nmax, by the NL sum.
 
-    Entry n is (1/2) sum_h r_h NL_{h; d1, d2}, where (d1, d2) = (n - 2m, m)
-    are the degrees of the class; the discriminant 2 - 2h + 2nm - 2m^2
-    bounds h by 1 + m(n - m).  The fibre classes F + nE are m = 1.
-    With r and E10 read into int lists once, each class from
-    :func:`first_row` on is one dot product times -2, the NL factor -4
-    halved (E10 is integral, so the halving is exact); the classes before
-    it read 0 without a discriminant.
+    Row k = :func:`fiber_row` (m, n) is (1/2) sum_h r_h NL_h with
+    NL_h = -4 [q^(k-h)] E10 (:func:`nl_number`): one dot product of int
+    lists times -2, exact since E10 is integral.
     """
-    if m < 1:
-        raise ValueError("fibre multiplicity must be at least 1")
-    if nmax < 0:
-        raise ValueError("nmax must be non-negative")
-    hcap = max(0, 1 + m * (nmax - m))
-    r = forms.yau_zaslow(hcap)
-    e10 = forms.eisenstein(10, hcap + 1)
-    ev = e10.window(0, hcap + 1)
-    first = min(first_row(m), nmax + 1)
-    values = [0] * first
-    for n in range(first, nmax + 1):
-        d1, d2 = geometry.class_to_degrees(CurveClass(e=n, f=m))
-        # disc(h) = disc(0) - 2h, so h runs up to half0 = disc(0)/2 and
-        # NL_h = -4 [q^(half0 - h)] E10 (see nl_number)
-        half0 = geometry.nl_discriminant(0, d1, d2) // 2
-        values.append(-2 * sum(map(mul, r[:half0 + 1], ev[half0::-1])))
-    return values
+    rows = _fiber_rows(m, nmax)
+    top = max(0, rows[-1])
+    r = forms.yau_zaslow(top)
+    ev = forms.eisenstein(10, top + 1).window(0, top + 1)
+    return [-2 * sum(map(mul, r[:k + 1], ev[k::-1])) if k >= 0 else 0
+            for k in rows]
 
 
 def f_multifiber_slice(m: int, nmax: int) -> list[int]:
-    """n_{mF+nE} for m >= 1 and 0 <= n <= nmax, by a congruence slice.
+    """n_{mF+nE} for m >= 1 and 0 <= n <= nmax, by the closed form.
 
-    Entry n is the coefficient of q^(m(n-m)) in the slice at 0 mod m of
-    the one product -2 E10/Delta.  That slice is -2 times the sum over l
-    of the slice products (1/Delta)_{m, l-1} (E10)_{m, 1-l}, which pair
-    the residue a = l - 1 of 1/Delta with -a of E10 for every a mod m.
-    The exponents m(n-m) are multiples of m, so the slice keeps them, and
-    the entries are read straight off the product.
-    For the fibre classes F + nE (m = 1) it is the whole product, and
-    entry n is its coefficient of q^(n-1).  The product starts at q^-1,
-    so when m(nmax - m) is below that every entry is 0, as in
-    :func:`f_multifiber_direct`.
+    Row k = :func:`fiber_row` (m, n) is the coefficient of q^(k-1) in
+    -2 E10/Delta, which starts at q^-1, so a row with k < 0 reads 0.  The
+    exponents k - 1 = m(n - m) are 0 mod m: the rows read the slice at
+    0 mod m, -2 sum_l (1/Delta)_{m, l-1} (E10)_{m, 1-l}.
     """
-    if m < 1:
-        raise ValueError("fibre multiplicity must be at least 1")
-    if nmax < 0:
-        raise ValueError("nmax must be non-negative")
-    uterms = m * (nmax - m) + 2  # need exponents through m(nmax - m)
-    if uterms < 1:
-        return [0] * (nmax + 1)
+    rows = _fiber_rows(m, nmax)
+    uterms = max(0, rows[-1]) + 1  # exponents through q^-1 and rows[-1] - 1
     product = forms.inverse_delta(uterms) * forms.eisenstein(10, uterms)
-    return [-2 * product.coeff_at(m * (n - m)) for n in range(nmax + 1)]
+    return [-2 * product.coeff_at(k - 1) for k in rows]
 
 
 def gv_to_gw_genus0(table: dict[CurveClass, int],

@@ -2,11 +2,17 @@
 
 import pytest
 
-from ellcy import geometry
+from ellcy import geometry, invariants
 from ellcy.geometry import CurveClass, Gamma19Class
 
 # Gram matrix of L1, L2 restricted to a K3 fibre: the polarizing lattice.
 K3_GRAM = ((-2, 1), (1, 0))
+
+
+def degrees(beta: CurveClass) -> tuple[int, int]:
+    """(d1, d2) of a curve class: rows L1, L2 of the pairing table."""
+    return tuple(row[0] * beta.c + row[1] * beta.f + row[2] * beta.e
+                 for row in geometry.pairing_matrix()[:2])
 
 
 class TestPairing:
@@ -14,30 +20,35 @@ class TestPairing:
         assert geometry._det(geometry.pairing_matrix()) == -1
 
     def test_table_entries(self):
-        assert geometry.pair(1, CurveClass(c=1)) == -1
-        assert geometry.pair(3, CurveClass(e=1)) == 0
-        assert geometry.pair(1, CurveClass(f=1)) == -2
-        assert geometry.pair(2, CurveClass(f=1)) == 1
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            geometry.pair(4, CurveClass(c=1))
+        # rows L1, L2, L3; columns C, F, E
+        table = geometry.pairing_matrix()
+        assert table[0][0] == -1  # <L1, C>
+        assert table[2][2] == 0  # <L3, E>
+        assert table[0][1] == -2  # <L1, F>
+        assert table[1][1] == 1  # <L2, F>
 
 
 class TestClassToDegrees:
     def test_fiber_family(self):
         for n in range(6):
-            beta = CurveClass(e=n, f=1)
-            assert geometry.class_to_degrees(beta) == (n - 2, 1)
+            assert degrees(CurveClass(e=n, f=1)) == (n - 2, 1)
 
     def test_multifiber_family(self):
         for m in range(1, 4):
             for n in range(6):
-                beta = CurveClass(e=n, f=m)
-                assert geometry.class_to_degrees(beta) == (n - 2 * m, m)
+                assert degrees(CurveClass(e=n, f=m)) == (n - 2 * m, m)
 
     def test_zero_class(self):
-        assert geometry.class_to_degrees(CurveClass()) == (0, 0)
+        assert degrees(CurveClass()) == (0, 0)
+
+    def test_half_discriminant_is_the_fiber_row(self):
+        # the degrees of mF + nE put its h = 0 half-discriminant at the
+        # fibre row that both multifiber routes read
+        for m in range(1, 8):
+            for n in range(-2, 30):
+                d1, d2 = degrees(CurveClass(e=n, f=m))
+                assert geometry.nl_discriminant(0, d1, d2) // 2 == \
+                    invariants.fiber_row(m, n), (m, n)
 
 
 class TestPushforward:

@@ -20,8 +20,9 @@ def fraction_nl_sum(m: int, nmax: int) -> list[Fraction]:
     r = forms.yau_zaslow(hcap)
     e10 = forms.eisenstein(10, hcap + 1)
     out = []
+    (_, l1f, l1e), (_, l2f, l2e), _ = geometry.pairing_matrix()
     for n in range(nmax + 1):
-        d1, d2 = geometry.class_to_degrees(CurveClass(e=n, f=m))
+        d1, d2 = l1f * m + l1e * n, l2f * m + l2e * n  # degrees of mF + nE
         total = Fraction(0)
         for h in range(max(0, 1 + m * (n - m)) + 1):
             disc = geometry.nl_discriminant(h, d1, d2)
@@ -310,7 +311,8 @@ class TestMultifiberRoutes:
 
     def test_no_discriminant_before_first_row(self, monkeypatch):
         # first_row is the lowest n with 1 + m(n - m) >= 0, and the NL
-        # sum computes one discriminant per row from it on, none before
+        # sum reads every row's index from fiber_row, so it computes no
+        # discriminant at all
         for m in range(1, 12):
             assert invariants.first_row(m) == min(
                 n for n in range(m + 1) if 1 + m * (n - m) >= 0)
@@ -323,8 +325,29 @@ class TestMultifiberRoutes:
 
         monkeypatch.setattr(geometry, "nl_discriminant", counting)
         values = invariants.f_multifiber_direct(50, 50)
-        assert len(calls) == 1
+        assert calls == []
         assert values == [0] * 50 + [fraction_nl_sum(50, 50)[50]]
+
+    @pytest.mark.parametrize("route", ["f_multifiber_slice",
+                                       "f_multifiber_direct"])
+    def test_every_row_is_a_fiber_row(self, route):
+        # n_{mF+nE} = n_{F+kE} with k = fiber_row(m, n), read off the
+        # same route's fibre table; a negative k reads 0
+        fn = getattr(invariants, route)
+        fiber = fn(1, 199)
+        for m in (2, 3, 5, 7):
+            rows = [invariants.fiber_row(m, n) for n in range(30)]
+            assert fn(m, 29) == [fiber[k] if k >= 0 else 0 for k in rows], m
+
+    @pytest.mark.parametrize("route", ["f_multifiber_slice",
+                                       "f_multifiber_direct"])
+    def test_tables_before_first_row_are_empty(self, route):
+        # every row below first_row has k < 0, so the whole table is 0;
+        # the closed route reads it below the q^-1 its product starts at
+        fn = getattr(invariants, route)
+        for m in range(2, 7):
+            for nmax in range(invariants.first_row(m)):
+                assert fn(m, nmax) == [0] * (nmax + 1), (m, nmax)
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
