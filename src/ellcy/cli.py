@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 
 from . import forms, geometry, invariants
-from .series import QSeries, _fmt_ratio
+from .series import QSeries
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
@@ -29,41 +29,47 @@ TERMS_BOUND = 3000
 # largest check --prec: at the bound the suite takes about 0.5 s
 CHECK_BOUND = 300
 
+# Each name: (generator, printed times q^(-1/2)).  Only inv-sqrt-delta,
+# q^(1/2)/sqrt(Delta) on the integer grid, is printed times q^(-1/2):
+# its term q^i is printed at q^((2i - 1)/2).
 _SERIES = {
-    "delta": forms.delta,
-    "inv-delta": forms.inverse_delta,
-    "e4": lambda prec: forms.eisenstein(4, prec),
-    "e6": lambda prec: forms.eisenstein(6, prec),
-    "e10": lambda prec: forms.eisenstein(10, prec),
-    "theta-e8": forms.theta_e8,
-    "inv-sqrt-delta": forms.inverse_sqrt_delta,
+    "delta": (forms.delta, False),
+    "inv-delta": (forms.inverse_delta, False),
+    "e4": (lambda prec: forms.eisenstein(4, prec), False),
+    "e6": (lambda prec: forms.eisenstein(6, prec), False),
+    "e10": (lambda prec: forms.eisenstein(10, prec), False),
+    "theta-e8": (forms.theta_e8, False),
+    "inv-sqrt-delta": (forms.inverse_sqrt_delta, True),
 }
 
 
-def series_to_doc(f: QSeries, variable: str = "q") -> dict:
-    """Lossless JSON document for a series.
+def series_to_doc(f: QSeries, half: bool = False,
+                  variable: str = "q") -> dict:
+    """Lossless JSON document for a series, or for q^(-1/2) f with half.
 
     Every coefficient is an int; its "den" is always "1" and stays so
-    that the document keeps its numerator/denominator format.
+    that the document keeps its numerator/denominator format.  Exponents
+    are offset + i over "exp_den": 1, or with half 2, where the term q^i
+    of f sits at (2i - 1)/2 and a known zero fills each slot between.
     """
-    return {
-        "variable": variable,
-        "exp_den": f.exp_den,
-        "offset": f.offset,
-        "prec": f.prec,
-        "coeffs": [{"num": str(c), "den": "1"} for c in f.coeffs],
-    }
+    coeffs = [{"num": str(c), "den": "1"} for c in f.coeffs]
+    if not half:
+        return {"variable": variable, "exp_den": 1, "offset": f.offset,
+                "prec": f.prec, "coeffs": coeffs}
+    slots = [{"num": "0", "den": "1"}] * (2 * len(coeffs))
+    slots[::2] = coeffs
+    return {"variable": variable, "exp_den": 2, "offset": 2 * f.offset - 1,
+            "prec": 2 * f.prec - 1, "coeffs": slots}
 
 
-def _print_series(f: QSeries, as_json: bool, out) -> None:
+def _print_series(f: QSeries, half: bool, as_json: bool, out) -> None:
     if as_json:
         import json  # only this output needs it; kept off the start-up path
         # dumps runs the C encoder; dump to a stream writes chunk by chunk
-        out.write(json.dumps(series_to_doc(f)) + "\n")
+        out.write(json.dumps(series_to_doc(f, half)) + "\n")
         return
     for i, c in enumerate(f.coeffs, f.offset):
-        if f.exp_den == 1 or c != 0:
-            out.write(f"{_fmt_ratio(i, f.exp_den)}\t{c}\n")
+        out.write(f"{2 * i - 1}/2\t{c}\n" if half else f"{i}\t{c}\n")
 
 
 def _check_prec(prec: int) -> None:
@@ -75,8 +81,8 @@ def _check_prec(prec: int) -> None:
 
 def cmd_series(args, out) -> int:
     _check_prec(args.prec)
-    f = _SERIES[args.name](args.prec)
-    _print_series(f, args.json, out)
+    generator, half = _SERIES[args.name]
+    _print_series(generator(args.prec), half, args.json, out)
     return 0
 
 

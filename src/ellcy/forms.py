@@ -3,8 +3,9 @@
 Everything here returns a :class:`~ellcy.series.QSeries` truncated to a
 requested number of terms counted from the leading exponent.  Every eta
 power, Delta = eta^24 and the denominators 1/Delta = eta^-24 and
-1/sqrt(Delta) = eta^-12 included, comes from one integer recurrence in
-:func:`eta_power`; no generator takes a series square root or inverse.
+q^(1/2)/sqrt(Delta) = q^(1/2) eta^-12 included, comes from one integer
+recurrence in :func:`eta_power`, on the integer grid; no generator takes
+a series square root or inverse.
 Two of the generators are deliberately redundant: the E8 theta series
 counts lattice vectors by norm through powers of Jacobi theta series
 built from the coordinates, and never via the weight-4 Eisenstein series,
@@ -85,15 +86,16 @@ def e10_coefficient(k: int) -> int:
 
 
 def eta_power(e: int, nterms: int) -> QSeries:
-    """q^(e/24) * prod_{n>=1} (1 - q^n)^e, keeping nterms terms.
+    """prod_{n>=1} (1 - q^n)^e = q^(-e/24) eta^e from q^0, nterms terms.
 
     Any nonzero even e, negative ones included.  The product's
     coefficients p_n come from Euler's recurrence for powers of a power
     series (Knuth, TAOCP vol. 2, 4.7): the log-derivative of
     prod (1 - q^n)^e is -e sum sigma_1(k) q^k, so
     n p_n = -e sum_{k=1}^{n} sigma_1(k) p_{n-k} with p_0 = 1, all in
-    integers.  The exponent denominator is 24/gcd(e, 24): 1 for
-    eta^(+-24) and 2 for eta^(+-12).
+    integers.  The q^(e/24) is left to the caller, so every power sits on
+    the integer grid: :func:`delta` and :func:`inverse_delta` shift by
+    q^(+-1), and :func:`inverse_sqrt_delta` is eta^-12 times q^(1/2).
     """
     if e == 0 or e % 2:
         raise ValueError("the exponent must be a nonzero even integer")
@@ -108,27 +110,30 @@ def eta_power(e: int, nterms: int) -> QSeries:
         if rem:
             raise ArithmeticError(
                 f"eta^{e}: coefficient {n} is not an integer")
-    exp_den = 24 // math.gcd(e, 24)
-    shift = e * exp_den // 24  # e/24 in units of 1/exp_den
-    if exp_den == 1:
-        return QSeries(cs, shift, shift + nterms, 1)
-    scaled = [0] * (nterms * exp_den)
-    scaled[::exp_den] = cs
-    return QSeries(scaled, shift, shift + nterms * exp_den, exp_den)
+    return QSeries(cs, 0, nterms)
+
+
+def _shifted(f: QSeries, k: int) -> QSeries:
+    """q^k * f, by moving the exponents."""
+    return QSeries.from_ints(f.nums, f.offset + k, f.prec + k)
 
 
 def delta(nterms: int) -> QSeries:
     """The discriminant cusp form Delta = eta^24 = q - 24q^2 + ..."""
-    return eta_power(24, nterms)
+    return _shifted(eta_power(24, nterms), 1)
 
 
 def inverse_delta(nterms: int) -> QSeries:
     """1/Delta = eta^-24 = q^-1 + 24 + 324q + 3200q^2 + ..., nterms terms."""
-    return eta_power(-24, nterms)
+    return _shifted(eta_power(-24, nterms), -1)
 
 
 def inverse_sqrt_delta(nterms: int) -> QSeries:
-    """1/sqrt(Delta) = eta^-12 = q^(-1/2)(1 + 12q + ...), nterms terms."""
+    """q^(1/2)/sqrt(Delta) = q^(1/2) eta^-12 = 1 + 12q + ..., nterms terms.
+
+    The Bryan-Leung section series: C'' + jE'' is counted at q^j.  The
+    CLI prints it times q^(-1/2).
+    """
     return eta_power(-12, nterms)
 
 

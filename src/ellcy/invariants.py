@@ -9,10 +9,10 @@ m = 1) are fibre rows, n_{mF+nE} = n_{F+kE} with k = :func:`fiber_row`
 (m, n), read through the Noether-Lefschetz numbers of the K3 fibration
 with the Yau-Zaslow coefficients, and independently off the closed form
 -2 E10/Delta.  Section classes C + nE are counted through the closed
-form E4/sqrt(Delta) and independently by convolving E8 vector counts
-(by norm, from Jacobi theta powers) with the Bryan-Leung section series
-1/sqrt(Delta).  The q^(-1/2) of 1/sqrt(Delta) is dropped in one place,
-:func:`_bryan_leung`.  Tests compare the routes entry by entry.  Each
+form q^(1/2) E4/sqrt(Delta) and independently by convolving E8 vector
+counts (by norm, from Jacobi theta powers) with the Bryan-Leung section
+series q^(1/2)/sqrt(Delta) (:func:`forms.inverse_sqrt_delta`), which
+counts C'' + jE'' at q^j.  Tests compare the routes entry by entry.  Each
 pair shares generators: both section routes read eta^-12, and both
 mF + nE routes read eta^-24 and E10 = E4 * E6; separate oracle checks
 pin those.  The NL sum and the section convolution run on plain
@@ -30,7 +30,6 @@ from operator import mul
 
 from . import forms, geometry
 from .geometry import CurveClass
-from .series import QSeries
 
 TYPE_CHECKING = False  # typing's flag unimported; checkers read it as true
 if TYPE_CHECKING:
@@ -50,20 +49,13 @@ def nl_number(h: int, d1: int, d2: int) -> int:
     return -4 * forms.e10_coefficient(disc // 2)
 
 
-def _bryan_leung(nterms: int) -> QSeries:
-    """q^(1/2)/sqrt(Delta) = 1 + 12q + ...: C'' + jE'' counted at q^j."""
-    inv = forms.inverse_sqrt_delta(nterms)
-    return QSeries.from_ints(inv.window(-1, 2 * nterms - 1, 2)[::2], 0,
-                             nterms)
-
-
 def f_section_closed(nterms: int) -> list[int]:
     """n_{C+nE} for 0 <= n < nterms, by the closed form q^(1/2) E4/sqrt(Delta).
 
     Entry n is the coefficient of q^n.
     """
-    f = forms.eisenstein(4, nterms) * _bryan_leung(nterms)
-    return [f.coeff_at(n) for n in range(nterms)]
+    f = forms.eisenstein(4, nterms) * forms.inverse_sqrt_delta(nterms)
+    return f.window(0, nterms)
 
 
 def f_section_convolution(nterms: int) -> list[int]:
@@ -73,12 +65,12 @@ def f_section_convolution(nterms: int) -> list[int]:
     class C + nE pulls back to classes C'' + nE'' + lambda on the
     rational elliptic surface; shifting by half the (negative) norm of
     lambda reduces each to a pure section class, counted by
-    :func:`_bryan_leung`.  Only effective classes contribute: lambda of
-    positive-definite norm 2m enters at level n iff m <= n, which is
-    exactly the effectivity bound on the surface.
+    :func:`forms.inverse_sqrt_delta`.  Only effective classes contribute:
+    lambda of positive-definite norm 2m enters at level n iff m <= n,
+    which is exactly the effectivity bound on the surface.
     """
-    bl = _bryan_leung(nterms)  # raises ValueError unless nterms >= 1
-    bv = [bl.coeff_at(n) for n in range(nterms)]
+    # raises ValueError unless nterms >= 1
+    bv = forms.inverse_sqrt_delta(nterms).window(0, nterms)
     counts = forms.e8_norm_counts(nterms - 1)
     # norm 2m shifts level n down to C'' + (n - m)E''
     return [sum(map(mul, counts[:n + 1], bv[n::-1])) for n in range(nterms)]

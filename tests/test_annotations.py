@@ -92,3 +92,22 @@ def test_annotation_imports_load_nothing():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_series_hints_resolve_at_run_time():
+    # series.py names no Fraction, so typing.get_type_hints resolves its
+    # annotations with no localns (invariants.gv_to_gw_genus0 still
+    # needs one for Fraction)
+    import typing
+    from collections.abc import Iterator
+
+    from ellcy import series
+    assert typing.get_type_hints(series.QSeries.terms) == \
+        {"return": Iterator[tuple[int, int]]}
+    assert typing.get_type_hints(series.QSeries.coeff_at) == \
+        {"e": int, "return": int}
+    for owner in (series, series.QSeries):
+        for fn in vars(owner).values():
+            fn = getattr(fn, "__func__", fn)  # classmethods
+            if callable(fn) and not isinstance(fn, type):
+                typing.get_type_hints(fn)

@@ -42,10 +42,11 @@ class TestSeriesCommand:
         assert theta == e4 == "0\t1\n1\t240\n2\t2160\n"
 
     def test_half_integer_display(self):
-        code, text = run(["series", "inv-sqrt-delta", "--prec", "3"])
-        assert code == 0
-        assert text.splitlines()[0] == "-1/2\t1"
-        assert text.splitlines()[1] == "1/2\t12"
+        # the one series printed on the half grid, times q^(-1/2)
+        assert run(["series", "inv-sqrt-delta", "--prec", "3"]) == \
+            (0, "-1/2\t1\n1/2\t12\n3/2\t90\n")
+        assert run(["series", "inv-sqrt-delta", "--prec", "3", "--json"]) \
+            == (0, INV_SQRT_DELTA_3_JSON)
 
     def test_unknown_name_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -62,12 +63,22 @@ class TestSeriesCommand:
         assert a == b
 
 
-def assert_doc_is_exact(doc, f):
-    """doc states f's grid, bounds and every exact coefficient."""
+def assert_doc_is_exact(doc, f, half=False):
+    """doc states f's bounds and every exact coefficient.
+
+    With half, doc states q^(-1/2) f on the half grid: exp_den 2, the term
+    q^i of f at exponent (2i - 1)/2, and a known zero between each two.
+    """
+    den = 2 if half else 1
+    shift = -1 if half else 0  # q^(-1/2) in units of 1/den
     assert (doc["offset"], doc["prec"], doc["exp_den"]) == \
-        (f.offset, f.prec, f.exp_den)
-    assert [(c["num"], c["den"]) for c in doc["coeffs"]] == \
-        [(str(v.numerator), str(v.denominator)) for v in f.coeffs]
+        (den * f.offset + shift, den * f.prec + shift, den)
+    assert len(doc["coeffs"]) == doc["prec"] - doc["offset"]
+    assert {c["den"] for c in doc["coeffs"]} <= {"1"}
+    nums = [int(c["num"]) for c in doc["coeffs"]]
+    assert nums[::den] == list(f.coeffs)
+    if half:
+        assert not any(nums[1::2])
 
 
 class TestJsonRoundTrip:
@@ -78,7 +89,9 @@ class TestJsonRoundTrip:
         assert code == 0
         doc = json.loads(text)
         assert set(doc) == {"variable", "exp_den", "offset", "prec", "coeffs"}
-        assert_doc_is_exact(doc, cli._SERIES[name](6))
+        generator, half = cli._SERIES[name]
+        assert half == (name == "inv-sqrt-delta")
+        assert_doc_is_exact(doc, generator(6), half)
 
     def test_big_integers_survive(self):
         f = forms.inverse_delta(40)
@@ -94,13 +107,16 @@ class TestJsonRoundTrip:
             assert isinstance(c["den"], str)
 
     def test_rational_half_integer_round_trip(self):
-        # half-integer exponents; every coefficient's den is "1"
-        f = QSeries([1, 0, -3, 5], -1, 5, 2)
-        assert f.exp_den == 2
-        doc = json.loads(json.dumps(series_to_doc(f)))
-        assert doc["exp_den"] == 2
-        assert_doc_is_exact(doc, f)
+        # the half-grid document of q^(-1/2) f survives a JSON round trip:
+        # f's q^-1 .. q^2 at exponents -3/2 .. 3/2, and every den "1"
+        f = QSeries([1, 0, -3, 5], -1, 3)
+        doc = json.loads(json.dumps(series_to_doc(f, half=True)))
+        assert (doc["exp_den"], doc["offset"], doc["prec"]) == (2, -3, 5)
+        assert [c["num"] for c in doc["coeffs"]] == \
+            ["1", "0", "0", "0", "-3", "0", "5", "0"]
+        assert_doc_is_exact(doc, f, half=True)
         assert {c["den"] for c in doc["coeffs"]} == {"1"}
+        assert series_to_doc(f)["exp_den"] == 1
 
 
 class TestGvCommand:
@@ -306,6 +322,23 @@ class TestEulerCommand:
         assert text == "deg K_Delta\t132\ncusps\t24\ne(Delta)\t-84\ne(X)\t-60\n"
 
 
+def failed_checks(text):
+    """The names of the FAIL lines of `check` output, in order.
+
+    A fault must fail a check by the value it corrupts: a FAIL whose
+    detail is an AttributeError or a TypeError comes from a stale fault
+    helper or a broken call, and fails the calling test.
+    """
+    names = []
+    for line in text.splitlines():
+        if line.startswith("FAIL"):
+            _, name, *detail = line.split("\t")
+            assert not "".join(detail).startswith(
+                ("AttributeError", "TypeError")), line
+            names.append(name)
+    return names
+
+
 class TestCheckCommand:
     def test_passes(self):
         code, text = run(["check", "--prec", "6"])
@@ -329,12 +362,12 @@ class TestCheckCommand:
                 return f
             cs = list(f.coeffs)
             cs[2] += 1
-            return QSeries(cs, f.offset, f.prec, f.exp_den)
+            return QSeries(cs, f.offset, f.prec)
 
         monkeypatch.setattr(forms, "eisenstein", corrupted)
         code, text = run(["check", "--prec", "6"])
         assert code == 2
-        assert "FAIL" in text
+        assert "e10-sigma9" in failed_checks(text)
 
     def test_corrupted_delta_detected(self, monkeypatch):
         real = forms.eta_power
@@ -345,12 +378,12 @@ class TestCheckCommand:
                 return f
             cs = list(f.coeffs)
             cs[1] += 1
-            return QSeries(cs, f.offset, f.prec, f.exp_den)
+            return QSeries(cs, f.offset, f.prec)
 
         monkeypatch.setattr(forms, "eta_power", corrupted)
         code, text = run(["check", "--prec", "6"])
         assert code == 2
-        assert "FAIL" in text
+        assert "eta-power-additivity" in failed_checks(text)
 
     def test_corrupted_inverse_delta_detected(self, monkeypatch):
         real = forms.eta_power
@@ -361,14 +394,12 @@ class TestCheckCommand:
                 return f
             cs = list(f.coeffs)
             cs[2] += 1
-            return QSeries(cs, f.offset, f.prec, f.exp_den)
+            return QSeries(cs, f.offset, f.prec)
 
         monkeypatch.setattr(forms, "eta_power", corrupted)
         code, text = run(["check", "--prec", "6"])
         assert code == 2
-        assert "eta-power-additivity" in [
-            line.split("\t")[1] for line in text.splitlines()
-            if line.startswith("FAIL")]
+        assert "eta-power-additivity" in failed_checks(text)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_consistent_eta_fault_detected(self, sign, monkeypatch):
@@ -389,8 +420,7 @@ class TestCheckCommand:
         monkeypatch.setattr(forms, "eta_power", corrupted)
         code, text = run(["check", "--prec", "6"])
         assert code == 2
-        assert [line.split("\t")[1] for line in text.splitlines()
-                if line.startswith("FAIL")] == ["eta-power-additivity"]
+        assert failed_checks(text) == ["eta-power-additivity"]
 
     def test_nl_vanishing_reads_e10(self, monkeypatch):
         # an E10 coefficient at q^-1 lies below the support of a modular
@@ -445,9 +475,7 @@ class TestCheckCommand:
                                                    width))
         code, text = run(["check", "--prec", "2"])
         assert code == 2
-        assert "ring-laws" in [line.split("\t")[1]
-                               for line in text.splitlines()
-                               if line.startswith("FAIL")]
+        assert "ring-laws" in failed_checks(text)
 
     def test_row_loop_fault_fails_ring_laws(self, monkeypatch):
         # short products that skip the last nonzero term of f, as a row
@@ -474,7 +502,7 @@ class TestCheckCommand:
             if not g.nums:
                 return real(f, g)
             return real(f, QSeries.from_ints(g.nums[:-1], g.offset + 1,
-                                             g.prec, g.exp_den))
+                                             g.prec))
 
         monkeypatch.setattr(QSeries, "__add__", shifted)
         res = checks.check_ring_laws()
@@ -525,14 +553,12 @@ class TestCheckCommand:
                 return f
             cs = list(f.coeffs)
             cs[1] -= 1
-            return QSeries(cs, f.offset, f.prec, f.exp_den)
+            return QSeries(cs, f.offset, f.prec)
 
         monkeypatch.setattr(forms, "eisenstein", corrupted)
         code, text = run(["check", "--prec", "6"])
         assert code == 2
-        assert "theta-e8-equals-e4" in [
-            line.split("\t")[1] for line in text.splitlines()
-            if line.startswith("FAIL")]
+        assert "theta-e8-equals-e4" in failed_checks(text)
 
 
     def test_raising_generator_is_a_fail_line(self, monkeypatch, capsys):
@@ -571,6 +597,11 @@ E4_3 = "0\t1\n1\t240\n2\t2160\n"
 E4_2_JSON = ('{"variable": "q", "exp_den": 1, "offset": 0, "prec": 2, '
              '"coeffs": [{"num": "1", "den": "1"}, {"num": "240", '
              '"den": "1"}]}\n')
+INV_SQRT_DELTA_3_JSON = (
+    '{"variable": "q", "exp_den": 2, "offset": -1, "prec": 5, "coeffs": '
+    '[{"num": "1", "den": "1"}, {"num": "0", "den": "1"}, {"num": "12", '
+    '"den": "1"}, {"num": "0", "den": "1"}, {"num": "90", "den": "1"}, '
+    '{"num": "0", "den": "1"}]}\n')
 FIBER_3 = "0\tF\t-2\n1\tF+E\t480\n2\tF+2E\t282888\n"
 ACCEPTED = [
     # options before or after the positional

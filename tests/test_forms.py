@@ -104,26 +104,30 @@ def box_half_profiles(parity: int, bound: int) -> dict[tuple[int, int], int]:
 
 class TestEtaPower:
     def test_eta24_against_product_oracle(self):
+        # eta_power is the product alone, from q^0; delta = q times it
         oracle = dedekind_product_oracle(24, 8)
         d = forms.eta_power(24, 8)
+        delta = forms.delta(8)
         for i, c in enumerate(oracle):
-            assert d.coeff_at(i + 1) == c
+            assert d.coeff_at(i) == c
+            assert delta.coeff_at(i + 1) == c
 
     def test_eta24_first_terms(self):
         d = forms.eta_power(24, 4)
-        assert [d.coeff_at(n) for n in range(1, 5)] == [1, -24, 252, -1472]
+        assert [d.coeff_at(n) for n in range(4)] == [1, -24, 252, -1472]
+        assert forms.delta(4) == QSeries([1, -24, 252, -1472], 1, 5)
 
     def test_inverse_delta_known_values(self):
-        inv = forms.eta_power(24, 4).invert()
+        inv = forms.delta(4).invert()
         assert [(e, c) for e, c in inv.terms()] == [
             (-1, 1), (0, 24), (1, 324), (2, 3200)]
 
     def test_eta12_half_integer_exponents(self):
+        # eta^12 = q^(1/2) prod (1 - q^n)^12 has the exponents i + 1/2;
+        # eta_power keeps the product alone, its q^(i + 1/2) term at q^i
         s = forms.eta_power(12, 5)
-        assert s.exp_den == 2
-        oracle = dedekind_product_oracle(12, 5)
-        for i, c in enumerate(oracle):
-            assert s.coeff_at(Fraction(2 * i + 1, 2)) == c
+        assert (s.offset, s.prec) == (0, 5)
+        assert list(s.coeffs) == dedekind_product_oracle(12, 5)
 
     def test_eta12_squared_is_eta24(self):
         lhs = forms.eta_power(12, 6) * forms.eta_power(12, 6)
@@ -132,10 +136,30 @@ class TestEtaPower:
         assert lhs.truncate(p) == rhs.truncate(p)
 
     def test_sqrt_delta_matches_eta12(self):
-        s = forms.delta(6).sqrt()
+        # Delta/q = prod (1 - q^n)^24 has an even leading exponent, so its
+        # square root stays on the integer grid
+        s = forms.eta_power(24, 6).sqrt()
         t = forms.eta_power(12, 6)
         p = min(s.prec, t.prec)
         assert s.truncate(p) == t.truncate(p)
+
+    @pytest.mark.parametrize("e", [-24, -12, -2, 2, 8, 12, 24])
+    def test_every_power_from_q0(self, e):
+        # the integer grid: every power from q^0 with nterms terms; only
+        # delta and inverse_delta shift, by q^1 and q^-1
+        s = forms.eta_power(e, 7)
+        assert (s.offset, s.prec, s.coeffs[0]) == (0, 7, 1)
+        if e > 0:
+            assert list(s.coeffs) == dedekind_product_oracle(e, 7)
+
+    def test_shifted_generators(self):
+        assert (forms.delta(5).offset, forms.delta(5).prec) == (1, 6)
+        inv = forms.inverse_delta(5)
+        assert (inv.offset, inv.prec) == (-1, 4)
+        assert inv.nums == forms.eta_power(-24, 5).nums
+        # the Bryan-Leung series q^(1/2)/sqrt(Delta) is eta^-12 as stored
+        assert forms.inverse_sqrt_delta(3) == QSeries([1, 12, 90], 0, 3)
+        assert forms.inverse_sqrt_delta(9) == forms.eta_power(-12, 9)
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -149,7 +173,7 @@ class TestEtaPower:
     def test_recurrence_matches_product_oracle(self, e):
         s = forms.eta_power(e, 20)
         for i, c in enumerate(dedekind_product_oracle(e, 20)):
-            assert s.coeff_at(Fraction(e, 24) + i) == c
+            assert s.coeff_at(i) == c
 
     @pytest.mark.parametrize("e", [12, 24])
     def test_negative_power_is_inverse(self, e):
@@ -158,10 +182,11 @@ class TestEtaPower:
         assert prod.prec == 30
 
     def test_inverse_delta_by_recurrence_known_values(self):
-        inv = forms.eta_power(-24, 4)
+        inv = forms.inverse_delta(4)
         assert [(e, c) for e, c in inv.terms()] == [
             (-1, 1), (0, 24), (1, 324), (2, 3200)]
         assert inv.prec == 3
+        assert forms.eta_power(-24, 4) == QSeries([1, 24, 324, 3200], 0, 4)
 
     def test_ramanujan_tau_at_200_terms(self):
         d = forms.delta(200)

@@ -63,7 +63,7 @@ def fraction_section_convolution(nterms: int) -> list[Fraction]:
     for n in range(nterms):
         total = Fraction(0)
         for m in range(n + 1):
-            total += counts[m] * bl.coeff_at(Fraction(2 * (n - m) - 1, 2))
+            total += counts[m] * bl.coeff_at(n - m)
         out.append(total)
     return out
 
@@ -176,8 +176,9 @@ class TestSectionRoutes:
         assert invariants.f_section_closed(4) == [1, 252, 5130, 54760]
 
     def test_closed_multiplies_on_the_integer_grid(self, monkeypatch):
-        # E4 and the Bryan-Leung series share the integer grid, so the
-        # product packs no slot beyond the terms it returns
+        # E4 and the Bryan-Leung series q^(1/2)/sqrt(Delta) share the
+        # integer grid, so the product packs no slot beyond the terms it
+        # returns
         sizes = []
         real = series.int_product
 
@@ -212,11 +213,30 @@ class TestSectionRoutes:
             assert all(type(v) is int for v in values), args
 
     def test_zero_vector_contribution_is_bryan_leung(self):
-        # the lambda = 0 term of the convolution alone is 1/sqrt(Delta)
+        # the lambda = 0 term of the convolution alone is the Bryan-Leung
+        # series q^(1/2)/sqrt(Delta), which counts C'' + jE'' at q^j
         bl = forms.inverse_sqrt_delta(6)
+        assert (bl.offset, bl.prec) == (0, 6)
         conv = invariants.f_section_convolution(6)
         # at n = 0 only lambda = 0 is effective
-        assert conv[0] == bl.coeff_at(Fraction(-1, 2))
+        assert conv[0] == bl.coeff_at(0) == 1
+
+    @pytest.mark.parametrize("route", ["f_section_closed",
+                                       "f_section_convolution"])
+    def test_routes_read_the_generator_as_it_is(self, route, monkeypatch):
+        # both routes read forms.inverse_sqrt_delta once, at the table's
+        # size, with no regridding step of their own
+        sizes = []
+        real = forms.inverse_sqrt_delta
+
+        def recording(nterms):
+            sizes.append(nterms)
+            return real(nterms)
+
+        monkeypatch.setattr(forms, "inverse_sqrt_delta", recording)
+        assert getattr(invariants, route)(5) == [1, 252, 5130, 54760, 419895]
+        assert sizes == [5]
+        assert not hasattr(invariants, "_bryan_leung")
 
     def test_routes_agree_to_20(self):
         closed = invariants.f_section_closed(20)
@@ -235,8 +255,7 @@ class TestSectionRoutes:
         counts = forms.e8_norm_counts(2)
         bl = forms.inverse_sqrt_delta(3)
         n = 2
-        manual = sum(counts[m] * bl.coeff_at(Fraction(2 * (n - m) - 1, 2))
-                     for m in range(n + 1))
+        manual = sum(counts[m] * bl.coeff_at(n - m) for m in range(n + 1))
         assert conv[n] == manual
 
 
@@ -291,7 +310,7 @@ class TestMultifiberRoutes:
                 return f
             cs = list(f.coeffs)
             cs[2] += 1
-            return type(f)(cs, f.offset, f.prec, f.exp_den)
+            return type(f)(cs, f.offset, f.prec)
 
         monkeypatch.setattr(forms, "eisenstein", corrupted)
         assert invariants.f_multifiber_direct(2, 10) != reference

@@ -40,7 +40,8 @@ ARGVS = (
     [["series", name, "--prec", "3"]
      for name in ("delta", "inv-delta", "inv-sqrt-delta", "e4", "e6",
                   "e10", "theta-e8")]
-    + [["series", "e4", "--prec", "3", "--json"]]
+    + [["series", name, "--prec", "3", "--json"]
+       for name in ("e4", "inv-sqrt-delta")]
     + [["gv", target, "--method", method, "--prec", "3"] + extra
        for target, extra in (("fiber", []), ("section", []),
                              ("multifiber", ["--m", "2"]))

@@ -11,11 +11,7 @@ from ellcy.series import PrecisionError, QSeries
 
 def assert_agree(a: QSeries, b: QSeries):
     """Exact agreement on the overlap of the two known ranges."""
-    den = a.exp_den * b.exp_den
-    lo = min(a.offset * b.exp_den, b.offset * a.exp_den)
-    hi = min(a.prec * b.exp_den, b.prec * a.exp_den)
-    for u in range(lo, hi):
-        e = Fraction(u, den)
+    for e in range(min(a.offset, b.offset), min(a.prec, b.prec)):
         assert a.coeff_at(e) == b.coeff_at(e), f"differ at q^{e}"
 
 
@@ -115,13 +111,13 @@ def test_non_integer_scalar_is_a_type_error():
     assert f * 3 == 3 * f == f.scale(3) == QSeries([3, 6], 0, 2)
 
 
-def test_sqrt_odd_offset_doubles_exp_den():
-    f = QSeries([1, -24], 1, 3)
-    s = f.sqrt()
-    assert s.exp_den == 2
-    assert s.coeff_at(Fraction(1, 2)) == 1
-    assert s.coeff_at(Fraction(3, 2)) == -12
-    assert_agree(s * s, f)
+def test_sqrt_odd_leading_exponent_raises():
+    # q - 24q^2 has no square root on the integer grid; q^2 - 24q^3 has
+    with pytest.raises(ValueError, match="odd leading exponent 1"):
+        QSeries([1, -24], 1, 3).sqrt()
+    with pytest.raises(ValueError, match="odd leading exponent -3"):
+        QSeries([4], -3, 0).sqrt()
+    assert QSeries([1, -24], 2, 4).sqrt() == QSeries([1, -12], 1, 3)
 
 
 def test_coeff_at_below_support_is_zero():
@@ -155,12 +151,6 @@ def test_slice_inverse_delta_odd_part():
     assert odd.coeff_at(0) == 0
     assert odd.coeff_at(1) == 324
     assert odd.coeff_at(2) == 0
-
-
-def test_slice_requires_integer_exponents():
-    f = QSeries([1], 1, 3, exp_den=2)
-    with pytest.raises(ValueError):
-        f.slice(2, 0)
 
 
 def test_truncate_at_own_precision_is_the_series():
@@ -214,15 +204,15 @@ small_slot_st = st.one_of(st.just(0), st.integers(min_value=-30, max_value=30),
 def sparse_factor(draw):
     """An int list with the zero patterns the kernel meets.
 
-    Runs of zeros, every other slot zero (as after an exp_den lift), or
-    all zero, drawn on both sides of the size cutover.
+    Runs of zeros, every other slot zero (a series in q^2), or all zero,
+    drawn on both sides of the size cutover.
     """
     cs = draw(st.lists(small_slot_st, max_size=2 * series._SCHOOLBOOK_TERMS))
-    kind = draw(st.sampled_from(["runs", "lifted", "zero"]))
-    if kind == "lifted":
-        lifted = [0] * (2 * len(cs))
-        lifted[::2] = cs
-        return lifted
+    kind = draw(st.sampled_from(["runs", "strided", "zero"]))
+    if kind == "strided":
+        strided = [0] * (2 * len(cs))
+        strided[::2] = cs
+        return strided
     if kind == "zero":
         return [0] * len(cs)
     start = draw(st.integers(min_value=0, max_value=len(cs)))
@@ -273,12 +263,6 @@ def test_canonical_trims_leading_zeros():
     assert f.coeffs == (Fraction(7),)
 
 
-def test_canonical_reduces_exp_den():
-    f = QSeries([1, 0, 2, 0], 0, 4, exp_den=2)
-    assert f.exp_den == 1
-    assert f.coeffs == (Fraction(1), Fraction(2))
-
-
 # -- property tests ------------------------------------------------------
 
 coeffs_st = st.lists(st.integers(min_value=-20, max_value=20),
@@ -286,19 +270,18 @@ coeffs_st = st.lists(st.integers(min_value=-20, max_value=20),
 
 
 @st.composite
-def qseries(draw, exp_den=None):
+def qseries(draw):
     cs = draw(coeffs_st)
     offset = draw(st.integers(min_value=-4, max_value=4))
     extra = draw(st.integers(min_value=0, max_value=3))
-    den = exp_den if exp_den is not None else draw(st.sampled_from([1, 2, 3]))
-    return QSeries(cs, offset, offset + len(cs) + extra, den)
+    return QSeries(cs, offset, offset + len(cs) + extra)
 
 
 @st.composite
 def unit_series(draw, leads=st.integers(min_value=1, max_value=10)):
     cs = [draw(leads)] + draw(coeffs_st)
     offset = draw(st.integers(min_value=-3, max_value=3))
-    return QSeries(cs, offset, offset + len(cs), 1)
+    return QSeries(cs, offset, offset + len(cs))
 
 
 def schoolbook_product(f: QSeries, g: QSeries):
@@ -307,8 +290,7 @@ def schoolbook_product(f: QSeries, g: QSeries):
     Returns the precision bound of f*g as an exponent, and the map from
     each exponent below it to its coefficient.
     """
-    bound = min(Fraction(f.prec, f.exp_den) + Fraction(g.offset, g.exp_den),
-                Fraction(g.prec, g.exp_den) + Fraction(f.offset, f.exp_den))
+    bound = min(f.prec + g.offset, g.prec + f.offset)
     out = {}
     for a, x in f.terms():
         for b, y in g.terms():
@@ -328,17 +310,16 @@ def wide_qseries(draw):
     cs = [0] * zeros + draw(st.lists(wide_coeff_st, max_size=10))
     offset = draw(st.integers(min_value=-6, max_value=4))
     extra = draw(st.integers(min_value=0, max_value=4))
-    den = draw(st.sampled_from([1, 2, 3]))
-    return QSeries(cs, offset, offset + len(cs) + extra, den)
+    return QSeries(cs, offset, offset + len(cs) + extra)
 
 
 @given(wide_qseries(), wide_qseries())
 def test_mul_matches_schoolbook(f, g):
     p = f * g
     bound, ref = schoolbook_product(f, g)
-    assert Fraction(p.prec, p.exp_den) == bound
-    for i, c in enumerate(p.coeffs):
-        assert c == ref.get(Fraction(p.offset + i, p.exp_den), 0)
+    assert p.prec == bound
+    for i, c in enumerate(p.coeffs, p.offset):
+        assert c == ref.get(i, 0)
     for e, c in ref.items():
         assert p.coeff_at(e) == c
 
@@ -376,7 +357,7 @@ def test_sqrt_of_square_roundtrip(f):
     assert_agree(sq.sqrt() * sq.sqrt(), sq)
 
 
-@given(qseries(exp_den=1), st.integers(min_value=1, max_value=5))
+@given(qseries(), st.integers(min_value=1, max_value=5))
 def test_slice_partition(f, m):
     total = f.slice(m, 0)
     for k in range(1, m):
@@ -384,7 +365,7 @@ def test_slice_partition(f, m):
     assert total == f
 
 
-@given(qseries(exp_den=1), st.integers(min_value=1, max_value=5),
+@given(qseries(), st.integers(min_value=1, max_value=5),
        st.integers(min_value=-6, max_value=6))
 def test_slice_idempotent(f, m, k):
     assert f.slice(m, k).slice(m, k) == f.slice(m, k)
@@ -393,13 +374,13 @@ def test_slice_idempotent(f, m, k):
 @given(qseries())
 def test_precision_honesty(f):
     with pytest.raises(PrecisionError):
-        f.coeff_at(Fraction(f.prec, f.exp_den))
+        f.coeff_at(f.prec)
 
 
 # -- the integer representation against a Fraction oracle ----------------
 #
-# Each series is drawn as raw data (coefficients, offset, prec, exp_den).
-# The oracle reads the same data as a map from Fraction exponent to
+# Each series is drawn as raw data (coefficients, offset, prec).  The
+# oracle reads the same data as a map from exponent to Fraction
 # coefficient with a precision bound, and does every operation term by
 # term, so it shares nothing with the kernel's aligned coefficient lists.
 
@@ -407,20 +388,19 @@ rational_st = st.integers(min_value=-30, max_value=30)
 
 
 @st.composite
-def raw_series(draw, exp_den=None):
+def raw_series(draw):
     cs = draw(st.lists(rational_st, max_size=8))
     offset = draw(st.integers(min_value=-3, max_value=3))
     prec = offset + draw(st.integers(min_value=0, max_value=len(cs) + 3))
-    den = exp_den if exp_den is not None else draw(st.sampled_from([1, 2, 3]))
-    return cs, offset, prec, den
+    return cs, offset, prec
 
 
 def oracle(raw):
     """(precision bound, {exponent: nonzero Fraction coefficient})."""
-    cs, offset, prec, den = raw
-    terms = {Fraction(offset + i, den): Fraction(c)
+    cs, offset, prec = raw
+    terms = {offset + i: Fraction(c)
              for i, c in enumerate(cs[:prec - offset]) if c}
-    return Fraction(prec, den), terms
+    return prec, terms
 
 
 def oracle_add(f, g):
@@ -455,9 +435,9 @@ def assert_matches(p: QSeries, expected):
     assert all(type(c) is int for c in p.nums)
     assert len(p.nums) == p.prec - p.offset
     assert not p.nums or p.nums[0] != 0
-    assert Fraction(p.prec, p.exp_den) == bound
-    for i, c in enumerate(p.coeffs):
-        assert c == terms.get(Fraction(p.offset + i, p.exp_den), 0)
+    assert p.prec == bound
+    for i, c in enumerate(p.coeffs, p.offset):
+        assert c == terms.get(i, 0)
     for e, c in terms.items():
         assert p.coeff_at(e) == c
 
@@ -475,12 +455,12 @@ def test_ring_ops_match_fraction_oracle(a, b):
 
 @st.composite
 def sum_operands(draw):
-    """Two raw series with mismatched offsets, precisions and exp_den."""
+    """Two raw series with mismatched offsets and precisions."""
     def one():
         cs = draw(st.lists(rational_st, max_size=24))
         offset = draw(st.integers(min_value=-6, max_value=6))
         prec = offset + draw(st.integers(min_value=0, max_value=len(cs) + 4))
-        return cs, offset, prec, draw(st.sampled_from([1, 2, 3, 4, 6]))
+        return cs, offset, prec
     return one(), one()
 
 
@@ -509,30 +489,29 @@ def test_truncate_matches_fraction_oracle(a, t):
         with pytest.raises(PrecisionError):
             f.truncate(t)
         return
-    bound = Fraction(t, f.exp_den)
     _, terms = oracle(a)
     assert_matches(f.truncate(t),
-                   (bound, {e: c for e, c in terms.items() if e < bound}))
+                   (t, {e: c for e, c in terms.items() if e < t}))
 
 
-@given(raw_series(exp_den=1), st.integers(min_value=1, max_value=5),
+@given(raw_series(), st.integers(min_value=1, max_value=5),
        st.integers(min_value=-6, max_value=6))
 def test_slice_matches_fraction_oracle(a, m, k):
     bound, terms = oracle(a)
     assert_matches(QSeries(*a).slice(m, k),
                    (bound, {e: c for e, c in terms.items()
-                            if e.numerator % m == k % m}))
+                            if e % m == k % m}))
 
 
 @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
-       st.integers(min_value=-3, max_value=3), st.sampled_from([1, 2, 3]),
+       st.integers(min_value=-3, max_value=3),
        st.integers(min_value=1, max_value=12))
-def test_constructor_and_from_ints_agree(cs, offset, exp_den, k):
+def test_constructor_and_from_ints_agree(cs, offset, k):
     prec = offset + len(cs)
-    f = QSeries(cs, offset, prec, exp_den)
-    g = QSeries.from_ints(cs, offset, prec, exp_den)
-    h = QSeries([c * k for c in cs], offset, prec, exp_den)
-    scaled = QSeries.from_ints(cs, offset, prec, exp_den).scale(k)
+    f = QSeries(cs, offset, prec)
+    g = QSeries.from_ints(cs, offset, prec)
+    h = QSeries([c * k for c in cs], offset, prec)
+    scaled = QSeries.from_ints(cs, offset, prec).scale(k)
     assert f == g and h == scaled
     assert hash(f) == hash(g) and hash(h) == hash(scaled)
     assert all(type(c) is int for c in f.coeffs + scaled.coeffs)
