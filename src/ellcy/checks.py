@@ -1,8 +1,9 @@
 """Self-contained consistency suite behind the `check` CLI command.
 
 Each check recomputes a headline identity by two independent routes (or
-verifies a structural invariant) and compares exactly.  The suite is a
-plain list of named callables so tests can fault-inject a generator and
+verifies a structural invariant) and compares exactly.  A run builds each
+route once, and the checks that compare routes read its rows.  The suite
+is a list of named callables so tests can fault-inject a generator and
 assert that at least one dual-route comparison catches the corruption.
 The oracles of the series arithmetic accumulate in ints term by term and
 never call the series kernel.  Every sample, scalar and oracle is an
@@ -68,6 +69,12 @@ def _term_sum(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(cs, offset, prec)
 
 
+def _agree(f: QSeries, g: QSeries) -> bool:
+    """f and g are equal up to the lower of their precision bounds."""
+    p = min(f.prec, g.prec)
+    return f.truncate(p) == g.truncate(p)
+
+
 # a negative scalar, so that a scaling which loses the sign shows
 _SCALAR = -3
 
@@ -111,16 +118,10 @@ def check_ring_laws() -> CheckResult:
                 return CheckResult("ring-laws", False,
                                    "multiplication is not commutative")
             for k, h in enumerate(fs):
-                lhs = fg * h
-                rhs = f * prods[j][k]
-                if lhs.truncate(min(lhs.prec, rhs.prec)) != \
-                        rhs.truncate(min(lhs.prec, rhs.prec)):
+                if not _agree(fg * h, f * prods[j][k]):
                     return CheckResult("ring-laws", False,
                                        "multiplication is not associative")
-                d1 = f * sums[j][k]
-                d2 = fg + prods[i][k]
-                p = min(d1.prec, d2.prec)
-                if d1.truncate(p) != d2.truncate(p):
+                if not _agree(f * sums[j][k], fg + prods[i][k]):
                     return CheckResult("ring-laws", False,
                                        "distributivity fails")
     return CheckResult("ring-laws", True)
@@ -233,12 +234,6 @@ def _jacobi_cube(nterms: int) -> QSeries:
     return QSeries(cs, 0, nterms)
 
 
-def _agree(f: QSeries, g: QSeries) -> bool:
-    """f and g are equal up to the lower of their precision bounds."""
-    p = min(f.prec, g.prec)
-    return f.truncate(p) == g.truncate(p)
-
-
 def check_eta_additivity(nterms: int) -> CheckResult:
     """Pin every eta power the routes use against an independent oracle.
 
@@ -268,7 +263,7 @@ def check_eta_additivity(nterms: int) -> CheckResult:
         return CheckResult("eta-power-additivity", False,
                            "(E4^3 - E6^2)/1728 times eta^-24 is not 1")
     inv_half = forms.inverse_sqrt_delta(nterms)
-    if not _agree(inv_half * inv_half, QSeries.monomial(1, 1, nterms) * inv):
+    if not _agree(inv_half * inv_half, QSeries([1], 1, nterms) * inv):
         return CheckResult("eta-power-additivity", False,
                            "eta^-12 squared differs from eta^-24")
     return CheckResult("eta-power-additivity", True)
@@ -287,31 +282,33 @@ def _first_mismatch(name: str, a_name: str, a: list, b_name: str,
     return CheckResult(name, True)
 
 
-def check_section_routes(prec: int) -> CheckResult:
-    return _first_mismatch("section-dual-route",
-                           "closed", invariants.f_section_closed(prec),
-                           "convolution",
-                           invariants.f_section_convolution(prec))
+def check_section_routes(closed: list, convolution: list) -> CheckResult:
+    return _first_mismatch("section-dual-route", "closed", closed,
+                           "convolution", convolution)
 
 
 def _multifiber_name(m: int) -> str:
     return "fiber-dual-route" if m == 1 else f"multifiber-dual-route-m{m}"
 
 
-def check_multifiber_routes(m: int, nmax: int) -> CheckResult:
-    """Slice of the closed form against NL sum, fibre row by fibre row."""
-    return _first_mismatch(_multifiber_name(m),
-                           "slice", invariants.f_multifiber_slice(m, nmax),
-                           "NL sum", invariants.f_multifiber_direct(m, nmax))
+def check_multifiber_routes(m: int, nmax: int, slice_rows: list,
+                            nl_rows: list) -> CheckResult:
+    """The fibre pair at the rows of the classes mF + nE, 0 <= n <= nmax.
+
+    Class n reads row fiber_row(m, n), and a row below 0 reads 0.  A class
+    past a route's last row raises IndexError, so a short route fails.
+    """
+    ks = [invariants.fiber_row(m, n) for n in range(nmax + 1)]
+    a, b = ([rows[k] if k >= 0 else 0 for k in ks]
+            for rows in (slice_rows, nl_rows))
+    return _first_mismatch(_multifiber_name(m), "slice", a, "NL sum", b)
 
 
-def check_integrality(prec: int) -> CheckResult:
-    streams = {
-        "fiber": invariants.f_multifiber_slice(1, prec - 1),
-        "section": invariants.f_section_closed(prec),
-        "multifiber-2": invariants.f_multifiber_direct(2, prec),
-        "yau-zaslow": forms.yau_zaslow(prec),
-    }
+def check_integrality(prec: int, slice_rows: list, nl_rows: list,
+                      closed: list, convolution: list) -> CheckResult:
+    streams = {"fiber slice": slice_rows, "fiber NL sum": nl_rows,
+               "section closed": closed, "section convolution": convolution,
+               "yau-zaslow": forms.yau_zaslow(prec)}
     for name, values in streams.items():
         for v in values:
             if type(v) is not int:
@@ -335,36 +332,55 @@ def _guarded(name: str, check, *args) -> CheckResult:
 
     A corrupted generator may raise (the eta recurrence refuses an inexact
     step) instead of returning a wrong series; that must end in a FAIL
-    line for this check, not end the suite.
+    line for this check, not end the suite.  An argument that is an
+    exception, a route that raised, fails the check unrun.
     """
     try:
+        for arg in args:
+            if isinstance(arg, Exception):
+                raise arg
         return check(*args)
     except Exception as exc:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
+def _built(route, *args):
+    """route(*args), or the exception it raised."""
+    try:
+        return route(*args)
+    except Exception as exc:
+        return exc
+
+
 def run_checks(prec: int = 16) -> list[CheckResult]:
     """Run the whole suite at the given term count (at least 2).
 
+    Each route is built once per call, the fibre pair up to the last row
+    any check reads, and the checks that compare routes read those rows.
     Each check_* name is looked up in this module when the suite runs,
     so a check replaced on the module (by a tracer or a test) is the one
     that runs.
     """
-    return [
-        _guarded("ring-laws", check_ring_laws),
-        _guarded("slice-partition", check_slice_partition, prec),
-        _guarded("precision-honesty", check_precision_honesty),
-        _guarded("pairing-determinant", check_pairing_determinant),
-        _guarded("pushforward-kernel", check_pushforward_kernel),
-        _guarded("nl-vanishing", check_nl_vanishing),
-        _guarded("theta-e8-equals-e4", check_theta_is_e4, prec),
-        _guarded("e10-sigma9", check_e10_sigma9, max(prec, 21)),
-        _guarded("eta-power-additivity", check_eta_additivity, prec),
-        _guarded(_multifiber_name(1), check_multifiber_routes, 1, prec - 1),
-        _guarded("section-dual-route", check_section_routes, prec),
-        _guarded(_multifiber_name(2), check_multifiber_routes, 2, prec),
-        _guarded(_multifiber_name(3), check_multifiber_routes, 3,
-                 max(5, (2 * prec) // 3)),
-        _guarded("gv-integrality", check_integrality, prec),
-        _guarded("euler-hodge", check_euler_hodge),
-    ]
+    m3_nmax = max(5, (2 * prec) // 3)
+    top = max(invariants.fiber_row(2, prec), invariants.fiber_row(3, m3_nmax))
+    fibre = (_built(invariants.f_multifiber_slice, 1, top),
+             _built(invariants.f_multifiber_direct, 1, top))
+    section = (_built(invariants.f_section_closed, prec),
+               _built(invariants.f_section_convolution, prec))
+    return [_guarded(*entry) for entry in (
+        ("ring-laws", check_ring_laws),
+        ("slice-partition", check_slice_partition, prec),
+        ("precision-honesty", check_precision_honesty),
+        ("pairing-determinant", check_pairing_determinant),
+        ("pushforward-kernel", check_pushforward_kernel),
+        ("nl-vanishing", check_nl_vanishing),
+        ("theta-e8-equals-e4", check_theta_is_e4, prec),
+        ("e10-sigma9", check_e10_sigma9, max(prec, 21)),
+        ("eta-power-additivity", check_eta_additivity, prec),
+        (_multifiber_name(1), check_multifiber_routes, 1, prec - 1, *fibre),
+        ("section-dual-route", check_section_routes, *section),
+        (_multifiber_name(2), check_multifiber_routes, 2, prec, *fibre),
+        (_multifiber_name(3), check_multifiber_routes, 3, m3_nmax, *fibre),
+        ("gv-integrality", check_integrality, prec, *fibre, *section),
+        ("euler-hodge", check_euler_hodge),
+    )]

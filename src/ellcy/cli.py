@@ -26,7 +26,7 @@ NL_BOUND = 10 ** 6
 # most series terms that series and gv build, and largest --m: at the bound
 # gv fiber --method direct, the slowest, takes about 2.0 s on a 2-core VM
 TERMS_BOUND = 3000
-# largest check --prec: at the bound the suite takes about 0.5 s
+# largest check --prec: at the bound check takes about 0.3 s on a 2-core VM
 CHECK_BOUND = 300
 
 # Each name: (generator, printed times q^(-1/2)).  Only inv-sqrt-delta,
@@ -43,8 +43,7 @@ _SERIES = {
 }
 
 
-def series_to_doc(f: QSeries, half: bool = False,
-                  variable: str = "q") -> dict:
+def series_to_doc(f: QSeries, half: bool = False) -> dict:
     """Lossless JSON document for a series, or for q^(-1/2) f with half.
 
     Every coefficient is an int; its "den" is always "1" and stays so
@@ -52,14 +51,11 @@ def series_to_doc(f: QSeries, half: bool = False,
     are offset + i over "exp_den": 1, or with half 2, where the term q^i
     of f sits at (2i - 1)/2 and a known zero fills each slot between.
     """
-    coeffs = [{"num": str(c), "den": "1"} for c in f.coeffs]
-    if not half:
-        return {"variable": variable, "exp_den": 1, "offset": f.offset,
-                "prec": f.prec, "coeffs": coeffs}
-    slots = [{"num": "0", "den": "1"}] * (2 * len(coeffs))
-    slots[::2] = coeffs
-    return {"variable": variable, "exp_den": 2, "offset": 2 * f.offset - 1,
-            "prec": 2 * f.prec - 1, "coeffs": slots}
+    den = 2 if half else 1
+    slots = [{"num": "0", "den": "1"}] * (den * len(f.coeffs))
+    slots[::den] = [{"num": str(c), "den": "1"} for c in f.coeffs]
+    return {"variable": "q", "exp_den": den, "offset": den * f.offset - half,
+            "prec": den * f.prec - half, "coeffs": slots}
 
 
 def _print_series(f: QSeries, half: bool, as_json: bool, out) -> None:

@@ -2,10 +2,10 @@
 
 Everything here returns a :class:`~ellcy.series.QSeries` truncated to a
 requested number of terms counted from the leading exponent.  Every eta
-power, Delta = eta^24 and the denominators 1/Delta = eta^-24 and
-q^(1/2)/sqrt(Delta) = q^(1/2) eta^-12 included, comes from one integer
-recurrence in :func:`eta_power`, on the integer grid; no generator takes
-a series square root or inverse.
+power, odd or even, Delta = eta^24 and the denominators 1/Delta = eta^-24
+and q^(1/2)/sqrt(Delta) = q^(1/2) eta^-12 included, comes from one
+integer recurrence in :func:`eta_power`, on the integer grid; no
+generator takes a series square root or inverse.
 Two of the generators are deliberately redundant: the E8 theta series
 counts lattice vectors by norm through powers of Jacobi theta series
 built from the coordinates, and never via the weight-4 Eisenstein series,
@@ -88,7 +88,7 @@ def e10_coefficient(k: int) -> int:
 def eta_power(e: int, nterms: int) -> QSeries:
     """prod_{n>=1} (1 - q^n)^e = q^(-e/24) eta^e from q^0, nterms terms.
 
-    Any nonzero even e, negative ones included.  The product's
+    Any nonzero integer e, odd and negative ones included.  The product's
     coefficients p_n come from Euler's recurrence for powers of a power
     series (Knuth, TAOCP vol. 2, 4.7): the log-derivative of
     prod (1 - q^n)^e is -e sum sigma_1(k) q^k, so
@@ -97,8 +97,8 @@ def eta_power(e: int, nterms: int) -> QSeries:
     the integer grid: :func:`delta` and :func:`inverse_delta` shift by
     q^(+-1), and :func:`inverse_sqrt_delta` is eta^-12 times q^(1/2).
     """
-    if e == 0 or e % 2:
-        raise ValueError("the exponent must be a nonzero even integer")
+    if e == 0:
+        raise ValueError("the exponent must be a nonzero integer")
     if nterms < 1:
         raise ValueError("nterms must be positive")
     sig = divisor_sums(1, nterms)
@@ -115,7 +115,7 @@ def eta_power(e: int, nterms: int) -> QSeries:
 
 def _shifted(f: QSeries, k: int) -> QSeries:
     """q^k * f, by moving the exponents."""
-    return QSeries.from_ints(f.nums, f.offset + k, f.prec + k)
+    return QSeries.from_ints(f.coeffs, f.offset + k, f.prec + k)
 
 
 def delta(nterms: int) -> QSeries:

@@ -105,16 +105,16 @@ def int_product(f: list[int], g: list[int], n: int) -> list[int]:
                     repeat(half)))
 
 
-def _canonical(nums: Sequence[int], offset: int,
+def _canonical(coeffs: Sequence[int], offset: int,
                prec: int) -> tuple[tuple[int, ...], int, int]:
-    """The canonical (nums, offset, prec): leading zeros move into offset."""
+    """The canonical (coeffs, offset, prec): leading zeros move into offset."""
     lead = 0
-    while lead < len(nums) and nums[lead] == 0:
+    while lead < len(coeffs) and coeffs[lead] == 0:
         lead += 1
     if lead:
         offset += lead
-        nums = nums[lead:]
-    return tuple(nums), offset, prec
+        coeffs = coeffs[lead:]
+    return tuple(coeffs), offset, prec
 
 
 class QSeries:
@@ -122,73 +122,61 @@ class QSeries:
 
     ``offset`` is the lowest stored exponent and ``prec`` the exclusive
     upper bound.  The coefficient of q^(offset + i) is the int
-    ``nums[i]``, and ``nums`` has length ``prec - offset``.
+    ``coeffs[i]``, and the tuple ``coeffs`` has length ``prec - offset``.
 
     Instances are canonical: leading zero coefficients are absorbed into
     the offset, so structural equality coincides with equality of
     (series, precision) pairs.
     """
 
-    __slots__ = ("offset", "prec", "nums")
+    __slots__ = ("offset", "prec", "coeffs")
 
     def __init__(self, coeffs: Iterable[int], offset: int, prec: int):
         if offset > prec:
             raise ValueError("offset must not exceed prec")
-        cs = list(coeffs)
         n = prec - offset
-        if len(cs) < n:
-            cs.extend([0] * (n - len(cs)))
-        elif len(cs) > n:
-            del cs[n:]
+        cs = list(coeffs)
+        del cs[n:]  # truncated to n terms, or padded with zeros to n
+        cs += [0] * (n - len(cs))
         if not all(type(c) is int for c in cs):
             raise TypeError("QSeries coefficients must be ints")
-        self.nums, self.offset, self.prec = _canonical(cs, offset, prec)
+        self.coeffs, self.offset, self.prec = _canonical(cs, offset, prec)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_ints(cls, nums: Sequence[int], offset: int,
+    def from_ints(cls, coeffs: Sequence[int], offset: int,
                   prec: int) -> "QSeries":
-        """The series with coefficients nums[i] from q^offset.
+        """The series with coefficients coeffs[i] from q^offset.
 
-        nums must hold exactly prec - offset ints; the result is brought
+        coeffs must hold exactly prec - offset ints; the result is brought
         to canonical form.
         """
         f = cls.__new__(cls)
-        f.nums, f.offset, f.prec = _canonical(nums, offset, prec)
+        f.coeffs, f.offset, f.prec = _canonical(coeffs, offset, prec)
         return f
 
     @classmethod
     def constant(cls, c: int, prec: int) -> "QSeries":
         return cls([c], 0, prec)
 
-    @classmethod
-    def monomial(cls, c: int, e: int, prec: int) -> "QSeries":
-        """c * q^e, known up to exponent prec."""
-        return cls([c], e, prec)
-
     # -- basic protocol --------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """The stored coefficients, the same tuple as ``nums``."""
-        return self.nums
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
         return (self.offset == other.offset and self.prec == other.prec
-                and self.nums == other.nums)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.offset, self.prec, self.nums))
+        return hash((self.offset, self.prec, self.coeffs))
 
     def __bool__(self) -> bool:
-        return bool(self.nums)  # canonical: a stored term is nonzero
+        return bool(self.coeffs)  # canonical: a stored term is nonzero
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) for each nonzero stored term."""
-        for i, c in enumerate(self.nums, self.offset):
+        for i, c in enumerate(self.coeffs, self.offset):
             if c != 0:
                 yield i, c
 
@@ -207,7 +195,7 @@ class QSeries:
             raise PrecisionError(
                 f"cannot extend precision from {self.prec} to {prec}")
         n = max(0, prec - self.offset)
-        return QSeries.from_ints(self.nums[:n], min(self.offset, prec), prec)
+        return QSeries.from_ints(self.coeffs[:n], min(self.offset, prec), prec)
 
     # -- ring operations -------------------------------------------------
 
@@ -225,13 +213,13 @@ class QSeries:
         prec = min(self.prec, other.prec)
         cs = [0] * (prec - offset)
         i, j = fo - offset, max(fo, prec) - offset
-        cs[i:j] = self.nums[:j - i]  # the first run lands on zeros
+        cs[i:j] = self.coeffs[:j - i]  # the first run lands on zeros
         i, j = go - offset, max(go, prec) - offset
-        cs[i:j] = map(add, cs[i:j], other.nums[:j - i])
+        cs[i:j] = map(add, cs[i:j], other.coeffs[:j - i])
         return QSeries.from_ints(cs, offset, prec)
 
     def __neg__(self) -> "QSeries":
-        return QSeries.from_ints([-c for c in self.nums], self.offset,
+        return QSeries.from_ints([-c for c in self.coeffs], self.offset,
                                  self.prec)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
@@ -241,7 +229,7 @@ class QSeries:
         """c times the series, for an int c."""
         if type(c) is not int:
             raise TypeError("a QSeries scalar must be an int")
-        return QSeries.from_ints([c * a for a in self.nums], self.offset,
+        return QSeries.from_ints([c * a for a in self.coeffs], self.offset,
                                  self.prec)
 
     def __mul__(self, other):
@@ -258,7 +246,7 @@ class QSeries:
         offset = self.offset + other.offset
         if not self or not other:
             return QSeries([], prec, prec)
-        return QSeries.from_ints(int_product(self.nums, other.nums,
+        return QSeries.from_ints(int_product(self.coeffs, other.coeffs,
                                              prec - offset), offset, prec)
 
     __rmul__ = __mul__
@@ -271,7 +259,7 @@ class QSeries:
         """
         if not self:
             raise ValueError("non-invertible series: zero leading coefficient")
-        a = self.nums
+        a = self.coeffs
         if a[0] not in (1, -1):
             raise ArithmeticError(
                 f"leading coefficient {a[0]} is not a unit of the integers")
@@ -295,7 +283,7 @@ class QSeries:
         if self.offset % 2:
             raise ValueError(f"odd leading exponent {self.offset}: the "
                              f"square root is not on the integer grid")
-        a = self.nums
+        a = self.coeffs
         b0 = math.isqrt(a[0]) if a[0] > 0 else 0
         if b0 * b0 != a[0]:
             raise ValueError(f"non-square leading coefficient: {a[0]} is "
@@ -325,7 +313,7 @@ class QSeries:
         """Exact coefficient of q^e; errors past the precision bound."""
         self._check_bound(e)
         i = e - self.offset
-        return self.nums[i] if i >= 0 else 0
+        return self.coeffs[i] if i >= 0 else 0
 
     def window(self, lo: int, hi: int) -> list[int]:
         """Coefficients at q^j for lo <= j < hi.
@@ -335,9 +323,9 @@ class QSeries:
         """
         if hi > lo:
             self._check_bound(hi - 1)
-        offset, nums = self.offset, self.nums
+        offset, cs = self.offset, self.coeffs
         pad = [0] * max(0, min(offset, hi) - lo)
-        return pad + list(nums[max(0, lo - offset):max(0, hi - offset)])
+        return pad + list(cs[max(0, lo - offset):max(0, hi - offset)])
 
     # -- exponent surgery ------------------------------------------------
 
@@ -346,6 +334,6 @@ class QSeries:
         if m < 1:
             raise ValueError("modulus must be a positive integer")
         first = (k - self.offset) % m  # index of the first kept term
-        cs = [0] * len(self.nums)
-        cs[first::m] = self.nums[first::m]
+        cs = [0] * len(self.coeffs)
+        cs[first::m] = self.coeffs[first::m]
         return QSeries.from_ints(cs, self.offset, self.prec)

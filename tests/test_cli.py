@@ -433,26 +433,65 @@ class TestCheckCommand:
         assert not res.passed
         assert res.detail == "NL(0;-3,1) = -4 despite discriminant -2"
 
-    def test_dual_route_fail_names_first_row(self, monkeypatch):
-        # the detail names the first row that differs, and a route that
+    def test_dual_route_fail_names_first_row(self):
+        # the detail names the first class that differs, and a route that
         # returns fewer rows than its partner fails too
-        real = invariants.f_multifiber_direct
-
-        def bumped(m, nmax):
-            values = real(m, nmax)
-            values[3] += 1
-            return values
-
-        monkeypatch.setattr(invariants, "f_multifiber_direct", bumped)
-        res = checks.check_multifiber_routes(2, 6)
+        fibre = invariants.f_multifiber_slice(1, 9)
+        bumped = list(fibre)
+        bumped[invariants.fiber_row(2, 3)] += 1
+        res = checks.check_multifiber_routes(2, 6, fibre, bumped)
         v = invariants.f_multifiber_slice(2, 6)[3]
         assert (res.passed, res.detail) == \
             (False, f"n=3: slice {v} vs NL sum {v + 1}")
-        monkeypatch.setattr(invariants, "f_section_convolution",
-                            lambda n: invariants.f_section_closed(n)[:-1])
-        res = checks.check_section_routes(6)
+        closed = invariants.f_section_closed(6)
+        res = checks.check_section_routes(closed, closed[:-1])
         assert (res.passed, res.detail) == \
             (False, "6 rows from closed vs 5 from convolution")
+
+    def test_short_fibre_rows_fail(self):
+        # a class past the last fibre row fails, whether one route or
+        # both stop early, and never passes on the rows that are there
+        fibre = invariants.f_multifiber_slice(1, 9)
+        for rows in ((fibre, fibre[:8]), (fibre[:8], fibre[:8])):
+            res = checks._guarded("multifiber-dual-route-m2",
+                                  checks.check_multifiber_routes, 2, 6, *rows)
+            assert (res.passed, res.detail) == \
+                (False, "IndexError: list index out of range")
+
+    @pytest.mark.parametrize("prec", [2, 22])
+    def test_each_route_is_built_once(self, prec, monkeypatch):
+        # one fibre pair at m = 1 and one section pair serve every check
+        # that reads routes, gv-integrality included
+        calls = []
+
+        def counted(name):
+            real = getattr(invariants, name)
+
+            def route(*args):
+                calls.append((name, *args[:-1]))
+                return real(*args)
+            return route
+
+        for name in ("f_multifiber_slice", "f_multifiber_direct",
+                     "f_section_closed", "f_section_convolution"):
+            monkeypatch.setattr(invariants, name, counted(name))
+        assert all(r.passed for r in checks.run_checks(prec))
+        assert sorted(calls) == [
+            ("f_multifiber_direct", 1), ("f_multifiber_slice", 1),
+            ("f_section_closed",), ("f_section_convolution",)]
+
+    def test_raising_route_fails_the_checks_that_read_it(self,
+                                                         monkeypatch):
+        def raising(m, nmax):
+            raise ArithmeticError("route refused")
+
+        monkeypatch.setattr(invariants, "f_multifiber_direct", raising)
+        results = checks.run_checks(6)
+        assert len(results) == 15
+        failed = {r.name: r.detail for r in results if not r.passed}
+        assert set(failed) == {"fiber-dual-route", "multifiber-dual-route-m2",
+                               "multifiber-dual-route-m3", "gv-integrality"}
+        assert set(failed.values()) == {"ArithmeticError: route refused"}
 
     def test_ring_laws_compare_with_schoolbook(self, monkeypatch):
         # a kernel that doubles every product is still commutative,
@@ -499,9 +538,9 @@ class TestCheckCommand:
         real = QSeries.__add__
 
         def shifted(f, g):
-            if not g.nums:
+            if not g.coeffs:
                 return real(f, g)
-            return real(f, QSeries.from_ints(g.nums[:-1], g.offset + 1,
+            return real(f, QSeries.from_ints(g.coeffs[:-1], g.offset + 1,
                                              g.prec))
 
         monkeypatch.setattr(QSeries, "__add__", shifted)
@@ -857,6 +896,13 @@ class TestExitContract:
             assert run(["gv", "multifiber", "--m", str(m), "--prec",
                         str(prec), "--method", method]) == (2, "")
         assert seen == [(1499, TERMS_BOUND), (TERMS_BOUND, 2)]
+
+    def test_check_at_bound_passes(self):
+        code, text = run(["check", "--prec", str(CHECK_BOUND)])
+        assert code == 0
+        lines = text.splitlines()
+        assert sum(line.startswith("PASS\t") for line in lines) == 15
+        assert lines[-1] == "all 15 checks passed"
 
     def test_at_bound_runs(self, monkeypatch):
         code, text = run(["series", "e4", "--prec", str(TERMS_BOUND)])

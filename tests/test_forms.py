@@ -156,14 +156,22 @@ class TestEtaPower:
         assert (forms.delta(5).offset, forms.delta(5).prec) == (1, 6)
         inv = forms.inverse_delta(5)
         assert (inv.offset, inv.prec) == (-1, 4)
-        assert inv.nums == forms.eta_power(-24, 5).nums
+        assert inv.coeffs == forms.eta_power(-24, 5).coeffs
         # the Bryan-Leung series q^(1/2)/sqrt(Delta) is eta^-12 as stored
         assert forms.inverse_sqrt_delta(3) == QSeries([1, 12, 90], 0, 3)
         assert forms.inverse_sqrt_delta(9) == forms.eta_power(-12, 9)
 
-    def test_odd_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            forms.eta_power(7, 4)
+    def test_odd_exponents_jacobi_and_euler(self):
+        # prod (1 - q^n)^3 is Jacobi's series, and prod (1 - q^n) is
+        # Euler's: +-1 at the generalised pentagonal numbers k(3k - 1)/2,
+        # with sign (-1)^k, and 0 elsewhere
+        assert forms.eta_power(3, 40) == checks._jacobi_cube(40)
+        pentagonal = {k * (3 * k - 1) // 2: (-1) ** k
+                      for k in range(-10, 11)}
+        euler = forms.eta_power(1, 60)
+        assert euler.prec == 60
+        assert [euler.coeff_at(n) for n in range(60)] == \
+            [pentagonal.get(n, 0) for n in range(60)]
 
     def test_zero_exponent_rejected(self):
         with pytest.raises(ValueError):
