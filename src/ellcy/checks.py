@@ -237,35 +237,39 @@ def _jacobi_cube(nterms: int) -> QSeries:
 def check_eta_additivity(nterms: int) -> CheckResult:
     """Pin every eta power the routes use against an independent oracle.
 
-    All eta powers share one recurrence, so each is checked against
-    series that never call it, on the integer grid: eta^24/q =
-    prod (1 - q^n)^24 against the eighth power of Jacobi's series for
-    prod (1 - q^n)^3, 1/Delta against the inverse of
+    The routes read two eta generators, the pentagonal recurrence on the
+    closed side and the sigma_1 recurrence on the direct side, and each
+    is checked against series that never call either, on the integer
+    grid: eta^24/q = prod (1 - q^n)^24 against the eighth power of
+    Jacobi's series for prod (1 - q^n)^3, 1/Delta against the inverse of
     Delta = (E4^3 - E6^2)/1728 built from divisor sums, stated in the
-    integers as (E4^3 - E6^2)/Delta = 1728, and eta^12/q^(1/2) and
+    integers as (E4^3 - E6^2) q/Delta = 1728 q, and eta^12/q^(1/2) and
     q^(1/2) eta^-12 by squaring into eta^24/q and q/Delta.
     """
-    eta24 = forms.eta_power(24, nterms)
-    twelve = forms.eta_power(12, nterms)
-    if not _agree(twelve * twelve, eta24):
-        return CheckResult("eta-power-additivity", False,
-                           "eta^12 squared differs from eta^24")
     j = _jacobi_cube(nterms)
     j2 = j * j
     j4 = j2 * j2
-    if not _agree(j4 * j4, eta24):
-        return CheckResult("eta-power-additivity", False,
-                           "eta^24/q differs from Jacobi's series to the 8th")
-    inv = forms.inverse_delta(nterms)
+    j8 = j4 * j4
     e4, e6 = forms.eisenstein(4, nterms), forms.eisenstein(6, nterms)
-    if not _agree((e4 * e4 * e4 - e6 * e6) * inv,
-                  QSeries.constant(1728, nterms)):
-        return CheckResult("eta-power-additivity", False,
-                           "(E4^3 - E6^2)/1728 times eta^-24 is not 1")
-    inv_half = forms.inverse_sqrt_delta(nterms)
-    if not _agree(inv_half * inv_half, QSeries([1], 1, nterms) * inv):
-        return CheckResult("eta-power-additivity", False,
-                           "eta^-12 squared differs from eta^-24")
+    disc = e4 * e4 * e4 - e6 * e6
+    for eta in (forms.eta_power, forms.eta_power_sigma1):
+        eta24 = eta(24, nterms)
+        twelve = eta(12, nterms)
+        if not _agree(twelve * twelve, eta24):
+            return CheckResult("eta-power-additivity", False,
+                               "eta^12 squared differs from eta^24")
+        if not _agree(j8, eta24):
+            return CheckResult("eta-power-additivity", False,
+                               "eta^24/q differs from Jacobi's series to "
+                               "the 8th")
+        inv = eta(-24, nterms)  # q/Delta
+        if not _agree(disc * inv, QSeries([1728], 1, nterms + 1)):
+            return CheckResult("eta-power-additivity", False,
+                               "(E4^3 - E6^2)/1728 times eta^-24 is not 1")
+        inv_half = eta(-12, nterms)
+        if not _agree(inv_half * inv_half, inv):
+            return CheckResult("eta-power-additivity", False,
+                               "eta^-12 squared differs from eta^-24")
     return CheckResult("eta-power-additivity", True)
 
 

@@ -43,26 +43,28 @@ _SERIES = {
 }
 
 
-def series_to_doc(f: QSeries, half: bool = False) -> dict:
+def series_to_doc(f: QSeries, half: bool = False) -> str:
     """Lossless JSON document for a series, or for q^(-1/2) f with half.
 
-    Every coefficient is an int; its "den" is always "1" and stays so
-    that the document keeps its numerator/denominator format.  Exponents
-    are offset + i over "exp_den": 1, or with half 2, where the term q^i
-    of f sits at (2i - 1)/2 and a known zero fills each slot between.
+    The text is what `json.dumps` writes for the document, written here
+    so that `series --json` never imports `json`.  Every coefficient is
+    an int, a decimal string under "num"; its "den" is always "1" and
+    stays so that the document keeps its numerator/denominator format.
+    Exponents are offset + i over "exp_den": 1, or with half 2, where the
+    term q^i of f sits at (2i - 1)/2 and a known zero fills each slot
+    between.
     """
     den = 2 if half else 1
-    slots = [{"num": "0", "den": "1"}] * (den * len(f.coeffs))
-    slots[::den] = [{"num": str(c), "den": "1"} for c in f.coeffs]
-    return {"variable": "q", "exp_den": den, "offset": den * f.offset - half,
-            "prec": den * f.prec - half, "coeffs": slots}
+    gap = ', {"num": "0", "den": "1"}' * (den - 1)
+    slots = ", ".join(f'{{"num": "{c}", "den": "1"}}{gap}' for c in f.coeffs)
+    return (f'{{"variable": "q", "exp_den": {den}, '
+            f'"offset": {den * f.offset - half}, '
+            f'"prec": {den * f.prec - half}, "coeffs": [{slots}]}}')
 
 
 def _print_series(f: QSeries, half: bool, as_json: bool, out) -> None:
     if as_json:
-        import json  # only this output needs it; kept off the start-up path
-        # dumps runs the C encoder; dump to a stream writes chunk by chunk
-        out.write(json.dumps(series_to_doc(f, half)) + "\n")
+        out.write(series_to_doc(f, half) + "\n")
         return
     for i, c in enumerate(f.coeffs, f.offset):
         out.write(f"{2 * i - 1}/2\t{c}\n" if half else f"{i}\t{c}\n")

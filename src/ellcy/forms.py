@@ -2,11 +2,16 @@
 
 Everything here returns a :class:`~ellcy.series.QSeries` truncated to a
 requested number of terms counted from the leading exponent.  Every eta
-power, odd or even, Delta = eta^24 and the denominators 1/Delta = eta^-24
-and q^(1/2)/sqrt(Delta) = q^(1/2) eta^-12 included, comes from one
-integer recurrence in :func:`eta_power`, on the integer grid; no
-generator takes a series square root or inverse.
-Two of the generators are deliberately redundant: the E8 theta series
+power, odd or even, is stored on the integer grid as prod (1 - q^n)^e,
+and no generator takes a series square root or inverse.  There are two
+eta generators on purpose.  :func:`eta_power`, the pentagonal
+recurrence, gives Delta = eta^24, 1/Delta = eta^-24 and
+q^(1/2)/sqrt(Delta) = q^(1/2) eta^-12 to the closed routes and every
+`series` command.  :func:`eta_power_sigma1`, the sigma_1 recurrence,
+feeds only the direct routes: :func:`yau_zaslow` and the Bryan-Leung
+series of the section convolution.  So a fault in either shows as a
+mismatch between the two routes of a pair.
+Two more generators are deliberately redundant: the E8 theta series
 counts lattice vectors by norm through powers of Jacobi theta series
 built from the coordinates, and never via the weight-4 Eisenstein series,
 so that the classical identity Theta_E8 = E_4 is available as a
@@ -61,8 +66,9 @@ def divisor_sums(k: int, n: int) -> list[int]:
 
     Each d adds d^k to every multiple of d below n: O(n log n) integer
     additions, where :func:`sigma` term by term costs O(n^1.5).  The
-    series generators use the sieve; trial-division :func:`sigma` gives
-    the single coefficients of :func:`e10_coefficient`.
+    Eisenstein series and :func:`eta_power_sigma1` use the sieve;
+    trial-division :func:`sigma` gives the single coefficients of
+    :func:`e10_coefficient`.
     """
     sums = [0] * n
     for d in range(1, n):
@@ -85,31 +91,76 @@ def e10_coefficient(k: int) -> int:
     return -264 * sigma(9, k)
 
 
-def eta_power(e: int, nterms: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n)^e = q^(-e/24) eta^e from q^0, nterms terms.
+def _eta_start(e: int, nterms: int) -> list[int]:
+    """[1, 0, ..., 0], nterms long: p_0 = 1 of an eta power, the rest to fill.
 
-    Any nonzero integer e, odd and negative ones included.  The product's
-    coefficients p_n come from Euler's recurrence for powers of a power
-    series (Knuth, TAOCP vol. 2, 4.7): the log-derivative of
-    prod (1 - q^n)^e is -e sum sigma_1(k) q^k, so
-    n p_n = -e sum_{k=1}^{n} sigma_1(k) p_{n-k} with p_0 = 1, all in
-    integers.  The q^(e/24) is left to the caller, so every power sits on
-    the integer grid: :func:`delta` and :func:`inverse_delta` shift by
-    q^(+-1), and :func:`inverse_sqrt_delta` is eta^-12 times q^(1/2).
+    Both eta recurrences refuse the same arguments here.
     """
     if e == 0:
         raise ValueError("the exponent must be a nonzero integer")
     if nterms < 1:
         raise ValueError("nterms must be positive")
+    return [1] + [0] * (nterms - 1)
+
+
+def _exact_step(e: int, n: int, s: int) -> int:
+    """s / n, the coefficient p_n of eta^e, or ArithmeticError if inexact."""
+    p, rem = divmod(s, n)
+    if rem:
+        raise ArithmeticError(f"eta^{e}: coefficient {n} is not an integer")
+    return p
+
+
+def eta_power(e: int, nterms: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n)^e = q^(-e/24) eta^e from q^0, nterms terms.
+
+    Any nonzero integer e, odd and negative ones included.  Euler's
+    pentagonal theorem makes prod (1 - q^n) = sum_k a_k q^k sparse:
+    a_k = (-1)^j at the generalised pentagonal numbers k = j(3j -+ 1)/2
+    and 0 elsewhere.  The power's coefficients p_n come from the
+    recurrence for powers of a power series (Knuth, TAOCP vol. 2, 4.7),
+    n p_n = sum_{k=1}^{n} ((e + 1)k - n) a_k p_{n-k} with p_0 = 1, which
+    reads only the O(sqrt n) pentagonal k: O(n^1.5) integer steps in
+    all, and no divisor sieve.  The q^(e/24) is left to the
+    caller, so every power sits on the integer grid: :func:`delta` and
+    :func:`inverse_delta` shift by q^(+-1), and :func:`inverse_sqrt_delta`
+    is eta^-12 times q^(1/2).  The direct routes read
+    :func:`eta_power_sigma1` instead.
+    """
+    cs = _eta_start(e, nterms)
+    pentagonal = []  # (k, (e + 1) k a_k, a_k) for a_k != 0, in order of k
+    j = 1
+    while j * (3 * j - 1) // 2 < nterms:
+        a = -1 if j % 2 else 1
+        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            pentagonal.append((k, (e + 1) * k * a, a))
+        j += 1
+    for n in range(1, nterms):
+        s = 0
+        for k, w, a in pentagonal:
+            if k > n:
+                break
+            s += (w - n * a) * cs[n - k]
+        cs[n] = _exact_step(e, n, s)
+    return QSeries(cs, 0, nterms)
+
+
+def eta_power_sigma1(e: int, nterms: int) -> QSeries:
+    """The same series as :func:`eta_power`, by the sigma_1 recurrence.
+
+    The log-derivative of prod (1 - q^n)^e is -e sum sigma_1(k) q^k, so
+    n p_n = -e sum_{k=1}^{n} sigma_1(k) p_{n-k} with p_0 = 1: O(n^2)
+    integer steps over the divisor-sum sieve.  Only the direct routes
+    read it, :func:`yau_zaslow` for the NL sum and the Bryan-Leung
+    eta^-12 of the section convolution, so no dual-route pair shares an
+    eta generator with its closed partner; the same arguments are
+    refused as by :func:`eta_power`.
+    """
+    cs = _eta_start(e, nterms)
     sig = divisor_sums(1, nterms)
-    cs = [1] + [0] * (nterms - 1)
     for n in range(1, nterms):
         # sig[n], ..., sig[1] against p_0, ..., p_{n-1}
-        s = sum(map(operator.mul, sig[n:0:-1], cs))
-        cs[n], rem = divmod(-e * s, n)
-        if rem:
-            raise ArithmeticError(
-                f"eta^{e}: coefficient {n} is not an integer")
+        cs[n] = _exact_step(e, n, -e * sum(map(operator.mul, sig[n:0:-1], cs)))
     return QSeries(cs, 0, nterms)
 
 
@@ -215,10 +266,11 @@ def theta_e8(nterms: int) -> QSeries:
 def yau_zaslow(hmax: int) -> tuple[int, ...]:
     """Reduced genus-0 K3 invariants r_0, ..., r_hmax, read off 1/Delta.
 
-    r_h is the coefficient of q^(h-1) in 1/Delta, an integer; the table
-    starts 1, 24, 324, 3200, ...
+    r_h is the coefficient of q^(h-1) in 1/Delta = q^-1 prod (1 - q^n)^-24,
+    an integer; the table starts 1, 24, 324, 3200, ...  It is built once,
+    by :func:`eta_power_sigma1`, so the NL sum shares no eta generator
+    with the closed fibre route.
     """
     if hmax < 0:
         raise ValueError("hmax must be non-negative")
-    inv = inverse_delta(hmax + 1)
-    return tuple(inv.coeff_at(h - 1) for h in range(hmax + 1))
+    return eta_power_sigma1(-24, hmax + 1).coeffs

@@ -156,10 +156,6 @@ class QSeries:
         f.coeffs, f.offset, f.prec = _canonical(coeffs, offset, prec)
         return f
 
-    @classmethod
-    def constant(cls, c: int, prec: int) -> "QSeries":
-        return cls([c], 0, prec)
-
     # -- basic protocol --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

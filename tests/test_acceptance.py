@@ -124,6 +124,7 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
     detected = []
     real_eis = forms.eisenstein
     real_eta = forms.eta_power
+    real_sigma1_eta = forms.eta_power_sigma1
     real_e10 = forms.e10_coefficient
 
     def corrupt_eisenstein(weight):
@@ -136,9 +137,9 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
             return type(f)(cs, f.offset, f.prec)
         return patched
 
-    def corrupt_eta(power):
+    def corrupt_eta(power, real=real_eta):
         def patched(e, nterms):
-            f = real_eta(e, nterms)
+            f = real(e, nterms)
             if e != power or nterms < 3:
                 return f
             cs = list(f.coeffs)
@@ -157,8 +158,21 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         "eta12": ("eta_power", corrupt_eta(12)),
         "inverse-delta": ("eta_power", corrupt_eta(-24)),
         "inverse-sqrt-delta": ("eta_power", corrupt_eta(-12)),
+        "sigma1-inverse-delta": ("eta_power_sigma1",
+                                 corrupt_eta(-24, real_sigma1_eta)),
+        "sigma1-inverse-sqrt-delta": ("eta_power_sigma1",
+                                      corrupt_eta(-12, real_sigma1_eta)),
         "sigma9": ("e10_coefficient", corrupt_sigma9),
     }
+    # the closed routes read eta_power and the direct routes
+    # eta_power_sigma1, so each alone at a negative power must fail the
+    # dual-route check of the pair that reads it
+    dual = {"inverse-delta": "fiber-dual-route",
+            "inverse-sqrt-delta": "section-dual-route",
+            "sigma1-inverse-delta": "fiber-dual-route",
+            "sigma1-inverse-sqrt-delta": "section-dual-route",
+            # the sigma_9 oracle must be caught by the check that reads it
+            "sigma9": "e10-sigma9"}
     for name, (attr, patched) in faults.items():
         monkeypatch.setattr(forms, attr, patched)
         fails = [r for r in checks.run_checks(6) if not r.passed]
@@ -167,12 +181,12 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         # nothing: each fault must fail a check by the corrupted value
         stale = any(r.detail.startswith(("AttributeError", "TypeError"))
                     for r in fails)
-        # the sigma_9 oracle must be caught by the check that reads it
         detected.append((name, not stale and (
-            "e10-sigma9" in failed if name == "sigma9" else bool(failed))))
-        monkeypatch.setattr(forms, attr, {"eisenstein": real_eis,
-                                          "eta_power": real_eta,
-                                          "e10_coefficient": real_e10}[attr])
+            dual[name] in failed if name in dual else bool(failed))))
+        monkeypatch.setattr(forms, attr, {
+            "eisenstein": real_eis, "eta_power": real_eta,
+            "eta_power_sigma1": real_sigma1_eta,
+            "e10_coefficient": real_e10}[attr])
 
     ok = clean_ok and all(found for _, found in detected)
     report("10 (check suite + fault injection)", ok)

@@ -95,13 +95,13 @@ class TestJsonRoundTrip:
 
     def test_big_integers_survive(self):
         f = forms.inverse_delta(40)
-        doc = series_to_doc(f)
+        doc = json.loads(series_to_doc(f))
         assert_doc_is_exact(doc, f)
         # coefficients overflow 64 bits well before 40 terms
         assert any(int(c["num"]) > 2 ** 64 for c in doc["coeffs"])
 
     def test_rationals_as_strings(self):
-        doc = series_to_doc(QSeries([1, 2], 0, 2))
+        doc = json.loads(series_to_doc(QSeries([1, 2], 0, 2)))
         for c in doc["coeffs"]:
             assert isinstance(c["num"], str)
             assert isinstance(c["den"], str)
@@ -110,13 +110,56 @@ class TestJsonRoundTrip:
         # the half-grid document of q^(-1/2) f survives a JSON round trip:
         # f's q^-1 .. q^2 at exponents -3/2 .. 3/2, and every den "1"
         f = QSeries([1, 0, -3, 5], -1, 3)
-        doc = json.loads(json.dumps(series_to_doc(f, half=True)))
+        doc = json.loads(series_to_doc(f, half=True))
         assert (doc["exp_den"], doc["offset"], doc["prec"]) == (2, -3, 5)
         assert [c["num"] for c in doc["coeffs"]] == \
             ["1", "0", "0", "0", "-3", "0", "5", "0"]
         assert_doc_is_exact(doc, f, half=True)
         assert {c["den"] for c in doc["coeffs"]} == {"1"}
-        assert series_to_doc(f)["exp_den"] == 1
+        assert json.loads(series_to_doc(f))["exp_den"] == 1
+
+
+def documented_doc(f, half=False):
+    """The README's series document for f, or q^(-1/2) f, as a dict."""
+    den = 2 if half else 1
+    slots = [{"num": "0", "den": "1"}] * (den * len(f.coeffs))
+    slots[::den] = [{"num": str(c), "den": "1"} for c in f.coeffs]
+    return {"variable": "q", "exp_den": den, "offset": den * f.offset - half,
+            "prec": den * f.prec - half, "coeffs": slots}
+
+
+class TestJsonWriter:
+    """series_to_doc writes the document's text itself, without `json`."""
+
+    @pytest.mark.parametrize("f, half", [
+        (forms.inverse_delta(30), False),  # offset -1, big coefficients
+        (forms.inverse_sqrt_delta(30), True),  # exp_den 2
+        (forms.delta(30), False),  # negative coefficients
+        (QSeries([], 3, 3), False),  # no coefficients
+        (QSeries([], 3, 3), True),
+    ], ids=["inverse_delta", "inverse_sqrt_delta", "delta", "empty",
+            "empty-half"])
+    def test_bytes_equal_json_dumps(self, f, half):
+        assert series_to_doc(f, half) == json.dumps(documented_doc(f, half))
+
+    # the argvs arrive as plain strings, so the script imports no json
+    SCRIPT = """
+import io, sys
+from ellcy.cli import main
+codes = [main(argv.split(), out=io.StringIO()) for argv in sys.argv[1:]]
+print(codes, sorted({"json"} & set(sys.modules)))
+"""
+
+    def test_series_json_never_imports_json(self):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       os.path.abspath(ellcy.__file__))))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", self.SCRIPT,
+             "series inv-sqrt-delta --json", "series e4 --json"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0] []\n"
 
 
 class TestGvCommand:
@@ -339,6 +382,18 @@ def failed_checks(text):
     return names
 
 
+def bumped_at(real, power):
+    """The eta generator real, with coefficient 2 raised by 1 at e = power."""
+    def corrupted(e, nterms):
+        f = real(e, nterms)
+        if e != power or nterms < 3:
+            return f
+        cs = list(f.coeffs)
+        cs[2] += 1
+        return QSeries(cs, f.offset, f.prec)
+    return corrupted
+
+
 class TestCheckCommand:
     def test_passes(self):
         code, text = run(["check", "--prec", "6"])
@@ -405,7 +460,8 @@ class TestCheckCommand:
     def test_consistent_eta_fault_detected(self, sign, monkeypatch):
         # eta^(12s) times (1 + q) and eta^(24s) times (1 + q)^2 still
         # square into each other, so only an oracle outside the eta
-        # recurrence can see it
+        # recurrence can see it; the negative powers also feed the closed
+        # routes, whose direct partners read the sigma_1 recurrence
         real = forms.eta_power
         factor = QSeries([1, 1], 0, 1000)
 
@@ -420,7 +476,36 @@ class TestCheckCommand:
         monkeypatch.setattr(forms, "eta_power", corrupted)
         code, text = run(["check", "--prec", "6"])
         assert code == 2
-        assert failed_checks(text) == ["eta-power-additivity"]
+        dual = ["fiber-dual-route", "section-dual-route",
+                "multifiber-dual-route-m2", "multifiber-dual-route-m3"]
+        assert failed_checks(text) == \
+            ["eta-power-additivity"] + (dual if sign < 0 else [])
+
+    @pytest.mark.parametrize("generator, e, check", [
+        ("eta_power", -24, "fiber-dual-route"),
+        ("eta_power", -12, "section-dual-route"),
+        ("eta_power_sigma1", -24, "fiber-dual-route"),
+        ("eta_power_sigma1", -12, "section-dual-route")])
+    def test_eta_generator_fault_fails_its_dual_route(self, generator, e,
+                                                      check, monkeypatch):
+        # the closed routes read the pentagonal eta powers and the direct
+        # routes the sigma_1 ones, so either generator corrupted alone
+        # moves one side of a dual-route pair
+        monkeypatch.setattr(forms, generator,
+                            bumped_at(getattr(forms, generator), e))
+        code, text = run(["check", "--prec", "6"])
+        assert code == 2
+        assert check in failed_checks(text)
+
+    @pytest.mark.parametrize("e", [24, 12, -24, -12])
+    def test_sigma1_fault_fails_additivity(self, e, monkeypatch):
+        # eta-power-additivity pins the sigma_1 generator as well as the
+        # pentagonal one, at every power it reads
+        monkeypatch.setattr(forms, "eta_power_sigma1",
+                            bumped_at(forms.eta_power_sigma1, e))
+        code, text = run(["check", "--prec", "6"])
+        assert code == 2
+        assert "eta-power-additivity" in failed_checks(text)
 
     def test_nl_vanishing_reads_e10(self, monkeypatch):
         # an E10 coefficient at q^-1 lies below the support of a modular
@@ -874,7 +959,8 @@ class TestExitContract:
         def poisoned(*args):
             raise AssertionError("a series was built past a bound")
 
-        for name in ("eta_power", "eisenstein", "e8_norm_counts"):
+        for name in ("eta_power", "eta_power_sigma1", "eisenstein",
+                     "e8_norm_counts"):
             monkeypatch.setattr(forms, name, poisoned)
         assert run(argv) == (1, "")
         bound = CHECK_BOUND if argv[0] == "check" else TERMS_BOUND

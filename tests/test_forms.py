@@ -186,7 +186,7 @@ class TestEtaPower:
     @pytest.mark.parametrize("e", [12, 24])
     def test_negative_power_is_inverse(self, e):
         prod = forms.eta_power(e, 30) * forms.eta_power(-e, 30)
-        assert prod == QSeries.constant(1, prod.prec)
+        assert prod == QSeries([1], 0, prod.prec)
         assert prod.prec == 30
 
     def test_inverse_delta_by_recurrence_known_values(self):
@@ -208,8 +208,8 @@ class TestEtaPower:
             assert tau[p * p] == tau[p] ** 2 - p ** 11
 
     def test_inexact_step_raises(self, monkeypatch):
-        # a wrong sigma_1(3) makes 3 * p_3 odd for eta^2; the recurrence
-        # must refuse rather than floor it
+        # a wrong sigma_1(3) makes 3 * p_3 odd for eta^2; the sigma_1
+        # recurrence must refuse rather than floor it
         real = forms.divisor_sums
 
         def wrong(k, n):
@@ -220,7 +220,30 @@ class TestEtaPower:
 
         monkeypatch.setattr(forms, "divisor_sums", wrong)
         with pytest.raises(ArithmeticError):
-            forms.eta_power(2, 4)
+            forms.eta_power_sigma1(2, 4)
+        # the step both recurrences divide by n refuses a remainder too
+        with pytest.raises(ArithmeticError, match="coefficient 3"):
+            forms._exact_step(2, 3, 7)
+        assert forms._exact_step(2, 3, -9) == -3
+
+
+class TestTwoEtaGenerators:
+    """The pentagonal recurrence (closed side) and the sigma_1 one (direct)."""
+
+    @pytest.mark.parametrize("e", [1, -1, 2, -2, 3, -3, 8, -8, 12, -12,
+                                   24, -24])
+    def test_equal_at_1000_terms(self, e):
+        assert forms.eta_power(e, 1000) == forms.eta_power_sigma1(e, 1000)
+
+    @pytest.mark.parametrize("e, nterms", [(0, 4), (0, 1), (24, 0),
+                                           (-12, -1)])
+    def test_same_errors(self, e, nterms):
+        errors = []
+        for eta in (forms.eta_power, forms.eta_power_sigma1):
+            with pytest.raises(ValueError) as exc:
+                eta(e, nterms)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
 
 
 class TestSigma:

@@ -224,18 +224,25 @@ class TestSectionRoutes:
     @pytest.mark.parametrize("route", ["f_section_closed",
                                        "f_section_convolution"])
     def test_routes_read_the_generator_as_it_is(self, route, monkeypatch):
-        # both routes read forms.inverse_sqrt_delta once, at the table's
-        # size, with no regridding step of their own
-        sizes = []
-        real = forms.inverse_sqrt_delta
+        # each route reads its own Bryan-Leung series once, at the table's
+        # size, with no regridding step of its own: the closed route the
+        # pentagonal q^(1/2) eta^-12, the convolution the sigma_1 one
+        calls = []
 
-        def recording(nterms):
-            sizes.append(nterms)
-            return real(nterms)
+        def recording(name):
+            real = getattr(forms, name)
 
-        monkeypatch.setattr(forms, "inverse_sqrt_delta", recording)
+            def generator(*args):
+                calls.append((name, *args))
+                return real(*args)
+            return generator
+
+        for name in ("inverse_sqrt_delta", "eta_power_sigma1"):
+            monkeypatch.setattr(forms, name, recording(name))
         assert getattr(invariants, route)(5) == [1, 252, 5130, 54760, 419895]
-        assert sizes == [5]
+        assert calls == {"f_section_closed": [("inverse_sqrt_delta", 5)],
+                         "f_section_convolution": [
+                             ("eta_power_sigma1", -12, 5)]}[route]
         assert not hasattr(invariants, "_bryan_leung")
 
     def test_routes_agree_to_20(self):
