@@ -237,11 +237,12 @@ def _jacobi_cube(nterms: int) -> QSeries:
 def check_eta_additivity(nterms: int) -> CheckResult:
     """Pin every eta power the routes use against an independent oracle.
 
-    The routes read two eta generators, the pentagonal recurrence on the
-    closed side and the sigma_1 recurrence on the direct side, and each
-    is checked against series that never call either, on the integer
-    grid: eta^24/q = prod (1 - q^n)^24 against the eighth power of
-    Jacobi's series for prod (1 - q^n)^3, 1/Delta against the inverse of
+    The routes read two eta generators, powers of the pentagonal series
+    on the closed side and of Jacobi's cube on the direct side, made by
+    one shared power recurrence.  Each is checked against series that
+    never call that recurrence, on the integer grid: eta^24/q =
+    prod (1 - q^n)^24 against the eighth power of Jacobi's series for
+    prod (1 - q^n)^3 by the product kernel, 1/Delta against the inverse of
     Delta = (E4^3 - E6^2)/1728 built from divisor sums, stated in the
     integers as (E4^3 - E6^2) q/Delta = 1728 q, and eta^12/q^(1/2) and
     q^(1/2) eta^-12 by squaring into eta^24/q and q/Delta.
@@ -252,7 +253,7 @@ def check_eta_additivity(nterms: int) -> CheckResult:
     j8 = j4 * j4
     e4, e6 = forms.eisenstein(4, nterms), forms.eisenstein(6, nterms)
     disc = e4 * e4 * e4 - e6 * e6
-    for eta in (forms.eta_power, forms.eta_power_sigma1):
+    for eta in (forms.eta_power, forms.eta_power_jacobi):
         eta24 = eta(24, nterms)
         twelve = eta(12, nterms)
         if not _agree(twelve * twelve, eta24):
@@ -308,11 +309,11 @@ def check_multifiber_routes(m: int, nmax: int, slice_rows: list,
     return _first_mismatch(_multifiber_name(m), "slice", a, "NL sum", b)
 
 
-def check_integrality(prec: int, slice_rows: list, nl_rows: list,
-                      closed: list, convolution: list) -> CheckResult:
+def check_integrality(slice_rows: list, nl_rows: list, closed: list,
+                      convolution: list) -> CheckResult:
+    """Every row of both pairs is an int; a non-int r_h shows in the NL sum."""
     streams = {"fiber slice": slice_rows, "fiber NL sum": nl_rows,
-               "section closed": closed, "section convolution": convolution,
-               "yau-zaslow": forms.yau_zaslow(prec)}
+               "section closed": closed, "section convolution": convolution}
     for name, values in streams.items():
         for v in values:
             if type(v) is not int:
@@ -385,6 +386,6 @@ def run_checks(prec: int = 16) -> list[CheckResult]:
         ("section-dual-route", check_section_routes, *section),
         (_multifiber_name(2), check_multifiber_routes, 2, prec, *fibre),
         (_multifiber_name(3), check_multifiber_routes, 3, m3_nmax, *fibre),
-        ("gv-integrality", check_integrality, prec, *fibre, *section),
+        ("gv-integrality", check_integrality, *fibre, *section),
         ("euler-hodge", check_euler_hodge),
     )]

@@ -3,14 +3,15 @@
 Everything here returns a :class:`~ellcy.series.QSeries` truncated to a
 requested number of terms counted from the leading exponent.  Every eta
 power, odd or even, is stored on the integer grid as prod (1 - q^n)^e,
-and no generator takes a series square root or inverse.  There are two
-eta generators on purpose.  :func:`eta_power`, the pentagonal
-recurrence, gives Delta = eta^24, 1/Delta = eta^-24 and
-q^(1/2)/sqrt(Delta) = q^(1/2) eta^-12 to the closed routes and every
-`series` command.  :func:`eta_power_sigma1`, the sigma_1 recurrence,
-feeds only the direct routes: :func:`yau_zaslow` and the Bryan-Leung
-series of the section convolution.  So a fault in either shows as a
-mismatch between the two routes of a pair.
+and no generator takes a series square root or inverse.  One power
+recurrence makes them all, from two sparse base series on purpose:
+:func:`eta_power` raises Euler's pentagonal series to the e-th power for
+the closed routes and every `series` command, :func:`eta_power_jacobi`
+Jacobi's cube prod (1 - q^n)^3 to the power e/3 for the direct routes
+only.  So a fault in either base shows as a mismatch between the two
+routes of a pair; a fault in the shared recurrence moves both alike, and
+the eta-power-additivity oracles catch it: Jacobi's series to the 8th
+by the product kernel, and Delta = (E4^3 - E6^2)/1728.
 Two more generators are deliberately redundant: the E8 theta series
 counts lattice vectors by norm through powers of Jacobi theta series
 built from the coordinates, and never via the weight-4 Eisenstein series,
@@ -65,10 +66,9 @@ def divisor_sums(k: int, n: int) -> list[int]:
     """[0, sigma_k(1), ..., sigma_k(n - 1)] by a sieve over the divisors.
 
     Each d adds d^k to every multiple of d below n: O(n log n) integer
-    additions, where :func:`sigma` term by term costs O(n^1.5).  The
-    Eisenstein series and :func:`eta_power_sigma1` use the sieve;
-    trial-division :func:`sigma` gives the single coefficients of
-    :func:`e10_coefficient`.
+    additions, where :func:`sigma` term by term costs O(n^1.5).  Only
+    the Eisenstein series use the sieve; trial-division :func:`sigma`
+    gives the single coefficients of :func:`e10_coefficient`.
     """
     sums = [0] * n
     for d in range(1, n):
@@ -91,24 +91,33 @@ def e10_coefficient(k: int) -> int:
     return -264 * sigma(9, k)
 
 
-def _eta_start(e: int, nterms: int) -> list[int]:
-    """[1, 0, ..., 0], nterms long: p_0 = 1 of an eta power, the rest to fill.
+def _sparse_power(terms: list[tuple[int, int]], e: int,
+                  nterms: int) -> QSeries:
+    """f^e for f = 1 + sum a_k q^k, given its nonzero terms (k, a_k), k >= 1.
 
-    Both eta recurrences refuse the same arguments here.
+    The recurrence for powers of a power series (Knuth, TAOCP vol. 2,
+    4.7), n p_n = sum_{k=1}^{n} ((e + 1)k - n) a_k p_{n-k} with p_0 = 1,
+    reads only the listed k: O(n^1.5) integer steps for a base with
+    O(sqrt n) terms.  A p_n that is not an exact quotient raises
+    ArithmeticError rather than being floored.
     """
     if e == 0:
         raise ValueError("the exponent must be a nonzero integer")
     if nterms < 1:
         raise ValueError("nterms must be positive")
-    return [1] + [0] * (nterms - 1)
-
-
-def _exact_step(e: int, n: int, s: int) -> int:
-    """s / n, the coefficient p_n of eta^e, or ArithmeticError if inexact."""
-    p, rem = divmod(s, n)
-    if rem:
-        raise ArithmeticError(f"eta^{e}: coefficient {n} is not an integer")
-    return p
+    weighted = [(k, (e + 1) * k * a, a) for k, a in terms]  # in order of k
+    cs = [1] + [0] * (nterms - 1)
+    for n in range(1, nterms):
+        s = 0
+        for k, w, a in weighted:
+            if k > n:
+                break
+            s += (w - n * a) * cs[n - k]
+        cs[n], rem = divmod(s, n)
+        if rem:
+            raise ArithmeticError(f"power {e}: coefficient {n} is not an "
+                                  "integer")
+    return QSeries(cs, 0, nterms)
 
 
 def eta_power(e: int, nterms: int) -> QSeries:
@@ -117,51 +126,37 @@ def eta_power(e: int, nterms: int) -> QSeries:
     Any nonzero integer e, odd and negative ones included.  Euler's
     pentagonal theorem makes prod (1 - q^n) = sum_k a_k q^k sparse:
     a_k = (-1)^j at the generalised pentagonal numbers k = j(3j -+ 1)/2
-    and 0 elsewhere.  The power's coefficients p_n come from the
-    recurrence for powers of a power series (Knuth, TAOCP vol. 2, 4.7),
-    n p_n = sum_{k=1}^{n} ((e + 1)k - n) a_k p_{n-k} with p_0 = 1, which
-    reads only the O(sqrt n) pentagonal k: O(n^1.5) integer steps in
-    all, and no divisor sieve.  The q^(e/24) is left to the
-    caller, so every power sits on the integer grid: :func:`delta` and
-    :func:`inverse_delta` shift by q^(+-1), and :func:`inverse_sqrt_delta`
-    is eta^-12 times q^(1/2).  The direct routes read
-    :func:`eta_power_sigma1` instead.
+    and 0 elsewhere, and :func:`_sparse_power` raises it to the e-th
+    power.  The q^(e/24) is left to the caller, so every power sits on
+    the integer grid: :func:`delta` and :func:`inverse_delta` shift by
+    q^(+-1), and :func:`inverse_sqrt_delta` is eta^-12 times q^(1/2).
+    The direct routes read :func:`eta_power_jacobi` instead.
     """
-    cs = _eta_start(e, nterms)
-    pentagonal = []  # (k, (e + 1) k a_k, a_k) for a_k != 0, in order of k
+    pentagonal = []
     j = 1
     while j * (3 * j - 1) // 2 < nterms:
         a = -1 if j % 2 else 1
-        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-            pentagonal.append((k, (e + 1) * k * a, a))
+        pentagonal += [(j * (3 * j - 1) // 2, a), (j * (3 * j + 1) // 2, a)]
         j += 1
-    for n in range(1, nterms):
-        s = 0
-        for k, w, a in pentagonal:
-            if k > n:
-                break
-            s += (w - n * a) * cs[n - k]
-        cs[n] = _exact_step(e, n, s)
-    return QSeries(cs, 0, nterms)
+    return _sparse_power(pentagonal, e, nterms)
 
 
-def eta_power_sigma1(e: int, nterms: int) -> QSeries:
-    """The same series as :func:`eta_power`, by the sigma_1 recurrence.
+def eta_power_jacobi(e: int, nterms: int) -> QSeries:
+    """The same series as :func:`eta_power`, as a power of Jacobi's cube.
 
-    The log-derivative of prod (1 - q^n)^e is -e sum sigma_1(k) q^k, so
-    n p_n = -e sum_{k=1}^{n} sigma_1(k) p_{n-k} with p_0 = 1: O(n^2)
-    integer steps over the divisor-sum sieve.  Only the direct routes
-    read it, :func:`yau_zaslow` for the NL sum and the Bryan-Leung
-    eta^-12 of the section convolution, so no dual-route pair shares an
-    eta generator with its closed partner; the same arguments are
-    refused as by :func:`eta_power`.
+    Jacobi's prod (1 - q^n)^3 = sum_k (-1)^k (2k + 1) q^(k(k+1)/2) is
+    sparse too, so :func:`_sparse_power` raises it to the power e/3, for
+    e a multiple of 3.  Only the direct routes read it: :func:`yau_zaslow`
+    and the Bryan-Leung eta^-12 of the section convolution.
     """
-    cs = _eta_start(e, nterms)
-    sig = divisor_sums(1, nterms)
-    for n in range(1, nterms):
-        # sig[n], ..., sig[1] against p_0, ..., p_{n-1}
-        cs[n] = _exact_step(e, n, -e * sum(map(operator.mul, sig[n:0:-1], cs)))
-    return QSeries(cs, 0, nterms)
+    if e % 3:
+        raise ValueError("the exponent must be a multiple of 3")
+    triangular = []
+    k = 1
+    while k * (k + 1) // 2 < nterms:
+        triangular.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
+        k += 1
+    return _sparse_power(triangular, e // 3, nterms)
 
 
 def _shifted(f: QSeries, k: int) -> QSeries:
@@ -268,9 +263,9 @@ def yau_zaslow(hmax: int) -> tuple[int, ...]:
 
     r_h is the coefficient of q^(h-1) in 1/Delta = q^-1 prod (1 - q^n)^-24,
     an integer; the table starts 1, 24, 324, 3200, ...  It is built once,
-    by :func:`eta_power_sigma1`, so the NL sum shares no eta generator
+    by :func:`eta_power_jacobi`, so the NL sum shares no eta base series
     with the closed fibre route.
     """
     if hmax < 0:
         raise ValueError("hmax must be non-negative")
-    return eta_power_sigma1(-24, hmax + 1).coeffs
+    return eta_power_jacobi(-24, hmax + 1).coeffs

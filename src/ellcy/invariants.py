@@ -12,13 +12,14 @@ with the Yau-Zaslow coefficients, and independently off the closed form
 form q^(1/2) E4/sqrt(Delta) and independently by convolving E8 vector
 counts (by norm, from Jacobi theta powers) with the Bryan-Leung section
 series q^(1/2)/sqrt(Delta) = q^(1/2) eta^-12, which counts C'' + jE'' at
-q^j.  Tests compare the routes entry by entry.  The closed routes read
-their eta powers from the pentagonal recurrence
-(:func:`forms.eta_power`), the direct routes from the sigma_1 recurrence
-(:func:`forms.eta_power_sigma1`), so the section pair shares no
-generator; the mF + nE pair still shares E10 = E4 * E6, which a separate
-oracle check pins.  The NL sum and the section convolution run on plain
-integers: one dot product of two int lists per class.
+q^j.  Tests compare the routes entry by entry.  The routes share one eta
+power recurrence but not its base series: the closed routes read powers
+of the pentagonal series (:func:`forms.eta_power`), the direct routes of
+Jacobi's cube (:func:`forms.eta_power_jacobi`).  The recurrence itself
+and E10 = E4 * E6, shared by the mF + nE pair, are pinned by oracles:
+eta-power-additivity and e10-sigma9.  The NL sum and the section
+convolution run on plain integers: one dot product of two int lists per
+class.
 
 The resolution of the singular Weierstrass model doubles every invariant
 of the polarized family; the factor 1/2 undoing it is applied in exactly
@@ -67,14 +68,14 @@ def f_section_convolution(nterms: int) -> list[int]:
     class C + nE pulls back to classes C'' + nE'' + lambda on the
     rational elliptic surface; shifting by half the (negative) norm of
     lambda reduces each to a pure section class, counted by the
-    Bryan-Leung series q^(1/2) eta^-12, here from the sigma_1 recurrence
-    and not from the closed route's :func:`forms.inverse_sqrt_delta`.
+    Bryan-Leung series q^(1/2) eta^-12, here a power of Jacobi's cube and
+    not the closed route's :func:`forms.inverse_sqrt_delta`.
     Only effective classes contribute: lambda of positive-definite norm
     2m enters at level n iff m <= n, which is exactly the effectivity
     bound on the surface.
     """
     # raises ValueError unless nterms >= 1
-    bv = forms.eta_power_sigma1(-12, nterms).coeffs
+    bv = forms.eta_power_jacobi(-12, nterms).coeffs
     counts = forms.e8_norm_counts(nterms - 1)
     # norm 2m shifts level n down to C'' + (n - m)E''
     return [sum(map(mul, counts[:n + 1], bv[n::-1])) for n in range(nterms)]

@@ -124,7 +124,8 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
     detected = []
     real_eis = forms.eisenstein
     real_eta = forms.eta_power
-    real_sigma1_eta = forms.eta_power_sigma1
+    real_jacobi_eta = forms.eta_power_jacobi
+    real_power = forms._sparse_power
     real_e10 = forms.e10_coefficient
 
     def corrupt_eisenstein(weight):
@@ -150,6 +151,16 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
     def corrupt_sigma9(k):
         return real_e10(k) + (k == 2)
 
+    def corrupt_jacobi_term(terms, e, nterms):
+        # Jacobi's cube 1 - 3q + 5q^3 - ... read with 6q^3
+        if terms[:2] == [(1, -3), (3, 5)]:
+            terms = [(1, -3), (3, 6)] + terms[2:]
+        return real_power(terms, e, nterms)
+
+    def corrupt_power(terms, e, nterms):
+        # every base exponent doubled: both generators alike
+        return real_power([(2 * k, a) for k, a in terms], e, nterms)
+
     faults = {
         "e4": ("eisenstein", corrupt_eisenstein(4)),
         "e6": ("eisenstein", corrupt_eisenstein(6)),
@@ -158,21 +169,30 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         "eta12": ("eta_power", corrupt_eta(12)),
         "inverse-delta": ("eta_power", corrupt_eta(-24)),
         "inverse-sqrt-delta": ("eta_power", corrupt_eta(-12)),
-        "sigma1-inverse-delta": ("eta_power_sigma1",
-                                 corrupt_eta(-24, real_sigma1_eta)),
-        "sigma1-inverse-sqrt-delta": ("eta_power_sigma1",
-                                      corrupt_eta(-12, real_sigma1_eta)),
+        "jacobi-inverse-delta": ("eta_power_jacobi",
+                                 corrupt_eta(-24, real_jacobi_eta)),
+        "jacobi-inverse-sqrt-delta": ("eta_power_jacobi",
+                                      corrupt_eta(-12, real_jacobi_eta)),
+        "jacobi-term": ("_sparse_power", corrupt_jacobi_term),
+        "power-recurrence": ("_sparse_power", corrupt_power),
         "sigma9": ("e10_coefficient", corrupt_sigma9),
     }
     # the closed routes read eta_power and the direct routes
-    # eta_power_sigma1, so each alone at a negative power must fail the
+    # eta_power_jacobi, so each alone at a negative power must fail the
     # dual-route check of the pair that reads it
-    dual = {"inverse-delta": "fiber-dual-route",
-            "inverse-sqrt-delta": "section-dual-route",
-            "sigma1-inverse-delta": "fiber-dual-route",
-            "sigma1-inverse-sqrt-delta": "section-dual-route",
+    dual = {"inverse-delta": {"fiber-dual-route"},
+            "inverse-sqrt-delta": {"section-dual-route"},
+            "jacobi-inverse-delta": {"fiber-dual-route"},
+            "jacobi-inverse-sqrt-delta": {"section-dual-route"},
+            # a Jacobi term moves every direct route and the oracle's
+            # own copy of Jacobi's series disagrees with it
+            "jacobi-term": {"fiber-dual-route", "section-dual-route",
+                            "eta-power-additivity"},
+            # the shared recurrence moves both routes alike; the oracles
+            # outside it must see it
+            "power-recurrence": {"eta-power-additivity"},
             # the sigma_9 oracle must be caught by the check that reads it
-            "sigma9": "e10-sigma9"}
+            "sigma9": {"e10-sigma9"}}
     for name, (attr, patched) in faults.items():
         monkeypatch.setattr(forms, attr, patched)
         fails = [r for r in checks.run_checks(6) if not r.passed]
@@ -182,10 +202,11 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         stale = any(r.detail.startswith(("AttributeError", "TypeError"))
                     for r in fails)
         detected.append((name, not stale and (
-            dual[name] in failed if name in dual else bool(failed))))
+            dual[name] <= failed if name in dual else bool(failed))))
         monkeypatch.setattr(forms, attr, {
             "eisenstein": real_eis, "eta_power": real_eta,
-            "eta_power_sigma1": real_sigma1_eta,
+            "eta_power_jacobi": real_jacobi_eta,
+            "_sparse_power": real_power,
             "e10_coefficient": real_e10}[attr])
 
     ok = clean_ok and all(found for _, found in detected)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -461,7 +462,7 @@ class TestCheckCommand:
         # eta^(12s) times (1 + q) and eta^(24s) times (1 + q)^2 still
         # square into each other, so only an oracle outside the eta
         # recurrence can see it; the negative powers also feed the closed
-        # routes, whose direct partners read the sigma_1 recurrence
+        # routes, whose direct partners read powers of Jacobi's cube
         real = forms.eta_power
         factor = QSeries([1, 1], 0, 1000)
 
@@ -484,13 +485,13 @@ class TestCheckCommand:
     @pytest.mark.parametrize("generator, e, check", [
         ("eta_power", -24, "fiber-dual-route"),
         ("eta_power", -12, "section-dual-route"),
-        ("eta_power_sigma1", -24, "fiber-dual-route"),
-        ("eta_power_sigma1", -12, "section-dual-route")])
+        ("eta_power_jacobi", -24, "fiber-dual-route"),
+        ("eta_power_jacobi", -12, "section-dual-route")])
     def test_eta_generator_fault_fails_its_dual_route(self, generator, e,
                                                       check, monkeypatch):
-        # the closed routes read the pentagonal eta powers and the direct
-        # routes the sigma_1 ones, so either generator corrupted alone
-        # moves one side of a dual-route pair
+        # the closed routes read powers of the pentagonal series and the
+        # direct routes powers of Jacobi's cube, so either generator
+        # corrupted alone moves one side of a dual-route pair
         monkeypatch.setattr(forms, generator,
                             bumped_at(getattr(forms, generator), e))
         code, text = run(["check", "--prec", "6"])
@@ -498,14 +499,52 @@ class TestCheckCommand:
         assert check in failed_checks(text)
 
     @pytest.mark.parametrize("e", [24, 12, -24, -12])
-    def test_sigma1_fault_fails_additivity(self, e, monkeypatch):
-        # eta-power-additivity pins the sigma_1 generator as well as the
+    def test_jacobi_fault_fails_additivity(self, e, monkeypatch):
+        # eta-power-additivity pins the Jacobi generator as well as the
         # pentagonal one, at every power it reads
-        monkeypatch.setattr(forms, "eta_power_sigma1",
-                            bumped_at(forms.eta_power_sigma1, e))
+        monkeypatch.setattr(forms, "eta_power_jacobi",
+                            bumped_at(forms.eta_power_jacobi, e))
         code, text = run(["check", "--prec", "6"])
         assert code == 2
         assert "eta-power-additivity" in failed_checks(text)
+
+    def test_jacobi_term_fault_fails_both_pairs(self, monkeypatch):
+        # Jacobi's 5q^3 read as 6q^3 moves every direct route, and the
+        # additivity check's own copy of Jacobi's series sees it too
+        real = forms._sparse_power
+
+        def corrupted(terms, e, nterms):
+            if terms[:2] == [(1, -3), (3, 5)]:
+                terms = [(1, -3), (3, 6)] + terms[2:]
+            return real(terms, e, nterms)
+
+        monkeypatch.setattr(forms, "_sparse_power", corrupted)
+        code, text = run(["check", "--prec", "6"])
+        assert code == 2
+        assert {"fiber-dual-route", "section-dual-route",
+                "eta-power-additivity"} <= set(failed_checks(text))
+
+    def test_shared_recurrence_fault_fails_its_oracles(self, monkeypatch):
+        # a recurrence that reads every base exponent doubled makes
+        # prod (1 - q^(2n))^e from either base: both routes of each pair
+        # move alike and agree, and squaring still holds, so only the
+        # oracles outside the recurrence can see it
+        real = forms._sparse_power
+        monkeypatch.setattr(
+            forms, "_sparse_power",
+            lambda terms, e, nterms: real([(2 * k, a) for k, a in terms], e,
+                                          nterms))
+        for prec in (2, 6):
+            results = checks.run_checks(prec)
+            assert [(r.name, r.detail) for r in results if not r.passed] == [
+                ("eta-power-additivity",
+                 "eta^24/q differs from Jacobi's series to the 8th")]
+        # with the Jacobi oracle passed, the Eisenstein one still fails
+        monkeypatch.setattr(checks, "_jacobi_cube",
+                            lambda n: forms.eta_power(3, n))
+        res = checks.check_eta_additivity(6)
+        assert (res.passed, res.detail) == \
+            (False, "(E4^3 - E6^2)/1728 times eta^-24 is not 1")
 
     def test_nl_vanishing_reads_e10(self, monkeypatch):
         # an E10 coefficient at q^-1 lies below the support of a modular
@@ -577,6 +616,24 @@ class TestCheckCommand:
         assert set(failed) == {"fiber-dual-route", "multifiber-dual-route-m2",
                                "multifiber-dual-route-m3", "gv-integrality"}
         assert set(failed.values()) == {"ArithmeticError: route refused"}
+
+    def test_fraction_yau_zaslow_fails_integrality(self, monkeypatch):
+        # gv-integrality builds no Yau-Zaslow table of its own: r_h of the
+        # right value but not int shows in the NL sum rows built from it
+        real = forms.yau_zaslow
+        calls = []
+
+        def fractions(hmax):
+            calls.append(hmax)
+            return tuple(map(Fraction, real(hmax)))
+
+        monkeypatch.setattr(forms, "yau_zaslow", fractions)
+        results = checks.run_checks(6)
+        failed = {r.name: r.detail for r in results if not r.passed}
+        assert list(failed) == ["gv-integrality"]
+        assert failed["gv-integrality"].startswith(
+            "fiber NL sum produced non-integer ")
+        assert len(calls) == 1
 
     def test_ring_laws_compare_with_schoolbook(self, monkeypatch):
         # a kernel that doubles every product is still commutative,
@@ -686,19 +743,23 @@ class TestCheckCommand:
 
 
     def test_raising_generator_is_a_fail_line(self, monkeypatch, capsys):
-        # a sieve without n itself makes the eta recurrence inexact, and
-        # it raises; each check it ends must be a FAIL, not a traceback
-        real = forms.divisor_sums
-        monkeypatch.setattr(
-            forms, "divisor_sums",
-            lambda k, n: [s - m ** k if m else 0
-                          for m, s in enumerate(real(k, n))])
+        # a generator may raise, as the power recurrence does on an
+        # inexact step; each check it ends must be a FAIL, not a traceback
+        def raising(e, nterms):
+            raise ArithmeticError(f"power {e}: coefficient 3 is not an "
+                                  "integer")
+
+        monkeypatch.setattr(forms, "eta_power_jacobi", raising)
         code, text = run(["check", "--prec", "6"])
         assert code == 2
         assert capsys.readouterr().err == ""
         fails = [line.split("\t") for line in text.splitlines()
                  if line.startswith("FAIL")]
-        assert any(detail.startswith("ArithmeticError: ")
+        assert [name for _, name, _ in fails] == [
+            "eta-power-additivity", "fiber-dual-route", "section-dual-route",
+            "multifiber-dual-route-m2", "multifiber-dual-route-m3",
+            "gv-integrality"]
+        assert all(detail.startswith("ArithmeticError: power ")
                    for _, _, detail in fails)
         assert text.endswith(f"{len(fails)} check(s) failed\n")
 
@@ -959,7 +1020,7 @@ class TestExitContract:
         def poisoned(*args):
             raise AssertionError("a series was built past a bound")
 
-        for name in ("eta_power", "eta_power_sigma1", "eisenstein",
+        for name in ("eta_power", "eta_power_jacobi", "eisenstein",
                      "e8_norm_counts"):
             monkeypatch.setattr(forms, name, poisoned)
         assert run(argv) == (1, "")

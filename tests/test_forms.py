@@ -207,43 +207,51 @@ class TestEtaPower:
         for p in (2, 3, 5, 7, 11, 13):
             assert tau[p * p] == tau[p] ** 2 - p ** 11
 
-    def test_inexact_step_raises(self, monkeypatch):
-        # a wrong sigma_1(3) makes 3 * p_3 odd for eta^2; the sigma_1
-        # recurrence must refuse rather than floor it
-        real = forms.divisor_sums
-
-        def wrong(k, n):
-            sums = real(k, n)
-            if k == 1 and n > 3:
-                sums[3] = 5
-            return sums
-
-        monkeypatch.setattr(forms, "divisor_sums", wrong)
-        with pytest.raises(ArithmeticError):
-            forms.eta_power_sigma1(2, 4)
-        # the step both recurrences divide by n refuses a remainder too
-        with pytest.raises(ArithmeticError, match="coefficient 3"):
-            forms._exact_step(2, 3, 7)
-        assert forms._exact_step(2, 3, -9) == -3
+    def test_inexact_step_raises(self):
+        # an integer base with a_0 = 1 has integer powers, so the exact
+        # step is shown on a rational power: sqrt(1 + 2q) = 1 + q - q^2/2
+        # + ..., whose q^2 coefficient the shared recurrence must refuse
+        # rather than floor
+        with pytest.raises(ArithmeticError, match="coefficient 2 "):
+            forms._sparse_power([(1, 2)], Fraction(1, 2), 4)
+        # negative quotients are exact: 1/(1 + 2q) = sum (-2)^n q^n
+        assert forms._sparse_power([(1, 2)], -1, 5) == \
+            QSeries([1, -2, 4, -8, 16], 0, 5)
 
 
 class TestTwoEtaGenerators:
-    """The pentagonal recurrence (closed side) and the sigma_1 one (direct)."""
+    """Powers of the pentagonal series (closed side) and of Jacobi's cube."""
 
-    @pytest.mark.parametrize("e", [1, -1, 2, -2, 3, -3, 8, -8, 12, -12,
-                                   24, -24])
+    @pytest.mark.parametrize("e", [1, -1, 2, -2, 3, -3, 6, -6, 8, -8, 12,
+                                   -12, 24, -24])
     def test_equal_at_1000_terms(self, e):
-        assert forms.eta_power(e, 1000) == forms.eta_power_sigma1(e, 1000)
+        # Jacobi's generator takes only multiples of 3; for the other e,
+        # the cube of eta^e is J^e
+        if e % 3 == 0:
+            assert forms.eta_power(e, 1000) == forms.eta_power_jacobi(e, 1000)
+        else:
+            f = forms.eta_power(e, 1000)
+            assert f * f * f == forms.eta_power_jacobi(3 * e, 1000)
+
+    @pytest.mark.parametrize("e", [3, 6, 12, 24])
+    def test_jacobi_matches_product_oracle(self, e):
+        s = forms.eta_power_jacobi(e, 20)
+        assert list(s.coeffs) == dedekind_product_oracle(e, 20)
 
     @pytest.mark.parametrize("e, nterms", [(0, 4), (0, 1), (24, 0),
                                            (-12, -1)])
     def test_same_errors(self, e, nterms):
         errors = []
-        for eta in (forms.eta_power, forms.eta_power_sigma1):
+        for eta in (forms.eta_power, forms.eta_power_jacobi):
             with pytest.raises(ValueError) as exc:
                 eta(e, nterms)
             errors.append((type(exc.value), str(exc.value)))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("e", [1, -1, 2, -2])
+    def test_jacobi_refuses_non_multiples_of_3(self, e):
+        with pytest.raises(ValueError, match="multiple of 3"):
+            forms.eta_power_jacobi(e, 4)
 
 
 class TestSigma:
@@ -295,19 +303,13 @@ class TestDivisorSums:
             return [s - m ** k if m else 0 for m, s in enumerate(real(k, n))]
 
         monkeypatch.setattr(forms, "divisor_sums", proper_divisor_sums)
-        # a wrong sigma_1 makes the eta recurrence inexact, and it refuses;
-        # the checks it ends are FAILs that name the exception
+        # E4 and E6 are wrong; the lattice count and the trial-division
+        # oracle see it, and no eta power reads the sieve
         results = checks.run_checks(6)
         assert len(results) == 15
-        assert any(not r.passed and r.detail.startswith("ArithmeticError: ")
-                   for r in results)
-        # with sigma_1 intact, E4 and E6 are still wrong; the lattice
-        # count and the trial-division oracle see it
-        monkeypatch.setattr(
-            forms, "divisor_sums",
-            lambda k, n: real(k, n) if k == 1 else proper_divisor_sums(k, n))
-        failed = {r.name for r in checks.run_checks(6) if not r.passed}
+        failed = {r.name for r in results if not r.passed}
         assert {"theta-e8-equals-e4", "e10-sigma9"} <= failed
+        assert forms.eta_power_jacobi(-24, 50) == forms.eta_power(-24, 50)
 
 
 class TestEisenstein:

@@ -226,7 +226,7 @@ class TestSectionRoutes:
     def test_routes_read_the_generator_as_it_is(self, route, monkeypatch):
         # each route reads its own Bryan-Leung series once, at the table's
         # size, with no regridding step of its own: the closed route the
-        # pentagonal q^(1/2) eta^-12, the convolution the sigma_1 one
+        # pentagonal q^(1/2) eta^-12, the convolution J^-4, J Jacobi's cube
         calls = []
 
         def recording(name):
@@ -237,12 +237,12 @@ class TestSectionRoutes:
                 return real(*args)
             return generator
 
-        for name in ("inverse_sqrt_delta", "eta_power_sigma1"):
+        for name in ("inverse_sqrt_delta", "eta_power_jacobi"):
             monkeypatch.setattr(forms, name, recording(name))
         assert getattr(invariants, route)(5) == [1, 252, 5130, 54760, 419895]
         assert calls == {"f_section_closed": [("inverse_sqrt_delta", 5)],
                          "f_section_convolution": [
-                             ("eta_power_sigma1", -12, 5)]}[route]
+                             ("eta_power_jacobi", -12, 5)]}[route]
         assert not hasattr(invariants, "_bryan_leung")
 
     def test_routes_agree_to_20(self):
