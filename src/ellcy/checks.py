@@ -5,9 +5,9 @@ verifies a structural invariant) and compares exactly.  A run builds each
 route once, and the checks that compare routes read its rows.  The suite
 is a list of named callables so tests can fault-inject a generator and
 assert that at least one dual-route comparison catches the corruption.
-The oracles of the series arithmetic accumulate in ints term by term and
-never call the series kernel.  Every sample, scalar and oracle is an
-integer, so the suite never imports `fractions`.
+The oracles of the series product and the suite's sums accumulate in ints
+term by term and never call the series kernel.  Every sample and oracle
+is an integer, so the suite never imports `fractions`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _schoolbook(f: QSeries, g: QSeries) -> QSeries:
 
 
 def _term_sum(f: QSeries, g: QSeries) -> QSeries:
-    """f + g term by term, sharing no code with the series sum."""
+    """f + g term by term; series are only multiplied, never added."""
     offset, prec = min(f.offset, g.offset), min(f.prec, g.prec)
     cs = [0] * (prec - offset)
     for s in (f, g):
@@ -72,36 +72,23 @@ def _term_sum(f: QSeries, g: QSeries) -> QSeries:
 def _agree(f: QSeries, g: QSeries) -> bool:
     """f and g are equal up to the lower of their precision bounds."""
     p = min(f.prec, g.prec)
-    return f.truncate(p) == g.truncate(p)
-
-
-# a negative scalar, so that a scaling which loses the sign shows
-_SCALAR = -3
+    # each run holds p - offset terms, so equal runs start at one offset
+    return f.coeffs[:max(0, p - f.offset)] == g.coeffs[:max(0, p - g.offset)]
 
 
 def check_ring_laws() -> CheckResult:
-    """Sums, scaling and products against exact term loops, then ring laws.
+    """Products against the schoolbook double loop, then the ring laws.
 
     Every route and the E8 theta powers multiply through one integer
-    kernel, and sums and scaling run on the coefficient tuples, so each
-    is compared with a term-by-term computation that never calls them.
-    The kernel adds rows for the short sample products and packs longer
-    ones, so one product above its cutover, Jacobi's series squared, is
-    compared too.  Each pair sum and pair product is made once and
-    reused by the laws.
+    kernel, so each sample product is compared with a double loop that
+    never calls it, and one product above the kernel's row-loop cutover,
+    Jacobi's series squared, too.  Series are never added: the laws take
+    their sums term by term.  Nor sliced: slice-partition pins the
+    fibre-row index that the slice route reads.  Each pair sum and pair
+    product is made once and reused by the laws.
     """
     fs = _sample_series()
-    sums = []
-    for f in fs:
-        scaled = QSeries([_SCALAR * c for c in f.coeffs], f.offset, f.prec)
-        if f.scale(_SCALAR) != scaled:
-            return CheckResult("ring-laws", False,
-                               "scaling differs from the term-by-term product")
-        sums.append([f + g for g in fs])
-        for g, s in zip(fs, sums[-1]):
-            if s != _term_sum(f, g):
-                return CheckResult("ring-laws", False,
-                                   "sum differs from the term-by-term sum")
+    sums = [[_term_sum(f, g) for g in fs] for f in fs]
     jac = _jacobi_cube(_SCHOOLBOOK_TERMS + 1)
     if jac * jac != _schoolbook(jac, jac):
         return CheckResult("ring-laws", False,
@@ -121,24 +108,36 @@ def check_ring_laws() -> CheckResult:
                 if not _agree(fg * h, f * prods[j][k]):
                     return CheckResult("ring-laws", False,
                                        "multiplication is not associative")
-                if not _agree(f * sums[j][k], fg + prods[i][k]):
+                if not _agree(f * sums[j][k], _term_sum(fg, prods[i][k])):
                     return CheckResult("ring-laws", False,
                                        "distributivity fails")
     return CheckResult("ring-laws", True)
 
 
-def check_slice_partition(prec: int) -> CheckResult:
-    f = forms.inverse_delta(prec)
-    for m in (2, 3, 5):
-        parts = f.slice(m, 0)
-        for k in range(1, m):
-            parts = parts + f.slice(m, k)
-        if parts != f:
+def check_slice_partition(nmax: int) -> CheckResult:
+    """The fibre-row index, which both fibre routes read and so agree on.
+
+    Row k = fiber_row(m, n) of mF + nE, 0 <= n <= nmax, read by the slice
+    route at q^(k-1), must be 1 mod m and half the class's h = 0 NL
+    discriminant, and first_row(m) must be the least n with k >= 0.
+    """
+    (_, l1f, l1e), (_, l2f, l2e), _ = geometry.pairing_matrix()
+    for m in (1, 2, 3, 5):
+        for n in range(nmax + 1):
+            k = invariants.fiber_row(m, n)
+            disc = geometry.nl_discriminant(0, l1f * m + l1e * n,
+                                            l2f * m + l2e * n)
+            if (k - 1) % m or disc != 2 * k:
+                return CheckResult("slice-partition", False,
+                                   f"fiber_row({m}, {n}) = {k}, and the NL "
+                                   f"discriminant of {m}F+{n}E at h = 0 is "
+                                   f"{disc}")
+        first = invariants.first_row(m)
+        if not (invariants.fiber_row(m, first - 1) < 0
+                <= invariants.fiber_row(m, first)):
             return CheckResult("slice-partition", False,
-                               f"slices mod {m} do not reassemble 1/Delta")
-        if f.slice(m, 1).slice(m, 1) != f.slice(m, 1):
-            return CheckResult("slice-partition", False,
-                               f"slice mod {m} is not idempotent")
+                               f"first_row({m}) = {first} is not the least "
+                               f"n with fiber_row({m}, n) >= 0")
     return CheckResult("slice-partition", True)
 
 
@@ -252,7 +251,8 @@ def check_eta_additivity(nterms: int) -> CheckResult:
     j4 = j2 * j2
     j8 = j4 * j4
     e4, e6 = forms.eisenstein(4, nterms), forms.eisenstein(6, nterms)
-    disc = e4 * e4 * e4 - e6 * e6
+    minus_e6 = QSeries.from_ints([-c for c in e6.coeffs], e6.offset, e6.prec)
+    disc = _term_sum(e4 * e4 * e4, minus_e6 * e6)
     for eta in (forms.eta_power, forms.eta_power_jacobi):
         eta24 = eta(24, nterms)
         twelve = eta(12, nterms)
@@ -374,7 +374,8 @@ def run_checks(prec: int = 16) -> list[CheckResult]:
                _built(invariants.f_section_convolution, prec))
     return [_guarded(*entry) for entry in (
         ("ring-laws", check_ring_laws),
-        ("slice-partition", check_slice_partition, prec),
+        # every n that the m = 1, 2, 3 checks read
+        ("slice-partition", check_slice_partition, max(prec, m3_nmax)),
         ("precision-honesty", check_precision_honesty),
         ("pairing-determinant", check_pairing_determinant),
         ("pushforward-kernel", check_pushforward_kernel),

@@ -85,6 +85,8 @@ def cmd_series(args, out) -> int:
 
 
 def cmd_gv(args, out) -> int:
+    if args.m is not None and args.target != "multifiber":
+        raise _UsageError("--m applies to multifiber only")
     _check_prec(args.prec)
     prec = args.prec
     if args.target == "section":

@@ -17,9 +17,11 @@ power recurrence but not its base series: the closed routes read powers
 of the pentagonal series (:func:`forms.eta_power`), the direct routes of
 Jacobi's cube (:func:`forms.eta_power_jacobi`).  The recurrence itself
 and E10 = E4 * E6, shared by the mF + nE pair, are pinned by oracles:
-eta-power-additivity and e10-sigma9.  The NL sum and the section
-convolution run on plain integers: one dot product of two int lists per
-class.
+eta-power-additivity and e10-sigma9.  So is the fibre-row index that
+both mF + nE routes read, :func:`fiber_row` and :func:`first_row`: a
+wrong index moves both routes alike, and slice-partition pins it
+against the NL discriminant.  The NL sum and the section convolution run
+on plain integers: one dot product of two int lists per class.
 
 The resolution of the singular Weierstrass model doubles every invariant
 of the polarized family; the factor 1/2 undoing it is applied in exactly

@@ -3,24 +3,25 @@
 A :class:`QSeries` stores finitely many integer coefficients of a formal
 series sum a_e q^e over integer exponents e.  Every series carries an
 explicit precision bound: all coefficients of exponents below ``prec``
-are exact, everything at or above it is unknown.  All arithmetic
-propagates precision pessimistically, so a coefficient that a QSeries
-reports is always correct; asking for one beyond the bound raises
+are exact, everything at or above it is unknown.  Products propagate
+precision pessimistically, so a coefficient that a QSeries reports is
+always correct; asking for one beyond the bound raises
 :class:`PrecisionError` rather than silently returning zero.
 
 Every q-expansion the routes need has integer coefficients and integer
 exponents (the eta powers are stored without their q^(e/24)), so only
 ints are stored: any other coefficient is a ``TypeError`` at
-construction, a scalar must be an int, and ``invert`` and ``sqrt`` raise
-rather than leave the integers.  No arithmetic here imports `fractions`
-or uses floating point.  Every product of coefficient lists goes through
+construction, and ``invert`` and ``sqrt`` raise rather than leave the
+integers.  The routes only multiply series and read coefficients, so
+that is all a series does: a product with anything but a series is a
+``TypeError``.  No arithmetic here imports `fractions` or uses floating
+point.  Every product of coefficient lists goes through
 :func:`int_product`, which picks its algorithm by the number n of
 product terms: up to ``_SCHOOLBOOK_TERMS`` terms it adds one row a * g
 into the result for each nonzero term a of f, so the zeros of a sparse
 factor cost nothing, and above that both factors are packed into single
 Python ints by Kronecker substitution, multiplied once and the product's
-slots read back, each step a C-level ``map`` over the terms.  Sums add
-each operand's aligned run of coefficients by one slice assignment.  The
+slots read back, each step a C-level ``map`` over the terms.  The
 generators that work on plain integer coefficient lists (the E8 theta
 powers) call :func:`int_product` directly.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
-from operator import add, sub
+from operator import sub
 
 # Products of at most this many terms are row loops, longer ones are
 # packed.  For 1/Delta * E10 on a 2-core Xeon VM with Python 3.11 the row
@@ -183,59 +184,11 @@ class QSeries:
         body = " + ".join(parts) if parts else "0"
         return f"QSeries({body} + O(q^({self.prec})))"
 
-    def truncate(self, prec: int) -> "QSeries":
-        """Forget all terms at or above q^prec."""
-        if prec == self.prec:
-            return self  # immutable and canonical
-        if prec > self.prec:
-            raise PrecisionError(
-                f"cannot extend precision from {self.prec} to {prec}")
-        n = max(0, prec - self.offset)
-        return QSeries.from_ints(self.coeffs[:n], min(self.offset, prec), prec)
+    # -- products and inverses -------------------------------------------
 
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        """Sum of two series.
-
-        Each operand's coefficients below the common bound form one
-        aligned run, placed by slice assignment: no Python step per
-        coefficient.
-        """
+    def __mul__(self, other: "QSeries") -> "QSeries":
+        """Product of two series, their coefficients by :func:`int_product`."""
         if not isinstance(other, QSeries):
-            return NotImplemented
-        fo, go = self.offset, other.offset
-        offset = min(fo, go)
-        prec = min(self.prec, other.prec)
-        cs = [0] * (prec - offset)
-        i, j = fo - offset, max(fo, prec) - offset
-        cs[i:j] = self.coeffs[:j - i]  # the first run lands on zeros
-        i, j = go - offset, max(go, prec) - offset
-        cs[i:j] = map(add, cs[i:j], other.coeffs[:j - i])
-        return QSeries.from_ints(cs, offset, prec)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries.from_ints([-c for c in self.coeffs], self.offset,
-                                 self.prec)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def scale(self, c: int) -> "QSeries":
-        """c times the series, for an int c."""
-        if type(c) is not int:
-            raise TypeError("a QSeries scalar must be an int")
-        return QSeries.from_ints([c * a for a in self.coeffs], self.offset,
-                                 self.prec)
-
-    def __mul__(self, other):
-        """Product of two series, or of a series and an int scalar.
-
-        The coefficient lists are multiplied by :func:`int_product`.
-        """
-        if not isinstance(other, QSeries):
-            if type(other) is int:
-                return self.scale(other)
             return NotImplemented
         # unknown tails start at f.prec + g.offset and g.prec + f.offset
         prec = min(self.prec + other.offset, other.prec + self.offset)
@@ -244,8 +197,6 @@ class QSeries:
             return QSeries([], prec, prec)
         return QSeries.from_ints(int_product(self.coeffs, other.coeffs,
                                              prec - offset), offset, prec)
-
-    __rmul__ = __mul__
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the leading coefficient must be +-1.
@@ -322,14 +273,3 @@ class QSeries:
         offset, cs = self.offset, self.coeffs
         pad = [0] * max(0, min(offset, hi) - lo)
         return pad + list(cs[max(0, lo - offset):max(0, hi - offset)])
-
-    # -- exponent surgery ------------------------------------------------
-
-    def slice(self, m: int, k: int) -> "QSeries":
-        """Retain only the terms with exponent congruent to k mod m."""
-        if m < 1:
-            raise ValueError("modulus must be a positive integer")
-        first = (k - self.offset) % m  # index of the first kept term
-        cs = [0] * len(self.coeffs)
-        cs[first::m] = self.coeffs[first::m]
-        return QSeries.from_ints(cs, self.offset, self.prec)

@@ -120,13 +120,15 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
     code, text = run_cli(["check", "--prec", "16"], 60.0)
     clean_ok = code == 0 and "FAIL" not in text
 
-    # corrupting any generator coefficient must trip at least one check
+    # corrupting any generator coefficient or the fibre-row index must
+    # trip at least one check
     detected = []
     real_eis = forms.eisenstein
     real_eta = forms.eta_power
     real_jacobi_eta = forms.eta_power_jacobi
     real_power = forms._sparse_power
     real_e10 = forms.e10_coefficient
+    real_row, real_first = invariants.fiber_row, invariants.first_row
 
     def corrupt_eisenstein(weight):
         def patched(k, nterms):
@@ -162,20 +164,28 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         return real_power([(2 * k, a) for k, a in terms], e, nterms)
 
     faults = {
-        "e4": ("eisenstein", corrupt_eisenstein(4)),
-        "e6": ("eisenstein", corrupt_eisenstein(6)),
-        "e10": ("eisenstein", corrupt_eisenstein(10)),
-        "delta": ("eta_power", corrupt_eta(24)),
-        "eta12": ("eta_power", corrupt_eta(12)),
-        "inverse-delta": ("eta_power", corrupt_eta(-24)),
-        "inverse-sqrt-delta": ("eta_power", corrupt_eta(-12)),
-        "jacobi-inverse-delta": ("eta_power_jacobi",
+        "e4": (forms, "eisenstein", corrupt_eisenstein(4)),
+        "e6": (forms, "eisenstein", corrupt_eisenstein(6)),
+        "e10": (forms, "eisenstein", corrupt_eisenstein(10)),
+        "delta": (forms, "eta_power", corrupt_eta(24)),
+        "eta12": (forms, "eta_power", corrupt_eta(12)),
+        "inverse-delta": (forms, "eta_power", corrupt_eta(-24)),
+        "inverse-sqrt-delta": (forms, "eta_power", corrupt_eta(-12)),
+        "jacobi-inverse-delta": (forms, "eta_power_jacobi",
                                  corrupt_eta(-24, real_jacobi_eta)),
-        "jacobi-inverse-sqrt-delta": ("eta_power_jacobi",
+        "jacobi-inverse-sqrt-delta": (forms, "eta_power_jacobi",
                                       corrupt_eta(-12, real_jacobi_eta)),
-        "jacobi-term": ("_sparse_power", corrupt_jacobi_term),
-        "power-recurrence": ("_sparse_power", corrupt_power),
-        "sigma9": ("e10_coefficient", corrupt_sigma9),
+        "jacobi-term": (forms, "_sparse_power", corrupt_jacobi_term),
+        "power-recurrence": (forms, "_sparse_power", corrupt_power),
+        "sigma9": (forms, "e10_coefficient", corrupt_sigma9),
+        # the row index m(n - m) + 2, and the first printed row one late
+        # or one early
+        "fiber-row": (invariants, "fiber_row",
+                      lambda m, n: real_row(m, n) + 1),
+        "first-row-high": (invariants, "first_row",
+                           lambda m: real_first(m) + 1),
+        "first-row-low": (invariants, "first_row",
+                          lambda m: real_first(m) - 1),
     }
     # the closed routes read eta_power and the direct routes
     # eta_power_jacobi, so each alone at a negative power must fail the
@@ -192,9 +202,15 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
             # outside it must see it
             "power-recurrence": {"eta-power-additivity"},
             # the sigma_9 oracle must be caught by the check that reads it
-            "sigma9": {"e10-sigma9"}}
-    for name, (attr, patched) in faults.items():
-        monkeypatch.setattr(forms, attr, patched)
+            "sigma9": {"e10-sigma9"},
+            # both fibre routes read the row index and agree on a wrong
+            # one; the check that pins the index must see it
+            "fiber-row": {"slice-partition"},
+            "first-row-high": {"slice-partition"},
+            "first-row-low": {"slice-partition"}}
+    for name, (module, attr, patched) in faults.items():
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, patched)
         fails = [r for r in checks.run_checks(6) if not r.passed]
         failed = {r.name for r in fails}
         # a FAIL raised by a stale fault helper or a broken call tests
@@ -203,11 +219,7 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
                     for r in fails)
         detected.append((name, not stale and (
             dual[name] <= failed if name in dual else bool(failed))))
-        monkeypatch.setattr(forms, attr, {
-            "eisenstein": real_eis, "eta_power": real_eta,
-            "eta_power_jacobi": real_jacobi_eta,
-            "_sparse_power": real_power,
-            "e10_coefficient": real_e10}[attr])
+        monkeypatch.setattr(module, attr, real)
 
     ok = clean_ok and all(found for _, found in detected)
     report("10 (check suite + fault injection)", ok)

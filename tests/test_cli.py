@@ -195,6 +195,15 @@ class TestGvCommand:
         code, _ = run(["gv", "multifiber", "--m", "1", "--prec", "4"])
         assert code == 1
 
+    @pytest.mark.parametrize("target", ["fiber", "section"])
+    @pytest.mark.parametrize("m", ["1", "5"])
+    def test_m_outside_multifiber_is_usage_error(self, target, m, capsys):
+        # --m is a multifibre option: fiber is the m = 1 table already,
+        # and a section class has no fibre part
+        assert run(["gv", target, "--m", m, "--prec", "4"]) == (1, "")
+        assert capsys.readouterr().err == \
+            "ellcy: error: --m applies to multifiber only\n"
+
 
 class TestNlCommand:
     def test_origin(self):
@@ -293,7 +302,7 @@ print(json.dumps(loaded))
 
 
 class TestCheckLoadsNoFractions:
-    """check runs in plain integers too: its samples, scalar and oracles.
+    """check runs in plain integers too: its samples and oracles.
 
     Run like TestIntegerCommandsLoadNoFractions, in one fresh interpreter
     without site.
@@ -675,55 +684,51 @@ class TestCheckCommand:
         assert not res.passed
         assert res.detail == "product differs from the schoolbook product"
 
-    def test_slice_add_fault_fails_ring_laws(self, monkeypatch):
-        # a sum that places the second operand's run one slot too high
-        real = QSeries.__add__
-
-        def shifted(f, g):
-            if not g.coeffs:
-                return real(f, g)
-            return real(f, QSeries.from_ints(g.coeffs[:-1], g.offset + 1,
-                                             g.prec))
-
-        monkeypatch.setattr(QSeries, "__add__", shifted)
-        res = checks.check_ring_laws()
-        assert not res.passed
-        assert res.detail == "sum differs from the term-by-term sum"
-
     def test_oracles_never_call_the_series_arithmetic(self, monkeypatch):
         # the schoolbook product and the term-by-term sum are computed
-        # with the kernel, the series product and the series sum all
-        # raising, and equal what the working arithmetic makes
+        # with the kernel and the series product raising, and equal what
+        # the working product and a plain int sum per exponent make
         fs = checks._sample_series()
         pairs = [(f, g) for f in fs for g in fs]
-        expected = [(f * g, f + g) for f, g in pairs]
+
+        def int_sum(f, g):
+            lo, hi = min(f.offset, g.offset), min(f.prec, g.prec)
+            return QSeries([f.coeff_at(e) + g.coeff_at(e)
+                            for e in range(lo, hi)], lo, hi)
+
+        expected = [(f * g, int_sum(f, g)) for f, g in pairs]
 
         def broken(*args):
             raise AssertionError("an oracle called the series arithmetic")
 
         monkeypatch.setattr(series, "int_product", broken)
         monkeypatch.setattr(QSeries, "__mul__", broken)
-        monkeypatch.setattr(QSeries, "__add__", broken)
         assert [(checks._schoolbook(f, g), checks._term_sum(f, g))
                 for f, g in pairs] == expected
 
-    def test_ring_laws_compare_sum_term_by_term(self, monkeypatch):
-        # a sum that doubles both operands still commutes and keeps
-        # distributivity; only the term-by-term sum can see it
-        real = QSeries.__add__
-        monkeypatch.setattr(QSeries, "__add__",
-                            lambda f, g: real(f.scale(2), g.scale(2)))
-        res = checks.check_ring_laws()
-        assert not res.passed
-        assert res.detail == "sum differs from the term-by-term sum"
+    def test_agree_reads_up_to_the_lower_bound(self):
+        # _agree compares the coefficient runs below the lower bound,
+        # where they start included
+        f = QSeries([1, 2, 3], 0, 3)
+        assert checks._agree(f, QSeries([1, 2], 0, 2))
+        assert checks._agree(f, QSeries([1, 2, 4], 0, 3)) is False
+        assert checks._agree(f, QSeries([1, 2], 1, 3)) is False
+        assert checks._agree(QSeries([5], 4, 5), QSeries([], 3, 3))
+        assert checks._agree(QSeries([5], 2, 5), QSeries([], 3, 3)) is False
 
-    def test_ring_laws_compare_scale_term_by_term(self, monkeypatch):
-        # scaling by the scalar's absolute value, its sign dropped
-        real = QSeries.scale
-        monkeypatch.setattr(QSeries, "scale", lambda f, c: real(f, abs(c)))
-        res = checks.check_ring_laws()
-        assert not res.passed
-        assert res.detail == "scaling differs from the term-by-term product"
+    @pytest.mark.parametrize("attr, shift", [
+        ("fiber_row", 1), ("first_row", 1), ("first_row", -1)])
+    def test_row_index_fault_fails_slice_partition(self, attr, shift,
+                                                   monkeypatch):
+        # both fibre routes read the one row index, so a wrong index
+        # moves them alike and every dual-route check still passes; only
+        # slice-partition, which pins the index itself, may fail
+        real = getattr(invariants, attr)
+        monkeypatch.setattr(invariants, attr,
+                            lambda *args: real(*args) + shift)
+        code, text = run(["check", "--prec", "22"])
+        assert code == 2
+        assert failed_checks(text) == ["slice-partition"]
 
     def test_corrupted_e4_detected(self, monkeypatch):
         real = forms.eisenstein
@@ -984,7 +989,10 @@ class TestExitContract:
            st.none() | st.integers(-3, 6))
     def test_gv(self, target, method, prec, m):
         argv = ["gv", target, "--method", method, "--prec", str(prec)]
-        assert_exit_contract(argv if m is None else argv + ["--m", str(m)])
+        code = assert_exit_contract(argv if m is None
+                                    else argv + ["--m", str(m)])
+        if m is not None and target != "multifiber":
+            assert code == 1
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_NL_ARGS, _NL_ARGS, _NL_ARGS)

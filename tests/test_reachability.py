@@ -4,7 +4,11 @@ The guard imports a fresh copy of the package and runs one fixed argv per
 subcommand, series name, gv target and method, one with an abbreviated
 option, plus one usage error and one domain error, all in process under
 ``sys.setprofile``, and asserts that the code object of every function
-defined in ``src/ellcy/*.py`` was entered, at import or by a command.
+defined in ``src/ellcy/*.py`` was entered, at import or by a command.  A
+second pass runs every argv but ``check`` and asserts the same of every
+function in ``series.py``: the suite has its own oracles, so no series
+operation is there only for it.
+
 Code objects are compared, not lines, so functions behind ``lru_cache``
 or ``classmethod`` count through the code they wrap, and code nested in
 a function (lambdas, generator expressions) is checked too.
@@ -42,6 +46,8 @@ ARGVS = (
                   "e10", "theta-e8")]
     + [["series", name, "--prec", "3", "--json"]
        for name in ("e4", "inv-sqrt-delta")]
+    # E4 * E6 at 17 terms, one past the row loop, through the packed kernel
+    + [["series", "e10", "--prec", "17"]]
     + [["gv", target, "--method", method, "--prec", "3"] + extra
        for target, extra in (("fiber", []), ("section", []),
                              ("multifiber", ["--m", "2"]))
@@ -127,7 +133,13 @@ def _run(main, argv: list[str]) -> int:
             return exc.code
 
 
-def test_every_function_is_reached():
+def _traced_run(argvs):
+    """Run each argv on a fresh package under a profiler.
+
+    Returns the code objects entered, the package's code objects by name,
+    each argv's exit code, and the codes of the usage-error and
+    domain-error argvs.
+    """
     entered: set[types.CodeType] = set()
 
     def profile(frame, event, arg):
@@ -140,24 +152,55 @@ def test_every_function_is_reached():
         try:
             modules = _package_modules()
             main = sys.modules["ellcy.cli"].main
-            codes = [_run(main, argv) for argv in ARGVS]
-            usage = _run(main, USAGE_ERROR_ARGV)
-            domain = _run(main, DOMAIN_ERROR_ARGV)
+            codes = [_run(main, argv) for argv in argvs]
+            errors = (_run(main, USAGE_ERROR_ARGV),
+                      _run(main, DOMAIN_ERROR_ARGV))
         finally:
             sys.setprofile(previous)
-    names = _package_code(modules)
+    return entered, _package_code(modules), codes, errors
+
+
+def _allowed(name: str, allow_list) -> bool:
+    return any(name == a or name.startswith(a + ".") for a in allow_list)
+
+
+def test_every_function_is_reached():
+    entered, names, codes, errors = _traced_run(ARGVS)
     assert codes == [0] * len(ARGVS)
-    assert (usage, domain) == (1, 2)
-
-    def allowed(name: str) -> bool:
-        return any(name == a or name.startswith(a + ".")
-                   for a in ALLOWED_UNREACHED)
-
+    assert errors == (1, 2)
     unreached = sorted(f"{name} (line {code.co_firstlineno})"
                        for code, name in names.items()
-                       if code not in entered and not allowed(name))
+                       if code not in entered
+                       and not _allowed(name, ALLOWED_UNREACHED))
     assert unreached == []
     reached_allowed = sorted(name for code, name in names.items()
                              if code in entered and name in ALLOWED_UNREACHED)
     assert reached_allowed == []
     assert set(ALLOWED_UNREACHED) <= set(names.values())
+
+
+# Functions in series.py that the commands other than `check` need not
+# reach, each with its reason
+SERIES_ALLOWED_UNREACHED = {
+    "series.QSeries.invert": ALLOWED_UNREACHED["series.QSeries.invert"],
+    "series.QSeries.sqrt": ALLOWED_UNREACHED["series.QSeries.sqrt"],
+    "series.QSeries.__eq__": "protocol: series compare by value",
+    "series.QSeries.__hash__": ALLOWED_UNREACHED["series.QSeries.__hash__"],
+    "series.QSeries.__repr__": ALLOWED_UNREACHED["series.QSeries.__repr__"],
+    "series.QSeries.terms": ALLOWED_UNREACHED["series.QSeries.terms"],
+}
+
+
+def test_series_code_serves_the_commands():
+    # the check suite states its identities with its own oracles, so no
+    # series operation may live only for `check`
+    argvs = [argv for argv in ARGVS if argv[0] != "check"]
+    entered, names, codes, errors = _traced_run(argvs)
+    assert codes == [0] * len(argvs)
+    assert errors == (1, 2)
+    unreached = sorted(f"{name} (line {code.co_firstlineno})"
+                       for code, name in names.items()
+                       if name.startswith("series.") and code not in entered
+                       and not _allowed(name, SERIES_ALLOWED_UNREACHED))
+    assert unreached == []
+    assert set(SERIES_ALLOWED_UNREACHED) <= set(names.values())

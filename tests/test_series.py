@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellcy import series
+from ellcy.checks import _term_sum
 from ellcy.series import PrecisionError, QSeries
 
 
@@ -17,22 +18,26 @@ def assert_agree(a: QSeries, b: QSeries):
 
 # -- directed examples ---------------------------------------------------
 
+# A series has no sum of its own: the check suite adds series term by term
+# with _term_sum, for distributivity and for E4^3 - E6^2, so the sum
+# tests pin that.
+
 def test_add_cancellation():
     f = QSeries([1, 24], -1, 1)
     g = QSeries([-24], 0, 1)
-    assert f + g == QSeries([1], -1, 1)
+    assert _term_sum(f, g) == QSeries([1], -1, 1)
 
 
 def test_add_identity():
     f = QSeries([3, 0, -5], 2, 5)
-    assert f + QSeries([], 5, 5) == f
+    assert _term_sum(f, QSeries([], 5, 5)) == f
 
 
 def test_add_eisenstein_like():
     # (1 + 240q) + (1 - 264q) = 2 - 24q, checked by hand
     f = QSeries([1, 240], 0, 2)
     g = QSeries([1, -264], 0, 2)
-    assert f + g == QSeries([2, -24], 0, 2)
+    assert _term_sum(f, g) == QSeries([2, -24], 0, 2)
 
 
 def test_mul_identity():
@@ -103,12 +108,18 @@ def test_non_integer_coefficient_is_a_type_error():
 def test_non_integer_scalar_is_a_type_error():
     f = QSeries([1, 2], 0, 2)
     with pytest.raises(TypeError):
-        f.scale(Fraction(1, 2))
-    with pytest.raises(TypeError):
         f * Fraction(1, 2)
     with pytest.raises(TypeError):
         Fraction(3) * f
-    assert f * 3 == 3 * f == f.scale(3) == QSeries([3, 6], 0, 2)
+
+
+def test_int_scalar_is_a_type_error():
+    # a series multiplies only series; no route scales one
+    f = QSeries([1, 2], 0, 2)
+    with pytest.raises(TypeError):
+        f * 3
+    with pytest.raises(TypeError):
+        3 * f
 
 
 def test_sqrt_odd_leading_exponent_raises():
@@ -132,31 +143,6 @@ def test_coeff_at_past_precision_errors():
         f.coeff_at(4)
     with pytest.raises(PrecisionError):
         f.coeff_at(100)
-
-
-def test_slice_single_class_is_identity():
-    f = QSeries([1, 2, 3, 4], -1, 3)
-    assert f.slice(1, 0) == f
-
-
-def test_slice_negative_index_wraps():
-    f = QSeries([1, 2, 3, 4], 0, 4)
-    assert f.slice(3, -1) == f.slice(3, 2)
-
-
-def test_slice_inverse_delta_odd_part():
-    inv = QSeries([1, 24, 324, 3200], -1, 3)
-    odd = inv.slice(2, 1)
-    assert odd.coeff_at(-1) == 1
-    assert odd.coeff_at(0) == 0
-    assert odd.coeff_at(1) == 324
-    assert odd.coeff_at(2) == 0
-
-
-def test_truncate_at_own_precision_is_the_series():
-    f = QSeries([1, 0, -3], -1, 2)
-    assert f.truncate(2) is f
-    assert f.truncate(1) == QSeries([1, 0], -1, 1)
 
 
 def double_loop(f: list[int], g: list[int], n: int) -> list[int]:
@@ -331,7 +317,7 @@ def test_mul_commutative(f, g):
 
 @given(qseries(), qseries())
 def test_add_commutative(f, g):
-    assert f + g == g + f
+    assert _term_sum(f, g) == _term_sum(g, f)
 
 
 @settings(max_examples=50)
@@ -343,7 +329,7 @@ def test_mul_associative(f, g, h):
 @settings(max_examples=50)
 @given(qseries(), qseries(), qseries())
 def test_distributive(f, g, h):
-    assert_agree(f * (g + h), f * g + f * h)
+    assert_agree(f * _term_sum(g, h), _term_sum(f * g, f * h))
 
 
 @given(unit_series(leads=st.sampled_from([1, -1])))
@@ -355,20 +341,6 @@ def test_invert_roundtrip(f):
 def test_sqrt_of_square_roundtrip(f):
     sq = f * f
     assert_agree(sq.sqrt() * sq.sqrt(), sq)
-
-
-@given(qseries(), st.integers(min_value=1, max_value=5))
-def test_slice_partition(f, m):
-    total = f.slice(m, 0)
-    for k in range(1, m):
-        total = total + f.slice(m, k)
-    assert total == f
-
-
-@given(qseries(), st.integers(min_value=1, max_value=5),
-       st.integers(min_value=-6, max_value=6))
-def test_slice_idempotent(f, m, k):
-    assert f.slice(m, k).slice(m, k) == f.slice(m, k)
 
 
 @given(qseries())
@@ -413,10 +385,6 @@ def oracle_add(f, g):
     return bound, terms
 
 
-def oracle_neg(f):
-    return f[0], {e: -c for e, c in f[1].items()}
-
-
 def oracle_mul(f, g):
     # an unknown tail starts at each bound plus the other's lowest term
     low_f, low_g = min(f[1], default=f[0]), min(g[1], default=g[0])
@@ -447,9 +415,7 @@ def test_ring_ops_match_fraction_oracle(a, b):
     f, g = QSeries(*a), QSeries(*b)
     fo, go = oracle(a), oracle(b)
     assert_matches(f, fo)
-    assert_matches(f + g, oracle_add(fo, go))
-    assert_matches(f - g, oracle_add(fo, oracle_neg(go)))
-    assert_matches(-f, oracle_neg(fo))
+    assert_matches(_term_sum(f, g), oracle_add(fo, go))
     assert_matches(f * g, oracle_mul(fo, go))
 
 
@@ -466,41 +432,12 @@ def sum_operands(draw):
 
 @given(sum_operands())
 def test_add_matches_the_check_suite_oracle(operands):
-    # the slice-assignment sum against the term-by-term sum that
-    # ring-laws compares it with
-    from ellcy import checks
+    # the check suite's term-by-term sum against the Fraction oracle, on
+    # operands long enough for runs that overlap in part
     f, g = (QSeries(*raw) for raw in operands)
-    assert f + g == checks._term_sum(f, g)
-    assert g + f == checks._term_sum(g, f)
-
-
-@given(raw_series(), rational_st)
-def test_scale_matches_fraction_oracle(a, c):
-    bound, terms = oracle(a)
-    expected = (bound, {e: v * c for e, v in terms.items()})
-    assert_matches(QSeries(*a).scale(c), expected)
-    assert_matches(c * QSeries(*a), expected)
-
-
-@given(raw_series(), st.integers(min_value=-8, max_value=12))
-def test_truncate_matches_fraction_oracle(a, t):
-    f = QSeries(*a)
-    if t > f.prec:
-        with pytest.raises(PrecisionError):
-            f.truncate(t)
-        return
-    _, terms = oracle(a)
-    assert_matches(f.truncate(t),
-                   (t, {e: c for e, c in terms.items() if e < t}))
-
-
-@given(raw_series(), st.integers(min_value=1, max_value=5),
-       st.integers(min_value=-6, max_value=6))
-def test_slice_matches_fraction_oracle(a, m, k):
-    bound, terms = oracle(a)
-    assert_matches(QSeries(*a).slice(m, k),
-                   (bound, {e: c for e, c in terms.items()
-                            if e % m == k % m}))
+    fo, go = (oracle(raw) for raw in operands)
+    assert_matches(_term_sum(f, g), oracle_add(fo, go))
+    assert_matches(_term_sum(g, f), oracle_add(go, fo))
 
 
 @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
@@ -511,7 +448,7 @@ def test_constructor_and_from_ints_agree(cs, offset, k):
     f = QSeries(cs, offset, prec)
     g = QSeries.from_ints(cs, offset, prec)
     h = QSeries([c * k for c in cs], offset, prec)
-    scaled = QSeries.from_ints(cs, offset, prec).scale(k)
+    scaled = QSeries.from_ints([c * k for c in cs], offset, prec)
     assert f == g and h == scaled
     assert hash(f) == hash(g) and hash(h) == hash(scaled)
     assert all(type(c) is int for c in f.coeffs + scaled.coeffs)
