@@ -6,15 +6,17 @@ route once, and the checks that compare routes read its rows.  The suite
 is a list of named callables so tests can fault-inject a generator and
 assert that at least one dual-route comparison catches the corruption.
 The oracles of the series product and the suite's sums accumulate in ints
-term by term and never call the series kernel.  Every sample and oracle
-is an integer, so the suite never imports `fractions`.
+term by term and never call the series kernel, but for one: the kernel's
+full-size product of the closed fibre operands, checked at a point modulo
+a prime, O(n) where the kernel's own product is not.  Every sample and
+oracle is an integer, so the suite never imports `fractions`.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from . import forms, geometry, invariants
+from . import forms, geometry, invariants, series
 from .geometry import CurveClass, Gamma19Class
 from .series import _SCHOOLBOOK_TERMS, PrecisionError, QSeries
 
@@ -76,8 +78,24 @@ def _agree(f: QSeries, g: QSeries) -> bool:
     return f.coeffs[:max(0, p - f.offset)] == g.coeffs[:max(0, p - g.offset)]
 
 
-def check_ring_laws() -> CheckResult:
-    """Products against the schoolbook double loop, then the ring laws.
+# a product h = f * g of integer polynomials has h(x) = f(x) g(x) mod the
+# Mersenne prime _P at any x, here a fixed 128-bit one; a coefficient i of
+# h off by d moves h(x) by d x^i, 0 mod _P only if _P divides d (Freivalds;
+# Schwartz; Zippel)
+_P = 2 ** 127 - 1
+_X = 0x9E3779B97F4A7C15F39CC0605CEDC835 % _P
+
+
+def _at_point(cs) -> int:
+    """The polynomial sum cs[i] x^i at x = _X mod _P, by Horner's rule."""
+    v = 0
+    for c in reversed(cs):
+        v = (v * _X + c) % _P
+    return v
+
+
+def check_ring_laws(nterms: int) -> CheckResult:
+    """Products against a double loop, the ring laws, and one at a point.
 
     Every route and the E8 theta powers multiply through one integer
     kernel, so each sample product is compared with a double loop that
@@ -85,7 +103,11 @@ def check_ring_laws() -> CheckResult:
     Jacobi's series squared, too.  Series are never added: the laws take
     their sums term by term.  Nor sliced: slice-partition pins the
     fibre-row index that the slice route reads.  Each pair sum and pair
-    product is made once and reused by the laws.
+    product is made once and reused by the laws.  Then the kernel
+    multiplies the closed fibre route's operands, eta^-24 and E10 at
+    nterms terms each, untruncated, and the product is evaluated at a
+    point against the product of the operands' values, in O(n) steps
+    at the size of the run's fibre products.
     """
     fs = _sample_series()
     sums = [[_term_sum(f, g) for g in fs] for f in fs]
@@ -111,6 +133,13 @@ def check_ring_laws() -> CheckResult:
                 if not _agree(f * sums[j][k], _term_sum(fg, prods[i][k])):
                     return CheckResult("ring-laws", False,
                                        "distributivity fails")
+    f = forms.inverse_delta(nterms).coeffs
+    g = forms.eisenstein(10, nterms).coeffs
+    h = series.int_product(f, g, len(f) + len(g) - 1)
+    if _at_point(h) != _at_point(f) * _at_point(g) % _P:
+        return CheckResult("ring-laws", False,
+                           f"the {len(f)} x {len(g)}-term product differs "
+                           "from the product of values mod 2^127 - 1")
     return CheckResult("ring-laws", True)
 
 
@@ -205,21 +234,22 @@ def check_theta_is_e4(prec: int) -> CheckResult:
 
 
 def check_e10_sigma9(nterms: int) -> CheckResult:
-    """E10 = E4*E6 against the weight-10 divisor-sum expansion.
+    """Both E10 streams against the weight-10 divisor-sum expansion.
 
-    The coefficient of q^n must equal forms.e10_coefficient(n), 1 at
-    n = 0 and -264*sigma_9(n) after; this pins the E10 stream against an
-    oracle that touches neither the series product nor the divisor-sum
-    sieve behind E4 and E6: sigma_9 by trial division.  The NL numbers
-    of `nl` come from that oracle, so a fault in either side shows here.
+    The sieve E10 of the closed fibre route and E4 * E6 of the direct
+    route must have forms.e10_coefficient(n) at q^n, 1 at n = 0 and
+    -264*sigma_9(n) after: an oracle that touches neither the series
+    product nor the divisor-sum sieve, sigma_9 by trial division.  The
+    NL numbers of `nl` come from it, so a fault on either side shows here.
     """
-    e10 = forms.eisenstein(10, nterms)
-    for n in range(nterms):
-        expected = forms.e10_coefficient(n)
-        if e10.coeff_at(n) != expected:
-            return CheckResult("e10-sigma9", False,
-                               f"coefficient {n}: {e10.coeff_at(n)} vs "
-                               f"divisor sum {expected}")
+    for e10 in (forms.eisenstein(10, nterms),
+                forms.eisenstein(4, nterms) * forms.eisenstein(6, nterms)):
+        for n in range(nterms):
+            expected = forms.e10_coefficient(n)
+            if e10.coeff_at(n) != expected:
+                return CheckResult("e10-sigma9", False,
+                                   f"coefficient {n}: {e10.coeff_at(n)} vs "
+                                   f"divisor sum {expected}")
     return CheckResult("e10-sigma9", True)
 
 
@@ -373,7 +403,7 @@ def run_checks(prec: int = 16) -> list[CheckResult]:
     section = (_built(invariants.f_section_closed, prec),
                _built(invariants.f_section_convolution, prec))
     return [_guarded(*entry) for entry in (
-        ("ring-laws", check_ring_laws),
+        ("ring-laws", check_ring_laws, top),
         # every n that the m = 1, 2, 3 checks read
         ("slice-partition", check_slice_partition, max(prec, m3_nmax)),
         ("precision-honesty", check_precision_honesty),

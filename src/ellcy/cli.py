@@ -24,7 +24,7 @@ DOMAIN_ERROR = 2
 NL_BOUND = 10 ** 6
 
 # most series terms that series and gv build, and largest --m: at the bound
-# gv fiber --method direct, the slowest, takes about 1.0 s on a 2-core VM
+# gv fiber and multifiber, the slowest, take about 0.9 s on a 2-core VM
 TERMS_BOUND = 3000
 # largest check --prec: at the bound check takes about 0.2 s on a 2-core VM
 CHECK_BOUND = 300

@@ -16,8 +16,10 @@ Two more generators are deliberately redundant: the E8 theta series
 counts lattice vectors by norm through powers of Jacobi theta series
 built from the coordinates, and never via the weight-4 Eisenstein series,
 so that the classical identity Theta_E8 = E_4 is available as a
-cross-check of two unrelated algorithms.  Likewise a single E10
-coefficient comes from sigma_9 by trial division, never from E4 * E6.
+cross-check of two unrelated algorithms.  E10 comes from the sieve and
+never as E4 * E6, which the direct fibre route writes out itself; a
+single E10 coefficient comes from sigma_9 by trial division, the oracle
+of both E10 streams.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def e10_coefficient(k: int) -> int:
     E10 = 1 - 264 sum_{k>=1} sigma_9(k) q^k is a modular form, so it has
     no negative powers of q: 0 for k < 0 and 1 at k = 0.  Trial division
     touches neither the series product nor the divisor-sum sieve behind
-    :func:`eisenstein`, so E4 * E6 and this function check each other.
+    :func:`eisenstein`, so it checks both E10 streams, the sieve's and
+    E4 * E6.
     """
     if k < 0:
         return 0
@@ -184,24 +187,20 @@ def inverse_sqrt_delta(nterms: int) -> QSeries:
 
 
 def eisenstein(k: int, nterms: int) -> QSeries:
-    """Eisenstein series of weight k in {4, 6, 10}.
+    """Eisenstein series E_k = 1 + c_k sum_{n>=1} sigma_(k-1)(n) q^n.
 
-    E4 and E6 come straight from divisor sums; E10 is returned as the
-    product E4 * E6, exactly as it enters the Noether-Lefschetz formula.
+    For the weights k = 4, 6 and 10, with c_k = 240, -504 and -264, all
+    from the divisor-sum sieve.
     """
     if nterms < 1:
         raise ValueError("nterms must be positive")
-    if k == 4:
-        cs = [240 * s for s in divisor_sums(3, nterms)]
-        cs[0] = 1
-        return QSeries(cs, 0, nterms)
-    if k == 6:
-        cs = [-504 * s for s in divisor_sums(5, nterms)]
-        cs[0] = 1
-        return QSeries(cs, 0, nterms)
-    if k == 10:
-        return eisenstein(4, nterms) * eisenstein(6, nterms)
-    raise ValueError(f"unsupported Eisenstein weight {k}; expected 4, 6 or 10")
+    c = {4: 240, 6: -504, 10: -264}.get(k)
+    if c is None:
+        raise ValueError(f"unsupported Eisenstein weight {k}; expected 4, 6 "
+                         "or 10")
+    cs = [c * s for s in divisor_sums(k - 1, nterms)]
+    cs[0] = 1
+    return QSeries(cs, 0, nterms)
 
 
 def _eighth_power(cs: list[int]) -> list[int]:

@@ -4,24 +4,22 @@ Every route returns a plain list whose entry n is the invariant of the
 n-th class, from n = 0: n_{C+nE} for the section routes, n_{mF+nE} for
 the fibre-direction routes.  Every entry is an int.
 
-Fibre-direction classes mF + nE (m >= 1; the fibre classes F + nE are
-m = 1) are fibre rows, n_{mF+nE} = n_{F+kE} with k = :func:`fiber_row`
-(m, n), read through the Noether-Lefschetz numbers of the K3 fibration
-with the Yau-Zaslow coefficients, and independently off the closed form
--2 E10/Delta.  Section classes C + nE are counted through the closed
-form q^(1/2) E4/sqrt(Delta) and independently by convolving E8 vector
-counts (by norm, from Jacobi theta powers) with the Bryan-Leung section
-series q^(1/2)/sqrt(Delta) = q^(1/2) eta^-12, which counts C'' + jE'' at
-q^j.  Tests compare the routes entry by entry.  The routes share one eta
-power recurrence but not its base series: the closed routes read powers
-of the pentagonal series (:func:`forms.eta_power`), the direct routes of
-Jacobi's cube (:func:`forms.eta_power_jacobi`).  The recurrence itself
-and E10 = E4 * E6, shared by the mF + nE pair, are pinned by oracles:
-eta-power-additivity and e10-sigma9.  So is the fibre-row index that
-both mF + nE routes read, :func:`fiber_row` and :func:`first_row`: a
-wrong index moves both routes alike, and slice-partition pins it
-against the NL discriminant.  The NL sum and the section convolution run
-on plain integers: one dot product of two int lists per class.
+Each route reads its rows off one series product of two generators, and
+the two routes of a pair share no generator.  The class mF + nE (m >= 1;
+F + nE is m = 1) is fibre row k = :func:`fiber_row` (m, n), the
+coefficient of q^(k-1) in -2 E10/Delta: the closed route multiplies the
+pentagonal eta^-24 by E10 from the sigma_9 sieve, the direct route, the
+Noether-Lefschetz sum of the K3 fibration, the Yau-Zaslow coefficients
+(Jacobi's cube to the power -8) by E4 * E6.  C + nE is the coefficient
+of q^n in q^(1/2) E4/sqrt(Delta): the closed route multiplies E4 by the
+pentagonal eta^-12, the direct route E8 vector counts by norm (from
+Jacobi theta powers) by the Bryan-Leung series q^(1/2)/sqrt(Delta),
+Jacobi's cube to the power -4.  Tests compare the routes entry by entry.
+What the routes share is pinned by its own oracles: the eta power
+recurrence by eta-power-additivity, the product kernel by ring-laws,
+both E10 streams by e10-sigma9, and the fibre-row index (:func:`fiber_row`,
+:func:`first_row`) by slice-partition, since a wrong index moves both
+routes alike.
 
 The resolution of the singular Weierstrass model doubles every invariant
 of the polarized family; the factor 1/2 undoing it is applied in exactly
@@ -31,10 +29,10 @@ one place per route.
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
 
 from . import forms, geometry
 from .geometry import CurveClass
+from .series import QSeries
 
 TYPE_CHECKING = False  # typing's flag unimported; checkers read it as true
 if TYPE_CHECKING:
@@ -70,17 +68,15 @@ def f_section_convolution(nterms: int) -> list[int]:
     class C + nE pulls back to classes C'' + nE'' + lambda on the
     rational elliptic surface; shifting by half the (negative) norm of
     lambda reduces each to a pure section class, counted by the
-    Bryan-Leung series q^(1/2) eta^-12, here a power of Jacobi's cube and
-    not the closed route's :func:`forms.inverse_sqrt_delta`.
-    Only effective classes contribute: lambda of positive-definite norm
-    2m enters at level n iff m <= n, which is exactly the effectivity
-    bound on the surface.
+    Bryan-Leung series q^(1/2) eta^-12 at q^(n-m).  So the counts are the
+    E8 theta series (vectors by norm, :func:`forms.theta_e8`) times that
+    series, here a power of Jacobi's cube and not the closed route's
+    :func:`forms.inverse_sqrt_delta`.  Only effective classes
+    contribute: lambda of positive-definite norm 2m enters at level n iff
+    m <= n, which is exactly the effectivity bound on the surface.
     """
-    # raises ValueError unless nterms >= 1
-    bv = forms.eta_power_jacobi(-12, nterms).coeffs
-    counts = forms.e8_norm_counts(nterms - 1)
-    # norm 2m shifts level n down to C'' + (n - m)E''
-    return [sum(map(mul, counts[:n + 1], bv[n::-1])) for n in range(nterms)]
+    f = forms.theta_e8(nterms) * forms.eta_power_jacobi(-12, nterms)
+    return f.window(0, nterms)
 
 
 def fiber_row(m: int, n: int) -> int:
@@ -99,42 +95,46 @@ def first_row(m: int) -> int:
     return m if m > 1 else 0
 
 
-def _fiber_rows(m: int, nmax: int) -> list[int]:
-    """The fibre rows of mF + nE for 0 <= n <= nmax, in increasing order."""
+def _fiber_table(m: int, nmax: int, operands) -> list[int]:
+    """n_{mF+nE} for 0 <= n <= nmax, read off one product.
+
+    operands(u) gives 1/Delta from q^-1 and E10, u terms each; row k =
+    :func:`fiber_row` (m, n) is -2 [q^(k-1)] of their product, 0 below q^-1.
+    """
     if m < 1:
         raise ValueError("fibre multiplicity must be at least 1")
     if nmax < 0:
         raise ValueError("nmax must be non-negative")
-    return [fiber_row(m, n) for n in range(nmax + 1)]
+    rows = [fiber_row(m, n) for n in range(nmax + 1)]
+    inverse_delta, e10 = operands(max(0, rows[-1]) + 1)
+    product = inverse_delta * e10  # exponents q^-1 .. q^(rows[-1] - 1)
+    return [-2 * product.coeff_at(k - 1) for k in rows]
 
 
 def f_multifiber_direct(m: int, nmax: int) -> list[int]:
     """n_{mF+nE} for m >= 1 and 0 <= n <= nmax, by the NL sum.
 
     Row k = :func:`fiber_row` (m, n) is (1/2) sum_h r_h NL_h with
-    NL_h = -4 [q^(k-h)] E10 (:func:`nl_number`): one dot product of int
-    lists times -2, exact since E10 is integral.
+    NL_h = -4 [q^(k-h)] E10 (:func:`nl_number`), that is -2 times the
+    coefficient of q^(k-1) in (sum_h r_h q^(h-1)) E10: the Yau-Zaslow
+    numbers as a series from q^-1, a power of Jacobi's cube, times
+    E10 = E4 * E6.  A non-int r_h is refused by the series.
     """
-    rows = _fiber_rows(m, nmax)
-    top = max(0, rows[-1])
-    r = forms.yau_zaslow(top)
-    ev = forms.eisenstein(10, top + 1).window(0, top + 1)
-    return [-2 * sum(map(mul, r[:k + 1], ev[k::-1])) if k >= 0 else 0
-            for k in rows]
+    return _fiber_table(m, nmax, lambda u: (
+        QSeries(forms.yau_zaslow(u - 1), -1, u - 1),
+        forms.eisenstein(4, u) * forms.eisenstein(6, u)))
 
 
 def f_multifiber_slice(m: int, nmax: int) -> list[int]:
     """n_{mF+nE} for m >= 1 and 0 <= n <= nmax, by the closed form.
 
     Row k = :func:`fiber_row` (m, n) is the coefficient of q^(k-1) in
-    -2 E10/Delta, which starts at q^-1, so a row with k < 0 reads 0.  The
-    exponents k - 1 = m(n - m) are 0 mod m: the rows read the slice at
-    0 mod m, -2 sum_l (1/Delta)_{m, l-1} (E10)_{m, 1-l}.
+    -2 E10/Delta, with 1/Delta the pentagonal eta^-24 and E10 from the
+    sigma_9 sieve.  The exponents k - 1 = m(n - m) are 0 mod m: the rows
+    read the slice at 0 mod m, -2 sum_l (1/Delta)_{m, l-1} (E10)_{m, 1-l}.
     """
-    rows = _fiber_rows(m, nmax)
-    uterms = max(0, rows[-1]) + 1  # exponents through q^-1 and rows[-1] - 1
-    product = forms.inverse_delta(uterms) * forms.eisenstein(10, uterms)
-    return [-2 * product.coeff_at(k - 1) for k in rows]
+    return _fiber_table(m, nmax, lambda u: (forms.inverse_delta(u),
+                                            forms.eisenstein(10, u)))
 
 
 def gv_to_gw_genus0(table: dict[CurveClass, int],

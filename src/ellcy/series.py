@@ -23,7 +23,8 @@ factor cost nothing, and above that both factors are packed into single
 Python ints by Kronecker substitution, multiplied once and the product's
 slots read back, each step a C-level ``map`` over the terms.  The
 generators that work on plain integer coefficient lists (the E8 theta
-powers) call :func:`int_product` directly.
+powers) and ring-laws' untruncated product call :func:`int_product`
+directly.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from operator import sub
 # 1.3 ms); on sparse factors, with every other term zero, it wins up to
 # about 100 terms.  The README has the table.  The cutover sits lower so
 # that `check --prec 2` still multiplies through the packed path (the
-# 21-term E4 * E6 of e10-sigma9, and ring-laws' 17-term product) and every
-# dense product of 32 terms or more stays packed.
+# 21-term E4 * E6 of e10-sigma9, and ring-laws' 17-term product; from
+# `--prec 6` on, ring-laws' full-size product too) and every dense product
+# of 32 terms or more stays packed.
 _SCHOOLBOOK_TERMS = 16
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellcy import checks, forms, invariants
+from ellcy import checks, forms, invariants, series
 from ellcy.cli import main
 
 
@@ -120,8 +120,8 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
     code, text = run_cli(["check", "--prec", "16"], 60.0)
     clean_ok = code == 0 and "FAIL" not in text
 
-    # corrupting any generator coefficient or the fibre-row index must
-    # trip at least one check
+    # corrupting any generator coefficient, the fibre-row index or the
+    # packed kernel must trip at least one check
     detected = []
     real_eis = forms.eisenstein
     real_eta = forms.eta_power
@@ -129,6 +129,8 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
     real_power = forms._sparse_power
     real_e10 = forms.e10_coefficient
     real_row, real_first = invariants.fiber_row, invariants.first_row
+    real_pack = series._pack
+    real_sieve, real_eighth = forms.divisor_sums, forms._eighth_power
 
     def corrupt_eisenstein(weight):
         def patched(k, nterms):
@@ -163,6 +165,26 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         # every base exponent doubled: both generators alike
         return real_power([(2 * k, a) for k, a in terms], e, nterms)
 
+    def corrupt_sieve(power):
+        def patched(k, n):
+            sums = real_sieve(k, n)
+            if k == power and n > 2:
+                sums[2] += 1
+            return sums
+        return patched
+
+    def corrupt_theta(cs):
+        out = real_eighth(cs)
+        out[2] += 1
+        return out
+
+    def corrupt_top_slot(cs, width):
+        # a wrong top slot in packs of more than 40 terms, beyond every
+        # sample product of ring-laws
+        if len(cs) > 40:
+            cs = [*cs[:-1], cs[-1] + 1]
+        return real_pack(cs, width)
+
     faults = {
         "e4": (forms, "eisenstein", corrupt_eisenstein(4)),
         "e6": (forms, "eisenstein", corrupt_eisenstein(6)),
@@ -178,6 +200,11 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         "jacobi-term": (forms, "_sparse_power", corrupt_jacobi_term),
         "power-recurrence": (forms, "_sparse_power", corrupt_power),
         "sigma9": (forms, "e10_coefficient", corrupt_sigma9),
+        "packed-top-slot": (series, "_pack", corrupt_top_slot),
+        "sigma3-sieve": (forms, "divisor_sums", corrupt_sieve(3)),
+        "sigma5-sieve": (forms, "divisor_sums", corrupt_sieve(5)),
+        "sigma9-sieve": (forms, "divisor_sums", corrupt_sieve(9)),
+        "theta-powers": (forms, "_eighth_power", corrupt_theta),
         # the row index m(n - m) + 2, and the first printed row one late
         # or one early
         "fiber-row": (invariants, "fiber_row",
@@ -190,7 +217,20 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
     # the closed routes read eta_power and the direct routes
     # eta_power_jacobi, so each alone at a negative power must fail the
     # dual-route check of the pair that reads it
-    dual = {"inverse-delta": {"fiber-dual-route"},
+    # the closed routes read E4 and the sieve E10, the direct fibre route
+    # E4 * E6, so each Eisenstein fault moves one side of a pair
+    dual = {"e4": {"theta-e8-equals-e4", "e10-sigma9", "fiber-dual-route",
+                   "section-dual-route"},
+            "e6": {"e10-sigma9", "eta-power-additivity", "fiber-dual-route"},
+            "e10": {"e10-sigma9", "fiber-dual-route"},
+            # the same for the sieve under each Eisenstein series, and
+            # the theta powers read by the section convolution alone
+            "sigma3-sieve": {"theta-e8-equals-e4", "e10-sigma9",
+                             "fiber-dual-route", "section-dual-route"},
+            "sigma5-sieve": {"e10-sigma9", "fiber-dual-route"},
+            "sigma9-sieve": {"e10-sigma9", "fiber-dual-route"},
+            "theta-powers": {"theta-e8-equals-e4", "section-dual-route"},
+            "inverse-delta": {"fiber-dual-route"},
             "inverse-sqrt-delta": {"section-dual-route"},
             "jacobi-inverse-delta": {"fiber-dual-route"},
             "jacobi-inverse-sqrt-delta": {"section-dual-route"},
@@ -207,11 +247,16 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
             # one; the check that pins the index must see it
             "fiber-row": {"slice-partition"},
             "first-row-high": {"slice-partition"},
-            "first-row-low": {"slice-partition"}}
+            "first-row-low": {"slice-partition"},
+            # the full-size kernel oracle of ring-laws must see it at
+            # --prec 22, whose fibre rows reach 41
+            "packed-top-slot": {"ring-laws"}}
+    at_prec = {"packed-top-slot": 22}
     for name, (module, attr, patched) in faults.items():
         real = getattr(module, attr)
         monkeypatch.setattr(module, attr, patched)
-        fails = [r for r in checks.run_checks(6) if not r.passed]
+        fails = [r for r in checks.run_checks(at_prec.get(name, 6))
+                 if not r.passed]
         failed = {r.name for r in fails}
         # a FAIL raised by a stale fault helper or a broken call tests
         # nothing: each fault must fail a check by the corrupted value

@@ -507,6 +507,44 @@ class TestCheckCommand:
         assert code == 2
         assert check in failed_checks(text)
 
+    @pytest.mark.parametrize("power, checks_failed", [
+        (3, {"fiber-dual-route", "section-dual-route"}),
+        (5, {"fiber-dual-route"}),
+        (9, {"fiber-dual-route"})])
+    def test_sieve_fault_fails_its_dual_route(self, power, checks_failed,
+                                              monkeypatch):
+        # sigma_3 and sigma_5 feed E4 * E6 of the direct fibre route, and
+        # sigma_3 also E4 of the closed section route; sigma_9 feeds only
+        # the closed fibre route's E10
+        real = forms.divisor_sums
+
+        def corrupted(k, n):
+            sums = real(k, n)
+            if k == power and n > 2:
+                sums[2] += 1
+            return sums
+
+        monkeypatch.setattr(forms, "divisor_sums", corrupted)
+        code, text = run(["check", "--prec", "6"])
+        assert code == 2
+        failed = set(failed_checks(text))
+        assert {"e10-sigma9"} | checks_failed <= failed
+
+    def test_theta_power_fault_fails_the_section_pair(self, monkeypatch):
+        # the theta powers feed only the section convolution
+        real = forms._eighth_power
+
+        def corrupted(cs):
+            out = real(cs)
+            out[2] += 1
+            return out
+
+        monkeypatch.setattr(forms, "_eighth_power", corrupted)
+        code, text = run(["check", "--prec", "6"])
+        assert code == 2
+        assert failed_checks(text) == ["theta-e8-equals-e4",
+                                       "section-dual-route"]
+
     @pytest.mark.parametrize("e", [24, 12, -24, -12])
     def test_jacobi_fault_fails_additivity(self, e, monkeypatch):
         # eta-power-additivity pins the Jacobi generator as well as the
@@ -628,7 +666,9 @@ class TestCheckCommand:
 
     def test_fraction_yau_zaslow_fails_integrality(self, monkeypatch):
         # gv-integrality builds no Yau-Zaslow table of its own: r_h of the
-        # right value but not int shows in the NL sum rows built from it
+        # right value but not int is refused by the series the NL sum
+        # multiplies, so every check that reads the direct fibre rows
+        # fails, gv-integrality with them, from one build of the table
         real = forms.yau_zaslow
         calls = []
 
@@ -639,9 +679,10 @@ class TestCheckCommand:
         monkeypatch.setattr(forms, "yau_zaslow", fractions)
         results = checks.run_checks(6)
         failed = {r.name: r.detail for r in results if not r.passed}
-        assert list(failed) == ["gv-integrality"]
-        assert failed["gv-integrality"].startswith(
-            "fiber NL sum produced non-integer ")
+        assert failed == dict.fromkeys(
+            ["fiber-dual-route", "multifiber-dual-route-m2",
+             "multifiber-dual-route-m3", "gv-integrality"],
+            "TypeError: QSeries coefficients must be ints")
         assert len(calls) == 1
 
     def test_ring_laws_compare_with_schoolbook(self, monkeypatch):
@@ -651,7 +692,7 @@ class TestCheckCommand:
         real = series.int_product
         monkeypatch.setattr(series, "int_product",
                             lambda f, g, n: [2 * v for v in real(f, g, n)])
-        res = checks.check_ring_laws()
+        res = checks.check_ring_laws(8)
         assert not res.passed
         assert res.detail == "product differs from the schoolbook product"
 
@@ -680,9 +721,45 @@ class TestCheckCommand:
             return real(f, g, n)
 
         monkeypatch.setattr(series, "int_product", drop_last_row)
-        res = checks.check_ring_laws()
+        res = checks.check_ring_laws(8)
         assert not res.passed
         assert res.detail == "product differs from the schoolbook product"
+
+    def test_distributivity_fault_fails_ring_laws(self, monkeypatch):
+        # a kernel that halves a factor whose terms are all even, as if it
+        # took out a common 2 and never put it back: no sample and no
+        # first product of samples is all even, so the schoolbook and
+        # commutativity comparisons pass, and the first all-even factor
+        # is the sum f + f of the distributivity law
+        real = series.int_product
+
+        def halving(f, g, n):
+            if any(g) and all(c % 2 == 0 for c in g):
+                g = [c // 2 for c in g]
+            return real(f, g, n)
+
+        monkeypatch.setattr(series, "int_product", halving)
+        res = checks.check_ring_laws(8)
+        assert (res.passed, res.detail) == (False, "distributivity fails")
+
+    def test_full_size_kernel_fault_fails_ring_laws(self, monkeypatch):
+        # a wrong top slot in packs of more than 40 terms: the 17-term
+        # samples never see it, and the product of the closed fibre
+        # operands at the run's largest row count does, by its value at a
+        # point; --prec 22 builds rows up to 41
+        real = series._pack
+
+        def top_slot(cs, width):
+            if len(cs) > 40:
+                cs = [*cs[:-1], cs[-1] + 1]
+            return real(cs, width)
+
+        monkeypatch.setattr(series, "_pack", top_slot)
+        assert checks.check_ring_laws(40).passed
+        code, text = run(["check", "--prec", "22"])
+        assert code == 2
+        assert "FAIL\tring-laws\tthe 41 x 41-term product differs from the " \
+            "product of values mod 2^127 - 1\n" in text
 
     def test_oracles_never_call_the_series_arithmetic(self, monkeypatch):
         # the schoolbook product and the term-by-term sum are computed

@@ -12,7 +12,7 @@ from ellcy.series import PrecisionError, QSeries
 def fraction_nl_sum(m: int, nmax: int) -> list[Fraction]:
     """n_{mF+nE} for 0 <= n <= nmax by a Fraction loop over every (n, h).
 
-    Independent of the integer dot products in f_multifiber_direct: one
+    Independent of the series product in f_multifiber_direct: one
     bordered discriminant and one NL number per (n, h), summed in
     Fractions and halved per class.
     """
@@ -63,9 +63,9 @@ def residue_part(f: QSeries, m: int, k: int) -> QSeries:
 def fraction_section_convolution(nterms: int) -> list[Fraction]:
     """n_{C+nE} for n < nterms by a Fraction double loop.
 
-    Independent of the integer dot products in f_section_convolution:
-    each E8 norm count times the Bryan-Leung count it shifts to, read
-    one coefficient at a time.
+    Independent of the series product in f_section_convolution: each E8
+    norm count times the Bryan-Leung count it shifts to, read one
+    coefficient at a time.
     """
     counts = forms.e8_norm_counts(nterms - 1)
     bl = forms.inverse_sqrt_delta(nterms)
@@ -153,8 +153,8 @@ class TestFiberRoutes:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_slice_makes_one_product(self, m, monkeypatch):
-        # E10 = E4 * E6 is built before counting, so only the route's
-        # own series-by-series products are counted
+        # E10 is built before counting, so only the route's own
+        # series-by-series products are counted
         uterms = m * 10 + 2  # nmax = m + 10
         e10 = forms.eisenstein(10, uterms)
 
@@ -185,9 +185,11 @@ class TestSectionRoutes:
         assert invariants.f_section_closed(4) == [1, 252, 5130, 54760]
 
     def test_closed_multiplies_on_the_integer_grid(self, monkeypatch):
-        # E4 and the Bryan-Leung series q^(1/2)/sqrt(Delta) share the
-        # integer grid, so the product packs no slot beyond the terms it
-        # returns
+        # every generator of either route of a pair shares the integer
+        # grid with its partner, so no product packs a slot beyond the
+        # terms that the returned rows need, and the largest packs exactly
+        # those; the kernel is recorded where the series product and the
+        # E8 theta powers call it
         sizes = []
         real = series.int_product
 
@@ -196,10 +198,27 @@ class TestSectionRoutes:
             return real(f, g, n)
 
         monkeypatch.setattr(series, "int_product", recording)
-        for nterms in (1, 4, 50):
+        monkeypatch.setattr(forms, "int_product", recording)
+        for route, args, need in [
+                ("f_section_closed", (1,), 1),
+                ("f_section_closed", (4,), 4),
+                ("f_section_closed", (50,), 50),
+                # the theta powers count norms up to 2(nterms - 1) in
+                # steps of one: 2 nterms - 1 terms of a series in q^(1/2)
+                ("f_section_convolution", (1,), 1),
+                ("f_section_convolution", (4,), 7),
+                ("f_section_convolution", (50,), 99),
+                # rows up to k = fiber_row(m, nmax), read at q^-1 ..
+                # q^(k - 1)
+                ("f_multifiber_slice", (1, 0), 1),
+                ("f_multifiber_slice", (1, 49), 50),
+                ("f_multifiber_slice", (3, 20), 53),
+                ("f_multifiber_direct", (1, 0), 1),
+                ("f_multifiber_direct", (1, 49), 50),
+                ("f_multifiber_direct", (3, 20), 53)]:
             sizes.clear()
-            invariants.f_section_closed(nterms)
-            assert sizes and max(sizes) <= nterms
+            getattr(invariants, route)(*args)
+            assert max(sizes) == need, (route, args)
         assert invariants.f_section_closed(4) == [1, 252, 5130, 54760]
 
     @pytest.mark.parametrize("route", ["f_section_closed",
@@ -314,6 +333,8 @@ class TestMultifiberRoutes:
                 assert type(v) is int  # an exact halving stores an int
 
     def test_e10_built_once_per_table(self, monkeypatch):
+        # the NL sum writes out E10 = E4 * E6 once per table, and never
+        # reads the sieve E10 of the closed route
         reference = invariants.f_multifiber_direct(2, 10)
         real = forms.eisenstein
         weights = []
@@ -321,7 +342,7 @@ class TestMultifiberRoutes:
         def corrupted(k, nterms):
             weights.append(k)
             f = real(k, nterms)
-            if k != 10:
+            if k != 6:
                 return f
             cs = list(f.coeffs)
             cs[2] += 1
@@ -329,7 +350,7 @@ class TestMultifiberRoutes:
 
         monkeypatch.setattr(forms, "eisenstein", corrupted)
         assert invariants.f_multifiber_direct(2, 10) != reference
-        assert weights.count(10) == 1
+        assert weights == [4, 6]
         monkeypatch.undo()
         # no hidden cache: with the patch gone the table is built afresh
         assert invariants.f_multifiber_direct(2, 10) == reference
@@ -401,6 +422,50 @@ class TestMultifiberRoutes:
                       invariants.f_multifiber_direct):
             with pytest.raises(ValueError, match="nmax must be non-negative"):
                 route(1, -1)
+
+
+class TestRouteGenerators:
+    # the forms generators each route calls, E_k by its weight k and the
+    # divisor-sum sieve by its exponent k; _sparse_power, the recurrence
+    # behind both eta generators, is private and pinned by
+    # eta-power-additivity
+    CALLS = {
+        "f_multifiber_slice": {"inverse_delta", "eta_power",
+                               ("eisenstein", 10), ("divisor_sums", 9)},
+        "f_multifiber_direct": {"yau_zaslow", "eta_power_jacobi",
+                                ("eisenstein", 4), ("eisenstein", 6),
+                                ("divisor_sums", 3), ("divisor_sums", 5)},
+        "f_section_closed": {"inverse_sqrt_delta", "eta_power",
+                             ("eisenstein", 4), ("divisor_sums", 3)},
+        "f_section_convolution": {"theta_e8", "e8_norm_counts",
+                                  "eta_power_jacobi"},
+    }
+
+    def test_routes_of_a_pair_share_no_generator(self, monkeypatch):
+        calls = set()
+
+        def recording(name, real):
+            def generator(*args):
+                keyed = name in ("eisenstein", "divisor_sums")
+                calls.add((name, args[0]) if keyed else name)
+                return real(*args)
+            return generator
+
+        for name, fn in list(vars(forms).items()):
+            if (not name.startswith("_") and callable(fn)
+                    and getattr(fn, "__module__", None) == forms.__name__
+                    and not isinstance(fn, type)):
+                monkeypatch.setattr(forms, name, recording(name, fn))
+        table = {}
+        for route in self.CALLS:
+            calls.clear()
+            args = (1, 30) if route.startswith("f_multifiber") else (30,)
+            getattr(invariants, route)(*args)
+            table[route] = set(calls)
+        assert table == self.CALLS
+        for closed, direct in (("f_multifiber_slice", "f_multifiber_direct"),
+                               ("f_section_closed", "f_section_convolution")):
+            assert not table[closed] & table[direct], (closed, direct)
 
 
 class TestMultipleCover:
