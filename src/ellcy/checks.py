@@ -387,7 +387,7 @@ def _built(route, *args):
         return exc
 
 
-def run_checks(prec: int = 16) -> list[CheckResult]:
+def run_checks(prec: int) -> list[CheckResult]:
     """Run the whole suite at the given term count (at least 2).
 
     Each route is built once per call, the fibre pair up to the last row

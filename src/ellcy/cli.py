@@ -70,15 +70,15 @@ def _print_series(f: QSeries, half: bool, as_json: bool, out) -> None:
         out.write(f"{2 * i - 1}/2\t{c}\n" if half else f"{i}\t{c}\n")
 
 
-def _check_prec(prec: int) -> None:
-    if prec < 1:
-        raise _UsageError("--prec must be at least 1")
-    if prec > TERMS_BOUND:
-        raise _UsageError(f"--prec must be at most {TERMS_BOUND}")
+def _check_prec(prec: int, least: int, most: int) -> None:
+    if prec < least:
+        raise _UsageError(f"--prec must be at least {least}")
+    if prec > most:
+        raise _UsageError(f"--prec must be at most {most}")
 
 
 def cmd_series(args, out) -> int:
-    _check_prec(args.prec)
+    _check_prec(args.prec, 1, TERMS_BOUND)
     generator, half = _SERIES[args.name]
     _print_series(generator(args.prec), half, args.json, out)
     return 0
@@ -87,7 +87,7 @@ def cmd_series(args, out) -> int:
 def cmd_gv(args, out) -> int:
     if args.m is not None and args.target != "multifiber":
         raise _UsageError("--m applies to multifiber only")
-    _check_prec(args.prec)
+    _check_prec(args.prec, 1, TERMS_BOUND)
     prec = args.prec
     if args.target == "section":
         route = (invariants.f_section_closed if args.method == "closed"
@@ -141,10 +141,7 @@ def cmd_euler(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
-    if args.prec < 2:
-        raise _UsageError("--prec must be at least 2")
-    if args.prec > CHECK_BOUND:
-        raise _UsageError(f"--prec must be at most {CHECK_BOUND}")
+    _check_prec(args.prec, 2, CHECK_BOUND)
     from . import checks  # the suite's code stays off the other commands
     results = checks.run_checks(args.prec)
     failures = 0

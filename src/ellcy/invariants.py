@@ -4,9 +4,10 @@ Every route returns a plain list whose entry n is the invariant of the
 n-th class, from n = 0: n_{C+nE} for the section routes, n_{mF+nE} for
 the fibre-direction routes.  Every entry is an int.
 
-Each route reads its rows off one series product of two generators, and
-the two routes of a pair share no generator.  The class mF + nE (m >= 1;
-F + nE is m = 1) is fibre row k = :func:`fiber_row` (m, n), the
+Each route reads its rows off one series product of two generators, one
+coefficient at a time with :meth:`QSeries.coeff_at`, and the two routes
+of a pair share no generator.  The class mF + nE (m >= 1; F + nE is
+m = 1) is fibre row k = :func:`fiber_row` (m, n), the
 coefficient of q^(k-1) in -2 E10/Delta: the closed route multiplies the
 pentagonal eta^-24 by E10 from the sigma_9 sieve, the direct route, the
 Noether-Lefschetz sum of the K3 fibration, the Yau-Zaslow coefficients
@@ -58,7 +59,7 @@ def f_section_closed(nterms: int) -> list[int]:
     Entry n is the coefficient of q^n.
     """
     f = forms.eisenstein(4, nterms) * forms.inverse_sqrt_delta(nterms)
-    return f.window(0, nterms)
+    return [f.coeff_at(n) for n in range(nterms)]
 
 
 def f_section_convolution(nterms: int) -> list[int]:
@@ -76,7 +77,7 @@ def f_section_convolution(nterms: int) -> list[int]:
     m <= n, which is exactly the effectivity bound on the surface.
     """
     f = forms.theta_e8(nterms) * forms.eta_power_jacobi(-12, nterms)
-    return f.window(0, nterms)
+    return [f.coeff_at(n) for n in range(nterms)]
 
 
 def fiber_row(m: int, n: int) -> int:

@@ -13,9 +13,10 @@ exponents (the eta powers are stored without their q^(e/24)), so only
 ints are stored: any other coefficient is a ``TypeError`` at
 construction, and ``invert`` and ``sqrt`` raise rather than leave the
 integers.  The routes only multiply series and read coefficients, so
-that is all a series does: a product with anything but a series is a
-``TypeError``.  No arithmetic here imports `fractions` or uses floating
-point.  Every product of coefficient lists goes through
+that is all a series does besides compare: a product with anything but
+a series is a ``TypeError``, and :meth:`QSeries.coeff_at` is the one
+reader, one exponent at a time.  No arithmetic here imports `fractions`
+or uses floating point.  Every product of coefficient lists goes through
 :func:`int_product`, which picks its algorithm by the number n of
 product terms: up to ``_SCHOOLBOOK_TERMS`` terms it adds one row a * g
 into the result for each nonzero term a of f, so the zeros of a sparse
@@ -30,7 +31,7 @@ directly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import sub
 
@@ -167,24 +168,11 @@ class QSeries:
         return (self.offset == other.offset and self.prec == other.prec
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self) -> int:
-        return hash((self.offset, self.prec, self.coeffs))
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)  # canonical: a stored term is nonzero
 
-    def terms(self) -> Iterator[tuple[int, int]]:
-        """Yield (exponent, coefficient) for each nonzero stored term."""
-        for i, c in enumerate(self.coeffs, self.offset):
-            if c != 0:
-                yield i, c
-
     def __repr__(self) -> str:
-        parts = []
-        for e, c in self.terms():
-            parts.append(f"{c}*q^({e})")
-        body = " + ".join(parts) if parts else "0"
-        return f"QSeries({body} + O(q^({self.prec})))"
+        return f"QSeries({list(self.coeffs)}, {self.offset}, {self.prec})"
 
     # -- products and inverses -------------------------------------------
 
@@ -251,27 +239,11 @@ class QSeries:
 
     # -- coefficient access ----------------------------------------------
 
-    def _check_bound(self, e: int) -> None:
-        """Raise PrecisionError unless q^e is below the bound."""
+    def coeff_at(self, e: int) -> int:
+        """Exact coefficient of q^e; errors past the precision bound."""
         if e >= self.prec:
             raise PrecisionError(
                 f"coefficient of q^({e}) is beyond the precision bound "
                 f"q^({self.prec})")
-
-    def coeff_at(self, e: int) -> int:
-        """Exact coefficient of q^e; errors past the precision bound."""
-        self._check_bound(e)
         i = e - self.offset
         return self.coeffs[i] if i >= 0 else 0
-
-    def window(self, lo: int, hi: int) -> list[int]:
-        """Coefficients at q^j for lo <= j < hi.
-
-        Terms below the support read 0; one at or past the precision
-        bound raises PrecisionError.
-        """
-        if hi > lo:
-            self._check_bound(hi - 1)
-        offset, cs = self.offset, self.coeffs
-        pad = [0] * max(0, min(offset, hi) - lo)
-        return pad + list(cs[max(0, lo - offset):max(0, hi - offset)])

@@ -99,11 +99,12 @@ def test_series_hints_resolve_at_run_time():
     # annotations with no localns (invariants.gv_to_gw_genus0 still
     # needs one for Fraction)
     import typing
-    from collections.abc import Iterator
+    from collections.abc import Sequence
 
     from ellcy import series
-    assert typing.get_type_hints(series.QSeries.terms) == \
-        {"return": Iterator[tuple[int, int]]}
+    assert typing.get_type_hints(series.QSeries.from_ints) == \
+        {"coeffs": Sequence[int], "offset": int, "prec": int,
+         "return": series.QSeries}
     assert typing.get_type_hints(series.QSeries.coeff_at) == \
         {"e": int, "return": int}
     for owner in (series, series.QSeries):

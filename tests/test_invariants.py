@@ -1,10 +1,11 @@
 """Tests for the Noether-Lefschetz numbers and the dual-route invariants."""
 
+import io
 from fractions import Fraction
 
 import pytest
 
-from ellcy import forms, geometry, invariants, series
+from ellcy import cli, forms, geometry, invariants, series
 from ellcy.geometry import CurveClass
 from ellcy.series import PrecisionError, QSeries
 
@@ -47,8 +48,8 @@ def slice_product_sum(m: int, nmax: int) -> QSeries:
     for ell in range(m):
         piece = residue_part(inv_delta_u, m, ell - 1) * \
             residue_part(e10_u, m, 1 - ell)
-        for i, c in enumerate(piece.window(-1, uterms - 1)):
-            total[i] -= 2 * c
+        for i in range(uterms):
+            total[i] -= 2 * piece.coeff_at(i - 1)
     return QSeries(total, -1, uterms - 1)
 
 
@@ -466,6 +467,36 @@ class TestRouteGenerators:
         for closed, direct in (("f_multifiber_slice", "f_multifiber_direct"),
                                ("f_section_closed", "f_section_convolution")):
             assert not table[closed] & table[direct], (closed, direct)
+
+
+class TestRoutePrecision:
+    # each route with one of its two generators a term short, and the gv
+    # command that runs it at --prec 6
+    SHORTENED = [
+        ("fiber", "closed", "eisenstein",
+         lambda: invariants.f_multifiber_slice(1, 5)),
+        ("fiber", "direct", "eisenstein",
+         lambda: invariants.f_multifiber_direct(1, 5)),
+        ("section", "closed", "eisenstein",
+         lambda: invariants.f_section_closed(6)),
+        ("section", "direct", "eta_power_jacobi",
+         lambda: invariants.f_section_convolution(6)),
+    ]
+
+    @pytest.mark.parametrize("target, method, generator, route", SHORTENED,
+                             ids=[f"{t}-{m}" for t, m, _, _ in SHORTENED])
+    def test_short_generator_raises(self, target, method, generator, route,
+                                    monkeypatch, capsys):
+        full = getattr(forms, generator)
+        monkeypatch.setattr(forms, generator,
+                            lambda k, nterms: full(k, nterms - 1))
+        with pytest.raises(PrecisionError) as exc:
+            route()
+        assert str(exc.value).startswith("coefficient of q^(")
+        assert " is beyond the precision bound q^(" in str(exc.value)
+        argv = ["gv", target, "--method", method, "--prec", "6"]
+        assert cli.main(argv, io.StringIO()) == 2
+        assert capsys.readouterr().err == f"ellcy: error: {exc.value}\n"
 
 
 class TestMultipleCover:
