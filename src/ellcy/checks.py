@@ -281,7 +281,7 @@ def check_eta_additivity(nterms: int) -> CheckResult:
     j4 = j2 * j2
     j8 = j4 * j4
     e4, e6 = forms.eisenstein(4, nterms), forms.eisenstein(6, nterms)
-    minus_e6 = QSeries.from_ints([-c for c in e6.coeffs], e6.offset, e6.prec)
+    minus_e6 = QSeries([-c for c in e6.coeffs], e6.offset, e6.prec)
     disc = _term_sum(e4 * e4 * e4, minus_e6 * e6)
     for eta in (forms.eta_power, forms.eta_power_jacobi):
         eta24 = eta(24, nterms)

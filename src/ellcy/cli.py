@@ -22,6 +22,8 @@ DOMAIN_ERROR = 2
 # half-discriminant stays below about 2e12, so sigma_9 by trial division
 # takes about 0.15 s on a 2-core VM
 NL_BOUND = 10 ** 6
+# largest euler --lsq: its numbers stay far below int-to-str's 4300 digits
+LSQ_BOUND = 10 ** 6
 
 # most series terms that series and gv build, and largest --m: at the bound
 # gv fiber and multifiber, the slowest, take about 0.9 s on a 2-core VM
@@ -128,6 +130,8 @@ def cmd_nl(args, out) -> int:
 
 
 def cmd_euler(args, out) -> int:
+    if args.lsq > LSQ_BOUND:
+        raise _UsageError(f"--lsq must be at most {LSQ_BOUND}")
     data = geometry.euler_characteristic(args.lsq)
     out.write(f"deg K_Delta\t{data.deg_K_delta}\n")
     out.write(f"cusps\t{data.cusps}\n")
@@ -184,7 +188,8 @@ _COMMANDS = {
             "--d1": (int, _REQUIRED, "d1 of the index"),
             "--d2": (int, _REQUIRED, "d2 of the index")}),
     "euler": (cmd_euler, "Euler characteristic bookkeeping", None,
-              {"--lsq": (int, 8, "self-intersection of the polarization")}),
+              {"--lsq": (int, 8, "self-intersection of the polarization, "
+                                 "at most 10^6")}),
     "check": (cmd_check, "run the full consistency suite", None,
               {"--prec": (int, 16, "terms of the series comparisons")}),
 }

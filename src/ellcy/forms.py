@@ -162,19 +162,14 @@ def eta_power_jacobi(e: int, nterms: int) -> QSeries:
     return _sparse_power(triangular, e // 3, nterms)
 
 
-def _shifted(f: QSeries, k: int) -> QSeries:
-    """q^k * f, by moving the exponents."""
-    return QSeries.from_ints(f.coeffs, f.offset + k, f.prec + k)
-
-
 def delta(nterms: int) -> QSeries:
     """The discriminant cusp form Delta = eta^24 = q - 24q^2 + ..."""
-    return _shifted(eta_power(24, nterms), 1)
+    return QSeries(eta_power(24, nterms).coeffs, 1, nterms + 1)
 
 
 def inverse_delta(nterms: int) -> QSeries:
     """1/Delta = eta^-24 = q^-1 + 24 + 324q + 3200q^2 + ..., nterms terms."""
-    return _shifted(eta_power(-24, nterms), -1)
+    return QSeries(eta_power(-24, nterms).coeffs, -1, nterms - 1)
 
 
 def inverse_sqrt_delta(nterms: int) -> QSeries:

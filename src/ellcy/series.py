@@ -10,28 +10,29 @@ always correct; asking for one beyond the bound raises
 
 Every q-expansion the routes need has integer coefficients and integer
 exponents (the eta powers are stored without their q^(e/24)), so only
-ints are stored: any other coefficient is a ``TypeError`` at
-construction, and ``invert`` and ``sqrt`` raise rather than leave the
-integers.  The routes only multiply series and read coefficients, so
-that is all a series does besides compare: a product with anything but
-a series is a ``TypeError``, and :meth:`QSeries.coeff_at` is the one
-reader, one exponent at a time.  No arithmetic here imports `fractions`
-or uses floating point.  Every product of coefficient lists goes through
-:func:`int_product`, which picks its algorithm by the number n of
-product terms: up to ``_SCHOOLBOOK_TERMS`` terms it adds one row a * g
-into the result for each nonzero term a of f, so the zeros of a sparse
-factor cost nothing, and above that both factors are packed into single
-Python ints by Kronecker substitution, multiplied once and the product's
-slots read back, each step a C-level ``map`` over the terms.  The
-generators that work on plain integer coefficient lists (the E8 theta
-powers) and ring-laws' untruncated product call :func:`int_product`
-directly.
+ints are stored: every series, kernel products included, is built by the
+one constructor ``QSeries(coeffs, offset, prec)``, which refuses any
+other coefficient with a ``TypeError``, and ``invert`` and ``sqrt``
+raise rather than leave the integers.  The routes only multiply series
+and read coefficients, so that is all a series does besides compare: a
+product with anything but a series is a ``TypeError``, and
+:meth:`QSeries.coeff_at` is the one reader, one exponent at a time.  No
+arithmetic here imports `fractions` or uses floating point.  Every
+product of coefficient lists goes through :func:`int_product`, which
+picks its algorithm by the number n of product terms: up to
+``_SCHOOLBOOK_TERMS`` terms it adds one row a * g into the result for
+each nonzero term a of f, so the zeros of a sparse factor cost nothing,
+and above that both factors are packed into single Python ints by
+Kronecker substitution, multiplied once and the product's slots read
+back, each step a C-level ``map`` over the terms.  The generators that
+work on plain integer coefficient lists (the E8 theta powers) and
+ring-laws' untruncated product call :func:`int_product` directly.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from itertools import repeat
 from operator import sub
 
@@ -109,18 +110,6 @@ def int_product(f: list[int], g: list[int], n: int) -> list[int]:
                     repeat(half)))
 
 
-def _canonical(coeffs: Sequence[int], offset: int,
-               prec: int) -> tuple[tuple[int, ...], int, int]:
-    """The canonical (coeffs, offset, prec): leading zeros move into offset."""
-    lead = 0
-    while lead < len(coeffs) and coeffs[lead] == 0:
-        lead += 1
-    if lead:
-        offset += lead
-        coeffs = coeffs[lead:]
-    return tuple(coeffs), offset, prec
-
-
 class QSeries:
     """Immutable truncated series over Z in one formal variable.
 
@@ -144,21 +133,11 @@ class QSeries:
         cs += [0] * (n - len(cs))
         if not all(type(c) is int for c in cs):
             raise TypeError("QSeries coefficients must be ints")
-        self.coeffs, self.offset, self.prec = _canonical(cs, offset, prec)
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def from_ints(cls, coeffs: Sequence[int], offset: int,
-                  prec: int) -> "QSeries":
-        """The series with coefficients coeffs[i] from q^offset.
-
-        coeffs must hold exactly prec - offset ints; the result is brought
-        to canonical form.
-        """
-        f = cls.__new__(cls)
-        f.coeffs, f.offset, f.prec = _canonical(coeffs, offset, prec)
-        return f
+        lead = 0  # leading zeros move into the offset
+        while lead < n and cs[lead] == 0:
+            lead += 1
+        self.coeffs = tuple(cs[lead:])
+        self.offset, self.prec = offset + lead, prec
 
     # -- basic protocol --------------------------------------------------
 
@@ -183,10 +162,8 @@ class QSeries:
         # unknown tails start at f.prec + g.offset and g.prec + f.offset
         prec = min(self.prec + other.offset, other.prec + self.offset)
         offset = self.offset + other.offset
-        if not self or not other:
-            return QSeries([], prec, prec)
-        return QSeries.from_ints(int_product(self.coeffs, other.coeffs,
-                                             prec - offset), offset, prec)
+        return QSeries(int_product(self.coeffs, other.coeffs, prec - offset),
+                       offset, prec)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the leading coefficient must be +-1.
@@ -206,7 +183,7 @@ class QSeries:
         for k in range(1, n):
             s = sum(a[j] * b[k - j] for j in range(1, k + 1) if a[j])
             b[k] = -s * a[0]
-        return QSeries.from_ints(b, -self.offset, self.prec - 2 * self.offset)
+        return QSeries(b, -self.offset, self.prec - 2 * self.offset)
 
     def sqrt(self) -> "QSeries":
         """Square root with positive leading coefficient.
@@ -235,7 +212,7 @@ class QSeries:
                 raise ArithmeticError(
                     f"square root: coefficient {k} is not an integer")
         half = self.offset // 2
-        return QSeries.from_ints(b, half, half + n)
+        return QSeries(b, half, half + n)
 
     # -- coefficient access ----------------------------------------------
 

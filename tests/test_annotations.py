@@ -95,20 +95,25 @@ def test_annotation_imports_load_nothing():
 
 
 def test_series_hints_resolve_at_run_time():
-    # series.py names no Fraction, so typing.get_type_hints resolves its
-    # annotations with no localns (invariants.gv_to_gw_genus0 still
-    # needs one for Fraction)
+    # typing.get_type_hints resolves every annotation of every function
+    # and method with no localns, but for invariants: its Fraction is
+    # bound only for type checkers, so gv_to_gw_genus0 needs one
     import typing
-    from collections.abc import Sequence
+    from collections.abc import Iterable
+    from fractions import Fraction
 
-    from ellcy import series
-    assert typing.get_type_hints(series.QSeries.from_ints) == \
-        {"coeffs": Sequence[int], "offset": int, "prec": int,
-         "return": series.QSeries}
+    from ellcy import checks, cli, forms, geometry, invariants, series
+    assert typing.get_type_hints(series.QSeries.__init__) == \
+        {"coeffs": Iterable[int], "offset": int, "prec": int}
     assert typing.get_type_hints(series.QSeries.coeff_at) == \
         {"e": int, "return": int}
-    for owner in (series, series.QSeries):
-        for fn in vars(owner).values():
-            fn = getattr(fn, "__func__", fn)  # classmethods
-            if callable(fn) and not isinstance(fn, type):
-                typing.get_type_hints(fn)
+    for module in (series, forms, geometry, invariants, checks, cli):
+        localns = {"Fraction": Fraction} if module is invariants else None
+        owners = [module] + [v for v in vars(module).values()
+                             if isinstance(v, type)
+                             and v.__module__ == module.__name__]
+        for owner in owners:
+            for fn in vars(owner).values():
+                fn = getattr(fn, "__func__", fn)  # classmethods
+                if callable(fn) and not isinstance(fn, type):
+                    typing.get_type_hints(fn, localns=localns)

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ellcy
-from ellcy import checks, cli, forms, invariants, series
-from ellcy.cli import CHECK_BOUND, NL_BOUND, TERMS_BOUND, main, series_to_doc
+from ellcy import checks, cli, forms, geometry, invariants, series
+from ellcy.cli import (CHECK_BOUND, LSQ_BOUND, NL_BOUND, TERMS_BOUND, main,
+                       series_to_doc)
 from ellcy.series import QSeries
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1089,7 +1090,8 @@ class TestExitContract:
         assert_exit_contract(["check", "--prec", str(prec)])
 
     # one step past each bound, m(n_max - m) + 2 = 2999 + 2 for the
-    # multifibre case with n_max = m + 1
+    # multifibre case with n_max = m + 1; and an --lsq of 4299 nines,
+    # whose e(X) would pass Python's 4300-digit int-to-str limit
     @pytest.mark.parametrize("argv", [
         ["series", "inv-delta", "--prec", str(TERMS_BOUND + 1)],
         ["series", "theta-e8", "--json", "--prec", str(TERMS_BOUND + 1)],
@@ -1099,17 +1101,22 @@ class TestExitContract:
         ["gv", "multifiber", "--m", str(TERMS_BOUND + 1), "--prec", "1",
          "--method", "direct"],
         ["check", "--prec", str(CHECK_BOUND + 1)],
+        ["euler", "--lsq", str(LSQ_BOUND + 1)],
+        ["euler", "--lsq", "9" * 4299],
     ])
     def test_above_bound_is_usage_error(self, argv, monkeypatch, capsys):
-        # the bound is checked before any series is built
+        # the bound is checked before any series is built or any
+        # arithmetic is done
         def poisoned(*args):
             raise AssertionError("a series was built past a bound")
 
         for name in ("eta_power", "eta_power_jacobi", "eisenstein",
                      "e8_norm_counts"):
             monkeypatch.setattr(forms, name, poisoned)
+        monkeypatch.setattr(geometry, "euler_characteristic", poisoned)
         assert run(argv) == (1, "")
-        bound = CHECK_BOUND if argv[0] == "check" else TERMS_BOUND
+        bound = {"check": CHECK_BOUND, "euler": LSQ_BOUND}.get(argv[0],
+                                                               TERMS_BOUND)
         assert f"must be at most {bound}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, route", [
