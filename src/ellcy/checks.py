@@ -390,18 +390,20 @@ def _built(route, *args):
 def run_checks(prec: int) -> list[CheckResult]:
     """Run the whole suite at the given term count (at least 2).
 
-    Each route is built once per call, the fibre pair up to the last row
-    any check reads, and the checks that compare routes read those rows.
+    Each route of invariants.ROUTES is built once per call, the fibre
+    pair up to the last row any check reads, and the checks that compare
+    routes read those rows.
     Each check_* name is looked up in this module when the suite runs,
     so a check replaced on the module (by a tracer or a test) is the one
     that runs.
     """
     m3_nmax = max(5, (2 * prec) // 3)
     top = max(invariants.fiber_row(2, prec), invariants.fiber_row(3, m3_nmax))
-    fibre = (_built(invariants.f_multifiber_slice, 1, top),
-             _built(invariants.f_multifiber_direct, 1, top))
-    section = (_built(invariants.f_section_closed, prec),
-               _built(invariants.f_section_convolution, prec))
+    size = {"section": (prec,), "fiber": (1, top)}
+    built = {target: [_built(invariants.gv_table, target, method,
+                             *size[target]) for method in methods]
+             for target, methods in invariants.ROUTES.items()}
+    section, fibre = built["section"], built["fiber"]
     return [_guarded(*entry) for entry in (
         ("ring-laws", check_ring_laws, top),
         # every n that the m = 1, 2, 3 checks read

@@ -26,9 +26,10 @@ NL_BOUND = 10 ** 6
 LSQ_BOUND = 10 ** 6
 
 # most series terms that series and gv build, and largest --m: at the bound
-# gv fiber and multifiber, the slowest, take about 0.9 s on a 2-core VM
+# gv fiber and multifiber, the slowest, take about 1.1-1.2 s on a 2-core VM
 TERMS_BOUND = 3000
-# largest check --prec: at the bound check takes about 0.2 s on a 2-core VM
+# largest check --prec: at the bound check takes about 0.23-0.25 s on a
+# 2-core VM
 CHECK_BOUND = 300
 
 # Each name: (generator, printed times q^(-1/2)).  Only inv-sqrt-delta,
@@ -92,9 +93,7 @@ def cmd_gv(args, out) -> int:
     _check_prec(args.prec, 1, TERMS_BOUND)
     prec = args.prec
     if args.target == "section":
-        route = (invariants.f_section_closed if args.method == "closed"
-                 else invariants.f_section_convolution)
-        values = route(prec)
+        target, size = "section", (prec,)
         rows = [(n, geometry.CurveClass(c=1, e=n)) for n in range(prec)]
     else:  # multifiber; fiber is its m = 1 case
         m = 1 if args.target == "fiber" else args.m
@@ -106,11 +105,10 @@ def cmd_gv(args, out) -> int:
         if max(m, invariants.fiber_row(m, nmax) + 1) > TERMS_BOUND:
             raise _UsageError(f"--m and m * (n_max - m) + 2 must be at most "
                               f"{TERMS_BOUND}")
-        route = (invariants.f_multifiber_slice if args.method == "closed"
-                 else invariants.f_multifiber_direct)
-        values = route(m, nmax)
+        target, size = "fiber", (m, nmax)
         rows = [(n, geometry.CurveClass(e=n, f=m))
                 for n in range(first, nmax + 1)]
+    values = invariants.gv_table(target, args.method, *size)
     for n, beta in rows:
         out.write(f"{n}\t{beta.label()}\t{values[n]}\n")
     return 0
@@ -182,7 +180,8 @@ _COMMANDS = {
            ("target", ("fiber", "section", "multifiber")),
            {"--m": (int, None, "fibre multiplicity (multifiber only)"),
             "--prec": (int, 16, "number of entries"),
-            "--method": (("closed", "direct"), "closed", "which route")}),
+            "--method": (tuple(invariants.ROUTES["fiber"]), "closed",
+                         "which route")}),
     "nl": (cmd_nl, "print one Noether-Lefschetz number", None,
            {"--h": (int, _REQUIRED, "h of the index (h; d1, d2)"),
             "--d1": (int, _REQUIRED, "d1 of the index"),

@@ -131,7 +131,7 @@ class QSeries:
         cs = list(coeffs)
         del cs[n:]  # truncated to n terms, or padded with zeros to n
         cs += [0] * (n - len(cs))
-        if not all(type(c) is int for c in cs):
+        if list(map(type, cs)).count(int) != n:  # exact ints, no bools
             raise TypeError("QSeries coefficients must be ints")
         lead = 0  # leading zeros move into the offset
         while lead < n and cs[lead] == 0:

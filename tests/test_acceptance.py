@@ -55,7 +55,8 @@ def test_criterion_4_section():
     values = [line.split("\t")[2] for line in text.splitlines()]
     ok = code == 0 and values == ["1", "252", "5130", "54760"]
     # row n is entry n of the route
-    ok = ok and invariants.f_section_closed(4) == [1, 252, 5130, 54760]
+    ok = ok and (invariants.gv_table("section", "closed", 4)
+                 == [1, 252, 5130, 54760])
     report("4 (gv section)", ok)
 
 
@@ -80,16 +81,17 @@ def test_criterion_6_euler():
 
 def test_criterion_7_dual_routes():
     start = time.perf_counter()
-    fiber_ok = (invariants.f_multifiber_slice(1, 20)
-                == invariants.f_multifiber_direct(1, 20))
+    fiber_ok = (invariants.gv_table("fiber", "closed", 1, 20)
+                == invariants.gv_table("fiber", "direct", 1, 20))
 
-    section_ok = (invariants.f_section_closed(20)
-                  == invariants.f_section_convolution(20))
+    section_ok = (invariants.gv_table("section", "closed", 20)
+                  == invariants.gv_table("section", "direct", 20))
 
     multi_ok = True
     for m, nmax in ((2, 16), (3, 12)):  # 15 resp. 10 q-terms
-        multi_ok = multi_ok and (invariants.f_multifiber_slice(m, nmax)
-                                 == invariants.f_multifiber_direct(m, nmax))
+        multi_ok = multi_ok and (
+            invariants.gv_table("fiber", "closed", m, nmax)
+            == invariants.gv_table("fiber", "direct", m, nmax))
 
     elapsed = time.perf_counter() - start
     ok = fiber_ok and section_ok and multi_ok and elapsed < 60.0
@@ -105,11 +107,11 @@ def test_criterion_8_theta_equals_e4():
 
 
 def test_criterion_9_integrality():
-    values = invariants.f_multifiber_slice(1, 20)
-    section_values = invariants.f_section_closed(20)
+    values = invariants.gv_table("fiber", "closed", 1, 20)
+    section_values = invariants.gv_table("section", "closed", 20)
     values += section_values
     for m, nmax in ((2, 16), (3, 12)):
-        values += invariants.f_multifiber_direct(m, nmax)
+        values += invariants.gv_table("fiber", "direct", m, nmax)
     ok = all(Fraction(v).denominator == 1 for v in values)
     # every section count is positive, so the stream is not read off-grid
     ok = ok and all(v > 0 for v in section_values)

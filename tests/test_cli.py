@@ -190,6 +190,25 @@ class TestGvCommand:
                              "--method", "direct"])
             assert closed == direct
 
+    @pytest.mark.parametrize("argv, target, size, first", [
+        (["fiber"], "fiber", (1, 11), 0),
+        (["multifiber", "--m", "3"], "fiber", (3, 14), 3),
+        (["section"], "section", (12,), 0)], ids=["fiber", "m3", "section"])
+    def test_rows_are_the_route_table(self, argv, target, size, first):
+        # every method of the table prints the rows gv_table reads, and
+        # gv offers exactly the table's methods, in its order
+        methods = tuple(invariants.ROUTES[target])
+        assert methods == ("closed", "direct")
+        for method in methods:
+            code, text = run(["gv", *argv, "--method", method,
+                              "--prec", "12"])
+            assert code == 0
+            values = [int(line.split("\t")[2])
+                      for line in text.splitlines()]
+            assert values == \
+                invariants.gv_table(target, method, *size)[first:], method
+        assert "[--method {" + ",".join(methods) + "}]" in cli._help("gv")
+
     def test_multifiber_requires_m(self):
         code, _ = run(["gv", "multifiber", "--prec", "4"])
         assert code == 1
@@ -608,14 +627,14 @@ class TestCheckCommand:
     def test_dual_route_fail_names_first_row(self):
         # the detail names the first class that differs, and a route that
         # returns fewer rows than its partner fails too
-        fibre = invariants.f_multifiber_slice(1, 9)
+        fibre = invariants.gv_table("fiber", "closed", 1, 9)
         bumped = list(fibre)
         bumped[invariants.fiber_row(2, 3)] += 1
         res = checks.check_multifiber_routes(2, 6, fibre, bumped)
-        v = invariants.f_multifiber_slice(2, 6)[3]
+        v = invariants.gv_table("fiber", "closed", 2, 6)[3]
         assert (res.passed, res.detail) == \
             (False, f"n=3: slice {v} vs NL sum {v + 1}")
-        closed = invariants.f_section_closed(6)
+        closed = invariants.gv_table("section", "closed", 6)
         res = checks.check_section_routes(closed, closed[:-1])
         assert (res.passed, res.detail) == \
             (False, "6 rows from closed vs 5 from convolution")
@@ -623,7 +642,7 @@ class TestCheckCommand:
     def test_short_fibre_rows_fail(self):
         # a class past the last fibre row fails, whether one route or
         # both stop early, and never passes on the rows that are there
-        fibre = invariants.f_multifiber_slice(1, 9)
+        fibre = invariants.gv_table("fiber", "closed", 1, 9)
         for rows in ((fibre, fibre[:8]), (fibre[:8], fibre[:8])):
             res = checks._guarded("multifiber-dual-route-m2",
                                   checks.check_multifiber_routes, 2, 6, *rows)
@@ -635,29 +654,26 @@ class TestCheckCommand:
         # one fibre pair at m = 1 and one section pair serve every check
         # that reads routes, gv-integrality included
         calls = []
+        real = invariants.gv_table
 
-        def counted(name):
-            real = getattr(invariants, name)
+        def counted(target, method, *size):
+            calls.append((target, method, *size[:-1]))
+            return real(target, method, *size)
 
-            def route(*args):
-                calls.append((name, *args[:-1]))
-                return real(*args)
-            return route
-
-        for name in ("f_multifiber_slice", "f_multifiber_direct",
-                     "f_section_closed", "f_section_convolution"):
-            monkeypatch.setattr(invariants, name, counted(name))
+        monkeypatch.setattr(invariants, "gv_table", counted)
         assert all(r.passed for r in checks.run_checks(prec))
         assert sorted(calls) == [
-            ("f_multifiber_direct", 1), ("f_multifiber_slice", 1),
-            ("f_section_closed",), ("f_section_convolution",)]
+            ("fiber", "closed", 1), ("fiber", "direct", 1),
+            ("section", "closed"), ("section", "direct")]
 
     def test_raising_route_fails_the_checks_that_read_it(self,
                                                          monkeypatch):
-        def raising(m, nmax):
+        def raising(nterms):
             raise ArithmeticError("route refused")
 
-        monkeypatch.setattr(invariants, "f_multifiber_direct", raising)
+        # the table entry, read when the route runs
+        monkeypatch.setitem(invariants.ROUTES["fiber"], "direct",
+                            (raising, raising))
         results = checks.run_checks(6)
         assert len(results) == 15
         failed = {r.name: r.detail for r in results if not r.passed}
@@ -1119,22 +1135,27 @@ class TestExitContract:
                                                                TERMS_BOUND)
         assert f"must be at most {bound}\n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method, route", [
-        ("closed", "f_multifiber_slice"), ("direct", "f_multifiber_direct")])
-    def test_at_bound_reaches_the_route(self, method, route, monkeypatch):
+    # each test id names the route function of the method before the
+    # route table, so the ids stay stable
+    @pytest.mark.parametrize("method", ["closed", "direct"],
+                             ids=["closed-f_multifiber_slice",
+                                  "direct-f_multifiber_direct"])
+    def test_at_bound_reaches_the_route(self, method, monkeypatch):
         # 1499 * (n_max - 1499) + 2 = TERMS_BOUND at --prec 3, and --m at
         # its bound with one row; a stub route ends each run cheaply
-        seen = []
+        seen, routes = [], []
 
-        def stub(m, nmax):
+        def stub(target, route_method, m, nmax):
+            routes.append((target, route_method))
             seen.append((m, m * (nmax - m) + 2))
             raise ValueError("stub route")
 
-        monkeypatch.setattr(invariants, route, stub)
+        monkeypatch.setattr(invariants, "gv_table", stub)
         for m, prec in ((1499, 3), (TERMS_BOUND, 1)):
             assert run(["gv", "multifiber", "--m", str(m), "--prec",
                         str(prec), "--method", method]) == (2, "")
         assert seen == [(1499, TERMS_BOUND), (TERMS_BOUND, 2)]
+        assert routes == [("fiber", method)] * 2
 
     def test_check_at_bound_passes(self):
         code, text = run(["check", "--prec", str(CHECK_BOUND)])

@@ -9,11 +9,19 @@ from ellcy import cli, forms, geometry, invariants, series
 from ellcy.geometry import CurveClass
 from ellcy.series import PrecisionError, QSeries
 
+# each route of invariants.ROUTES by (target, method), and its test id: the
+# name its route function had before the table, so the ids stay stable
+ROUTE_IDS = {("section", "closed"): "f_section_closed",
+             ("section", "direct"): "f_section_convolution",
+             ("fiber", "closed"): "f_multifiber_slice",
+             ("fiber", "direct"): "f_multifiber_direct"}
+FIBER_ROUTES = [("fiber", "closed"), ("fiber", "direct")]
+
 
 def fraction_nl_sum(m: int, nmax: int) -> list[Fraction]:
     """n_{mF+nE} for 0 <= n <= nmax by a Fraction loop over every (n, h).
 
-    Independent of the series product in f_multifiber_direct: one
+    Independent of the series product of the direct fibre route: one
     bordered discriminant and one NL number per (n, h), summed in
     Fractions and halved per class.
     """
@@ -36,8 +44,8 @@ def slice_product_sum(m: int, nmax: int) -> QSeries:
     """The slice route as m slice products summed, one per residue.
 
     -2 times the sum over l of (1/Delta)_{m, l-1} (E10)_{m, 1-l}: the
-    route's former algorithm, which f_multifiber_slice replaces by the
-    slice at 0 mod m of one product.
+    route's former algorithm, which the closed fibre route replaces by
+    the slice at 0 mod m of one product.
     """
     uterms = m * (nmax - m) + 2  # need exponents through m(nmax - m)
     if uterms < 1:
@@ -64,7 +72,7 @@ def residue_part(f: QSeries, m: int, k: int) -> QSeries:
 def fraction_section_convolution(nterms: int) -> list[Fraction]:
     """n_{C+nE} for n < nterms by a Fraction double loop.
 
-    Independent of the series product in f_section_convolution: each E8
+    Independent of the series product of the direct section route: each E8
     norm count times the Bryan-Leung count it shifts to, read one
     coefficient at a time.
     """
@@ -123,16 +131,16 @@ class TestNLNumber:
 
 class TestFiberRoutes:
     def test_closed_known_values(self):
-        assert invariants.f_multifiber_slice(1, 3) == \
+        assert invariants.gv_table("fiber", "closed", 1, 3) == \
             [-2, 480, 282888, 17058560]
 
     def test_direct_known_values(self):
-        assert invariants.f_multifiber_direct(1, 3) == \
+        assert invariants.gv_table("fiber", "direct", 1, 3) == \
             [-2, 480, 282888, 17058560]
 
     def test_routes_agree_to_20(self):
-        assert invariants.f_multifiber_slice(1, 20) == \
-            invariants.f_multifiber_direct(1, 20)
+        assert invariants.gv_table("fiber", "closed", 1, 20) == \
+            invariants.gv_table("fiber", "direct", 1, 20)
 
     def test_slice_is_closed_form(self):
         # at m = 1 the one slice is the whole closed form -2 E10/Delta,
@@ -140,7 +148,7 @@ class TestFiberRoutes:
         for nmax in (0, 1, 5, 12):
             closed = (forms.eisenstein(10, nmax + 1)
                       * forms.inverse_delta(nmax + 1))
-            assert invariants.f_multifiber_slice(1, nmax) == \
+            assert invariants.gv_table("fiber", "closed", 1, nmax) == \
                 [-2 * closed.coeff_at(n - 1) for n in range(nmax + 1)]
 
     @pytest.mark.parametrize("m", range(1, 7))
@@ -149,7 +157,7 @@ class TestFiberRoutes:
         # coefficient of q^(m(n-m)) in the sum of the slice products
         for nmax in (n for n in range(41) if m * (n - m) + 2 >= 1):
             ref = slice_product_sum(m, nmax)
-            assert invariants.f_multifiber_slice(m, nmax) == \
+            assert invariants.gv_table("fiber", "closed", m, nmax) == \
                 [ref.coeff_at(m * (n - m)) for n in range(nmax + 1)], nmax
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
@@ -173,17 +181,18 @@ class TestFiberRoutes:
 
         monkeypatch.setattr(forms, "eisenstein", built_e10)
         monkeypatch.setattr(QSeries, "__mul__", counting)
-        invariants.f_multifiber_slice(m, m + 10)
+        invariants.gv_table("fiber", "closed", m, m + 10)
         assert len(products) == 1
 
     def test_slice_at_nmax_zero(self):
         # one row, read at q^-1, the lowest exponent of -2 E10/Delta
-        assert invariants.f_multifiber_slice(1, 0) == [-2]
+        assert invariants.gv_table("fiber", "closed", 1, 0) == [-2]
 
 
 class TestSectionRoutes:
     def test_closed_known_values(self):
-        assert invariants.f_section_closed(4) == [1, 252, 5130, 54760]
+        assert invariants.gv_table("section", "closed", 4) == \
+            [1, 252, 5130, 54760]
 
     def test_closed_multiplies_on_the_integer_grid(self, monkeypatch):
         # every generator of either route of a pair shares the integer
@@ -201,36 +210,36 @@ class TestSectionRoutes:
         monkeypatch.setattr(series, "int_product", recording)
         monkeypatch.setattr(forms, "int_product", recording)
         for route, args, need in [
-                ("f_section_closed", (1,), 1),
-                ("f_section_closed", (4,), 4),
-                ("f_section_closed", (50,), 50),
+                (("section", "closed"), (1,), 1),
+                (("section", "closed"), (4,), 4),
+                (("section", "closed"), (50,), 50),
                 # the theta powers count norms up to 2(nterms - 1) in
                 # steps of one: 2 nterms - 1 terms of a series in q^(1/2)
-                ("f_section_convolution", (1,), 1),
-                ("f_section_convolution", (4,), 7),
-                ("f_section_convolution", (50,), 99),
+                (("section", "direct"), (1,), 1),
+                (("section", "direct"), (4,), 7),
+                (("section", "direct"), (50,), 99),
                 # rows up to k = fiber_row(m, nmax), read at q^-1 ..
                 # q^(k - 1)
-                ("f_multifiber_slice", (1, 0), 1),
-                ("f_multifiber_slice", (1, 49), 50),
-                ("f_multifiber_slice", (3, 20), 53),
-                ("f_multifiber_direct", (1, 0), 1),
-                ("f_multifiber_direct", (1, 49), 50),
-                ("f_multifiber_direct", (3, 20), 53)]:
+                (("fiber", "closed"), (1, 0), 1),
+                (("fiber", "closed"), (1, 49), 50),
+                (("fiber", "closed"), (3, 20), 53),
+                (("fiber", "direct"), (1, 0), 1),
+                (("fiber", "direct"), (1, 49), 50),
+                (("fiber", "direct"), (3, 20), 53)]:
             sizes.clear()
-            getattr(invariants, route)(*args)
+            invariants.gv_table(*route, *args)
             assert max(sizes) == need, (route, args)
-        assert invariants.f_section_closed(4) == [1, 252, 5130, 54760]
+        assert invariants.gv_table("section", "closed", 4) == \
+            [1, 252, 5130, 54760]
 
-    @pytest.mark.parametrize("route", ["f_section_closed",
-                                       "f_section_convolution",
-                                       "f_multifiber_slice",
-                                       "f_multifiber_direct"])
+    @pytest.mark.parametrize("route", list(ROUTE_IDS),
+                             ids=list(ROUTE_IDS.values()))
     def test_integer_grid_from_q0(self, route):
         # every route returns one plain list, entry n for the n-th class
         # from n = 0, and every entry an int for these m
-        fn = getattr(invariants, route)
-        if route.startswith("f_section"):
+        def fn(*size):
+            return invariants.gv_table(*route, *size)
+        if route[0] == "section":
             calls = [((nterms,), nterms) for nterms in (1, 2, 30)]
         else:
             calls = [((m, nmax), nmax + 1) for m in (1, 2, 3)
@@ -246,12 +255,12 @@ class TestSectionRoutes:
         # series q^(1/2)/sqrt(Delta), which counts C'' + jE'' at q^j
         bl = forms.inverse_sqrt_delta(6)
         assert (bl.offset, bl.prec) == (0, 6)
-        conv = invariants.f_section_convolution(6)
+        conv = invariants.gv_table("section", "direct", 6)
         # at n = 0 only lambda = 0 is effective
         assert conv[0] == bl.coeff_at(0) == 1
 
-    @pytest.mark.parametrize("route", ["f_section_closed",
-                                       "f_section_convolution"])
+    @pytest.mark.parametrize("route", list(ROUTE_IDS)[:2],
+                             ids=list(ROUTE_IDS.values())[:2])
     def test_routes_read_the_generator_as_it_is(self, route, monkeypatch):
         # each route reads its own Bryan-Leung series once, at the table's
         # size, with no regridding step of its own: the closed route the
@@ -268,26 +277,27 @@ class TestSectionRoutes:
 
         for name in ("inverse_sqrt_delta", "eta_power_jacobi"):
             monkeypatch.setattr(forms, name, recording(name))
-        assert getattr(invariants, route)(5) == [1, 252, 5130, 54760, 419895]
-        assert calls == {"f_section_closed": [("inverse_sqrt_delta", 5)],
-                         "f_section_convolution": [
+        assert invariants.gv_table(*route, 5) == \
+            [1, 252, 5130, 54760, 419895]
+        assert calls == {("section", "closed"): [("inverse_sqrt_delta", 5)],
+                         ("section", "direct"): [
                              ("eta_power_jacobi", -12, 5)]}[route]
         assert not hasattr(invariants, "_bryan_leung")
 
     def test_routes_agree_to_20(self):
-        closed = invariants.f_section_closed(20)
-        conv = invariants.f_section_convolution(20)
+        closed = invariants.gv_table("section", "closed", 20)
+        conv = invariants.gv_table("section", "direct", 20)
         assert closed == conv
 
     @pytest.mark.parametrize("nterms", [1, 2, 3, 17, 200])
     def test_convolution_matches_fraction_loop(self, nterms):
-        assert invariants.f_section_convolution(nterms) == \
+        assert invariants.gv_table("section", "direct", nterms) == \
             fraction_section_convolution(nterms)
 
     def test_ineffective_pairs_do_not_contribute(self):
         # every E8 vector of norm 2m contributes only from level n = m on;
         # truncating at n < m must reproduce the truncated convolution
-        conv = invariants.f_section_convolution(3)
+        conv = invariants.gv_table("section", "direct", 3)
         counts = forms.e8_norm_counts(2)
         bl = forms.inverse_sqrt_delta(3)
         n = 2
@@ -297,18 +307,18 @@ class TestSectionRoutes:
 
 class TestMultifiberRoutes:
     def test_below_threshold_vanishes(self):
-        assert invariants.f_multifiber_direct(2, 6)[:2] == [0, 0]
-        assert invariants.f_multifiber_direct(3, 6)[:3] == [0, 0, 0]
+        assert invariants.gv_table("fiber", "direct", 2, 6)[:2] == [0, 0]
+        assert invariants.gv_table("fiber", "direct", 3, 6)[:3] == [0, 0, 0]
 
     def test_routes_agree_m2(self):
         nmax = 16  # 15 q-terms from the first possibly-nonzero level
-        assert invariants.f_multifiber_slice(2, nmax) == \
-            invariants.f_multifiber_direct(2, nmax)
+        assert invariants.gv_table("fiber", "closed", 2, nmax) == \
+            invariants.gv_table("fiber", "direct", 2, nmax)
 
     def test_routes_agree_m3(self):
         nmax = 12  # 10 q-terms
-        assert invariants.f_multifiber_slice(3, nmax) == \
-            invariants.f_multifiber_direct(3, nmax)
+        assert invariants.gv_table("fiber", "closed", 3, nmax) == \
+            invariants.gv_table("fiber", "direct", 3, nmax)
 
     def test_slice_exponents_are_multiples_of_m(self, monkeypatch):
         # the route reads its rows off the product only at exponents in
@@ -323,20 +333,20 @@ class TestMultifiberRoutes:
         monkeypatch.setattr(QSeries, "coeff_at", recording)
         for m in (2, 3):
             read.clear()
-            invariants.f_multifiber_slice(m, m + 5)
+            invariants.gv_table("fiber", "closed", m, m + 5)
             assert read == [m * (n - m) for n in range(m + 6)]
             assert all(type(e) is int and e % m == 0 for e in read)
 
     def test_integrality(self):
         for m in (2, 3):
-            for v in invariants.f_multifiber_direct(m, 10):
+            for v in invariants.gv_table("fiber", "direct", m, 10):
                 assert v.denominator == 1
                 assert type(v) is int  # an exact halving stores an int
 
     def test_e10_built_once_per_table(self, monkeypatch):
         # the NL sum writes out E10 = E4 * E6 once per table, and never
         # reads the sieve E10 of the closed route
-        reference = invariants.f_multifiber_direct(2, 10)
+        reference = invariants.gv_table("fiber", "direct", 2, 10)
         real = forms.eisenstein
         weights = []
 
@@ -350,18 +360,18 @@ class TestMultifiberRoutes:
             return type(f)(cs, f.offset, f.prec)
 
         monkeypatch.setattr(forms, "eisenstein", corrupted)
-        assert invariants.f_multifiber_direct(2, 10) != reference
+        assert invariants.gv_table("fiber", "direct", 2, 10) != reference
         assert weights == [4, 6]
         monkeypatch.undo()
         # no hidden cache: with the patch gone the table is built afresh
-        assert invariants.f_multifiber_direct(2, 10) == reference
+        assert invariants.gv_table("fiber", "direct", 2, 10) == reference
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_nl_sum_matches_fraction_loop(self, m):
         # rows run from n = 0, so for m >= 2 the first classes have every
         # discriminant negative (half0 < 0) and must read 0, never the
         # end of the E10 list
-        direct = invariants.f_multifiber_direct(m, 40)
+        direct = invariants.gv_table("fiber", "direct", m, 40)
         assert direct == fraction_nl_sum(m, 40)
         assert any(1 + m * (n - m) < 0 for n in range(41)) == (m > 1)
 
@@ -380,49 +390,50 @@ class TestMultifiberRoutes:
             return real(h, d1, d2)
 
         monkeypatch.setattr(geometry, "nl_discriminant", counting)
-        values = invariants.f_multifiber_direct(50, 50)
+        values = invariants.gv_table("fiber", "direct", 50, 50)
         assert calls == []
         assert values == [0] * 50 + [fraction_nl_sum(50, 50)[50]]
 
-    @pytest.mark.parametrize("route", ["f_multifiber_slice",
-                                       "f_multifiber_direct"])
+    @pytest.mark.parametrize("route", FIBER_ROUTES,
+                             ids=[ROUTE_IDS[r] for r in FIBER_ROUTES])
     def test_every_row_is_a_fiber_row(self, route):
         # n_{mF+nE} = n_{F+kE} with k = fiber_row(m, n), read off the
         # same route's fibre table; a negative k reads 0
-        fn = getattr(invariants, route)
+        def fn(m, nmax):
+            return invariants.gv_table(*route, m, nmax)
         fiber = fn(1, 199)
         for m in (2, 3, 5, 7):
             rows = [invariants.fiber_row(m, n) for n in range(30)]
             assert fn(m, 29) == [fiber[k] if k >= 0 else 0 for k in rows], m
 
-    @pytest.mark.parametrize("route", ["f_multifiber_slice",
-                                       "f_multifiber_direct"])
+    @pytest.mark.parametrize("route", FIBER_ROUTES,
+                             ids=[ROUTE_IDS[r] for r in FIBER_ROUTES])
     def test_tables_before_first_row_are_empty(self, route):
         # every row below first_row has k < 0, so the whole table is 0;
         # the closed route reads it below the q^-1 its product starts at
-        fn = getattr(invariants, route)
+        def fn(m, nmax):
+            return invariants.gv_table(*route, m, nmax)
         for m in range(2, 7):
             for nmax in range(invariants.first_row(m)):
                 assert fn(m, nmax) == [0] * (nmax + 1), (m, nmax)
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
-            invariants.f_multifiber_direct(0, 5)
+            invariants.gv_table("fiber", "direct", 0, 5)
         with pytest.raises(ValueError):
-            invariants.f_multifiber_slice(0, 5)
+            invariants.gv_table("fiber", "closed", 0, 5)
 
     def test_routes_share_their_domain(self):
         # both routes are total on m >= 1, nmax >= 0, the slice route
         # too where m(nmax - m) lies below the q^-1 its product starts at
         for m in range(1, 7):
             for nmax in range(13):
-                assert invariants.f_multifiber_slice(m, nmax) == \
-                    invariants.f_multifiber_direct(m, nmax)
-        assert invariants.f_multifiber_slice(2, 0) == [0]
-        for route in (invariants.f_multifiber_slice,
-                      invariants.f_multifiber_direct):
+                assert invariants.gv_table("fiber", "closed", m, nmax) == \
+                    invariants.gv_table("fiber", "direct", m, nmax)
+        assert invariants.gv_table("fiber", "closed", 2, 0) == [0]
+        for route in FIBER_ROUTES:
             with pytest.raises(ValueError, match="nmax must be non-negative"):
-                route(1, -1)
+                invariants.gv_table(*route, 1, -1)
 
 
 class TestRouteGenerators:
@@ -431,15 +442,15 @@ class TestRouteGenerators:
     # behind both eta generators, is private and pinned by
     # eta-power-additivity
     CALLS = {
-        "f_multifiber_slice": {"inverse_delta", "eta_power",
-                               ("eisenstein", 10), ("divisor_sums", 9)},
-        "f_multifiber_direct": {"yau_zaslow", "eta_power_jacobi",
-                                ("eisenstein", 4), ("eisenstein", 6),
-                                ("divisor_sums", 3), ("divisor_sums", 5)},
-        "f_section_closed": {"inverse_sqrt_delta", "eta_power",
-                             ("eisenstein", 4), ("divisor_sums", 3)},
-        "f_section_convolution": {"theta_e8", "e8_norm_counts",
-                                  "eta_power_jacobi"},
+        ("fiber", "closed"): {"inverse_delta", "eta_power",
+                              ("eisenstein", 10), ("divisor_sums", 9)},
+        ("fiber", "direct"): {"yau_zaslow", "eta_power_jacobi",
+                              ("eisenstein", 4), ("eisenstein", 6),
+                              ("divisor_sums", 3), ("divisor_sums", 5)},
+        ("section", "closed"): {"inverse_sqrt_delta", "eta_power",
+                                ("eisenstein", 4), ("divisor_sums", 3)},
+        ("section", "direct"): {"theta_e8", "e8_norm_counts",
+                                "eta_power_jacobi"},
     }
 
     def test_routes_of_a_pair_share_no_generator(self, monkeypatch):
@@ -458,15 +469,16 @@ class TestRouteGenerators:
                     and not isinstance(fn, type)):
                 monkeypatch.setattr(forms, name, recording(name, fn))
         table = {}
-        for route in self.CALLS:
-            calls.clear()
-            args = (1, 30) if route.startswith("f_multifiber") else (30,)
-            getattr(invariants, route)(*args)
-            table[route] = set(calls)
+        for target, methods in invariants.ROUTES.items():
+            for method in methods:
+                calls.clear()
+                size = (1, 30) if target == "fiber" else (30,)
+                invariants.gv_table(target, method, *size)
+                table[target, method] = set(calls)
         assert table == self.CALLS
-        for closed, direct in (("f_multifiber_slice", "f_multifiber_direct"),
-                               ("f_section_closed", "f_section_convolution")):
-            assert not table[closed] & table[direct], (closed, direct)
+        for target, methods in invariants.ROUTES.items():
+            closed, direct = (table[target, method] for method in methods)
+            assert not closed & direct, target
 
 
 class TestRoutePrecision:
@@ -474,13 +486,13 @@ class TestRoutePrecision:
     # command that runs it at --prec 6
     SHORTENED = [
         ("fiber", "closed", "eisenstein",
-         lambda: invariants.f_multifiber_slice(1, 5)),
+         lambda: invariants.gv_table("fiber", "closed", 1, 5)),
         ("fiber", "direct", "eisenstein",
-         lambda: invariants.f_multifiber_direct(1, 5)),
+         lambda: invariants.gv_table("fiber", "direct", 1, 5)),
         ("section", "closed", "eisenstein",
-         lambda: invariants.f_section_closed(6)),
+         lambda: invariants.gv_table("section", "closed", 6)),
         ("section", "direct", "eta_power_jacobi",
-         lambda: invariants.f_section_convolution(6)),
+         lambda: invariants.gv_table("section", "direct", 6)),
     ]
 
     @pytest.mark.parametrize("target, method, generator, route", SHORTENED,
@@ -501,7 +513,7 @@ class TestRoutePrecision:
 
 class TestMultipleCover:
     def test_primitive_identity(self):
-        rows = invariants.f_multifiber_direct(1, 5)
+        rows = invariants.gv_table("fiber", "direct", 1, 5)
         table = {CurveClass(e=n, f=1): v for n, v in enumerate(rows)}
         for n in range(1, 6):
             beta = CurveClass(e=n, f=1)  # gcd 1: primitive
@@ -516,9 +528,9 @@ class TestMultipleCover:
 
     def test_double_fiber_from_both_tables(self):
         fiber = {CurveClass(e=n, f=1): v for n, v in
-                 enumerate(invariants.f_multifiber_direct(1, 0))}
+                 enumerate(invariants.gv_table("fiber", "direct", 1, 0))}
         double = {CurveClass(e=n, f=2): v for n, v in
-                  enumerate(invariants.f_multifiber_direct(2, 0))}
+                  enumerate(invariants.gv_table("fiber", "direct", 2, 0))}
         merged = {**fiber, **double}
         beta = CurveClass(f=2)
         expected = double[beta] + Fraction(fiber[CurveClass(f=1)], 8)
@@ -549,4 +561,4 @@ class TestResolutionFactor:
         for n in range(6):
             raw = sum(r[h] * invariants.nl_number(h, n - 2, 1)
                       for h in range(n + 1))
-            assert 2 * invariants.f_multifiber_direct(1, n)[n] == raw
+            assert 2 * invariants.gv_table("fiber", "direct", 1, n)[n] == raw

@@ -1,17 +1,19 @@
 """Every function in src/ellcy is reached by importing and running the CLI.
 
 The guard imports a fresh copy of the package and runs one fixed argv per
-subcommand, series name, gv target and method, one with an abbreviated
-option, plus one usage error and one domain error, all in process under
-``sys.setprofile``, and asserts that the code object of every function
-defined in ``src/ellcy/*.py`` was entered, at import or by a command.  A
-second pass runs every argv but ``check`` and asserts the same of every
-function in ``series.py``: the suite has its own oracles, so no series
-operation is there only for it.
+subcommand, series name, gv target and route of ``invariants.ROUTES``,
+one with an abbreviated option, plus one usage error and one domain
+error, all in process under ``sys.setprofile``, and asserts that the
+code object of every function defined in ``src/ellcy/*.py`` was
+entered, at import or by a command.  A second pass runs every argv but
+``check`` and asserts the same of every function in ``series.py``: the
+suite has its own oracles, so no series operation is there only for it.
 
 Code objects are compared, not lines, so functions behind ``lru_cache``
 or ``classmethod`` count through the code they wrap, and code nested in
-a function (lambdas, generator expressions) is checked too.
+a function (lambdas, generator expressions) is checked too, as are the
+functions held in module-level dicts and tuples, such as the generators
+of ``invariants.ROUTES``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import sys
 import types
 
 import ellcy
+from ellcy import invariants
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(ellcy.__file__))
 
@@ -39,6 +42,9 @@ ALLOWED_UNREACHED = {
     "cli.entry_point": "the console script; main is run directly here",
 }
 
+# the gv targets that print the rows of each target of invariants.ROUTES
+GV_TARGETS = {"section": [["section"]],
+              "fiber": [["fiber"], ["multifiber", "--m", "2"]]}
 ARGVS = (
     [["series", name, "--prec", "3"]
      for name in ("delta", "inv-delta", "inv-sqrt-delta", "e4", "e6",
@@ -48,10 +54,11 @@ ARGVS = (
     # E4 times eta^-12 at 17 terms, one past the row loop, through the
     # packed kernel
     + [["gv", "section", "--prec", "17"]]
-    + [["gv", target, "--method", method, "--prec", "3"] + extra
-       for target, extra in (("fiber", []), ("section", []),
-                             ("multifiber", ["--m", "2"]))
-       for method in ("closed", "direct")]
+    # every route of the table, through each gv target that prints it
+    + [["gv", *target, "--method", method, "--prec", "3"]
+       for table_target, methods in invariants.ROUTES.items()
+       for target in GV_TARGETS[table_target]
+       for method in methods]
     + [["gv", "multifiber", "--m", "3", "--prec", "1"]]
     + [["nl", "--h", "0", "--d1", "0", "--d2", "0"],
        ["euler"],
@@ -97,8 +104,8 @@ def _functions(value):
     value = getattr(value, "__wrapped__", value)  # lru_cache
     if isinstance(value, types.FunctionType):
         yield value
-    elif isinstance(value, dict):
-        for v in value.values():
+    elif isinstance(value, (dict, tuple)):  # tables such as ROUTES
+        for v in value.values() if isinstance(value, dict) else value:
             yield from _functions(v)
     elif isinstance(value, type):
         for v in vars(value).values():

@@ -103,6 +103,9 @@ def test_non_integer_coefficient_is_a_type_error():
         QSeries([Fraction(1, 2)], 0, 1)
     with pytest.raises(TypeError):
         QSeries([1, 2.0], 0, 2)
+    # exact types: a bool is an int subclass, and is refused too
+    with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
+        QSeries([True], 0, 1)
 
 
 def test_kernel_that_leaves_the_integers_is_refused(monkeypatch):
@@ -122,7 +125,7 @@ def test_kernel_that_leaves_the_integers_is_refused(monkeypatch):
     with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
         f * g
     with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
-        invariants.f_multifiber_slice(1, 19)
+        invariants.gv_table("fiber", "closed", 1, 19)
 
 
 def test_non_integer_scalar_is_a_type_error():
