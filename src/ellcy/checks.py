@@ -104,10 +104,10 @@ def check_ring_laws(nterms: int) -> CheckResult:
     their sums term by term.  Nor sliced: slice-partition pins the
     fibre-row index that the slice route reads.  Each pair sum and pair
     product is made once and reused by the laws.  Then the kernel
-    multiplies the closed fibre route's operands, eta^-24 and E10 at
-    nterms terms each, untruncated, and the product is evaluated at a
-    point against the product of the operands' values, in O(n) steps
-    at the size of the run's fibre products.
+    multiplies the closed fibre generators of invariants.ROUTES, eta^-24
+    and E10 at nterms terms each, untruncated, and the product is
+    evaluated at a point against the product of the operands' values,
+    in O(n) steps at the size of the run's fibre products.
     """
     fs = _sample_series()
     sums = [[_term_sum(f, g) for g in fs] for f in fs]
@@ -133,8 +133,7 @@ def check_ring_laws(nterms: int) -> CheckResult:
                 if not _agree(f * sums[j][k], _term_sum(fg, prods[i][k])):
                     return CheckResult("ring-laws", False,
                                        "distributivity fails")
-    f = forms.inverse_delta(nterms).coeffs
-    g = forms.eisenstein(10, nterms).coeffs
+    f, g = (gen(nterms).coeffs for gen in invariants.ROUTES["fiber"]["closed"])
     h = series.int_product(f, g, len(f) + len(g) - 1)
     if _at_point(h) != _at_point(f) * _at_point(g) % _P:
         return CheckResult("ring-laws", False,
@@ -150,7 +149,7 @@ def check_slice_partition(nmax: int) -> CheckResult:
     route at q^(k-1), must be 1 mod m and half the class's h = 0 NL
     discriminant, and first_row(m) must be the least n with k >= 0.
     """
-    (_, l1f, l1e), (_, l2f, l2e), _ = geometry.pairing_matrix()
+    (_, l1f, l1e), (_, l2f, l2e), _ = geometry.PAIRING
     for m in (1, 2, 3, 5):
         for n in range(nmax + 1):
             k = invariants.fiber_row(m, n)
@@ -183,7 +182,7 @@ def check_precision_honesty() -> CheckResult:
 
 
 def check_pairing_determinant() -> CheckResult:
-    det = geometry._det(geometry.pairing_matrix())
+    det = geometry._det(geometry.PAIRING)
     if det != -1:
         return CheckResult("pairing-determinant", False, f"determinant {det}")
     return CheckResult("pairing-determinant", True)
@@ -227,7 +226,9 @@ def check_nl_vanishing() -> CheckResult:
 
 
 def check_theta_is_e4(prec: int) -> CheckResult:
-    if forms.theta_e8(prec) != forms.eisenstein(4, prec):
+    """Theta_E8 = E4, the section routes' first generators in ROUTES."""
+    routes = invariants.ROUTES["section"]
+    if routes["direct"][0](prec) != routes["closed"][0](prec):
         return CheckResult("theta-e8-equals-e4", False,
                            f"mismatch within {prec} terms")
     return CheckResult("theta-e8-equals-e4", True)
@@ -236,14 +237,15 @@ def check_theta_is_e4(prec: int) -> CheckResult:
 def check_e10_sigma9(nterms: int) -> CheckResult:
     """Both E10 streams against the weight-10 divisor-sum expansion.
 
-    The sieve E10 of the closed fibre route and E4 * E6 of the direct
-    route must have forms.e10_coefficient(n) at q^n, 1 at n = 0 and
-    -264*sigma_9(n) after: an oracle that touches neither the series
-    product nor the divisor-sum sieve, sigma_9 by trial division.  The
-    NL numbers of `nl` come from it, so a fault on either side shows here.
+    The second generator of each fibre route in invariants.ROUTES, the
+    sieve E10 (closed) and E4 * E6 (direct), must have
+    forms.e10_coefficient(n) at q^n, 1 at n = 0 and -264*sigma_9(n)
+    after: an oracle that touches neither the series product nor the
+    divisor-sum sieve, sigma_9 by trial division.  The NL numbers of `nl`
+    come from it, so a fault on either side shows here.
     """
-    for e10 in (forms.eisenstein(10, nterms),
-                forms.eisenstein(4, nterms) * forms.eisenstein(6, nterms)):
+    for _, generator in invariants.ROUTES["fiber"].values():
+        e10 = generator(nterms)
         for n in range(nterms):
             expected = forms.e10_coefficient(n)
             if e10.coeff_at(n) != expected:

@@ -65,14 +65,6 @@ def series_to_doc(f: QSeries, half: bool = False) -> str:
             f'"prec": {den * f.prec - half}, "coeffs": [{slots}]}}')
 
 
-def _print_series(f: QSeries, half: bool, as_json: bool, out) -> None:
-    if as_json:
-        out.write(series_to_doc(f, half) + "\n")
-        return
-    for i, c in enumerate(f.coeffs, f.offset):
-        out.write(f"{2 * i - 1}/2\t{c}\n" if half else f"{i}\t{c}\n")
-
-
 def _check_prec(prec: int, least: int, most: int) -> None:
     if prec < least:
         raise _UsageError(f"--prec must be at least {least}")
@@ -83,7 +75,12 @@ def _check_prec(prec: int, least: int, most: int) -> None:
 def cmd_series(args, out) -> int:
     _check_prec(args.prec, 1, TERMS_BOUND)
     generator, half = _SERIES[args.name]
-    _print_series(generator(args.prec), half, args.json, out)
+    f = generator(args.prec)
+    if args.json:
+        out.write(series_to_doc(f, half) + "\n")
+        return 0
+    for i, c in enumerate(f.coeffs, f.offset):
+        out.write(f"{2 * i - 1}/2\t{c}\n" if half else f"{i}\t{c}\n")
     return 0
 
 
@@ -287,7 +284,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except _UsageError as exc:
         print(f"ellcy: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"ellcy: error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
 

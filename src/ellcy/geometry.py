@@ -1,10 +1,11 @@
 """Intersection-theoretic skeleton of the threefold.
 
-Houses the constant pairing table for the basis line bundles L1, L2, L3
-against the curve classes C, F, E, the splitting of the rational
-elliptic surface lattice with its pushforward to the threefold,
-bordered-Gram discriminants of Noether-Lefschetz indices, and the
-Euler-characteristic and Hodge bookkeeping of the Weierstrass model.
+Houses the constant pairing table :data:`PAIRING` of the basis line
+bundles L1, L2, L3 against the curve classes C, F, E, the splitting of
+the rational elliptic surface lattice with its pushforward to the
+threefold, bordered-Gram discriminants of Noether-Lefschetz indices,
+and the Euler-characteristic and Hodge bookkeeping of the Weierstrass
+model.
 
 Everything here is exact integer arithmetic on small constant tables.
 The value classes are tuples with named fields, equal and hashed as
@@ -81,19 +82,14 @@ class Gamma19Class(tuple):
 
 
 # Pairing <L_i, beta> of the basis line bundles with the curve classes,
-# columns ordered (C, F, E).
-_PAIRING = ((-1, -2, 1),
-            (-1, 1, 0),
-            (1, 0, 0))
+# columns ordered (C, F, E); determinant -1.
+PAIRING = ((-1, -2, 1),
+           (-1, 1, 0),
+           (1, 0, 0))
 
 # Stored constants (computed via Mordell-Weil rank in the literature).
 H11 = 3
 H21 = 243
-
-
-def pairing_matrix() -> tuple[tuple[int, ...], ...]:
-    """The 3x3 table <L_i, beta> for beta in (C, F, E); determinant -1."""
-    return _PAIRING
 
 
 def pushforward(gamma: Gamma19Class) -> CurveClass:
@@ -157,17 +153,8 @@ def euler_characteristic(l_squared: int) -> EulerData:
 def hodge_consistency() -> bool:
     """Euler characteristic vs Hodge numbers of the threefold.
 
-    Checks e(X) = 2(h11 - h21) at L.L = 8 and that the Betti numbers of
-    the Hodge diamond are B2 = h11 and B3 = 2 + 2*h21.
+    Checks e(X) = 2(h11 - h21) at L.L = 8 and that the Betti numbers
+    B2 = h11 and B3 = 2 + 2*h21 of the Hodge diamond are 3 and 488.
     """
     e_x = euler_characteristic(8).e_X
-    return (e_x == 2 * (H11 - H21)
-            and betti(2) == 3 and betti(3) == 488)
-
-
-def betti(k: int) -> int:
-    """Betti numbers of the threefold from its Hodge diamond."""
-    table = {0: 1, 1: 0, 2: H11, 3: 2 + 2 * H21, 4: H11, 5: 0, 6: 1}
-    if k not in table:
-        raise ValueError("Betti index must be 0..6")
-    return table[k]
+    return e_x == 2 * (H11 - H21) and H11 == 3 and 2 + 2 * H21 == 488

@@ -105,7 +105,7 @@ def fiber_row(m: int, n: int) -> int:
     """Fibre row k of the class mF + nE, so that n_{mF+nE} = n_{F+kE}.
 
     The class has degrees (d1, d2) = (n - 2m, m) against L1, L2
-    (:func:`geometry.pairing_matrix`), so :func:`geometry.nl_discriminant`
+    (:data:`geometry.PAIRING`), so :func:`geometry.nl_discriminant`
     is 2(m^2 + (n - 2m)m - h + 1) = 2(k - h): the NL sum sees (m, n) only
     through k.  A row with k < 0 has no h >= 0 and reads 0.
     """

@@ -147,9 +147,6 @@ class QSeries:
         return (self.offset == other.offset and self.prec == other.prec
                 and self.coeffs == other.coeffs)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)  # canonical: a stored term is nonzero
-
     def __repr__(self) -> str:
         return f"QSeries({list(self.coeffs)}, {self.offset}, {self.prec})"
 
@@ -171,7 +168,7 @@ class QSeries:
         Any other leading coefficient would leave the integers, so it
         raises ArithmeticError.
         """
-        if not self:
+        if not self.coeffs:
             raise ValueError("non-invertible series: zero leading coefficient")
         a = self.coeffs
         if a[0] not in (1, -1):
@@ -192,7 +189,7 @@ class QSeries:
         perfect square, or ValueError is raised, and every later step
         must divide exactly, or ArithmeticError is raised.
         """
-        if not self:
+        if not self.coeffs:
             raise ValueError("square root of the zero series is ambiguous")
         if self.offset % 2:
             raise ValueError(f"odd leading exponent {self.offset}: the "

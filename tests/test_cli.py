@@ -677,9 +677,58 @@ class TestCheckCommand:
         results = checks.run_checks(6)
         assert len(results) == 15
         failed = {r.name: r.detail for r in results if not r.passed}
-        assert set(failed) == {"fiber-dual-route", "multifiber-dual-route-m2",
+        # e10-sigma9 reads the second generator of every fibre route
+        assert set(failed) == {"e10-sigma9", "fiber-dual-route",
+                               "multifiber-dual-route-m2",
                                "multifiber-dual-route-m3", "gv-integrality"}
         assert set(failed.values()) == {"ArithmeticError: route refused"}
+
+    @pytest.mark.parametrize("target, method, index, failed", [
+        ("fiber", "closed", 1, {"e10-sigma9", "fiber-dual-route",
+                                "multifiber-dual-route-m2",
+                                "multifiber-dual-route-m3"}),
+        ("section", "direct", 0, {"theta-e8-equals-e4",
+                                  "section-dual-route"})],
+        ids=["closed-fibre-e10", "direct-section-theta"])
+    def test_oracles_follow_the_route_table(self, target, method, index,
+                                            failed, monkeypatch):
+        # a generator bumped in the table only, with forms untouched,
+        # moves its route and the oracle that pins it: both read the table
+        generators = list(invariants.ROUTES[target][method])
+        real = generators[index]
+
+        def bumped(u):
+            f = real(u)
+            cs = list(f.coeffs)
+            cs[2] += 1
+            return QSeries(cs, f.offset, f.prec)
+
+        generators[index] = bumped
+        monkeypatch.setitem(invariants.ROUTES[target], method,
+                            tuple(generators))
+        code, text = run(["check", "--prec", "6"])
+        assert code == 2
+        assert set(failed_checks(text)) == failed
+
+    def test_ring_laws_multiplies_the_closed_fibre_generators(self,
+                                                              monkeypatch):
+        # the full-size product is the table's closed fibre product, both
+        # generators built at the top row count they are given
+        calls = []
+
+        def recorder(name, generator):
+            def recorded(u):
+                calls.append((name, u))
+                return generator(u)
+            return recorded
+
+        first, second = invariants.ROUTES["fiber"]["closed"]
+        monkeypatch.setitem(invariants.ROUTES["fiber"], "closed",
+                            (recorder("first", first),
+                             recorder("second", second)))
+        top = 41  # the top row of check --prec 22
+        assert checks.check_ring_laws(top).passed
+        assert calls == [("first", top), ("second", top)]
 
     def test_fraction_yau_zaslow_fails_integrality(self, monkeypatch):
         # gv-integrality builds no Yau-Zaslow table of its own: r_h of the
@@ -1156,6 +1205,19 @@ class TestExitContract:
                         str(prec), "--method", method]) == (2, "")
         assert seen == [(1499, TERMS_BOUND), (TERMS_BOUND, 2)]
         assert routes == [("fiber", method)] * 2
+
+    def test_arithmetic_error_is_domain_error(self, monkeypatch, capsys):
+        # the power recurrence raises ArithmeticError on an inexact step;
+        # a route that raises it ends in exit 2 and one error line
+        def raising(e, nterms):
+            raise ArithmeticError(f"power {e}: coefficient 3 is not an "
+                                  "integer")
+
+        monkeypatch.setattr(forms, "eta_power_jacobi", raising)
+        assert run(["gv", "section", "--method", "direct", "--prec", "6"]) \
+            == (2, "")
+        assert capsys.readouterr().err == \
+            "ellcy: error: power -12: coefficient 3 is not an integer\n"
 
     def test_check_at_bound_passes(self):
         code, text = run(["check", "--prec", str(CHECK_BOUND)])

@@ -12,16 +12,16 @@ K3_GRAM = ((-2, 1), (1, 0))
 def degrees(beta: CurveClass) -> tuple[int, int]:
     """(d1, d2) of a curve class: rows L1, L2 of the pairing table."""
     return tuple(row[0] * beta.c + row[1] * beta.f + row[2] * beta.e
-                 for row in geometry.pairing_matrix()[:2])
+                 for row in geometry.PAIRING[:2])
 
 
 class TestPairing:
     def test_determinant(self):
-        assert geometry._det(geometry.pairing_matrix()) == -1
+        assert geometry._det(geometry.PAIRING) == -1
 
     def test_table_entries(self):
         # rows L1, L2, L3; columns C, F, E
-        table = geometry.pairing_matrix()
+        table = geometry.PAIRING
         assert table[0][0] == -1  # <L1, C>
         assert table[2][2] == 0  # <L3, E>
         assert table[0][1] == -2  # <L1, F>
@@ -154,12 +154,6 @@ class TestEulerCharacteristic:
 class TestHodge:
     def test_consistency(self):
         assert geometry.hodge_consistency()
-
-    def test_betti_numbers(self):
-        assert geometry.betti(2) == 3
-        assert geometry.betti(3) == 488
-        assert [geometry.betti(k) for k in range(7)] == \
-            [1, 0, 3, 488, 3, 0, 1]
 
 
 class TestLatticeGram:

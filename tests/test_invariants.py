@@ -29,7 +29,7 @@ def fraction_nl_sum(m: int, nmax: int) -> list[Fraction]:
     r = forms.yau_zaslow(hcap)
     e10 = forms.eisenstein(10, hcap + 1)
     out = []
-    (_, l1f, l1e), (_, l2f, l2e), _ = geometry.pairing_matrix()
+    (_, l1f, l1e), (_, l2f, l2e), _ = geometry.PAIRING
     for n in range(nmax + 1):
         d1, d2 = l1f * m + l1e * n, l2f * m + l2e * n  # degrees of mF + nE
         total = Fraction(0)

@@ -35,7 +35,6 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(ellcy.__file__))
 ALLOWED_UNREACHED = {
     "series.QSeries.invert": "perfbench/trace_child.py wraps it by name",
     "series.QSeries.sqrt": "perfbench/trace_child.py wraps it by name",
-    "series.QSeries.__bool__": "protocol: the zero series is false",
     "series.QSeries.__repr__": "protocol: readable series in a debugger",
     "invariants.gv_to_gw_genus0": "the paper's GV to GW multiple-cover "
                                   "formula, documented in the README",
@@ -192,7 +191,6 @@ SERIES_ALLOWED_UNREACHED = {
     "series.QSeries.invert": ALLOWED_UNREACHED["series.QSeries.invert"],
     "series.QSeries.sqrt": ALLOWED_UNREACHED["series.QSeries.sqrt"],
     "series.QSeries.__eq__": "protocol: series compare by value",
-    "series.QSeries.__bool__": ALLOWED_UNREACHED["series.QSeries.__bool__"],
     "series.QSeries.__repr__": ALLOWED_UNREACHED["series.QSeries.__repr__"],
 }
 
