@@ -6,17 +6,17 @@ route once, and the checks that compare routes read its rows.  The suite
 is a list of named callables so tests can fault-inject a generator and
 assert that at least one dual-route comparison catches the corruption.
 The oracles of the series product and the suite's sums accumulate in ints
-term by term and never call the series kernel, but for one: the kernel's
-full-size product of the closed fibre operands, checked at a point modulo
-a prime, O(n) where the kernel's own product is not.  Every sample and
-oracle is an integer, so the suite never imports `fractions`.
+term by term and never call the series kernel, but for one: the series
+product of the closed fibre operands, zero-padded to keep every term,
+checked at a point modulo a prime, O(n) where the product is not.  Every
+sample and oracle is an integer, so the suite never imports `fractions`.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from . import forms, geometry, invariants, series
+from . import forms, geometry, invariants
 from .geometry import CurveClass, Gamma19Class
 from .series import _SCHOOLBOOK_TERMS, PrecisionError, QSeries
 
@@ -97,17 +97,13 @@ def _at_point(cs) -> int:
 def check_ring_laws(nterms: int) -> CheckResult:
     """Products against a double loop, the ring laws, and one at a point.
 
-    Every route and the E8 theta powers multiply through one integer
-    kernel, so each sample product is compared with a double loop that
-    never calls it, and one product above the kernel's row-loop cutover,
-    Jacobi's series squared, too.  Series are never added: the laws take
-    their sums term by term.  Nor sliced: slice-partition pins the
-    fibre-row index that the slice route reads.  Each pair sum and pair
-    product is made once and reused by the laws.  Then the kernel
-    multiplies the closed fibre generators of invariants.ROUTES, eta^-24
-    and E10 at nterms terms each, untruncated, and the product is
-    evaluated at a point against the product of the operands' values,
-    in O(n) steps at the size of the run's fibre products.
+    Each sample product, and Jacobi's series squared past the kernel's
+    row-loop cutover, is compared with a double loop that never calls
+    the kernel; the laws take their sums term by term.  Then the closed
+    fibre generators of invariants.ROUTES, eta^-24 and E10 at nterms
+    terms, are padded with zeros to the length of their product and
+    multiplied as series, and the untruncated product is checked at a
+    point against the operands' values, in O(n) steps.
     """
     fs = _sample_series()
     sums = [[_term_sum(f, g) for g in fs] for f in fs]
@@ -134,8 +130,9 @@ def check_ring_laws(nterms: int) -> CheckResult:
                     return CheckResult("ring-laws", False,
                                        "distributivity fails")
     f, g = (gen(nterms).coeffs for gen in invariants.ROUTES["fiber"]["closed"])
-    h = series.int_product(f, g, len(f) + len(g) - 1)
-    if _at_point(h) != _at_point(f) * _at_point(g) % _P:
+    size = len(f) + len(g) - 1
+    h = QSeries(f, 0, size) * QSeries(g, 0, size)
+    if _at_point(h.coeffs) != _at_point(f) * _at_point(g) % _P:
         return CheckResult("ring-laws", False,
                            f"the {len(f)} x {len(g)}-term product differs "
                            "from the product of values mod 2^127 - 1")

@@ -28,7 +28,7 @@ import math
 import operator
 from itertools import repeat
 
-from .series import QSeries, int_product
+from .series import QSeries
 
 
 def sigma(k: int, n: int) -> int:
@@ -199,11 +199,15 @@ def eisenstein(k: int, nterms: int) -> QSeries:
 
 
 def _eighth_power(cs: list[int]) -> list[int]:
-    """cs^8 by three squarings, truncated to len(cs) terms."""
-    n = len(cs)
+    """cs^8 by three series squarings, truncated to len(cs) terms.
+
+    Needs cs[0] != 0, as theta_3 and psi have: the series constructor
+    moves leading zeros into the offset, which the list drops.
+    """
+    f = QSeries(cs, 0, len(cs))
     for _ in range(3):
-        cs = int_product(cs, cs, n)
-    return cs
+        f = f * f
+    return list(f.coeffs)
 
 
 def e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:

@@ -24,9 +24,7 @@ picks its algorithm by the number n of product terms: up to
 each nonzero term a of f, so the zeros of a sparse factor cost nothing,
 and above that both factors are packed into single Python ints by
 Kronecker substitution, multiplied once and the product's slots read
-back, each step a C-level ``map`` over the terms.  The generators that
-work on plain integer coefficient lists (the E8 theta powers) and
-ring-laws' untruncated product call :func:`int_product` directly.
+back, each step a C-level ``map`` over the terms.
 """
 
 from __future__ import annotations
@@ -73,8 +71,9 @@ def _pack(cs: list[int], width: int) -> int:
 def int_product(f: list[int], g: list[int], n: int) -> list[int]:
     """First n coefficients of the product of two integer polynomials.
 
-    Up to ``_SCHOOLBOOK_TERMS`` terms, each nonzero term a = f[i] adds the
-    row a * g into the coefficients from i on.  Above it, signed Kronecker
+    Its one caller is :meth:`QSeries.__mul__`.  Up to ``_SCHOOLBOOK_TERMS``
+    terms, each nonzero term a = f[i] adds the row a * g into the
+    coefficients from i on.  Above it, signed Kronecker
     substitution (Harvey, J. Symb. Comp. 2009): f and g are packed into
     one Python int each, with slots wide enough that no product
     coefficient overflows its slot, multiplied once, and the first n

@@ -565,6 +565,23 @@ class TestCheckCommand:
         assert failed_checks(text) == ["theta-e8-equals-e4",
                                        "section-dual-route"]
 
+    def test_series_kernel_fault_reaches_the_theta_powers(self, monkeypatch):
+        # the theta powers square series, so a kernel fault in products of
+        # more than 20 terms moves Theta_E8 and not E4; the two section
+        # routes' final products would move alike, but Theta_E8 moves the
+        # convolution alone
+        real = series.int_product
+
+        def bumped(f, g, n):
+            out = real(f, g, n)
+            if n > 20:
+                out[20] += 1
+            return out
+
+        monkeypatch.setattr(series, "int_product", bumped)
+        failed = {r.name for r in checks.run_checks(22) if not r.passed}
+        assert {"theta-e8-equals-e4", "section-dual-route"} <= failed
+
     @pytest.mark.parametrize("e", [24, 12, -24, -12])
     def test_jacobi_fault_fails_additivity(self, e, monkeypatch):
         # eta-power-additivity pins the Jacobi generator as well as the
@@ -809,14 +826,15 @@ class TestCheckCommand:
         assert (res.passed, res.detail) == (False, "distributivity fails")
 
     def test_full_size_kernel_fault_fails_ring_laws(self, monkeypatch):
-        # a wrong top slot in packs of more than 40 terms: the 17-term
+        # a wrong top slot in packs of more than 80 terms: the 17-term
         # samples never see it, and the product of the closed fibre
         # operands at the run's largest row count does, by its value at a
-        # point; --prec 22 builds rows up to 41
+        # point; each operand is padded to the 2 rows - 1 terms of the
+        # product, 79 at 40 rows, and --prec 22 builds rows up to 41
         real = series._pack
 
         def top_slot(cs, width):
-            if len(cs) > 40:
+            if len(cs) > 80:
                 cs = [*cs[:-1], cs[-1] + 1]
             return real(cs, width)
 

@@ -198,8 +198,8 @@ class TestSectionRoutes:
         # every generator of either route of a pair shares the integer
         # grid with its partner, so no product packs a slot beyond the
         # terms that the returned rows need, and the largest packs exactly
-        # those; the kernel is recorded where the series product and the
-        # E8 theta powers call it
+        # those; the series product is the kernel's one caller, the E8
+        # theta powers' squarings included, so it is recorded there
         sizes = []
         real = series.int_product
 
@@ -208,7 +208,6 @@ class TestSectionRoutes:
             return real(f, g, n)
 
         monkeypatch.setattr(series, "int_product", recording)
-        monkeypatch.setattr(forms, "int_product", recording)
         for route, args, need in [
                 (("section", "closed"), (1,), 1),
                 (("section", "closed"), (4,), 4),

@@ -8,6 +8,8 @@ code object of every function defined in ``src/ellcy/*.py`` was
 entered, at import or by a command.  A second pass runs every argv but
 ``check`` and asserts the same of every function in ``series.py``: the
 suite has its own oracles, so no series operation is there only for it.
+A third test reads the sources and asserts that the product kernel
+``int_product`` has one caller, ``QSeries.__mul__``, and no importer.
 
 Code objects are compared, not lines, so functions behind ``lru_cache``
 or ``classmethod`` count through the code they wrap, and code nested in
@@ -18,6 +20,7 @@ of ``invariants.ROUTES``.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import io
@@ -208,3 +211,32 @@ def test_series_code_serves_the_commands():
                        and not _allowed(name, SERIES_ALLOWED_UNREACHED))
     assert unreached == []
     assert set(SERIES_ALLOWED_UNREACHED) <= set(names.values())
+
+
+def _kernel_uses(tree: ast.AST, scope: str = ""):
+    """(scope, kind) of each call and import of int_product in a tree."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            fn = node.func
+            if getattr(fn, "id", getattr(fn, "attr", None)) == "int_product":
+                yield scope, "call"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.rsplit(".", 1)[-1] == "int_product"
+                   for alias in node.names):
+                yield scope, "import"
+        yield from _kernel_uses(node, inner)
+
+
+def test_series_product_is_the_one_kernel_caller():
+    # a check or a fault placed in QSeries.__mul__ then sees every
+    # product, the E8 theta powers and ring-laws' full-size one included
+    uses = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            uses += [(name, *use) for use in _kernel_uses(tree)]
+    assert uses == [("series.py", "QSeries.__mul__", "call")]
