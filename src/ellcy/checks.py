@@ -142,8 +142,8 @@ def check_ring_laws(nterms: int) -> CheckResult:
 def check_slice_partition(nmax: int) -> CheckResult:
     """The fibre-row index, which both fibre routes read and so agree on.
 
-    Row k = fiber_row(m, n) of mF + nE, 0 <= n <= nmax, read by the slice
-    route at q^(k-1), must be 1 mod m and half the class's h = 0 NL
+    Row k = fiber_row(m, n) of mF + nE, 0 <= n <= nmax, read by both
+    routes at q^k, must be 1 mod m and half the class's h = 0 NL
     discriminant, and first_row(m) must be the least n with k >= 0.
     """
     (_, l1f, l1e), (_, l2f, l2e), _ = geometry.PAIRING
@@ -327,13 +327,12 @@ def _multifiber_name(m: int) -> str:
 
 def check_multifiber_routes(m: int, nmax: int, slice_rows: list,
                             nl_rows: list) -> CheckResult:
-    """The fibre pair at the rows of the classes mF + nE, 0 <= n <= nmax.
+    """The fibre pair at the classes mF + nE, 0 <= n <= nmax.
 
-    Class n reads row fiber_row(m, n), and a row below 0 reads 0.  A class
-    past a route's last row raises IndexError, so a short route fails.
+    Each route's rows are read by invariants.fiber_classes, so a class
+    past a route's last row raises IndexError and a short route fails.
     """
-    ks = [invariants.fiber_row(m, n) for n in range(nmax + 1)]
-    a, b = ([rows[k] if k >= 0 else 0 for k in ks]
+    a, b = (invariants.fiber_classes(rows, m, range(nmax + 1))
             for rows in (slice_rows, nl_rows))
     return _first_mismatch(_multifiber_name(m), "slice", a, "NL sum", b)
 
@@ -398,9 +397,9 @@ def run_checks(prec: int) -> list[CheckResult]:
     """
     m3_nmax = max(5, (2 * prec) // 3)
     top = max(invariants.fiber_row(2, prec), invariants.fiber_row(3, m3_nmax))
-    size = {"section": (prec,), "fiber": (1, top)}
+    nrows = {"section": prec, "fiber": top + 1}
     built = {target: [_built(invariants.gv_table, target, method,
-                             *size[target]) for method in methods]
+                             nrows[target]) for method in methods]
              for target, methods in invariants.ROUTES.items()}
     section, fibre = built["section"], built["fiber"]
     return [_guarded(*entry) for entry in (

@@ -90,24 +90,24 @@ def cmd_gv(args, out) -> int:
     _check_prec(args.prec, 1, TERMS_BOUND)
     prec = args.prec
     if args.target == "section":
-        target, size = "section", (prec,)
-        rows = [(n, geometry.CurveClass(c=1, e=n)) for n in range(prec)]
+        ns = range(prec)
+        values = invariants.gv_table("section", args.method, prec)
+        classes = [geometry.CurveClass(c=1, e=n) for n in ns]
     else:  # multifiber; fiber is its m = 1 case
         m = 1 if args.target == "fiber" else args.m
         if args.target == "multifiber" and (m is None or m < 2):
             raise _UsageError("multifiber requires --m with m >= 2")
-        first = invariants.first_row(m)
-        nmax = first + prec - 1
-        # n_max + 1 > m rows, and the closed route builds fiber_row + 1 terms
-        if max(m, invariants.fiber_row(m, nmax) + 1) > TERMS_BOUND:
+        ns = range(invariants.first_row(m), invariants.first_row(m) + prec)
+        # n_max + 1 > m classes, read off fiber_row(m, n_max) + 1 rows
+        nrows = invariants.fiber_row(m, ns[-1]) + 1
+        if max(m, nrows) > TERMS_BOUND:
             raise _UsageError(f"--m and m * (n_max - m) + 2 must be at most "
                               f"{TERMS_BOUND}")
-        target, size = "fiber", (m, nmax)
-        rows = [(n, geometry.CurveClass(e=n, f=m))
-                for n in range(first, nmax + 1)]
-    values = invariants.gv_table(target, args.method, *size)
-    for n, beta in rows:
-        out.write(f"{n}\t{beta.label()}\t{values[n]}\n")
+        rows = invariants.gv_table("fiber", args.method, nrows)
+        values = invariants.fiber_classes(rows, m, ns)
+        classes = [geometry.CurveClass(e=n, f=m) for n in ns]
+    for n, beta, value in zip(ns, classes, values):
+        out.write(f"{n}\t{beta.label()}\t{value}\n")
     return 0
 
 

@@ -1,17 +1,17 @@
 """Genus-0 Gopakumar-Vafa invariants of the threefold, by two routes each.
 
 :data:`ROUTES` holds two routes, closed and direct, for each family of
-classes: C + nE (target "section") and mF + nE (target "fiber"; F + nE
-is m = 1).  Each route is one series product of two generators, and the
-two routes of a family share no generator.  :func:`gv_table` builds a
-route's product and reads its rows, one coefficient at a time with
-:meth:`QSeries.coeff_at`, into a plain list whose entry n is the
-invariant of the n-th class from n = 0, every entry an int.  Tests
-compare the routes entry by entry.  What the routes share is pinned by
-its own oracles: the eta power recurrence by eta-power-additivity, the
-product kernel by ring-laws, both E10 streams by e10-sigma9, and the
-fibre-row index (:func:`fiber_row`, :func:`first_row`) by
-slice-partition, since a wrong index moves both routes alike.
+classes: C + nE (target "section") and mF + nE (target "fiber").  Each
+route is one series product of two generators from q^0, and the two
+routes of a family share no generator.  :func:`gv_table` reads a route's
+rows off its product, row i :data:`SCALE` times the coefficient of q^i:
+n_{C+iE} or n_{F+iE}.  :func:`fiber_classes` reads each n_{mF+nE} off
+fibre row :func:`fiber_row` (m, n).  Tests compare the routes row by
+row.  What the routes share is pinned by its own oracles: the eta power
+recurrence by eta-power-additivity, the product kernel by ring-laws,
+both E10 streams by e10-sigma9, and the fibre-row index
+(:func:`fiber_row`, :func:`first_row`) by slice-partition, since a wrong
+index moves both routes alike.
 
 The resolution of the singular Weierstrass model doubles every invariant
 of the polarized family; the factor 1/2 undoing it is applied in exactly
@@ -45,9 +45,9 @@ def nl_number(h: int, d1: int, d2: int) -> int:
 
 
 # ROUTES[target][method]: the two generators of the route's one product,
-# each a function of its term count u that looks its form up on `forms`
-# when it runs, so a generator replaced there (by a test or a tracer) is
-# the one the route multiplies.
+# each a function of its term count u, from q^0, that looks its form up on
+# `forms` when it runs, so a generator replaced there (by a test or a
+# tracer) is the one the route multiplies.
 ROUTES = {
     # n_{C+nE} is the coefficient of q^n in q^(1/2) E4/sqrt(Delta)
     "section": {
@@ -61,44 +61,43 @@ ROUTES = {
         "direct": (lambda u: forms.theta_e8(u),
                    lambda u: forms.eta_power_jacobi(-12, u)),
     },
-    # n_{mF+nE} is fibre row k = fiber_row(m, n): -2 [q^(k-1)] E10/Delta
+    # n_{mF+nE} is -2 [q^k] q E10/Delta at row k = fiber_row(m, n), 1 mod m
     "fiber": {
-        # the pentagonal eta^-24 from q^-1 times the sieve E10; k - 1 =
-        # m(n - m) is 0 mod m, so the rows read the slice at 0 mod m
-        "closed": (lambda u: forms.inverse_delta(u),
+        # the pentagonal eta^-24 = q/Delta times the sieve E10
+        "closed": (lambda u: forms.eta_power(-24, u),
                    lambda u: forms.eisenstein(10, u)),
         # the Noether-Lefschetz sum (1/2) sum_h r_h NL_h, NL_h =
-        # -4 [q^(k-h)] E10 (nl_number): the Yau-Zaslow r_h at q^(h-1),
+        # -4 [q^(k-h)] E10 (nl_number): the Yau-Zaslow r_h at q^h,
         # Jacobi's cube to the -8, times E10 = E4 * E6; the series refuses
         # a non-int r_h
-        "direct": (lambda u: QSeries(forms.yau_zaslow(u - 1), -1, u - 1),
+        "direct": (lambda u: QSeries(forms.yau_zaslow(u - 1), 0, u),
                    lambda u: forms.eisenstein(4, u) * forms.eisenstein(6, u)),
     },
 }
+# row i is SCALE[target] [q^i]: the fibre's -2 is nl_number's -4 times 1/2
+SCALE = {"section": 1, "fiber": -2}
 
 
-def gv_table(target: str, method: str, *size: int) -> list[int]:
-    """The rows of one route of :data:`ROUTES`, read off its one product.
+def gv_table(target: str, method: str, nrows: int) -> list[int]:
+    """Rows 0 .. nrows - 1 of one route of :data:`ROUTES`, off its product.
 
-    A "section" size is (nterms,): n_{C+nE} for 0 <= n < nterms, entry n
-    the coefficient of q^n.  A "fiber" size is (m, nmax): n_{mF+nE} for
-    0 <= n <= nmax, entry n -2 times the coefficient of q^(k-1) at
-    k = :func:`fiber_row` (m, n), and 0 below q^-1.
+    Row i is SCALE[target] times the coefficient of q^i: n_{C+iE} for
+    "section" and n_{F+iE} for "fiber".
     """
     first, second = ROUTES[target][method]
-    if target == "section":
-        (nterms,) = size
-        product = first(nterms) * second(nterms)
-        return [product.coeff_at(n) for n in range(nterms)]
-    m, nmax = size
+    product = first(nrows) * second(nrows)
+    return [SCALE[target] * product.coeff_at(i) for i in range(nrows)]
+
+
+def fiber_classes(rows: list[int], m: int, ns) -> list[int]:
+    """n_{mF+nE} for each n in ns, read off a fibre table's rows.
+
+    Class n reads row k = :func:`fiber_row` (m, n), and a row k < 0 reads
+    0.  A row past the end raises IndexError, so a short table fails.
+    """
     if m < 1:
         raise ValueError("fibre multiplicity must be at least 1")
-    if nmax < 0:
-        raise ValueError("nmax must be non-negative")
-    rows = [fiber_row(m, n) for n in range(nmax + 1)]
-    u = max(0, rows[-1]) + 1
-    product = first(u) * second(u)  # exponents q^-1 .. q^(rows[-1] - 1)
-    return [-2 * product.coeff_at(k - 1) for k in rows]
+    return [rows[k] if (k := fiber_row(m, n)) >= 0 else 0 for n in ns]
 
 
 def fiber_row(m: int, n: int) -> int:

@@ -13,6 +13,7 @@ import pytest
 
 from ellcy import checks, forms, invariants, series
 from ellcy.cli import main
+from test_invariants import classes
 
 
 def run_cli(argv, limit_seconds):
@@ -81,8 +82,8 @@ def test_criterion_6_euler():
 
 def test_criterion_7_dual_routes():
     start = time.perf_counter()
-    fiber_ok = (invariants.gv_table("fiber", "closed", 1, 20)
-                == invariants.gv_table("fiber", "direct", 1, 20))
+    fiber_ok = (invariants.gv_table("fiber", "closed", 21)
+                == invariants.gv_table("fiber", "direct", 21))
 
     section_ok = (invariants.gv_table("section", "closed", 20)
                   == invariants.gv_table("section", "direct", 20))
@@ -90,8 +91,7 @@ def test_criterion_7_dual_routes():
     multi_ok = True
     for m, nmax in ((2, 16), (3, 12)):  # 15 resp. 10 q-terms
         multi_ok = multi_ok and (
-            invariants.gv_table("fiber", "closed", m, nmax)
-            == invariants.gv_table("fiber", "direct", m, nmax))
+            classes("closed", m, nmax) == classes("direct", m, nmax))
 
     elapsed = time.perf_counter() - start
     ok = fiber_ok and section_ok and multi_ok and elapsed < 60.0
@@ -107,11 +107,11 @@ def test_criterion_8_theta_equals_e4():
 
 
 def test_criterion_9_integrality():
-    values = invariants.gv_table("fiber", "closed", 1, 20)
+    values = invariants.gv_table("fiber", "closed", 21)
     section_values = invariants.gv_table("section", "closed", 20)
     values += section_values
     for m, nmax in ((2, 16), (3, 12)):
-        values += invariants.gv_table("fiber", "direct", m, nmax)
+        values += classes("direct", m, nmax)
     ok = all(Fraction(v).denominator == 1 for v in values)
     # every section count is positive, so the stream is not read off-grid
     ok = ok and all(v > 0 for v in section_values)

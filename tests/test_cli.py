@@ -17,8 +17,11 @@ from ellcy import checks, cli, forms, geometry, invariants, series
 from ellcy.cli import (CHECK_BOUND, LSQ_BOUND, NL_BOUND, TERMS_BOUND, main,
                        series_to_doc)
 from ellcy.series import QSeries
+from test_invariants import classes
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(REPO, "perfbench", "reference.json")) as f:
+    REFERENCE = json.load(f)  # argv joined by spaces: stdout's sha256
 
 
 def run(argv):
@@ -190,11 +193,15 @@ class TestGvCommand:
                              "--method", "direct"])
             assert closed == direct
 
-    @pytest.mark.parametrize("argv, target, size, first", [
-        (["fiber"], "fiber", (1, 11), 0),
-        (["multifiber", "--m", "3"], "fiber", (3, 14), 3),
-        (["section"], "section", (12,), 0)], ids=["fiber", "m3", "section"])
-    def test_rows_are_the_route_table(self, argv, target, size, first):
+    @pytest.mark.parametrize("argv, target, expected", [
+        (["fiber"], "fiber",
+         lambda method: invariants.gv_table("fiber", method, 12)),
+        (["multifiber", "--m", "3"], "fiber",
+         lambda method: classes(method, 3, 14)[3:]),
+        (["section"], "section",
+         lambda method: invariants.gv_table("section", method, 12))],
+        ids=["fiber", "m3", "section"])
+    def test_rows_are_the_route_table(self, argv, target, expected):
         # every method of the table prints the rows gv_table reads, and
         # gv offers exactly the table's methods, in its order
         methods = tuple(invariants.ROUTES[target])
@@ -205,8 +212,7 @@ class TestGvCommand:
             assert code == 0
             values = [int(line.split("\t")[2])
                       for line in text.splitlines()]
-            assert values == \
-                invariants.gv_table(target, method, *size)[first:], method
+            assert values == expected(method), method
         assert "[--method {" + ",".join(methods) + "}]" in cli._help("gv")
 
     def test_multifiber_requires_m(self):
@@ -250,10 +256,8 @@ class TestNlCommand:
         argv = ["nl", "--h", "0", "--d1", "1000", "--d2", "1"]
         code, text = run(argv)
         assert code == 0
-        with open(os.path.join(REPO, "perfbench", "reference.json")) as f:
-            reference = json.load(f)
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            reference[" ".join(argv)]
+            REFERENCE[" ".join(argv)]
 
     def test_large_discriminant(self):
         # half-discriminant 80001: E4 * E6 to that length took seconds
@@ -276,6 +280,16 @@ class TestNlCommand:
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == \
             "ellcy: error: h must be non-negative\n"
+
+
+class TestReferenceDigests:
+    # every argv whose stdout the benchmark checks against its recorded
+    # sha256, run in process: an output byte that moves fails here too
+    @pytest.mark.parametrize("argv", sorted(REFERENCE))
+    def test_stdout_matches_the_recorded_digest(self, argv, capsys):
+        code, text = run(argv.split())
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE[argv]
 
 
 class TestIntegerCommandsLoadNoFractions:
@@ -644,11 +658,11 @@ class TestCheckCommand:
     def test_dual_route_fail_names_first_row(self):
         # the detail names the first class that differs, and a route that
         # returns fewer rows than its partner fails too
-        fibre = invariants.gv_table("fiber", "closed", 1, 9)
+        fibre = invariants.gv_table("fiber", "closed", 10)
         bumped = list(fibre)
         bumped[invariants.fiber_row(2, 3)] += 1
         res = checks.check_multifiber_routes(2, 6, fibre, bumped)
-        v = invariants.gv_table("fiber", "closed", 2, 6)[3]
+        v = classes("closed", 2, 6)[3]
         assert (res.passed, res.detail) == \
             (False, f"n=3: slice {v} vs NL sum {v + 1}")
         closed = invariants.gv_table("section", "closed", 6)
@@ -659,29 +673,32 @@ class TestCheckCommand:
     def test_short_fibre_rows_fail(self):
         # a class past the last fibre row fails, whether one route or
         # both stop early, and never passes on the rows that are there
-        fibre = invariants.gv_table("fiber", "closed", 1, 9)
+        fibre = invariants.gv_table("fiber", "closed", 10)
         for rows in ((fibre, fibre[:8]), (fibre[:8], fibre[:8])):
             res = checks._guarded("multifiber-dual-route-m2",
                                   checks.check_multifiber_routes, 2, 6, *rows)
             assert (res.passed, res.detail) == \
                 (False, "IndexError: list index out of range")
 
-    @pytest.mark.parametrize("prec", [2, 22])
-    def test_each_route_is_built_once(self, prec, monkeypatch):
-        # one fibre pair at m = 1 and one section pair serve every check
-        # that reads routes, gv-integrality included
+    @pytest.mark.parametrize("prec, fibre_rows", [(2, 8), (22, 42)],
+                             ids=["2", "22"])
+    def test_each_route_is_built_once(self, prec, fibre_rows, monkeypatch):
+        # one fibre pair, up to the last row any check reads, and one
+        # section pair of prec rows serve every check that reads routes,
+        # gv-integrality included: fiber_row(3, 5) = 7 at --prec 2, and
+        # fiber_row(2, 22) = 41 at --prec 22
         calls = []
         real = invariants.gv_table
 
-        def counted(target, method, *size):
-            calls.append((target, method, *size[:-1]))
-            return real(target, method, *size)
+        def counted(target, method, nrows):
+            calls.append((target, method, nrows))
+            return real(target, method, nrows)
 
         monkeypatch.setattr(invariants, "gv_table", counted)
         assert all(r.passed for r in checks.run_checks(prec))
         assert sorted(calls) == [
-            ("fiber", "closed", 1), ("fiber", "direct", 1),
-            ("section", "closed"), ("section", "direct")]
+            ("fiber", "closed", fibre_rows), ("fiber", "direct", fibre_rows),
+            ("section", "closed", prec), ("section", "direct", prec)]
 
     def test_raising_route_fails_the_checks_that_read_it(self,
                                                          monkeypatch):
@@ -1208,20 +1225,21 @@ class TestExitContract:
                              ids=["closed-f_multifiber_slice",
                                   "direct-f_multifiber_direct"])
     def test_at_bound_reaches_the_route(self, method, monkeypatch):
-        # 1499 * (n_max - 1499) + 2 = TERMS_BOUND at --prec 3, and --m at
-        # its bound with one row; a stub route ends each run cheaply
+        # fiber_row(1499, n_max) + 1 = TERMS_BOUND rows at --prec 3, and
+        # --m at its bound with one class, two rows; a stub route ends each
+        # run cheaply
         seen, routes = [], []
 
-        def stub(target, route_method, m, nmax):
+        def stub(target, route_method, nrows):
             routes.append((target, route_method))
-            seen.append((m, m * (nmax - m) + 2))
+            seen.append(nrows)
             raise ValueError("stub route")
 
         monkeypatch.setattr(invariants, "gv_table", stub)
         for m, prec in ((1499, 3), (TERMS_BOUND, 1)):
             assert run(["gv", "multifiber", "--m", str(m), "--prec",
                         str(prec), "--method", method]) == (2, "")
-        assert seen == [(1499, TERMS_BOUND), (TERMS_BOUND, 2)]
+        assert seen == [TERMS_BOUND, 2]
         assert routes == [("fiber", method)] * 2
 
     def test_arithmetic_error_is_domain_error(self, monkeypatch, capsys):

@@ -18,6 +18,17 @@ ROUTE_IDS = {("section", "closed"): "f_section_closed",
 FIBER_ROUTES = [("fiber", "closed"), ("fiber", "direct")]
 
 
+def classes(method: str, m: int, nmax: int) -> list[int]:
+    """n_{mF+nE} for 0 <= n <= nmax by one fibre route, through the reader.
+
+    The table has the rows the classes read, and at least one, so that a
+    table whose classes all lie below row 0 is still built.
+    """
+    rows = invariants.gv_table("fiber", method,
+                               max(1, invariants.fiber_row(m, nmax) + 1))
+    return invariants.fiber_classes(rows, m, range(nmax + 1))
+
+
 def fraction_nl_sum(m: int, nmax: int) -> list[Fraction]:
     """n_{mF+nE} for 0 <= n <= nmax by a Fraction loop over every (n, h).
 
@@ -131,25 +142,25 @@ class TestNLNumber:
 
 class TestFiberRoutes:
     def test_closed_known_values(self):
-        assert invariants.gv_table("fiber", "closed", 1, 3) == \
+        assert invariants.gv_table("fiber", "closed", 4) == \
             [-2, 480, 282888, 17058560]
 
     def test_direct_known_values(self):
-        assert invariants.gv_table("fiber", "direct", 1, 3) == \
+        assert invariants.gv_table("fiber", "direct", 4) == \
             [-2, 480, 282888, 17058560]
 
     def test_routes_agree_to_20(self):
-        assert invariants.gv_table("fiber", "closed", 1, 20) == \
-            invariants.gv_table("fiber", "direct", 1, 20)
+        assert invariants.gv_table("fiber", "closed", 21) == \
+            invariants.gv_table("fiber", "direct", 21)
 
     def test_slice_is_closed_form(self):
-        # at m = 1 the one slice is the whole closed form -2 E10/Delta,
-        # and entry n is its coefficient of q^(n-1)
-        for nmax in (0, 1, 5, 12):
-            closed = (forms.eisenstein(10, nmax + 1)
-                      * forms.inverse_delta(nmax + 1))
-            assert invariants.gv_table("fiber", "closed", 1, nmax) == \
-                [-2 * closed.coeff_at(n - 1) for n in range(nmax + 1)]
+        # the fibre rows are the whole closed form -2 E10/Delta, row n its
+        # coefficient of q^(n-1): the product from q^0 is q E10/Delta
+        for nrows in (1, 2, 6, 13):
+            closed = (forms.eisenstein(10, nrows)
+                      * forms.inverse_delta(nrows))
+            assert invariants.gv_table("fiber", "closed", nrows) == \
+                [-2 * closed.coeff_at(n - 1) for n in range(nrows)]
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_slice_matches_slice_product_sum(self, m):
@@ -157,7 +168,7 @@ class TestFiberRoutes:
         # coefficient of q^(m(n-m)) in the sum of the slice products
         for nmax in (n for n in range(41) if m * (n - m) + 2 >= 1):
             ref = slice_product_sum(m, nmax)
-            assert invariants.gv_table("fiber", "closed", m, nmax) == \
+            assert classes("closed", m, nmax) == \
                 [ref.coeff_at(m * (n - m)) for n in range(nmax + 1)], nmax
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
@@ -181,12 +192,12 @@ class TestFiberRoutes:
 
         monkeypatch.setattr(forms, "eisenstein", built_e10)
         monkeypatch.setattr(QSeries, "__mul__", counting)
-        invariants.gv_table("fiber", "closed", m, m + 10)
+        classes("closed", m, m + 10)
         assert len(products) == 1
 
     def test_slice_at_nmax_zero(self):
-        # one row, read at q^-1, the lowest exponent of -2 E10/Delta
-        assert invariants.gv_table("fiber", "closed", 1, 0) == [-2]
+        # one row, q^0 of -2 q E10/Delta
+        assert invariants.gv_table("fiber", "closed", 1) == [-2]
 
 
 class TestSectionRoutes:
@@ -208,46 +219,34 @@ class TestSectionRoutes:
             return real(f, g, n)
 
         monkeypatch.setattr(series, "int_product", recording)
-        for route, args, need in [
-                (("section", "closed"), (1,), 1),
-                (("section", "closed"), (4,), 4),
-                (("section", "closed"), (50,), 50),
+        for route, nrows, need in [
+                (("section", "closed"), 1, 1),
+                (("section", "closed"), 4, 4),
+                (("section", "closed"), 50, 50),
                 # the theta powers count norms up to 2(nterms - 1) in
                 # steps of one: 2 nterms - 1 terms of a series in q^(1/2)
-                (("section", "direct"), (1,), 1),
-                (("section", "direct"), (4,), 7),
-                (("section", "direct"), (50,), 99),
-                # rows up to k = fiber_row(m, nmax), read at q^-1 ..
-                # q^(k - 1)
-                (("fiber", "closed"), (1, 0), 1),
-                (("fiber", "closed"), (1, 49), 50),
-                (("fiber", "closed"), (3, 20), 53),
-                (("fiber", "direct"), (1, 0), 1),
-                (("fiber", "direct"), (1, 49), 50),
-                (("fiber", "direct"), (3, 20), 53)]:
+                (("section", "direct"), 1, 1),
+                (("section", "direct"), 4, 7),
+                (("section", "direct"), 50, 99),
+                (("fiber", "closed"), 1, 1),
+                (("fiber", "closed"), 53, 53),
+                (("fiber", "direct"), 1, 1),
+                (("fiber", "direct"), 53, 53)]:
             sizes.clear()
-            invariants.gv_table(*route, *args)
-            assert max(sizes) == need, (route, args)
+            invariants.gv_table(*route, nrows)
+            assert max(sizes) == need, (route, nrows)
         assert invariants.gv_table("section", "closed", 4) == \
             [1, 252, 5130, 54760]
 
     @pytest.mark.parametrize("route", list(ROUTE_IDS),
                              ids=list(ROUTE_IDS.values()))
     def test_integer_grid_from_q0(self, route):
-        # every route returns one plain list, entry n for the n-th class
-        # from n = 0, and every entry an int for these m
-        def fn(*size):
-            return invariants.gv_table(*route, *size)
-        if route[0] == "section":
-            calls = [((nterms,), nterms) for nterms in (1, 2, 30)]
-        else:
-            calls = [((m, nmax), nmax + 1) for m in (1, 2, 3)
-                     for nmax in (invariants.first_row(m),
-                                  invariants.first_row(m) + 1, 30)]
-        for args, length in calls:
-            values = fn(*args)
-            assert type(values) is list and len(values) == length, args
-            assert all(type(v) is int for v in values), args
+        # every route returns one plain list, row i for the i-th class
+        # from i = 0, and every row an int
+        for nrows in (1, 2, 30):
+            values = invariants.gv_table(*route, nrows)
+            assert type(values) is list and len(values) == nrows, nrows
+            assert all(type(v) is int for v in values), nrows
 
     def test_zero_vector_contribution_is_bryan_leung(self):
         # the lambda = 0 term of the convolution alone is the Bryan-Leung
@@ -306,46 +305,44 @@ class TestSectionRoutes:
 
 class TestMultifiberRoutes:
     def test_below_threshold_vanishes(self):
-        assert invariants.gv_table("fiber", "direct", 2, 6)[:2] == [0, 0]
-        assert invariants.gv_table("fiber", "direct", 3, 6)[:3] == [0, 0, 0]
+        assert classes("direct", 2, 6)[:2] == [0, 0]
+        assert classes("direct", 3, 6)[:3] == [0, 0, 0]
 
     def test_routes_agree_m2(self):
         nmax = 16  # 15 q-terms from the first possibly-nonzero level
-        assert invariants.gv_table("fiber", "closed", 2, nmax) == \
-            invariants.gv_table("fiber", "direct", 2, nmax)
+        assert classes("closed", 2, nmax) == classes("direct", 2, nmax)
 
     def test_routes_agree_m3(self):
         nmax = 12  # 10 q-terms
-        assert invariants.gv_table("fiber", "closed", 3, nmax) == \
-            invariants.gv_table("fiber", "direct", 3, nmax)
+        assert classes("closed", 3, nmax) == classes("direct", 3, nmax)
 
-    def test_slice_exponents_are_multiples_of_m(self, monkeypatch):
-        # the route reads its rows off the product only at exponents in
-        # the slice at 0 mod m, so it needs no slice of its own
-        real = QSeries.coeff_at
+    def test_reader_reads_the_slice_at_one_mod_m(self):
+        # the classes mF + nE read the fibre rows k = m(n - m) + 1 >= 0
+        # only, the slice at 1 mod m, so they need no slice of their own
         read = []
 
-        def recording(f, e):
-            read.append(e)
-            return real(f, e)
+        class Rows(list):
+            def __getitem__(self, k):
+                read.append(k)
+                return list.__getitem__(self, k)
 
-        monkeypatch.setattr(QSeries, "coeff_at", recording)
+        rows = Rows(invariants.gv_table("fiber", "closed", 40))
         for m in (2, 3):
             read.clear()
-            invariants.gv_table("fiber", "closed", m, m + 5)
-            assert read == [m * (n - m) for n in range(m + 6)]
-            assert all(type(e) is int and e % m == 0 for e in read)
+            invariants.fiber_classes(rows, m, range(m + 6))
+            assert read == [m * (n - m) + 1 for n in range(m, m + 6)]
+            assert all(type(k) is int and k % m == 1 for k in read)
 
     def test_integrality(self):
         for m in (2, 3):
-            for v in invariants.gv_table("fiber", "direct", m, 10):
+            for v in classes("direct", m, 10):
                 assert v.denominator == 1
                 assert type(v) is int  # an exact halving stores an int
 
     def test_e10_built_once_per_table(self, monkeypatch):
         # the NL sum writes out E10 = E4 * E6 once per table, and never
         # reads the sieve E10 of the closed route
-        reference = invariants.gv_table("fiber", "direct", 2, 10)
+        reference = classes("direct", 2, 10)
         real = forms.eisenstein
         weights = []
 
@@ -359,18 +356,18 @@ class TestMultifiberRoutes:
             return type(f)(cs, f.offset, f.prec)
 
         monkeypatch.setattr(forms, "eisenstein", corrupted)
-        assert invariants.gv_table("fiber", "direct", 2, 10) != reference
+        assert classes("direct", 2, 10) != reference
         assert weights == [4, 6]
         monkeypatch.undo()
         # no hidden cache: with the patch gone the table is built afresh
-        assert invariants.gv_table("fiber", "direct", 2, 10) == reference
+        assert classes("direct", 2, 10) == reference
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_nl_sum_matches_fraction_loop(self, m):
         # rows run from n = 0, so for m >= 2 the first classes have every
         # discriminant negative (half0 < 0) and must read 0, never the
         # end of the E10 list
-        direct = invariants.gv_table("fiber", "direct", m, 40)
+        direct = classes("direct", m, 40)
         assert direct == fraction_nl_sum(m, 40)
         assert any(1 + m * (n - m) < 0 for n in range(41)) == (m > 1)
 
@@ -389,7 +386,7 @@ class TestMultifiberRoutes:
             return real(h, d1, d2)
 
         monkeypatch.setattr(geometry, "nl_discriminant", counting)
-        values = invariants.gv_table("fiber", "direct", 50, 50)
+        values = classes("direct", 50, 50)
         assert calls == []
         assert values == [0] * 50 + [fraction_nl_sum(50, 50)[50]]
 
@@ -398,41 +395,67 @@ class TestMultifiberRoutes:
     def test_every_row_is_a_fiber_row(self, route):
         # n_{mF+nE} = n_{F+kE} with k = fiber_row(m, n), read off the
         # same route's fibre table; a negative k reads 0
-        def fn(m, nmax):
-            return invariants.gv_table(*route, m, nmax)
-        fiber = fn(1, 199)
+        fiber = invariants.gv_table(*route, 200)
         for m in (2, 3, 5, 7):
             rows = [invariants.fiber_row(m, n) for n in range(30)]
-            assert fn(m, 29) == [fiber[k] if k >= 0 else 0 for k in rows], m
+            assert classes(route[1], m, 29) == \
+                [fiber[k] if k >= 0 else 0 for k in rows], m
 
     @pytest.mark.parametrize("route", FIBER_ROUTES,
                              ids=[ROUTE_IDS[r] for r in FIBER_ROUTES])
     def test_tables_before_first_row_are_empty(self, route):
-        # every row below first_row has k < 0, so the whole table is 0;
-        # the closed route reads it below the q^-1 its product starts at
-        def fn(m, nmax):
-            return invariants.gv_table(*route, m, nmax)
+        # every class below first_row has k < 0, so the reader reads all
+        # of them as 0 off a one-row table
         for m in range(2, 7):
             for nmax in range(invariants.first_row(m)):
-                assert fn(m, nmax) == [0] * (nmax + 1), (m, nmax)
+                assert classes(route[1], m, nmax) == [0] * (nmax + 1), \
+                    (m, nmax)
 
     def test_m_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            invariants.gv_table("fiber", "direct", 0, 5)
-        with pytest.raises(ValueError):
-            invariants.gv_table("fiber", "closed", 0, 5)
+        # by the reader, on either route's rows
+        for method in ("closed", "direct"):
+            rows = invariants.gv_table("fiber", method, 6)
+            for m in (0, -1):
+                with pytest.raises(ValueError, match="fibre multiplicity"):
+                    invariants.fiber_classes(rows, m, range(3))
 
     def test_routes_share_their_domain(self):
-        # both routes are total on m >= 1, nmax >= 0, the slice route
-        # too where m(nmax - m) lies below the q^-1 its product starts at
+        # both routes are total on m >= 1, nmax >= 0, where m(nmax - m) + 1
+        # lies below row 0 too
         for m in range(1, 7):
             for nmax in range(13):
-                assert invariants.gv_table("fiber", "closed", m, nmax) == \
-                    invariants.gv_table("fiber", "direct", m, nmax)
-        assert invariants.gv_table("fiber", "closed", 2, 0) == [0]
-        for route in FIBER_ROUTES:
-            with pytest.raises(ValueError, match="nmax must be non-negative"):
-                invariants.gv_table(*route, 1, -1)
+                assert classes("closed", m, nmax) == \
+                    classes("direct", m, nmax)
+        assert classes("closed", 2, 0) == [0]
+        for route in ROUTE_IDS:
+            with pytest.raises(ValueError, match="must be"):
+                invariants.gv_table(*route, 0)
+
+    @pytest.mark.parametrize("route", FIBER_ROUTES,
+                             ids=[ROUTE_IDS[r] for r in FIBER_ROUTES])
+    def test_table_is_a_prefix_of_a_longer_one(self, route):
+        # row i does not depend on the table's length
+        for nrows in (1, 2, 7, 40):
+            assert invariants.gv_table(*route, 2 * nrows)[:nrows] == \
+                invariants.gv_table(*route, nrows), nrows
+
+
+class TestFiberClasses:
+    ROWS = [10, 11, 12, 13, 14]  # stand-ins for n_{F+kE}, 0 <= k < 5
+
+    def test_rows_below_zero_read_zero(self):
+        # rows k = -3, -1, 1, 3 for n = 0 .. 3: a negative k never wraps
+        # to the end of the rows
+        assert invariants.fiber_classes(self.ROWS, 2, range(4)) == \
+            [0, 0, 11, 13]
+        assert invariants.fiber_classes(self.ROWS, 5, [0, 4]) == [0, 0]
+
+    def test_row_past_the_end_raises(self):
+        # fiber_row(2, 4) = 5 is one past the last row
+        with pytest.raises(IndexError):
+            invariants.fiber_classes(self.ROWS, 2, range(5))
+        with pytest.raises(IndexError):
+            invariants.fiber_classes(self.ROWS, 1, [5])
 
 
 class TestRouteGenerators:
@@ -441,7 +464,7 @@ class TestRouteGenerators:
     # behind both eta generators, is private and pinned by
     # eta-power-additivity
     CALLS = {
-        ("fiber", "closed"): {"inverse_delta", "eta_power",
+        ("fiber", "closed"): {"eta_power",
                               ("eisenstein", 10), ("divisor_sums", 9)},
         ("fiber", "direct"): {"yau_zaslow", "eta_power_jacobi",
                               ("eisenstein", 4), ("eisenstein", 6),
@@ -471,13 +494,23 @@ class TestRouteGenerators:
         for target, methods in invariants.ROUTES.items():
             for method in methods:
                 calls.clear()
-                size = (1, 30) if target == "fiber" else (30,)
-                invariants.gv_table(target, method, *size)
+                invariants.gv_table(target, method, 30)
                 table[target, method] = set(calls)
         assert table == self.CALLS
         for target, methods in invariants.ROUTES.items():
             closed, direct = (table[target, method] for method in methods)
             assert not closed & direct, target
+
+    @pytest.mark.parametrize("route", list(ROUTE_IDS),
+                             ids=list(ROUTE_IDS.values()))
+    def test_every_product_starts_at_q0(self, route):
+        # row i of every table is [q^i] of its product: both generators
+        # and their product have offset 0 and precision nrows
+        first, second = invariants.ROUTES[route[0]][route[1]]
+        for nrows in (1, 2, 30):
+            f, g = first(nrows), second(nrows)
+            assert [(s.offset, s.prec) for s in (f, g, f * g)] == \
+                [(0, nrows)] * 3, nrows
 
 
 class TestRoutePrecision:
@@ -485,9 +518,9 @@ class TestRoutePrecision:
     # command that runs it at --prec 6
     SHORTENED = [
         ("fiber", "closed", "eisenstein",
-         lambda: invariants.gv_table("fiber", "closed", 1, 5)),
+         lambda: invariants.gv_table("fiber", "closed", 6)),
         ("fiber", "direct", "eisenstein",
-         lambda: invariants.gv_table("fiber", "direct", 1, 5)),
+         lambda: invariants.gv_table("fiber", "direct", 6)),
         ("section", "closed", "eisenstein",
          lambda: invariants.gv_table("section", "closed", 6)),
         ("section", "direct", "eta_power_jacobi",
@@ -512,7 +545,7 @@ class TestRoutePrecision:
 
 class TestMultipleCover:
     def test_primitive_identity(self):
-        rows = invariants.gv_table("fiber", "direct", 1, 5)
+        rows = invariants.gv_table("fiber", "direct", 6)
         table = {CurveClass(e=n, f=1): v for n, v in enumerate(rows)}
         for n in range(1, 6):
             beta = CurveClass(e=n, f=1)  # gcd 1: primitive
@@ -527,9 +560,9 @@ class TestMultipleCover:
 
     def test_double_fiber_from_both_tables(self):
         fiber = {CurveClass(e=n, f=1): v for n, v in
-                 enumerate(invariants.gv_table("fiber", "direct", 1, 0))}
+                 enumerate(classes("direct", 1, 0))}
         double = {CurveClass(e=n, f=2): v for n, v in
-                  enumerate(invariants.gv_table("fiber", "direct", 2, 0))}
+                  enumerate(classes("direct", 2, 0))}
         merged = {**fiber, **double}
         beta = CurveClass(f=2)
         expected = double[beta] + Fraction(fiber[CurveClass(f=1)], 8)
@@ -560,4 +593,4 @@ class TestResolutionFactor:
         for n in range(6):
             raw = sum(r[h] * invariants.nl_number(h, n - 2, 1)
                       for h in range(n + 1))
-            assert 2 * invariants.gv_table("fiber", "direct", 1, n)[n] == raw
+            assert 2 * invariants.gv_table("fiber", "direct", n + 1)[n] == raw

@@ -125,7 +125,7 @@ def test_kernel_that_leaves_the_integers_is_refused(monkeypatch):
     with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
         f * g
     with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
-        invariants.gv_table("fiber", "closed", 1, 19)
+        invariants.gv_table("fiber", "closed", 20)
     # the E8 theta powers square series too
     with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
         forms.theta_e8(20)
