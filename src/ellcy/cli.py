@@ -32,37 +32,35 @@ TERMS_BOUND = 3000
 # 2-core VM
 CHECK_BOUND = 300
 
-# Each name: (generator, printed times q^(-1/2)).  Only inv-sqrt-delta,
-# q^(1/2)/sqrt(Delta) on the integer grid, is printed times q^(-1/2):
-# its term q^i is printed at q^((2i - 1)/2).
+# Each name: (generator, exp_den, first exponent), the one place a printed
+# shift is stated.  The generator's term q^i is printed at
+# q^((first + exp_den * i)/exp_den), so inv-sqrt-delta, q^(1/2)/sqrt(Delta)
+# on the integer grid, is printed times q^(-1/2) on the half grid.
 _SERIES = {
-    "delta": (forms.delta, False),
-    "inv-delta": (forms.inverse_delta, False),
-    "e4": (lambda prec: forms.eisenstein(4, prec), False),
-    "e6": (lambda prec: forms.eisenstein(6, prec), False),
-    "e10": (lambda prec: forms.eisenstein(10, prec), False),
-    "theta-e8": (forms.theta_e8, False),
-    "inv-sqrt-delta": (forms.inverse_sqrt_delta, True),
+    "delta": (lambda prec: forms.eta_power(24, prec), 1, 1),
+    "inv-delta": (lambda prec: forms.eta_power(-24, prec), 1, -1),
+    "e4": (lambda prec: forms.eisenstein(4, prec), 1, 0),
+    "e6": (lambda prec: forms.eisenstein(6, prec), 1, 0),
+    "e10": (lambda prec: forms.eisenstein(10, prec), 1, 0),
+    "theta-e8": (forms.theta_e8, 1, 0),
+    "inv-sqrt-delta": (lambda prec: forms.eta_power(-12, prec), 2, -1),
 }
 
 
-def series_to_doc(f: QSeries, half: bool = False) -> str:
-    """Lossless JSON document for a series, or for q^(-1/2) f with half.
+def series_to_doc(f: QSeries, den: int, first: int) -> str:
+    """Lossless JSON document for f's term q^i at q^((first + den i)/den).
 
     The text is what `json.dumps` writes for the document, written here
     so that `series --json` never imports `json`.  Every coefficient is
     an int, a decimal string under "num"; its "den" is always "1" and
     stays so that the document keeps its numerator/denominator format.
-    Exponents are offset + i over "exp_den": 1, or with half 2, where the
-    term q^i of f sits at (2i - 1)/2 and a known zero fills each slot
-    between.
+    Exponents are "offset" + j over "exp_den": den, and with den > 1 a
+    known zero fills each slot between two terms of f.
     """
-    den = 2 if half else 1
     gap = ', {"num": "0", "den": "1"}' * (den - 1)
     slots = ", ".join(f'{{"num": "{c}", "den": "1"}}{gap}' for c in f.coeffs)
-    return (f'{{"variable": "q", "exp_den": {den}, '
-            f'"offset": {den * f.offset - half}, '
-            f'"prec": {den * f.prec - half}, "coeffs": [{slots}]}}')
+    return (f'{{"variable": "q", "exp_den": {den}, "offset": {first}, '
+            f'"prec": {first + den * f.prec}, "coeffs": [{slots}]}}')
 
 
 def _check_prec(prec: int, least: int, most: int) -> None:
@@ -74,13 +72,13 @@ def _check_prec(prec: int, least: int, most: int) -> None:
 
 def cmd_series(args, out) -> int:
     _check_prec(args.prec, 1, TERMS_BOUND)
-    generator, half = _SERIES[args.name]
+    generator, den, first = _SERIES[args.name]
     f = generator(args.prec)
     if args.json:
-        out.write(series_to_doc(f, half) + "\n")
+        out.write(series_to_doc(f, den, first) + "\n")
         return 0
-    for i, c in enumerate(f.coeffs, f.offset):
-        out.write(f"{2 * i - 1}/2\t{c}\n" if half else f"{i}\t{c}\n")
+    for e, c in zip(range(first, first + den * f.prec, den), f.coeffs):
+        out.write(f"{e}/{den}\t{c}\n" if den > 1 else f"{e}\t{c}\n")
     return 0
 
 

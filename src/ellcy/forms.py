@@ -1,9 +1,9 @@
 """Generators for the specific modular objects the computation needs.
 
-Everything here returns a :class:`~ellcy.series.QSeries` truncated to a
-requested number of terms counted from the leading exponent.  Every eta
-power, odd or even, is stored on the integer grid as prod (1 - q^n)^e,
-and no generator takes a series square root or inverse.  One power
+Everything here returns a :class:`~ellcy.series.QSeries`, a power series
+from q^0 truncated to a requested number of terms.  Every eta power, odd
+or even, is stored on the integer grid as prod (1 - q^n)^e without its
+q^(e/24), and no generator takes a series square root or inverse.  One power
 recurrence makes them all, from two sparse base series on purpose:
 :func:`eta_power` raises Euler's pentagonal series to the e-th power for
 the closed routes and every `series` command, :func:`eta_power_jacobi`
@@ -120,7 +120,7 @@ def _sparse_power(terms: list[tuple[int, int]], e: int,
         if rem:
             raise ArithmeticError(f"power {e}: coefficient {n} is not an "
                                   "integer")
-    return QSeries(cs, 0, nterms)
+    return QSeries(cs, nterms)
 
 
 def eta_power(e: int, nterms: int) -> QSeries:
@@ -131,8 +131,9 @@ def eta_power(e: int, nterms: int) -> QSeries:
     a_k = (-1)^j at the generalised pentagonal numbers k = j(3j -+ 1)/2
     and 0 elsewhere, and :func:`_sparse_power` raises it to the e-th
     power.  The q^(e/24) is left to the caller, so every power sits on
-    the integer grid: :func:`delta` and :func:`inverse_delta` shift by
-    q^(+-1), and :func:`inverse_sqrt_delta` is eta^-12 times q^(1/2).
+    the integer grid: Delta, 1/Delta and the Bryan-Leung
+    q^(1/2)/sqrt(Delta) are the powers 24, -24 and -12 times q, q^-1 and
+    q^0, and the CLI's series table states each printed shift.
     The direct routes read :func:`eta_power_jacobi` instead.
     """
     pentagonal = []
@@ -162,25 +163,6 @@ def eta_power_jacobi(e: int, nterms: int) -> QSeries:
     return _sparse_power(triangular, e // 3, nterms)
 
 
-def delta(nterms: int) -> QSeries:
-    """The discriminant cusp form Delta = eta^24 = q - 24q^2 + ..."""
-    return QSeries(eta_power(24, nterms).coeffs, 1, nterms + 1)
-
-
-def inverse_delta(nterms: int) -> QSeries:
-    """1/Delta = eta^-24 = q^-1 + 24 + 324q + 3200q^2 + ..., nterms terms."""
-    return QSeries(eta_power(-24, nterms).coeffs, -1, nterms - 1)
-
-
-def inverse_sqrt_delta(nterms: int) -> QSeries:
-    """q^(1/2)/sqrt(Delta) = q^(1/2) eta^-12 = 1 + 12q + ..., nterms terms.
-
-    The Bryan-Leung section series: C'' + jE'' is counted at q^j.  The
-    CLI prints it times q^(-1/2).
-    """
-    return eta_power(-12, nterms)
-
-
 def eisenstein(k: int, nterms: int) -> QSeries:
     """Eisenstein series E_k = 1 + c_k sum_{n>=1} sigma_(k-1)(n) q^n.
 
@@ -195,16 +177,12 @@ def eisenstein(k: int, nterms: int) -> QSeries:
                          "or 10")
     cs = [c * s for s in divisor_sums(k - 1, nterms)]
     cs[0] = 1
-    return QSeries(cs, 0, nterms)
+    return QSeries(cs, nterms)
 
 
 def _eighth_power(cs: list[int]) -> list[int]:
-    """cs^8 by three series squarings, truncated to len(cs) terms.
-
-    Needs cs[0] != 0, as theta_3 and psi have: the series constructor
-    moves leading zeros into the offset, which the list drops.
-    """
-    f = QSeries(cs, 0, len(cs))
+    """cs^8 by three series squarings, truncated to len(cs) terms."""
+    f = QSeries(cs, len(cs))
     for _ in range(3):
         f = f * f
     return list(f.coeffs)
@@ -253,7 +231,7 @@ def theta_e8(nterms: int) -> QSeries:
     """
     if nterms < 1:
         raise ValueError("nterms must be positive")
-    return QSeries(e8_norm_counts(nterms - 1), 0, nterms)
+    return QSeries(e8_norm_counts(nterms - 1), nterms)
 
 
 def yau_zaslow(hmax: int) -> tuple[int, ...]:

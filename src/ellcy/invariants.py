@@ -53,7 +53,7 @@ ROUTES = {
     "section": {
         # E4 times the pentagonal eta^-12
         "closed": (lambda u: forms.eisenstein(4, u),
-                   lambda u: forms.inverse_sqrt_delta(u)),
+                   lambda u: forms.eta_power(-12, u)),
         # C + nE pulls back to C'' + nE'' + lambda on the rational elliptic
         # surface, counted by Bryan-Leung q^(1/2)/sqrt(Delta) at q^(n-m)
         # for lambda of norm 2m, effective iff m <= n: E8 vectors by norm
@@ -70,7 +70,7 @@ ROUTES = {
         # -4 [q^(k-h)] E10 (nl_number): the Yau-Zaslow r_h at q^h,
         # Jacobi's cube to the -8, times E10 = E4 * E6; the series refuses
         # a non-int r_h
-        "direct": (lambda u: QSeries(forms.yau_zaslow(u - 1), 0, u),
+        "direct": (lambda u: QSeries(forms.yau_zaslow(u - 1), u),
                    lambda u: forms.eisenstein(4, u) * forms.eisenstein(6, u)),
     },
 }

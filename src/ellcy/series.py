@@ -1,17 +1,18 @@
-"""Truncated Laurent series with exact integer coefficients.
+"""Truncated power series with exact integer coefficients.
 
-A :class:`QSeries` stores finitely many integer coefficients of a formal
-series sum a_e q^e over integer exponents e.  Every series carries an
-explicit precision bound: all coefficients of exponents below ``prec``
+A :class:`QSeries` stores the integer coefficients a_0, ..., a_(p-1) of
+a formal power series sum a_e q^e from q^0.  Every series carries an
+explicit precision bound p: all coefficients of exponents below ``prec``
 are exact, everything at or above it is unknown.  Products propagate
 precision pessimistically, so a coefficient that a QSeries reports is
 always correct; asking for one beyond the bound raises
 :class:`PrecisionError` rather than silently returning zero.
 
-Every q-expansion the routes need has integer coefficients and integer
-exponents (the eta powers are stored without their q^(e/24)), so only
-ints are stored: every series, kernel products included, is built by the
-one constructor ``QSeries(coeffs, offset, prec)``, which refuses any
+Every q-expansion the routes need has integer coefficients and starts
+at q^0 once its q^(e/24) prefactor is set aside (the CLI states the
+printed shift of each named series, in ``cli._SERIES``), so only ints
+from q^0 are stored: every series, kernel products included, is built by
+the one constructor ``QSeries(coeffs, prec)``, which refuses any
 other coefficient with a ``TypeError``, and ``invert`` and ``sqrt``
 raise rather than leave the integers.  The routes only multiply series
 and read coefficients, so that is all a series does besides compare: a
@@ -110,44 +111,35 @@ def int_product(f: list[int], g: list[int], n: int) -> list[int]:
 
 
 class QSeries:
-    """Immutable truncated series over Z in one formal variable.
+    """Immutable truncated power series over Z in one formal variable.
 
-    ``offset`` is the lowest stored exponent and ``prec`` the exclusive
-    upper bound.  The coefficient of q^(offset + i) is the int
-    ``coeffs[i]``, and the tuple ``coeffs`` has length ``prec - offset``.
-
-    Instances are canonical: leading zero coefficients are absorbed into
-    the offset, so structural equality coincides with equality of
-    (series, precision) pairs.
+    The coefficient of q^i is the int ``coeffs[i]`` for 0 <= i < ``prec``,
+    the exclusive precision bound, so the tuple ``coeffs`` has length
+    ``prec``; structural equality is equality of (series, precision)
+    pairs.
     """
 
-    __slots__ = ("offset", "prec", "coeffs")
+    __slots__ = ("prec", "coeffs")
 
-    def __init__(self, coeffs: Iterable[int], offset: int, prec: int):
-        if offset > prec:
-            raise ValueError("offset must not exceed prec")
-        n = prec - offset
+    def __init__(self, coeffs: Iterable[int], prec: int):
+        if prec < 0:
+            raise ValueError("prec must not be negative")
         cs = list(coeffs)
-        del cs[n:]  # truncated to n terms, or padded with zeros to n
-        cs += [0] * (n - len(cs))
-        if list(map(type, cs)).count(int) != n:  # exact ints, no bools
+        del cs[prec:]  # truncated to prec terms, or padded with zeros
+        cs += [0] * (prec - len(cs))
+        if list(map(type, cs)).count(int) != prec:  # exact ints, no bools
             raise TypeError("QSeries coefficients must be ints")
-        lead = 0  # leading zeros move into the offset
-        while lead < n and cs[lead] == 0:
-            lead += 1
-        self.coeffs = tuple(cs[lead:])
-        self.offset, self.prec = offset + lead, prec
+        self.coeffs, self.prec = tuple(cs), prec
 
     # -- basic protocol --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (self.offset == other.offset and self.prec == other.prec
-                and self.coeffs == other.coeffs)
+        return self.prec == other.prec and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
-        return f"QSeries({list(self.coeffs)}, {self.offset}, {self.prec})"
+        return f"QSeries({list(self.coeffs)}, {self.prec})"
 
     # -- products and inverses -------------------------------------------
 
@@ -155,48 +147,45 @@ class QSeries:
         """Product of two series, their coefficients by :func:`int_product`."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        # unknown tails start at f.prec + g.offset and g.prec + f.offset
-        prec = min(self.prec + other.offset, other.prec + self.offset)
-        offset = self.offset + other.offset
-        return QSeries(int_product(self.coeffs, other.coeffs, prec - offset),
-                       offset, prec)
+        prec = min(self.prec, other.prec)
+        return QSeries(int_product(self.coeffs, other.coeffs, prec), prec)
 
     def invert(self) -> "QSeries":
-        """Multiplicative inverse; the leading coefficient must be +-1.
+        """Multiplicative inverse; the constant term must be +-1.
 
-        Any other leading coefficient would leave the integers, so it
-        raises ArithmeticError.
+        Any other constant term would leave the integers, so it raises
+        ArithmeticError.  No route inverts a series; it stays because the
+        benchmark's tracer (perfbench/trace_child.py) wraps it by name.
         """
-        if not self.coeffs:
-            raise ValueError("non-invertible series: zero leading coefficient")
         a = self.coeffs
+        if not a or a[0] == 0:
+            raise ValueError("non-invertible series: zero constant term")
         if a[0] not in (1, -1):
             raise ArithmeticError(
-                f"leading coefficient {a[0]} is not a unit of the integers")
+                f"constant term {a[0]} is not a unit of the integers")
         n = len(a)
         b = [0] * n
         b[0] = a[0]  # 1/a0 = a0 for a unit
         for k in range(1, n):
             s = sum(a[j] * b[k - j] for j in range(1, k + 1) if a[j])
             b[k] = -s * a[0]
-        return QSeries(b, -self.offset, self.prec - 2 * self.offset)
+        return QSeries(b, n)
 
     def sqrt(self) -> "QSeries":
-        """Square root with positive leading coefficient.
+        """Square root with positive constant term.
 
-        The leading exponent must be even and the leading coefficient a
-        perfect square, or ValueError is raised, and every later step
-        must divide exactly, or ArithmeticError is raised.
+        The constant term must be a perfect square, or ValueError is
+        raised, and every later step must divide exactly, or
+        ArithmeticError is raised.  No route takes a square root; it stays
+        because the benchmark's tracer (perfbench/trace_child.py) wraps it
+        by name.
         """
-        if not self.coeffs:
-            raise ValueError("square root of the zero series is ambiguous")
-        if self.offset % 2:
-            raise ValueError(f"odd leading exponent {self.offset}: the "
-                             f"square root is not on the integer grid")
         a = self.coeffs
+        if not a:
+            raise ValueError("square root of a series with no terms")
         b0 = math.isqrt(a[0]) if a[0] > 0 else 0
-        if b0 * b0 != a[0]:
-            raise ValueError(f"non-square leading coefficient: {a[0]} is "
+        if b0 == 0 or b0 * b0 != a[0]:
+            raise ValueError(f"non-square constant term: {a[0]} is "
                              f"not the square of a positive integer")
         n = len(a)
         b = [0] * n
@@ -207,16 +196,14 @@ class QSeries:
             if rem:
                 raise ArithmeticError(
                     f"square root: coefficient {k} is not an integer")
-        half = self.offset // 2
-        return QSeries(b, half, half + n)
+        return QSeries(b, n)
 
     # -- coefficient access ----------------------------------------------
 
     def coeff_at(self, e: int) -> int:
-        """Exact coefficient of q^e; errors past the precision bound."""
+        """Exact coefficient of q^e; 0 below q^0, errors past the bound."""
         if e >= self.prec:
             raise PrecisionError(
                 f"coefficient of q^({e}) is beyond the precision bound "
                 f"q^({self.prec})")
-        i = e - self.offset
-        return self.coeffs[i] if i >= 0 else 0
+        return self.coeffs[e] if e >= 0 else 0

@@ -141,7 +141,7 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
                 return f
             cs = list(f.coeffs)
             cs[2] += 1
-            return type(f)(cs, f.offset, f.prec)
+            return type(f)(cs, f.prec)
         return patched
 
     def corrupt_eta(power, real=real_eta):
@@ -151,7 +151,7 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
                 return f
             cs = list(f.coeffs)
             cs[2] += 1
-            return type(f)(cs, f.offset, f.prec)
+            return type(f)(cs, f.prec)
         return patched
 
     def corrupt_sigma9(k):

@@ -104,7 +104,7 @@ def test_series_hints_resolve_at_run_time():
 
     from ellcy import checks, cli, forms, geometry, invariants, series
     assert typing.get_type_hints(series.QSeries.__init__) == \
-        {"coeffs": Iterable[int], "offset": int, "prec": int}
+        {"coeffs": Iterable[int], "prec": int}
     assert typing.get_type_hints(series.QSeries.coeff_at) == \
         {"e": int, "return": int}
     for module in (series, forms, geometry, invariants, checks, cli):

@@ -68,22 +68,24 @@ class TestSeriesCommand:
         assert a == b
 
 
-def assert_doc_is_exact(doc, f, half=False):
+def assert_doc_is_exact(doc, f, den=1, first=0):
     """doc states f's bounds and every exact coefficient.
 
-    With half, doc states q^(-1/2) f on the half grid: exp_den 2, the term
-    q^i of f at exponent (2i - 1)/2, and a known zero between each two.
+    The term q^i of f sits at exponent (first + den i)/den over exp_den
+    den, and with den > 1 a known zero fills each slot between two.
     """
-    den = 2 if half else 1
-    shift = -1 if half else 0  # q^(-1/2) in units of 1/den
     assert (doc["offset"], doc["prec"], doc["exp_den"]) == \
-        (den * f.offset + shift, den * f.prec + shift, den)
+        (first, first + den * f.prec, den)
     assert len(doc["coeffs"]) == doc["prec"] - doc["offset"]
     assert {c["den"] for c in doc["coeffs"]} <= {"1"}
     nums = [int(c["num"]) for c in doc["coeffs"]]
     assert nums[::den] == list(f.coeffs)
-    if half:
-        assert not any(nums[1::2])
+    assert not any(c for j, c in enumerate(nums) if j % den)
+
+
+# the printed shift of each named series that has one: (exp_den, first
+# exponent); every other name is printed from q^0 on the integer grid
+SHIFTS = {"delta": (1, 1), "inv-delta": (1, -1), "inv-sqrt-delta": (2, -1)}
 
 
 class TestJsonRoundTrip:
@@ -94,58 +96,58 @@ class TestJsonRoundTrip:
         assert code == 0
         doc = json.loads(text)
         assert set(doc) == {"variable", "exp_den", "offset", "prec", "coeffs"}
-        generator, half = cli._SERIES[name]
-        assert half == (name == "inv-sqrt-delta")
-        assert_doc_is_exact(doc, generator(6), half)
+        generator, den, first = cli._SERIES[name]
+        assert (den, first) == SHIFTS.get(name, (1, 0))
+        assert_doc_is_exact(doc, generator(6), den, first)
 
     def test_big_integers_survive(self):
-        f = forms.inverse_delta(40)
-        doc = json.loads(series_to_doc(f))
-        assert_doc_is_exact(doc, f)
+        f = forms.eta_power(-24, 40)  # 1/Delta from q^-1
+        doc = json.loads(series_to_doc(f, 1, -1))
+        assert_doc_is_exact(doc, f, 1, -1)
         # coefficients overflow 64 bits well before 40 terms
         assert any(int(c["num"]) > 2 ** 64 for c in doc["coeffs"])
 
     def test_rationals_as_strings(self):
-        doc = json.loads(series_to_doc(QSeries([1, 2], 0, 2)))
+        doc = json.loads(series_to_doc(QSeries([1, 2], 2), 1, 0))
         for c in doc["coeffs"]:
             assert isinstance(c["num"], str)
             assert isinstance(c["den"], str)
 
     def test_rational_half_integer_round_trip(self):
-        # the half-grid document of q^(-1/2) f survives a JSON round trip:
-        # f's q^-1 .. q^2 at exponents -3/2 .. 3/2, and every den "1"
-        f = QSeries([1, 0, -3, 5], -1, 3)
-        doc = json.loads(series_to_doc(f, half=True))
+        # the half-grid document of q^(-3/2) f survives a JSON round trip:
+        # f's q^0 .. q^3 at exponents -3/2 .. 3/2, and every den "1"
+        f = QSeries([1, 0, -3, 5], 4)
+        doc = json.loads(series_to_doc(f, 2, -3))
         assert (doc["exp_den"], doc["offset"], doc["prec"]) == (2, -3, 5)
         assert [c["num"] for c in doc["coeffs"]] == \
             ["1", "0", "0", "0", "-3", "0", "5", "0"]
-        assert_doc_is_exact(doc, f, half=True)
+        assert_doc_is_exact(doc, f, 2, -3)
         assert {c["den"] for c in doc["coeffs"]} == {"1"}
-        assert json.loads(series_to_doc(f))["exp_den"] == 1
+        assert json.loads(series_to_doc(f, 1, 0))["exp_den"] == 1
 
 
-def documented_doc(f, half=False):
-    """The README's series document for f, or q^(-1/2) f, as a dict."""
-    den = 2 if half else 1
+def documented_doc(f, den=1, first=0):
+    """The README's series document for f's q^i at (first + den i)/den."""
     slots = [{"num": "0", "den": "1"}] * (den * len(f.coeffs))
     slots[::den] = [{"num": str(c), "den": "1"} for c in f.coeffs]
-    return {"variable": "q", "exp_den": den, "offset": den * f.offset - half,
-            "prec": den * f.prec - half, "coeffs": slots}
+    return {"variable": "q", "exp_den": den, "offset": first,
+            "prec": first + den * f.prec, "coeffs": slots}
 
 
 class TestJsonWriter:
     """series_to_doc writes the document's text itself, without `json`."""
 
-    @pytest.mark.parametrize("f, half", [
-        (forms.inverse_delta(30), False),  # offset -1, big coefficients
-        (forms.inverse_sqrt_delta(30), True),  # exp_den 2
-        (forms.delta(30), False),  # negative coefficients
-        (QSeries([], 3, 3), False),  # no coefficients
-        (QSeries([], 3, 3), True),
+    @pytest.mark.parametrize("f, den, first", [
+        (forms.eta_power(-24, 30), 1, -1),  # from q^-1, big coefficients
+        (forms.eta_power(-12, 30), 2, -1),  # exp_den 2
+        (forms.eta_power(24, 30), 1, 1),  # negative coefficients
+        (QSeries([], 0), 1, 3),  # no coefficients
+        (QSeries([], 0), 2, 5),
     ], ids=["inverse_delta", "inverse_sqrt_delta", "delta", "empty",
             "empty-half"])
-    def test_bytes_equal_json_dumps(self, f, half):
-        assert series_to_doc(f, half) == json.dumps(documented_doc(f, half))
+    def test_bytes_equal_json_dumps(self, f, den, first):
+        assert series_to_doc(f, den, first) == \
+            json.dumps(documented_doc(f, den, first))
 
     # the argvs arrive as plain strings, so the script imports no json
     SCRIPT = """
@@ -292,6 +294,81 @@ class TestReferenceDigests:
         assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE[argv]
 
 
+# stdout sha256 of the commands at the term bounds, where the product
+# kernel runs packed, and of every series at one term and at the bound
+BOUND_DIGESTS = {
+    "gv fiber --prec 3000":
+        "4fad9133e54c85c42f7e7e590a18603b61e3f7ee7094088713edbc4a49ddd7f2",
+    "gv section --prec 3000":
+        "8e8d810113f8299504af7caa127d86011d3fb11cce3714fadff979437ffe65fd",
+    "gv multifiber --m 2 --prec 1500":
+        "5056cca66e9bea543b54118ff6197e70e326a4d6311f418d79a77ac8b926b7f6",
+    "check --prec 300":
+        "597a4a2b91017cef6f2d1916690210f196cb7008d83be297b0645ce29e48a308",
+}
+# the text and --json digests at --prec 1 and 3000; e4, e6, e10 and
+# theta-e8 all print the one term 1 at --prec 1
+SERIES_DIGESTS = {
+    "delta": (
+        "b8388c44e448858ae751c59912c120badd77182a983ab50e9665fde279963a9e",
+        "1c1abd6d9637c4adb5dc2e65b6bd4c7b3561591f11a3a603ccaf119a01e415e5",
+        "2b8c753c58da7d80b135a7dcade68e3a1cbf019d50b63c40658d22585431e82f",
+        "f5842bf33bac16b7ebc8d7dec255a7f6903a2d36ac64d2eb26a2ac3648173456"),
+    "inv-delta": (
+        "b628cd425ae1f63440c1c6aea62bd42ee239d7d2f596531f9dc9f3e6ba10446f",
+        "a6f3205df5a06660eb45cfd3a5dfbd24df9a81acf2e0a7918c7dedc07482f03d",
+        "bdeeee39f9b7ecac57c2f558a9a183b7d2c93203457e846574a3aaceac2baf3e",
+        "b6c3afaab929a9941bb4834d45484ac034fd193621e3fb7a996f26f61d07739f"),
+    "inv-sqrt-delta": (
+        "478bf5039898765403c12850b6e35a665d09d75d2bd35a9051293ee82a84bd43",
+        "ff2a6403c87c504c02da18bb631d329205c2ddfad258d37d22cc1f980ae3cf28",
+        "d53f3584153cefb4361f5e028f4b01e6fd61fa9e261b58eb94d2021e424f7d44",
+        "a21ccf836865b1d15bea2060a2f59ebc659a9f10cc793bc778f573c1b99e1315"),
+    "e4": (
+        "2dd01bd53f96a75c966f8245468cbe61d32c2576f4c99df382142590149ee50c",
+        "1501f1a1f0d7deb529d8a5c844cec5129807ecf00973d2e39e9a65f26a19b178",
+        "241045b6abd0ac28e71551b4c7ee4f06e129295cc7e31451d1b736e1ac50a63a",
+        "3e78daf65441f20e77e4a7a063db746b955386db20b2c04ffb907bb356ef8416"),
+    "e6": (
+        "2dd01bd53f96a75c966f8245468cbe61d32c2576f4c99df382142590149ee50c",
+        "1501f1a1f0d7deb529d8a5c844cec5129807ecf00973d2e39e9a65f26a19b178",
+        "d286cc07409926fb1b6f641b64a72d5c1a920a78526006442403a2f50ab75f1b",
+        "081034e5a3ac166422e7ba78fc83604ba1277cb3ab27788b7991b5c6f1a9fd3c"),
+    "e10": (
+        "2dd01bd53f96a75c966f8245468cbe61d32c2576f4c99df382142590149ee50c",
+        "1501f1a1f0d7deb529d8a5c844cec5129807ecf00973d2e39e9a65f26a19b178",
+        "2410f69263bbc96d6d8aaef9df85d267257135d3113a907d22c9b87a871cb63c",
+        "b208e17514b0b858081ae27cc0ba2065503dd8512c0d1dd8919977d4b4a6d9a1"),
+    "theta-e8": (
+        "2dd01bd53f96a75c966f8245468cbe61d32c2576f4c99df382142590149ee50c",
+        "1501f1a1f0d7deb529d8a5c844cec5129807ecf00973d2e39e9a65f26a19b178",
+        "241045b6abd0ac28e71551b4c7ee4f06e129295cc7e31451d1b736e1ac50a63a",
+        "3e78daf65441f20e77e4a7a063db746b955386db20b2c04ffb907bb356ef8416"),
+}
+BOUND_DIGESTS.update(
+    (f"series {name} --prec {prec}{extra}", digest)
+    for name, digests in SERIES_DIGESTS.items()
+    for (prec, extra), digest in zip(
+        [(p, x) for p in (1, TERMS_BOUND) for x in ("", " --json")], digests))
+
+
+class TestBoundDigests:
+    # the reference argvs stop near 200 terms; these reach the bounds, and
+    # each gv argv is run by both methods against its one digest
+    @pytest.mark.parametrize("argv", sorted(BOUND_DIGESTS))
+    def test_stdout_matches_the_recorded_digest(self, argv, capsys):
+        methods = ([["--method", m] for m in invariants.ROUTES["fiber"]]
+                   if argv.startswith("gv") else [[]])
+        for method in methods:
+            code, text = run(argv.split() + method)
+            assert (code, capsys.readouterr().err) == (0, "")
+            assert hashlib.sha256(text.encode()).hexdigest() == \
+                BOUND_DIGESTS[argv], method
+
+    def test_every_series_name_is_covered(self):
+        assert set(SERIES_DIGESTS) == set(cli._SERIES)
+
+
 class TestIntegerCommandsLoadNoFractions:
     """Commands without a true rational never import fractions or decimal.
 
@@ -434,7 +511,7 @@ def bumped_at(real, power):
             return f
         cs = list(f.coeffs)
         cs[2] += 1
-        return QSeries(cs, f.offset, f.prec)
+        return QSeries(cs, f.prec)
     return corrupted
 
 
@@ -461,7 +538,7 @@ class TestCheckCommand:
                 return f
             cs = list(f.coeffs)
             cs[2] += 1
-            return QSeries(cs, f.offset, f.prec)
+            return QSeries(cs, f.prec)
 
         monkeypatch.setattr(forms, "eisenstein", corrupted)
         code, text = run(["check", "--prec", "6"])
@@ -477,7 +554,7 @@ class TestCheckCommand:
                 return f
             cs = list(f.coeffs)
             cs[1] += 1
-            return QSeries(cs, f.offset, f.prec)
+            return QSeries(cs, f.prec)
 
         monkeypatch.setattr(forms, "eta_power", corrupted)
         code, text = run(["check", "--prec", "6"])
@@ -493,7 +570,7 @@ class TestCheckCommand:
                 return f
             cs = list(f.coeffs)
             cs[2] += 1
-            return QSeries(cs, f.offset, f.prec)
+            return QSeries(cs, f.prec)
 
         monkeypatch.setattr(forms, "eta_power", corrupted)
         code, text = run(["check", "--prec", "6"])
@@ -507,7 +584,7 @@ class TestCheckCommand:
         # recurrence can see it; the negative powers also feed the closed
         # routes, whose direct partners read powers of Jacobi's cube
         real = forms.eta_power
-        factor = QSeries([1, 1], 0, 1000)
+        factor = QSeries([1, 1], 1000)
 
         def corrupted(e, nterms):
             f = real(e, nterms)
@@ -735,7 +812,7 @@ class TestCheckCommand:
             f = real(u)
             cs = list(f.coeffs)
             cs[2] += 1
-            return QSeries(cs, f.offset, f.prec)
+            return QSeries(cs, f.prec)
 
         generators[index] = bumped
         monkeypatch.setitem(invariants.ROUTES[target], method,
@@ -870,9 +947,9 @@ class TestCheckCommand:
         pairs = [(f, g) for f in fs for g in fs]
 
         def int_sum(f, g):
-            lo, hi = min(f.offset, g.offset), min(f.prec, g.prec)
+            hi = min(f.prec, g.prec)
             return QSeries([f.coeff_at(e) + g.coeff_at(e)
-                            for e in range(lo, hi)], lo, hi)
+                            for e in range(hi)], hi)
 
         expected = [(f * g, int_sum(f, g)) for f, g in pairs]
 
@@ -885,14 +962,14 @@ class TestCheckCommand:
                 for f, g in pairs] == expected
 
     def test_agree_reads_up_to_the_lower_bound(self):
-        # _agree compares the coefficient runs below the lower bound,
-        # where they start included
-        f = QSeries([1, 2, 3], 0, 3)
-        assert checks._agree(f, QSeries([1, 2], 0, 2))
-        assert checks._agree(f, QSeries([1, 2, 4], 0, 3)) is False
-        assert checks._agree(f, QSeries([1, 2], 1, 3)) is False
-        assert checks._agree(QSeries([5], 4, 5), QSeries([], 3, 3))
-        assert checks._agree(QSeries([5], 2, 5), QSeries([], 3, 3)) is False
+        # _agree compares the coefficients below the lower bound, leading
+        # zeros included
+        f = QSeries([1, 2, 3], 3)
+        assert checks._agree(f, QSeries([1, 2], 2))
+        assert checks._agree(f, QSeries([1, 2, 4], 3)) is False
+        assert checks._agree(f, QSeries([0, 1, 2], 3)) is False
+        assert checks._agree(QSeries([0, 0, 0, 0, 5], 5), QSeries([], 3))
+        assert checks._agree(QSeries([0, 0, 5], 5), QSeries([], 3)) is False
 
     @pytest.mark.parametrize("attr, shift", [
         ("fiber_row", 1), ("first_row", 1), ("first_row", -1)])
@@ -917,7 +994,7 @@ class TestCheckCommand:
                 return f
             cs = list(f.coeffs)
             cs[1] -= 1
-            return QSeries(cs, f.offset, f.prec)
+            return QSeries(cs, f.prec)
 
         monkeypatch.setattr(forms, "eisenstein", corrupted)
         code, text = run(["check", "--prec", "6"])

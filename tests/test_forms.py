@@ -1,12 +1,13 @@
 """Tests for the modular-form generators, each against an independent oracle."""
 
+import io
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from ellcy import checks, forms
+from ellcy import checks, cli, forms
 from ellcy.series import QSeries
 
 
@@ -104,44 +105,46 @@ def box_half_profiles(parity: int, bound: int) -> dict[tuple[int, int], int]:
 
 class TestEtaPower:
     def test_eta24_against_product_oracle(self):
-        # eta_power is the product alone, from q^0; delta = q times it
+        # eta_power is the product alone, from q^0; `series delta` prints
+        # Delta, q times it, from q^1
         oracle = dedekind_product_oracle(24, 8)
         d = forms.eta_power(24, 8)
-        delta = forms.delta(8)
+        out = io.StringIO()
+        assert cli.main(["series", "delta", "--prec", "8"], out=out) == 0
+        assert out.getvalue() == "".join(f"{i + 1}\t{c}\n"
+                                         for i, c in enumerate(oracle))
         for i, c in enumerate(oracle):
             assert d.coeff_at(i) == c
-            assert delta.coeff_at(i + 1) == c
 
     def test_eta24_first_terms(self):
         d = forms.eta_power(24, 4)
         assert [d.coeff_at(n) for n in range(4)] == [1, -24, 252, -1472]
-        assert forms.delta(4) == QSeries([1, -24, 252, -1472], 1, 5)
+        assert d == QSeries([1, -24, 252, -1472], 4)
 
     def test_inverse_delta_known_values(self):
         # Delta * (1/Delta) = 1, by a double loop over the two coefficient
-        # lists; the known values pin 1/Delta from q^-1
-        d, inv = forms.delta(5), forms.inverse_delta(5)
-        assert (inv.offset, inv.coeffs[:4]) == (-1, (1, 24, 324, 3200))
+        # lists of eta^24 and eta^-24, whose shifts q and q^-1 cancel; the
+        # known values pin 1/Delta
+        d, inv = forms.eta_power(24, 5), forms.eta_power(-24, 5)
+        assert inv.coeffs[:4] == (1, 24, 324, 3200)
         n = len(d.coeffs)
         prod = [0] * n
         for i, a in enumerate(d.coeffs):
             for j, b in enumerate(inv.coeffs[:n - i]):
                 prod[i + j] += a * b
-        assert d.offset + inv.offset == 0
         assert prod == [1] + [0] * (n - 1)
 
     def test_eta12_half_integer_exponents(self):
         # eta^12 = q^(1/2) prod (1 - q^n)^12 has the exponents i + 1/2;
         # eta_power keeps the product alone, its q^(i + 1/2) term at q^i
         s = forms.eta_power(12, 5)
-        assert (s.offset, s.prec) == (0, 5)
+        assert s.prec == 5
         assert list(s.coeffs) == dedekind_product_oracle(12, 5)
 
     def test_eta12_squared_is_eta24(self):
         lhs = forms.eta_power(12, 6) * forms.eta_power(12, 6)
         rhs = forms.eta_power(24, 6)
         p = min(lhs.prec, rhs.prec)
-        assert lhs.offset == rhs.offset == 0
         assert lhs.coeffs[:p] == rhs.coeffs[:p]
 
     def test_sqrt_delta_matches_eta12(self):
@@ -158,20 +161,22 @@ class TestEtaPower:
     @pytest.mark.parametrize("e", [-24, -12, -2, 2, 8, 12, 24])
     def test_every_power_from_q0(self, e):
         # the integer grid: every power from q^0 with nterms terms; only
-        # delta and inverse_delta shift, by q^1 and q^-1
+        # the CLI's series table prints a shift
         s = forms.eta_power(e, 7)
-        assert (s.offset, s.prec, s.coeffs[0]) == (0, 7, 1)
+        assert (s.prec, len(s.coeffs), s.coeffs[0]) == (7, 7, 1)
         if e > 0:
             assert list(s.coeffs) == dedekind_product_oracle(e, 7)
 
     def test_shifted_generators(self):
-        assert (forms.delta(5).offset, forms.delta(5).prec) == (1, 6)
-        inv = forms.inverse_delta(5)
-        assert (inv.offset, inv.prec) == (-1, 4)
-        assert inv.coeffs == forms.eta_power(-24, 5).coeffs
-        # the Bryan-Leung series q^(1/2)/sqrt(Delta) is eta^-12 as stored
-        assert forms.inverse_sqrt_delta(3) == QSeries([1, 12, 90], 0, 3)
-        assert forms.inverse_sqrt_delta(9) == forms.eta_power(-12, 9)
+        # Delta, 1/Delta and the Bryan-Leung q^(1/2)/sqrt(Delta) are eta
+        # powers as stored, printed at q^1, q^-1 and q^(-1/2) by the table
+        for name, e, den, first in (("delta", 24, 1, 1),
+                                    ("inv-delta", -24, 1, -1),
+                                    ("inv-sqrt-delta", -12, 2, -1)):
+            generator, *shift = cli._SERIES[name]
+            assert generator(9) == forms.eta_power(e, 9)
+            assert shift == [den, first]
+        assert forms.eta_power(-12, 3) == QSeries([1, 12, 90], 3)
 
     def test_odd_exponents_jacobi_and_euler(self):
         # prod (1 - q^n)^3 is Jacobi's series, and prod (1 - q^n) is
@@ -198,18 +203,16 @@ class TestEtaPower:
     @pytest.mark.parametrize("e", [12, 24])
     def test_negative_power_is_inverse(self, e):
         prod = forms.eta_power(e, 30) * forms.eta_power(-e, 30)
-        assert prod == QSeries([1], 0, prod.prec)
+        assert prod == QSeries([1], prod.prec)
         assert prod.prec == 30
 
     def test_inverse_delta_by_recurrence_known_values(self):
-        inv = forms.inverse_delta(4)
-        assert (inv.offset, inv.coeffs) == (-1, (1, 24, 324, 3200))
-        assert inv.prec == 3
-        assert forms.eta_power(-24, 4) == QSeries([1, 24, 324, 3200], 0, 4)
+        assert forms.eta_power(-24, 4) == QSeries([1, 24, 324, 3200], 4)
 
     def test_ramanujan_tau_at_200_terms(self):
-        d = forms.delta(200)
-        tau = {n: d.coeff_at(n) for n in range(1, 201)}
+        # tau(n) is the coefficient of q^n in Delta, of q^(n-1) in eta^24
+        d = forms.eta_power(24, 200)
+        tau = {n: d.coeff_at(n - 1) for n in range(1, 201)}
         assert tau[1] == 1
         for m in range(2, 201):
             for n in range(m + 1, 200 // m + 1):
@@ -227,7 +230,7 @@ class TestEtaPower:
             forms._sparse_power([(1, 2)], Fraction(1, 2), 4)
         # negative quotients are exact: 1/(1 + 2q) = sum (-2)^n q^n
         assert forms._sparse_power([(1, 2)], -1, 5) == \
-            QSeries([1, -2, 4, -8, 16], 0, 5)
+            QSeries([1, -2, 4, -8, 16], 5)
 
 
 class TestTwoEtaGenerators:
@@ -326,7 +329,7 @@ class TestDivisorSums:
 class TestEisenstein:
     def test_e4_first_terms(self):
         e4 = forms.eisenstein(4, 3)
-        assert (e4.offset, e4.coeffs) == (0, (1, 240, 2160))
+        assert (e4.prec, e4.coeffs) == (3, (1, 240, 2160))
 
     def test_e6_first_terms(self):
         e6 = forms.eisenstein(6, 3)
@@ -336,7 +339,7 @@ class TestEisenstein:
 
     def test_e10_known_values(self):
         e10 = forms.eisenstein(10, 3)
-        assert (e10.offset, e10.coeffs) == (0, (1, -264, -135432))
+        assert (e10.prec, e10.coeffs) == (3, (1, -264, -135432))
 
     def test_e10_is_product_of_e4_e6(self):
         lhs = forms.eisenstein(10, 10)
@@ -387,6 +390,16 @@ class TestThetaE8:
         for bound in range(0, 81):
             assert box_half_profiles(parity, bound) == \
                 four_loop_half_profiles(parity, bound)
+
+    @pytest.mark.parametrize("cs", [[0, 1] + [0] * 8, [0, 0, 3, -1, 2, 0],
+                                    [2, -1, 0, 0, 5], [0] * 4, [7], []])
+    def test_eighth_power_matches_double_loop(self, cs):
+        # a zero constant term included: the power keeps its leading zeros
+        power = [1] + [0] * (len(cs) - 1) if cs else []
+        for _ in range(8):
+            power = [sum(power[i] * cs[k - i] for i in range(k + 1))
+                     for k in range(len(cs))]
+        assert forms._eighth_power(cs) == power
 
     def test_norm_counts_match_all_pairs(self):
         for max_half_norm in list(range(0, 41)) + [199]:

@@ -54,30 +54,30 @@ def fraction_nl_sum(m: int, nmax: int) -> list[Fraction]:
 def slice_product_sum(m: int, nmax: int) -> QSeries:
     """The slice route as m slice products summed, one per residue.
 
-    -2 times the sum over l of (1/Delta)_{m, l-1} (E10)_{m, 1-l}: the
-    route's former algorithm, which the closed fibre route replaces by
-    the slice at 0 mod m of one product.
+    -2 times the sum over l of (q/Delta)_{m, l} (E10)_{m, 1-l}, row k its
+    coefficient of q^k: the route's former algorithm, which the closed
+    fibre route replaces by the slice at 1 mod m of one product.
     """
-    uterms = m * (nmax - m) + 2  # need exponents through m(nmax - m)
+    uterms = m * (nmax - m) + 2  # need rows through m(nmax - m) + 1
     if uterms < 1:
         raise ValueError("nmax is too small for a nonempty expansion")
-    inv_delta_u = forms.inverse_delta(uterms)
+    inv_delta_u = forms.eta_power(-24, uterms)  # q/Delta
     e10_u = forms.eisenstein(10, uterms)
-    total = [0] * uterms  # exponents -1 .. uterms - 2
+    total = [0] * uterms
     for ell in range(m):
-        piece = residue_part(inv_delta_u, m, ell - 1) * \
+        piece = residue_part(inv_delta_u, m, ell) * \
             residue_part(e10_u, m, 1 - ell)
         for i in range(uterms):
-            total[i] -= 2 * piece.coeff_at(i - 1)
-    return QSeries(total, -1, uterms - 1)
+            total[i] -= 2 * piece.coeff_at(i)
+    return QSeries(total, uterms)
 
 
 def residue_part(f: QSeries, m: int, k: int) -> QSeries:
     """The terms of f whose exponent is k mod m, by one list slice."""
-    first = (k - f.offset) % m  # index of the first kept term
+    first = k % m  # index of the first kept term
     cs = [0] * len(f.coeffs)
     cs[first::m] = f.coeffs[first::m]
-    return QSeries(cs, f.offset, f.prec)
+    return QSeries(cs, f.prec)
 
 
 def fraction_section_convolution(nterms: int) -> list[Fraction]:
@@ -88,7 +88,7 @@ def fraction_section_convolution(nterms: int) -> list[Fraction]:
     coefficient at a time.
     """
     counts = forms.e8_norm_counts(nterms - 1)
-    bl = forms.inverse_sqrt_delta(nterms)
+    bl = forms.eta_power(-12, nterms)  # q^(1/2)/sqrt(Delta)
     out = []
     for n in range(nterms):
         total = Fraction(0)
@@ -155,21 +155,23 @@ class TestFiberRoutes:
 
     def test_slice_is_closed_form(self):
         # the fibre rows are the whole closed form -2 E10/Delta, row n its
-        # coefficient of q^(n-1): the product from q^0 is q E10/Delta
+        # coefficient of q^(n-1): the product from q^0 is q E10/Delta,
+        # E10 times eta^-24
         for nrows in (1, 2, 6, 13):
             closed = (forms.eisenstein(10, nrows)
-                      * forms.inverse_delta(nrows))
+                      * forms.eta_power(-24, nrows))
             assert invariants.gv_table("fiber", "closed", nrows) == \
-                [-2 * closed.coeff_at(n - 1) for n in range(nrows)]
+                [-2 * closed.coeff_at(n) for n in range(nrows)]
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_slice_matches_slice_product_sum(self, m):
-        # every nmax up to 40 with a nonempty expansion: entry n is the
-        # coefficient of q^(m(n-m)) in the sum of the slice products
+        # every nmax up to 40 with a nonempty expansion: entry n is row
+        # m(n-m) + 1 of the sum of the slice products
         for nmax in (n for n in range(41) if m * (n - m) + 2 >= 1):
             ref = slice_product_sum(m, nmax)
             assert classes("closed", m, nmax) == \
-                [ref.coeff_at(m * (n - m)) for n in range(nmax + 1)], nmax
+                [ref.coeff_at(m * (n - m) + 1) for n in range(nmax + 1)], \
+                nmax
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_slice_makes_one_product(self, m, monkeypatch):
@@ -251,8 +253,7 @@ class TestSectionRoutes:
     def test_zero_vector_contribution_is_bryan_leung(self):
         # the lambda = 0 term of the convolution alone is the Bryan-Leung
         # series q^(1/2)/sqrt(Delta), which counts C'' + jE'' at q^j
-        bl = forms.inverse_sqrt_delta(6)
-        assert (bl.offset, bl.prec) == (0, 6)
+        bl = forms.eta_power(-12, 6)
         conv = invariants.gv_table("section", "direct", 6)
         # at n = 0 only lambda = 0 is effective
         assert conv[0] == bl.coeff_at(0) == 1
@@ -273,11 +274,11 @@ class TestSectionRoutes:
                 return real(*args)
             return generator
 
-        for name in ("inverse_sqrt_delta", "eta_power_jacobi"):
+        for name in ("eta_power", "eta_power_jacobi"):
             monkeypatch.setattr(forms, name, recording(name))
         assert invariants.gv_table(*route, 5) == \
             [1, 252, 5130, 54760, 419895]
-        assert calls == {("section", "closed"): [("inverse_sqrt_delta", 5)],
+        assert calls == {("section", "closed"): [("eta_power", -12, 5)],
                          ("section", "direct"): [
                              ("eta_power_jacobi", -12, 5)]}[route]
         assert not hasattr(invariants, "_bryan_leung")
@@ -297,7 +298,7 @@ class TestSectionRoutes:
         # truncating at n < m must reproduce the truncated convolution
         conv = invariants.gv_table("section", "direct", 3)
         counts = forms.e8_norm_counts(2)
-        bl = forms.inverse_sqrt_delta(3)
+        bl = forms.eta_power(-12, 3)
         n = 2
         manual = sum(counts[m] * bl.coeff_at(n - m) for m in range(n + 1))
         assert conv[n] == manual
@@ -353,7 +354,7 @@ class TestMultifiberRoutes:
                 return f
             cs = list(f.coeffs)
             cs[2] += 1
-            return type(f)(cs, f.offset, f.prec)
+            return type(f)(cs, f.prec)
 
         monkeypatch.setattr(forms, "eisenstein", corrupted)
         assert classes("direct", 2, 10) != reference
@@ -469,8 +470,8 @@ class TestRouteGenerators:
         ("fiber", "direct"): {"yau_zaslow", "eta_power_jacobi",
                               ("eisenstein", 4), ("eisenstein", 6),
                               ("divisor_sums", 3), ("divisor_sums", 5)},
-        ("section", "closed"): {"inverse_sqrt_delta", "eta_power",
-                                ("eisenstein", 4), ("divisor_sums", 3)},
+        ("section", "closed"): {"eta_power", ("eisenstein", 4),
+                                ("divisor_sums", 3)},
         ("section", "direct"): {"theta_e8", "e8_norm_counts",
                                 "eta_power_jacobi"},
     }
@@ -505,12 +506,12 @@ class TestRouteGenerators:
                              ids=list(ROUTE_IDS.values()))
     def test_every_product_starts_at_q0(self, route):
         # row i of every table is [q^i] of its product: both generators
-        # and their product have offset 0 and precision nrows
+        # and their product hold nrows terms from q^0
         first, second = invariants.ROUTES[route[0]][route[1]]
         for nrows in (1, 2, 30):
             f, g = first(nrows), second(nrows)
-            assert [(s.offset, s.prec) for s in (f, g, f * g)] == \
-                [(0, nrows)] * 3, nrows
+            assert [(s.prec, len(s.coeffs)) for s in (f, g, f * g)] == \
+                [(nrows, nrows)] * 3, nrows
 
 
 class TestRoutePrecision:

@@ -12,7 +12,7 @@ from ellcy.series import PrecisionError, QSeries
 
 def assert_agree(a: QSeries, b: QSeries):
     """Exact agreement on the overlap of the two known ranges."""
-    for e in range(min(a.offset, b.offset), min(a.prec, b.prec)):
+    for e in range(min(a.prec, b.prec)):
         assert a.coeff_at(e) == b.coeff_at(e), f"differ at q^{e}"
 
 
@@ -23,89 +23,99 @@ def assert_agree(a: QSeries, b: QSeries):
 # tests pin that.
 
 def test_add_cancellation():
-    f = QSeries([1, 24], -1, 1)
-    g = QSeries([-24], 0, 1)
-    assert _term_sum(f, g) == QSeries([1], -1, 1)
+    f = QSeries([1, 24], 2)
+    g = QSeries([0, -24], 2)
+    assert _term_sum(f, g) == QSeries([1, 0], 2)
 
 
 def test_add_identity():
-    f = QSeries([3, 0, -5], 2, 5)
-    assert _term_sum(f, QSeries([], 5, 5)) == f
+    f = QSeries([0, 0, 3, 0, -5], 5)
+    assert _term_sum(f, QSeries([], 5)) == f
 
 
 def test_add_eisenstein_like():
     # (1 + 240q) + (1 - 264q) = 2 - 24q, checked by hand
-    f = QSeries([1, 240], 0, 2)
-    g = QSeries([1, -264], 0, 2)
-    assert _term_sum(f, g) == QSeries([2, -24], 0, 2)
+    f = QSeries([1, 240], 2)
+    g = QSeries([1, -264], 2)
+    assert _term_sum(f, g) == QSeries([2, -24], 2)
 
 
 def test_mul_identity():
-    f = QSeries([2, -7, 3], -2, 1)
-    one = QSeries([1], 0, 5)
+    f = QSeries([2, -7, 3], 3)
+    one = QSeries([1], 5)
     assert_agree(f * one, f)
 
 
 def test_mul_inverse_delta_times_e10():
-    # (q^-1 + 24 + 324q + 3200q^2)(1 - 264q - 135432q^2)
-    # = q^-1 - 240 - 141444q + O(q^2): -1/2 of the fibre series
-    f = QSeries([1, 24, 324, 3200], -1, 3)
-    g = QSeries([1, -264, -135432], 0, 3)
+    # (1 + 24q + 324q^2 + 3200q^3)(1 - 264q - 135432q^2)
+    # = 1 - 240q - 141444q^2 + O(q^3): q/Delta times E10, -1/2 of the
+    # fibre rows
+    f = QSeries([1, 24, 324, 3200], 4)
+    g = QSeries([1, -264, -135432], 3)
     p = f * g
-    assert p.coeff_at(-1) == 1
-    assert p.coeff_at(0) == -240
-    assert p.coeff_at(1) == -141444
+    assert p.prec == 3
+    assert p.coeffs == (1, -240, -141444)
 
 
 def test_invert_known_expansion():
-    # 1/Delta through prec 4 terms of Delta
-    delta = QSeries([1, -24, 252, -1472], 1, 5)
+    # q/Delta through 4 terms of Delta/q
+    delta = QSeries([1, -24, 252, -1472], 4)
     inv = delta.invert()
-    assert inv == QSeries([1, 24, 324, 3200], -1, 3)
+    assert inv == QSeries([1, 24, 324, 3200], 4)
 
 
 def test_invert_one():
-    one = QSeries([1], 0, 6)
+    one = QSeries([1], 6)
     assert one.invert() == one
 
 
 def test_invert_zero_leading_coefficient():
-    with pytest.raises(ValueError, match="non-invertible"):
-        QSeries([], 4, 4).invert()
+    # a zero constant term, with no terms or with a later nonzero one
+    for f in (QSeries([], 4), QSeries([], 0), QSeries([0, 1], 2)):
+        with pytest.raises(ValueError, match="non-invertible"):
+            f.invert()
 
 
 def test_invert_non_unit_leading_coefficient():
     # 1/(2 + q) leaves the integers at its first coefficient
     with pytest.raises(ArithmeticError, match="not a unit"):
-        QSeries([2, 1], 0, 3).invert()
-    assert QSeries([-1, 2], 0, 3).invert() == QSeries([-1, -2, -4], 0, 3)
+        QSeries([2, 1], 3).invert()
+    assert QSeries([-1, 2], 3).invert() == QSeries([-1, -2, -4], 3)
 
 
 def test_sqrt_identity():
-    assert QSeries([1], 0, 5).sqrt() == QSeries([1], 0, 5)
+    assert QSeries([1], 5).sqrt() == QSeries([1], 5)
 
 
 def test_sqrt_non_square_leading():
-    with pytest.raises(ValueError, match="non-square"):
-        QSeries([2, 1], 0, 3).sqrt()
-    with pytest.raises(ValueError, match="non-square"):
-        QSeries([-4, 1], 0, 3).sqrt()
+    # a zero constant term is no positive square either: q^2 - 24q^3 has
+    # no square root from q^0
+    for cs in ([2, 1], [-4, 1], [0, 0, 1, -24]):
+        with pytest.raises(ValueError, match="non-square"):
+            QSeries(cs, 4).sqrt()
+    with pytest.raises(ValueError, match="no terms"):
+        QSeries([], 0).sqrt()
 
 
 def test_sqrt_inexact_step_raises():
     # sqrt(1 + q) = 1 + q/2 - ...: the q coefficient is not an integer
     with pytest.raises(ArithmeticError, match="coefficient 1"):
-        QSeries([1, 1], 0, 3).sqrt()
+        QSeries([1, 1], 3).sqrt()
 
 
 def test_non_integer_coefficient_is_a_type_error():
     with pytest.raises(TypeError):
-        QSeries([Fraction(1, 2)], 0, 1)
+        QSeries([Fraction(1, 2)], 1)
     with pytest.raises(TypeError):
-        QSeries([1, 2.0], 0, 2)
+        QSeries([1, 2.0], 2)
     # exact types: a bool is an int subclass, and is refused too
     with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
-        QSeries([True], 0, 1)
+        QSeries([True], 1)
+
+
+def test_negative_precision_is_refused():
+    with pytest.raises(ValueError, match="prec"):
+        QSeries([], -1)
 
 
 def test_kernel_that_leaves_the_integers_is_refused(monkeypatch):
@@ -121,7 +131,7 @@ def test_kernel_that_leaves_the_integers_is_refused(monkeypatch):
         return out
 
     monkeypatch.setattr(series, "int_product", leaky)
-    f, g = forms.inverse_delta(20), forms.eisenstein(10, 20)
+    f, g = forms.eta_power(-24, 20), forms.eisenstein(10, 20)
     with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
         f * g
     with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
@@ -132,7 +142,7 @@ def test_kernel_that_leaves_the_integers_is_refused(monkeypatch):
 
 
 def test_non_integer_scalar_is_a_type_error():
-    f = QSeries([1, 2], 0, 2)
+    f = QSeries([1, 2], 2)
     with pytest.raises(TypeError):
         f * Fraction(1, 2)
     with pytest.raises(TypeError):
@@ -141,30 +151,21 @@ def test_non_integer_scalar_is_a_type_error():
 
 def test_int_scalar_is_a_type_error():
     # a series multiplies only series; no route scales one
-    f = QSeries([1, 2], 0, 2)
+    f = QSeries([1, 2], 2)
     with pytest.raises(TypeError):
         f * 3
     with pytest.raises(TypeError):
         3 * f
 
 
-def test_sqrt_odd_leading_exponent_raises():
-    # q - 24q^2 has no square root on the integer grid; q^2 - 24q^3 has
-    with pytest.raises(ValueError, match="odd leading exponent 1"):
-        QSeries([1, -24], 1, 3).sqrt()
-    with pytest.raises(ValueError, match="odd leading exponent -3"):
-        QSeries([4], -3, 0).sqrt()
-    assert QSeries([1, -24], 2, 4).sqrt() == QSeries([1, -12], 1, 3)
-
-
 def test_coeff_at_below_support_is_zero():
-    f = QSeries([5], 2, 4)
-    assert f.coeff_at(0) == 0
-    assert f.coeff_at(-3) == 0
+    # a stored leading zero, and every exponent below q^0
+    f = QSeries([0, 0, 5], 4)
+    assert [f.coeff_at(e) for e in (-3, -1, 0, 1, 2, 3)] == [0, 0, 0, 0, 5, 0]
 
 
 def test_coeff_at_past_precision_errors():
-    f = QSeries([5], 2, 4)
+    f = QSeries([0, 0, 5], 4)
     with pytest.raises(PrecisionError):
         f.coeff_at(4)
     with pytest.raises(PrecisionError):
@@ -269,10 +270,12 @@ def test_packed_slots_on_byte_boundaries(bits, extra):
         assert series.int_product(f, g, n) == double_loop(f, g, n)
 
 
-def test_canonical_trims_leading_zeros():
-    f = QSeries([0, 0, 7], 0, 3)
-    assert f.offset == 2
-    assert f.coeffs == (Fraction(7),)
+def test_leading_zeros_are_stored():
+    # coeffs[i] is the coefficient of q^i, leading zeros included
+    f = QSeries([0, 0, 7], 4)
+    assert (f.coeffs, f.prec) == ((0, 0, 7, 0), 4)
+    assert f != QSeries([7], 2)
+    assert QSeries.__slots__ == ("prec", "coeffs")
 
 
 # -- property tests ------------------------------------------------------
@@ -284,16 +287,14 @@ coeffs_st = st.lists(st.integers(min_value=-20, max_value=20),
 @st.composite
 def qseries(draw):
     cs = draw(coeffs_st)
-    offset = draw(st.integers(min_value=-4, max_value=4))
     extra = draw(st.integers(min_value=0, max_value=3))
-    return QSeries(cs, offset, offset + len(cs) + extra)
+    return QSeries(cs, len(cs) + extra)
 
 
 @st.composite
 def unit_series(draw, leads=st.integers(min_value=1, max_value=10)):
     cs = [draw(leads)] + draw(coeffs_st)
-    offset = draw(st.integers(min_value=-3, max_value=3))
-    return QSeries(cs, offset, offset + len(cs))
+    return QSeries(cs, len(cs))
 
 
 def schoolbook_product(f: QSeries, g: QSeries):
@@ -302,10 +303,10 @@ def schoolbook_product(f: QSeries, g: QSeries):
     Returns the precision bound of f*g as an exponent, and the map from
     each exponent below it to its coefficient.
     """
-    bound = min(f.prec + g.offset, g.prec + f.offset)
+    bound = min(f.prec, g.prec)
     out = {}
-    for a, x in enumerate(f.coeffs, f.offset):
-        for b, y in enumerate(g.coeffs, g.offset):
+    for a, x in enumerate(f.coeffs):
+        for b, y in enumerate(g.coeffs):
             if a + b < bound:
                 out[a + b] = out.get(a + b, 0) + x * y
     return bound, out
@@ -318,11 +319,11 @@ wide_coeff_st = st.one_of(
 
 @st.composite
 def wide_qseries(draw):
+    # a leading-zero prefix, stored as it is
     zeros = draw(st.integers(min_value=0, max_value=8))
     cs = [0] * zeros + draw(st.lists(wide_coeff_st, max_size=10))
-    offset = draw(st.integers(min_value=-6, max_value=4))
     extra = draw(st.integers(min_value=0, max_value=4))
-    return QSeries(cs, offset, offset + len(cs) + extra)
+    return QSeries(cs, len(cs) + extra)
 
 
 @given(wide_qseries(), wide_qseries())
@@ -330,7 +331,7 @@ def test_mul_matches_schoolbook(f, g):
     p = f * g
     bound, ref = schoolbook_product(f, g)
     assert p.prec == bound
-    for i, c in enumerate(p.coeffs, p.offset):
+    for i, c in enumerate(p.coeffs):
         assert c == ref.get(i, 0)
     for e, c in ref.items():
         assert p.coeff_at(e) == c
@@ -360,7 +361,7 @@ def test_distributive(f, g, h):
 
 @given(unit_series(leads=st.sampled_from([1, -1])))
 def test_invert_roundtrip(f):
-    assert_agree(f * f.invert(), QSeries([1], 0, 1))
+    assert_agree(f * f.invert(), QSeries([1], 1))
 
 
 @given(unit_series())
@@ -370,8 +371,8 @@ def test_sqrt_of_square_roundtrip(f):
 
 
 def test_repr_is_the_constructor_call():
-    assert repr(QSeries([0, 1, 2], -1, 3)) == "QSeries([1, 2, 0], 0, 3)"
-    assert repr(QSeries([], 4, 4)) == "QSeries([], 4, 4)"
+    assert repr(QSeries([0, 1, 2], 4)) == "QSeries([0, 1, 2, 0], 4)"
+    assert repr(QSeries([], 0)) == "QSeries([], 0)"
 
 
 @given(wide_qseries())
@@ -387,7 +388,7 @@ def test_precision_honesty(f):
 
 # -- the integer representation against a Fraction oracle ----------------
 #
-# Each series is drawn as raw data (coefficients, offset, prec).  The
+# Each series is drawn as raw data (coefficients, prec).  The
 # oracle reads the same data as a map from exponent to Fraction
 # coefficient with a precision bound, and does every operation term by
 # term, so it shares nothing with the kernel's aligned coefficient lists.
@@ -398,16 +399,14 @@ rational_st = st.integers(min_value=-30, max_value=30)
 @st.composite
 def raw_series(draw):
     cs = draw(st.lists(rational_st, max_size=8))
-    offset = draw(st.integers(min_value=-3, max_value=3))
-    prec = offset + draw(st.integers(min_value=0, max_value=len(cs) + 3))
-    return cs, offset, prec
+    prec = draw(st.integers(min_value=0, max_value=len(cs) + 3))
+    return cs, prec
 
 
 def oracle(raw):
     """(precision bound, {exponent: nonzero Fraction coefficient})."""
-    cs, offset, prec = raw
-    terms = {offset + i: Fraction(c)
-             for i, c in enumerate(cs[:prec - offset]) if c}
+    cs, prec = raw
+    terms = {i: Fraction(c) for i, c in enumerate(cs[:prec]) if c}
     return prec, terms
 
 
@@ -422,9 +421,8 @@ def oracle_add(f, g):
 
 
 def oracle_mul(f, g):
-    # an unknown tail starts at each bound plus the other's lowest term
-    low_f, low_g = min(f[1], default=f[0]), min(g[1], default=g[0])
-    bound = min(f[0] + low_g, g[0] + low_f)
+    # a product is known below the lower of the two bounds
+    bound = min(f[0], g[0])
     terms = {}
     for a, x in f[1].items():
         for b, y in g[1].items():
@@ -434,13 +432,12 @@ def oracle_mul(f, g):
 
 
 def assert_matches(p: QSeries, expected):
-    """p is canonical and agrees with the oracle coefficient by coefficient."""
+    """p holds prec ints and agrees with the oracle term by term."""
     bound, terms = expected
     assert all(type(c) is int for c in p.coeffs)
-    assert len(p.coeffs) == p.prec - p.offset
-    assert not p.coeffs or p.coeffs[0] != 0
+    assert len(p.coeffs) == p.prec
     assert p.prec == bound
-    for i, c in enumerate(p.coeffs, p.offset):
+    for i, c in enumerate(p.coeffs):
         assert c == terms.get(i, 0)
     for e, c in terms.items():
         assert p.coeff_at(e) == c
@@ -457,12 +454,11 @@ def test_ring_ops_match_fraction_oracle(a, b):
 
 @st.composite
 def sum_operands(draw):
-    """Two raw series with mismatched offsets and precisions."""
+    """Two raw series with mismatched lengths and precisions."""
     def one():
         cs = draw(st.lists(rational_st, max_size=24))
-        offset = draw(st.integers(min_value=-6, max_value=6))
-        prec = offset + draw(st.integers(min_value=0, max_value=len(cs) + 4))
-        return cs, offset, prec
+        prec = draw(st.integers(min_value=0, max_value=len(cs) + 4))
+        return cs, prec
     return one(), one()
 
 
@@ -482,4 +478,4 @@ def test_coeffs_are_the_exact_values(a):
     assert type(f.coeffs) is tuple
     assert all(type(c) is int for c in f.coeffs)
     _, terms = oracle(a)
-    assert {e: c for e, c in enumerate(f.coeffs, f.offset) if c} == terms
+    assert {e: c for e, c in enumerate(f.coeffs) if c} == terms
