@@ -1,7 +1,9 @@
 """Self-contained consistency suite behind the `check` CLI command.
 
 Each check recomputes a headline identity by two independent routes (or
-verifies a structural invariant) and compares exactly.  A run builds each
+verifies a structural invariant) and compares exactly, through one
+comparator, _first_mismatch, whose FAIL names the first index n at which
+two sequences differ and both values, or both lengths.  A run builds each
 route once, and the checks that compare routes read its rows.  The suite
 is a list of named callables so tests can fault-inject a generator and
 assert that at least one dual-route comparison catches the corruption.
@@ -64,10 +66,25 @@ def _term_sum(f: QSeries, g: QSeries) -> QSeries:
                    min(f.prec, g.prec))
 
 
-def _agree(f: QSeries, g: QSeries) -> bool:
-    """f and g are equal up to the lower of their precision bounds."""
-    p = min(f.prec, g.prec)
-    return f.coeffs[:p] == g.coeffs[:p]
+def _first_mismatch(name: str, pairs) -> CheckResult:
+    """PASS, or a FAIL at the first of the pairs whose sequences differ.
+
+    Each pair (a_name, a, b_name, b) is compared whole, and only one that
+    differs is scanned: the detail names the first n with a[n] != b[n]
+    and both values, or both lengths if one sequence is a prefix of the
+    other.  A generator of pairs is never advanced past a FAIL.
+    """
+    for a_name, a, b_name, b in pairs:
+        if a == b:
+            continue
+        for n, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return CheckResult(name, False,
+                                   f"n={n}: {a_name} {x} vs {b_name} {y}")
+        if len(a) != len(b):
+            return CheckResult(name, False, f"{len(a)} rows from {a_name} "
+                                            f"vs {len(b)} from {b_name}")
+    return CheckResult(name, True)
 
 
 # a product h = f * g of integer polynomials has h(x) = f(x) g(x) mod the
@@ -89,46 +106,43 @@ def _at_point(cs) -> int:
 def check_ring_laws(nterms: int) -> CheckResult:
     """Products against a double loop, the ring laws, and one at a point.
 
-    Each sample product, and Jacobi's series squared past the kernel's
-    row-loop cutover, is compared with a double loop that never calls
-    the kernel; the laws take their sums term by term.  Then the closed
-    fibre generators of invariants.ROUTES, eta^-24 and E10 at nterms
-    terms, are padded with zeros to the length of their product and
-    multiplied as series, and the untruncated product is checked at a
-    point against the operands' values, in O(n) steps.
+    Each product fi*fj of the samples fi = _sample_series()[i], and Jacobi's
+    series squared past the row-loop cutover, is compared with a double loop
+    that never calls the kernel; the laws take their sums term by term.
+    Then the closed fibre generators of invariants.ROUTES, eta^-24 and E10
+    at nterms terms, are padded with zeros to their product's length and
+    multiplied as series, and that untruncated product is checked at a point
+    against the operands' values, in O(n) steps.
     """
-    fs = _sample_series()
-    sums = [[_term_sum(f, g) for g in fs] for f in fs]
-    jac = _jacobi_cube(_SCHOOLBOOK_TERMS + 1)
-    if jac * jac != _schoolbook(jac, jac):
-        return CheckResult("ring-laws", False,
-                           "product differs from the schoolbook product")
-    prods = [[f * g for g in fs] for f in fs]
-    for i, f in enumerate(fs):
-        for j, g in enumerate(fs):
-            fg = prods[i][j]
-            if fg != _schoolbook(f, g):
-                return CheckResult("ring-laws", False,
-                                   "product differs from the schoolbook "
-                                   "product")
-            if fg != prods[j][i]:
-                return CheckResult("ring-laws", False,
-                                   "multiplication is not commutative")
-            for k, h in enumerate(fs):
-                if not _agree(fg * h, f * prods[j][k]):
-                    return CheckResult("ring-laws", False,
-                                       "multiplication is not associative")
-                if not _agree(f * sums[j][k], _term_sum(fg, prods[i][k])):
-                    return CheckResult("ring-laws", False,
-                                       "distributivity fails")
-    f, g = (gen(nterms).coeffs for gen in invariants.ROUTES["fiber"]["closed"])
-    size = len(f) + len(g) - 1
-    h = QSeries(f, size) * QSeries(g, size)
-    if _at_point(h.coeffs) != _at_point(f) * _at_point(g) % _P:
-        return CheckResult("ring-laws", False,
-                           f"the {len(f)} x {len(g)}-term product differs "
-                           "from the product of values mod 2^127 - 1")
-    return CheckResult("ring-laws", True)
+    def pairs():
+        jac = _jacobi_cube(_SCHOOLBOOK_TERMS + 1)
+        yield ("Jacobi's series squared", (jac * jac).coeffs,
+               "schoolbook", _schoolbook(jac, jac).coeffs)
+        fs = _sample_series()
+        ids = [f"f{i}" for i in range(len(fs))]  # not per label: 972 of them
+        sums = [[_term_sum(f, g) for g in fs] for f in fs]
+        prods = [[f * g for g in fs] for f in fs]
+        for i, (a, f) in enumerate(zip(ids, fs)):
+            for j, (b, g) in enumerate(zip(ids, fs)):
+                fg = prods[i][j]
+                yield (f"product {a}*{b}", fg.coeffs,
+                       "schoolbook", _schoolbook(f, g).coeffs)
+                yield (f"commutativity {a}*{b}", fg.coeffs,
+                       f"{b}*{a}", prods[j][i].coeffs)
+                for k, (c, h) in enumerate(zip(ids, fs)):
+                    yield (f"associativity ({a}*{b})*{c}", (fg * h).coeffs,
+                           f"{a}*({b}*{c})", (f * prods[j][k]).coeffs)
+                    yield (f"distributivity {a}*({b} + {c})",
+                           (f * sums[j][k]).coeffs, f"{a}*{b} + {a}*{c}",
+                           _term_sum(fg, prods[i][k]).coeffs)
+        f, g = (gen(nterms).coeffs
+                for gen in invariants.ROUTES["fiber"]["closed"])
+        size = len(f) + len(g) - 1
+        h = QSeries(f, size) * QSeries(g, size)
+        yield (f"the {len(f)} x {len(g)}-term product at a point mod "
+               f"2^127 - 1", [_at_point(h.coeffs)], "the product of values",
+               [_at_point(f) * _at_point(g) % _P])
+    return _first_mismatch("ring-laws", pairs())
 
 
 def check_slice_partition(nmax: int) -> CheckResult:
@@ -217,10 +231,9 @@ def check_nl_vanishing() -> CheckResult:
 def check_theta_is_e4(prec: int) -> CheckResult:
     """Theta_E8 = E4, the section routes' first generators in ROUTES."""
     routes = invariants.ROUTES["section"]
-    if routes["direct"][0](prec) != routes["closed"][0](prec):
-        return CheckResult("theta-e8-equals-e4", False,
-                           f"mismatch within {prec} terms")
-    return CheckResult("theta-e8-equals-e4", True)
+    return _first_mismatch("theta-e8-equals-e4", [
+        ("Theta_E8", routes["direct"][0](prec).coeffs,
+         "E4", routes["closed"][0](prec).coeffs)])
 
 
 def check_e10_sigma9(nterms: int) -> CheckResult:
@@ -233,15 +246,10 @@ def check_e10_sigma9(nterms: int) -> CheckResult:
     divisor-sum sieve, sigma_9 by trial division.  The NL numbers of `nl`
     come from it, so a fault on either side shows here.
     """
-    for _, generator in invariants.ROUTES["fiber"].values():
-        e10 = generator(nterms)
-        for n in range(nterms):
-            expected = forms.e10_coefficient(n)
-            if e10.coeff_at(n) != expected:
-                return CheckResult("e10-sigma9", False,
-                                   f"coefficient {n}: {e10.coeff_at(n)} vs "
-                                   f"divisor sum {expected}")
-    return CheckResult("e10-sigma9", True)
+    expected = tuple(map(forms.e10_coefficient, range(nterms)))
+    return _first_mismatch("e10-sigma9", (
+        (f"{method} E10", generator(nterms).coeffs, "divisor sum", expected)
+        for method, (_, generator) in invariants.ROUTES["fiber"].items()))
 
 
 def _jacobi_cube(nterms: int) -> QSeries:
@@ -267,50 +275,31 @@ def check_eta_additivity(nterms: int) -> CheckResult:
     integers as (E4^3 - E6^2) q/Delta = 1728 q, and eta^12/q^(1/2) and
     q^(1/2) eta^-12 by squaring into eta^24/q and q/Delta.
     """
-    j = _jacobi_cube(nterms)
-    j2 = j * j
-    j4 = j2 * j2
-    j8 = j4 * j4
+    j8 = _jacobi_cube(nterms)
+    for _ in range(3):  # Jacobi's series to the 8th by three squarings
+        j8 = j8 * j8
     e4, e6 = forms.eisenstein(4, nterms), forms.eisenstein(6, nterms)
     minus_e6 = QSeries([-c for c in e6.coeffs], e6.prec)
     disc = _term_sum(e4 * e4 * e4, minus_e6 * e6)
-    for eta in (forms.eta_power, forms.eta_power_jacobi):
-        eta24 = eta(24, nterms)
-        twelve = eta(12, nterms)
-        if not _agree(twelve * twelve, eta24):
-            return CheckResult("eta-power-additivity", False,
-                               "eta^12 squared differs from eta^24")
-        if not _agree(j8, eta24):
-            return CheckResult("eta-power-additivity", False,
-                               "eta^24/q differs from Jacobi's series to "
-                               "the 8th")
-        inv = eta(-24, nterms)  # q/Delta
-        if not _agree(disc * inv, QSeries([0, 1728], nterms)):
-            return CheckResult("eta-power-additivity", False,
-                               "(E4^3 - E6^2)/1728 times eta^-24 is not 1")
-        inv_half = eta(-12, nterms)
-        if not _agree(inv_half * inv_half, inv):
-            return CheckResult("eta-power-additivity", False,
-                               "eta^-12 squared differs from eta^-24")
-    return CheckResult("eta-power-additivity", True)
 
-
-def _first_mismatch(name: str, a_name: str, a: list, b_name: str,
-                    b: list) -> CheckResult:
-    """Two routes' rows compared entry by entry; a FAIL names the first n."""
-    for n, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return CheckResult(name, False,
-                               f"n={n}: {a_name} {x} vs {b_name} {y}")
-    if len(a) != len(b):
-        return CheckResult(name, False, f"{len(a)} rows from {a_name} vs "
-                                        f"{len(b)} from {b_name}")
-    return CheckResult(name, True)
+    def pairs():
+        for eta in (forms.eta_power, forms.eta_power_jacobi):
+            eta24, twelve = eta(24, nterms), eta(12, nterms)
+            inv, inv_half = eta(-24, nterms), eta(-12, nterms)
+            yield ("eta^12/q^(1/2) squared", (twelve * twelve).coeffs,
+                   "eta^24/q", eta24.coeffs)
+            yield ("Jacobi's series to the 8th", j8.coeffs,
+                   "eta^24/q", eta24.coeffs)
+            yield ("(E4^3 - E6^2) q/Delta", (disc * inv).coeffs,
+                   "1728 q", QSeries([0, 1728], nterms).coeffs)
+            yield ("q^(1/2) eta^-12 squared", (inv_half * inv_half).coeffs,
+                   "q/Delta", inv.coeffs)
+    return _first_mismatch("eta-power-additivity", pairs())
 
 
 def check_section_routes(closed: list, convolution: list) -> CheckResult:
-    return _first_mismatch("section-dual-route", "closed", closed,
-                           "convolution", convolution)
+    return _first_mismatch("section-dual-route",
+                           [("closed", closed, "convolution", convolution)])
 
 
 def _multifiber_name(m: int) -> str:
@@ -326,7 +315,7 @@ def check_multifiber_routes(m: int, nmax: int, slice_rows: list,
     """
     a, b = (invariants.fiber_classes(rows, m, range(nmax + 1))
             for rows in (slice_rows, nl_rows))
-    return _first_mismatch(_multifiber_name(m), "slice", a, "NL sum", b)
+    return _first_mismatch(_multifiber_name(m), [("slice", a, "NL sum", b)])
 
 
 def check_integrality(slice_rows: list, nl_rows: list, closed: list,
