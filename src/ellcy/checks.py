@@ -1,17 +1,19 @@
 """Self-contained consistency suite behind the `check` CLI command.
 
 Each check recomputes a headline identity by two independent routes (or
-verifies a structural invariant) and compares exactly, through one
-comparator, _first_mismatch, whose FAIL names the first index n at which
-two sequences differ and both values, or both lengths.  A run builds each
-route once, and the checks that compare routes read its rows.  The suite
-is a list of named callables so tests can fault-inject a generator and
-assert that at least one dual-route comparison catches the corruption.
-The oracles of the series product and the suite's sums accumulate in ints
-term by term and never call the series kernel, but for one: the series
-product of the closed fibre operands, zero-padded to keep every term,
-checked at a point modulo a prime, O(n) where the product is not.  Every
-sample and oracle is an integer, so the suite never imports `fractions`.
+a structural invariant against its stated value) and compares exactly,
+through one comparator, _first_mismatch, whose FAIL names the first
+index n at which two sequences differ and both values, or both lengths;
+every verdict comes from it, or from _guarded when a check raises.  A
+run builds each route once, and the checks that compare routes read its
+rows.  The suite is a list of named callables so tests can fault-inject
+a generator and assert that at least one dual-route comparison catches
+the corruption.  The oracles of the series product and the suite's sums
+accumulate in ints term by term and never call the series kernel, but
+for one: the series product of the closed fibre operands, zero-padded to
+keep every term, checked at a point modulo a prime, O(n) where the
+product is not.  Every sample and oracle is an integer, so the suite
+never imports `fractions`.
 """
 
 from __future__ import annotations
@@ -149,46 +151,39 @@ def check_slice_partition(nmax: int) -> CheckResult:
     """The fibre-row index, which both fibre routes read and so agree on.
 
     Row k = fiber_row(m, n) of mF + nE, 0 <= n <= nmax, read by both
-    routes at q^k, must be 1 mod m and half the class's h = 0 NL
-    discriminant, and first_row(m) must be the least n with k >= 0.
+    routes at q^k, must be half the class's h = 0 NL discriminant and
+    1 mod m, and first_row(m) must count the rows k < 0, the n below it.
     """
     (_, l1f, l1e), (_, l2f, l2e), _ = geometry.PAIRING
-    for m in (1, 2, 3, 5):
-        for n in range(nmax + 1):
-            k = invariants.fiber_row(m, n)
-            disc = geometry.nl_discriminant(0, l1f * m + l1e * n,
-                                            l2f * m + l2e * n)
-            if (k - 1) % m or disc != 2 * k:
-                return CheckResult("slice-partition", False,
-                                   f"fiber_row({m}, {n}) = {k}, and the NL "
-                                   f"discriminant of {m}F+{n}E at h = 0 is "
-                                   f"{disc}")
-        first = invariants.first_row(m)
-        if not (invariants.fiber_row(m, first - 1) < 0
-                <= invariants.fiber_row(m, first)):
-            return CheckResult("slice-partition", False,
-                               f"first_row({m}) = {first} is not the least "
-                               f"n with fiber_row({m}, n) >= 0")
-    return CheckResult("slice-partition", True)
+    ns = range(nmax + 1)
+
+    def pairs():
+        for m in (1, 2, 3, 5):
+            ks = [invariants.fiber_row(m, n) for n in ns]
+            yield (f"2 fiber_row({m}, n)", [2 * k for k in ks],
+                   f"the h = 0 NL discriminant of {m}F+nE",
+                   [geometry.nl_discriminant(0, l1f * m + l1e * n,
+                                             l2f * m + l2e * n) for n in ns])
+            yield (f"fiber_row({m}, n) mod {m}", [k % m for k in ks],
+                   f"1 mod {m}", [1 % m] * len(ks))
+            yield (f"first_row({m})", [invariants.first_row(m)],
+                   f"the rows k < 0 of {m}F+nE", [sum(k < 0 for k in ks)])
+    return _first_mismatch("slice-partition", pairs())
 
 
 def check_precision_honesty() -> CheckResult:
+    """A read at or past a series' bound raises, and never reads 0."""
     f = forms.eisenstein(4, 5)
-    for e in (5, 7):  # at and past the bound
-        try:
-            f.coeff_at(e)
-        except PrecisionError:
-            continue
-        return CheckResult("precision-honesty", False,
-                           "coefficient past the bound did not error")
-    return CheckResult("precision-honesty", True)
+    return _first_mismatch("precision-honesty", [
+        ("E4 to q^5 read at q^n", [type(_built(f.coeff_at, e)).__name__
+                                   for e in range(8)],
+         "its bound", ["int"] * 5 + [PrecisionError.__name__] * 3)])
 
 
 def check_pairing_determinant() -> CheckResult:
-    det = geometry._det(geometry.PAIRING)
-    if det != -1:
-        return CheckResult("pairing-determinant", False, f"determinant {det}")
-    return CheckResult("pairing-determinant", True)
+    return _first_mismatch("pairing-determinant", [
+        ("the determinant of PAIRING", [geometry._det(geometry.PAIRING)],
+         "the paper", [-1])])
 
 
 def check_pushforward_kernel() -> CheckResult:
@@ -200,32 +195,25 @@ def check_pushforward_kernel() -> CheckResult:
         b = [0] * 9
         b[i], b[i + 1] = 1, -1
         complement.append(Gamma19Class(0, tuple(b)))
-    for gamma in complement:
-        if not geometry.pushforward(gamma).is_zero():
-            return CheckResult("pushforward-kernel", False,
-                               "complement class Gamma19Class(a={}, b={}) "
-                               "survives".format(*gamma))
-    section = geometry.pushforward(Gamma19Class(0, (1, 0, 0, 0, 0, 0, 0, 0, 0)))
-    fibre = geometry.pushforward(Gamma19Class(3, (-1,) * 9))
-    if section != CurveClass(c=1) or fibre != CurveClass(e=1):
-        return CheckResult("pushforward-kernel", False,
-                           "C0 or the fibre class maps incorrectly")
-    return CheckResult("pushforward-kernel", True)
+    images = [(gamma, CurveClass(), "the zero class") for gamma in complement]
+    # C0, and the fibre class 3H - sum C_i
+    images += [(Gamma19Class(0, (1,) + (0,) * 8), CurveClass(c=1),
+                "the section class"),
+               (Gamma19Class(3, (-1,) * 9), CurveClass(e=1),
+                "the fibre class")]
+    return _first_mismatch("pushforward-kernel", (
+        ("pushforward of Gamma19Class(a={}, b={})".format(*gamma),
+         [geometry.pushforward(gamma).label()], name, [beta.label()])
+        for gamma, beta, name in images))
 
 
 def check_nl_vanishing() -> CheckResult:
-    for h in range(6):
-        for d1 in range(-4, 3):
-            for d2 in range(-2, 3):
-                disc = geometry.nl_discriminant(h, d1, d2)
-                if disc >= 0:
-                    continue
-                nl = invariants.nl_number(h, d1, d2)
-                if nl != 0:
-                    return CheckResult(
-                        "nl-vanishing", False,
-                        f"NL({h};{d1},{d2}) = {nl} despite discriminant {disc}")
-    return CheckResult("nl-vanishing", True)
+    """NL(h; d1, d2) is 0 at a negative discriminant: E10 starts at q^0."""
+    return _first_mismatch("nl-vanishing", (
+        (f"NL({h};{d1},{d2}) (discriminant {disc})",
+         [invariants.nl_number(h, d1, d2)], "E10 below q^0", [0])
+        for h in range(6) for d1 in range(-4, 3) for d2 in range(-2, 3)
+        if (disc := geometry.nl_discriminant(h, d1, d2)) < 0))
 
 
 def check_theta_is_e4(prec: int) -> CheckResult:
@@ -323,22 +311,17 @@ def check_integrality(slice_rows: list, nl_rows: list, closed: list,
     """Every row of both pairs is an int; a non-int r_h shows in the NL sum."""
     streams = {"fiber slice": slice_rows, "fiber NL sum": nl_rows,
                "section closed": closed, "section convolution": convolution}
-    for name, values in streams.items():
-        for v in values:
-            if type(v) is not int:
-                return CheckResult("gv-integrality", False,
-                                   f"{name} produced non-integer {v}")
-    return CheckResult("gv-integrality", True)
+    return _first_mismatch("gv-integrality", (
+        (f"{name} row type", [type(v).__name__ for v in rows],
+         "exactly", ["int"] * len(rows)) for name, rows in streams.items()))
 
 
 def check_euler_hodge() -> CheckResult:
-    data = geometry.euler_characteristic(8)
-    ok = (data.deg_K_delta == 1056 and data.cusps == 192
-          and data.e_delta == -672 and data.e_X == -480
-          and geometry.hodge_consistency())
-    return CheckResult("euler-hodge", ok, "" if ok else
-                       "got EulerData(l_squared={}, deg_K_delta={}, cusps={}, "
-                       "e_delta={}, e_X={})".format(*data))
+    """EulerData at L.L = 8, and e(X) against the Hodge numbers."""
+    return _first_mismatch("euler-hodge", [(
+        "EulerData at L.L = 8, hodge_consistency()",
+        [(*geometry.euler_characteristic(8), geometry.hodge_consistency())],
+        "the paper", [(8, 1056, 192, -672, -480, True)])])
 
 
 def _guarded(name: str, check, *args) -> CheckResult:
@@ -358,10 +341,10 @@ def _guarded(name: str, check, *args) -> CheckResult:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
-def _built(route, *args):
-    """route(*args), or the exception it raised."""
+def _built(fn, *args):
+    """fn(*args), or the exception it raised."""
     try:
-        return route(*args)
+        return fn(*args)
     except Exception as exc:
         return exc
 
@@ -392,7 +375,8 @@ def run_checks(prec: int) -> list[CheckResult]:
         ("pushforward-kernel", check_pushforward_kernel),
         ("nl-vanishing", check_nl_vanishing),
         ("theta-e8-equals-e4", check_theta_is_e4, prec),
-        ("e10-sigma9", check_e10_sigma9, max(prec, 21)),
+        # one past the row loop, so E4 * E6 runs the packed path
+        ("e10-sigma9", check_e10_sigma9, max(prec, _SCHOOLBOOK_TERMS + 1)),
         ("eta-power-additivity", check_eta_additivity, prec),
         (_multifiber_name(1), check_multifiber_routes, 1, prec - 1, *fibre),
         ("section-dual-route", check_section_routes, *section),

@@ -52,9 +52,6 @@ class CurveClass(tuple):
     def __new__(cls, c: int = 0, e: int = 0, f: int = 0):
         return tuple.__new__(cls, (c, e, f))
 
-    def is_zero(self) -> bool:
-        return self.c == self.e == self.f == 0
-
     def label(self) -> str:
         parts = []
         for coef, sym in ((self.c, "C"), (self.f, "F"), (self.e, "E")):

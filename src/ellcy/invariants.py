@@ -123,7 +123,7 @@ def gv_to_gw_genus0(table: dict[CurveClass, int],
     N_{0,beta} = sum over k dividing beta of n_{0,beta/k} / k^3; a class
     beta/k missing from the table raises KeyError naming it.
     """
-    if beta.is_zero():
+    if beta == CurveClass():
         raise ValueError("the zero class has no multiple-cover expansion")
     from fractions import Fraction
     g = gcd(gcd(abs(beta.c), abs(beta.e)), abs(beta.f))

@@ -16,8 +16,9 @@ the one constructor ``QSeries(coeffs, prec)``, which refuses any
 other coefficient with a ``TypeError``, and ``invert`` and ``sqrt``
 raise rather than leave the integers.  The routes only multiply series
 and read coefficients, so that is all a series does besides compare: a
-product with anything but a series is a ``TypeError``, and
-:meth:`QSeries.coeff_at` is the one reader, one exponent at a time.  No
+product with anything but a series is a ``TypeError``, ``coeffs`` holds
+the known coefficients, and :meth:`QSeries.coeff_at` reads one exponent
+and raises past the bound (``invariants.gv_table`` reads rows by it).  No
 arithmetic here imports `fractions` or uses floating point.  Every
 product of coefficient lists goes through :func:`int_product`, which
 picks its algorithm by the number n of product terms: up to
@@ -41,10 +42,9 @@ from operator import sub
 # 30 us) and loses above (32 terms: 59 vs 48 us, 200 terms: 2.4 vs
 # 1.3 ms); on sparse factors, with every other term zero, it wins up to
 # about 100 terms.  The README has the table.  The cutover sits lower so
-# that `check --prec 2` still multiplies through the packed path (the
-# 21-term E4 * E6 of e10-sigma9, and ring-laws' 17-term product; from
-# `--prec 6` on, ring-laws' full-size product too) and every dense product
-# of 32 terms or more stays packed.
+# that every dense product of 32 terms or more stays packed; the checks
+# size their short products one term past it, so that `check --prec 2`
+# still multiplies through the packed path.
 _SCHOOLBOOK_TERMS = 16
 
 

@@ -730,8 +730,84 @@ class TestCheckCommand:
         monkeypatch.setattr(forms, "e10_coefficient",
                             lambda k: 1 if k == -1 else real(k))
         res = checks.check_nl_vanishing()
-        assert not res.passed
-        assert res.detail == "NL(0;-3,1) = -4 despite discriminant -2"
+        assert (res.passed, res.detail) == (
+            False, "n=0: NL(0;-3,1) (discriminant -2) -4 vs E10 below q^0 0")
+
+    def test_row_off_mod_m_fails_slice_partition(self, monkeypatch):
+        # a row one too high with the discriminant moved to match passes
+        # the discriminant pair, and the 1 mod m pair sees it from m = 2
+        for module, attr, shift in ((invariants, "fiber_row", 1),
+                                    (geometry, "nl_discriminant", 2)):
+            real = getattr(module, attr)
+            monkeypatch.setattr(module, attr, lambda *args, real=real,
+                                shift=shift: real(*args) + shift)
+        res = checks.check_slice_partition(6)
+        assert (res.passed, res.detail) == (
+            False, "n=0: fiber_row(2, n) mod 2 0 vs 1 mod 2 1")
+
+    def test_silent_zero_fails_precision_honesty(self, monkeypatch):
+        # a read past the bound that answers 0 instead of raising
+        monkeypatch.setattr(QSeries, "coeff_at", lambda self, e:
+                            self.coeffs[e] if e < len(self.coeffs) else 0)
+        res = checks.check_precision_honesty()
+        assert (res.passed, res.detail) == (
+            False, "n=5: E4 to q^5 read at q^n int vs its bound "
+                   "PrecisionError")
+
+    def test_pairing_fault_names_the_determinant(self, monkeypatch):
+        monkeypatch.setattr(geometry, "PAIRING",
+                            ((-1, -2, 1), (-1, 1, 0), (1, 0, 1)))
+        res = checks.check_pairing_determinant()
+        assert (res.passed, res.detail) == (
+            False, "n=0: the determinant of PAIRING -4 vs the paper -1")
+
+    @pytest.mark.parametrize("misread, detail", [
+        (lambda a, b: (a, b[:8] + (0,)),
+         "n=0: pushforward of Gamma19Class(a=0, b=(0, 0, 0, 0, 0, 0, 0, 1, "
+         "-1)) C+E vs the zero class 0"),
+        (lambda a, b: (a, (0,) + b[1:]),
+         "n=0: pushforward of Gamma19Class(a=0, b=(1, 0, 0, 0, 0, 0, 0, 0, "
+         "0)) 0 vs the section class C"),
+        (lambda a, b: (min(a, 2), b),
+         "n=0: pushforward of Gamma19Class(a=3, b=(-1, -1, -1, -1, -1, -1, "
+         "-1, -1, -1)) -3C-2E vs the fibre class E")],
+        ids=["C8", "C0", "3H"])
+    def test_pushforward_fault_names_the_class(self, misread, detail,
+                                               monkeypatch):
+        # a pushforward that misreads its class: forgetting C8 lets the
+        # complement class C7 - C8 survive, forgetting C0 sends the
+        # section's class to 0, and reading H at most twice moves only
+        # the fibre class 3H - sum C_i
+        real = geometry.pushforward
+        monkeypatch.setattr(geometry, "pushforward", lambda gamma: real(
+            geometry.Gamma19Class(*misread(*gamma))))
+        res = checks.check_pushforward_kernel()
+        assert (res.passed, res.detail) == (False, detail)
+
+    @pytest.mark.parametrize("value", [True, 1.0, Fraction(1)],
+                             ids=["bool", "float", "Fraction"])
+    def test_integrality_fail_names_route_row_and_type(self, value):
+        # each value equals the row 1 it replaces, so only its type shows
+        fibre = invariants.gv_table("fiber", "closed", 10)
+        closed = invariants.gv_table("section", "closed", 6)
+        assert closed[0] == value
+        res = checks.check_integrality(fibre, fibre, closed,
+                                       [value, *closed[1:]])
+        assert (res.passed, res.detail) == (
+            False, f"n=0: section convolution row type "
+                   f"{type(value).__name__} vs exactly int")
+
+    def test_euler_fault_names_the_data(self, monkeypatch):
+        # one cusp short at L.L = 8 moves e(Delta) and e(X), and with
+        # e(X) the Hodge consistency
+        monkeypatch.setattr(geometry, "euler_characteristic",
+                            lambda lsq: geometry.EulerData(lsq, 1056, 191,
+                                                           -674, -483))
+        res = checks.check_euler_hodge()
+        assert (res.passed, res.detail) == (
+            False, "n=0: EulerData at L.L = 8, hodge_consistency() "
+                   "(8, 1056, 191, -674, -483, False) vs the paper "
+                   "(8, 1056, 192, -672, -480, True)")
 
     def test_dual_route_fail_names_first_row(self):
         # the detail names the first class that differs, and a route that
@@ -1027,19 +1103,26 @@ class TestCheckCommand:
         assert [(checks._schoolbook(f, g), checks._term_sum(f, g))
                 for f, g in pairs] == expected
 
-    @pytest.mark.parametrize("attr, shift", [
-        ("fiber_row", 1), ("first_row", 1), ("first_row", -1)])
-    def test_row_index_fault_fails_slice_partition(self, attr, shift,
+    @pytest.mark.parametrize("attr, shift, detail", [
+        ("fiber_row", 1,
+         "n=0: 2 fiber_row(1, n) 2 vs the h = 0 NL discriminant of 1F+nE 0"),
+        ("first_row", 1, "n=0: first_row(1) 1 vs the rows k < 0 of 1F+nE 0"),
+        ("first_row", -1,
+         "n=0: first_row(1) -1 vs the rows k < 0 of 1F+nE 0")],
+        ids=["fiber_row-1", "first_row-1", "first_row--1"])
+    def test_row_index_fault_fails_slice_partition(self, attr, shift, detail,
                                                    monkeypatch):
         # both fibre routes read the one row index, so a wrong index
         # moves them alike and every dual-route check still passes; only
-        # slice-partition, which pins the index itself, may fail
+        # slice-partition, which pins the index itself, may fail, and its
+        # detail names m, n and the row k
         real = getattr(invariants, attr)
         monkeypatch.setattr(invariants, attr,
                             lambda *args: real(*args) + shift)
         code, text = run(["check", "--prec", "22"])
         assert code == 2
         assert failed_checks(text) == ["slice-partition"]
+        assert f"FAIL\tslice-partition\t{detail}\n" in text
 
     def test_corrupted_e4_detected(self, monkeypatch):
         real = forms.eisenstein

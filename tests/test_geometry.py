@@ -80,7 +80,7 @@ class TestPushforward:
             b[i], b[i + 1] = 1, -1
             samples.append(Gamma19Class(0, tuple(b)))
         for gamma in samples:
-            assert geometry.pushforward(gamma).is_zero()
+            assert geometry.pushforward(gamma) == CurveClass()
 
     def test_fiber_coordinate_always_zero(self):
         gamma = Gamma19Class(5, (2, -3, 1, 0, 4, 0, 0, 1, -2))
@@ -189,7 +189,11 @@ class TestValueClasses:
         assert table[CurveClass(0, 3, 1)] == 3
         assert hash(CurveClass(1, 2, 3)) == hash(CurveClass(c=1, e=2, f=3))
         assert CurveClass(1, 2, 3) != CurveClass(1, 2, 4)
-        assert CurveClass(e=1).is_zero() is False and CurveClass().is_zero()
+        # the multiple-cover formula refuses the zero class, and only it
+        with pytest.raises(ValueError, match="the zero class"):
+            invariants.gv_to_gw_genus0({}, CurveClass(0, 0, 0))
+        assert invariants.gv_to_gw_genus0({CurveClass(e=1): 5},
+                                          CurveClass(e=1)) == 5
 
     def test_curve_class_label(self):
         assert [CurveClass(*v).label() for v in
@@ -219,18 +223,20 @@ class TestValueClasses:
         assert (data.l_squared, data.e_X) == (8, -480)
 
     def test_fail_details_name_the_classes(self, monkeypatch):
-        # the FAIL details of pushforward-kernel and euler-hodge print
-        # the classes as their namedtuple reprs did
+        # the FAIL details of pushforward-kernel and euler-hodge name the
+        # class that survives by its namedtuple-style form and its image's
+        # label, and the Euler data with the Hodge verdict
         from ellcy import checks
         monkeypatch.setattr(geometry, "pushforward",
                             lambda gamma: CurveClass(c=1))
         monkeypatch.setattr(geometry, "hodge_consistency", lambda: False)
         assert checks.check_pushforward_kernel().detail == (
-            "complement class Gamma19Class(a=1, b=(0, -3, 0, 0, 0, 0, 0, 0, "
-            "0)) survives")
+            "n=0: pushforward of Gamma19Class(a=1, b=(0, -3, 0, 0, 0, 0, 0, "
+            "0, 0)) C vs the zero class 0")
         assert checks.check_euler_hodge().detail == (
-            "got EulerData(l_squared=8, deg_K_delta=1056, cusps=192, "
-            "e_delta=-672, e_X=-480)")
+            "n=0: EulerData at L.L = 8, hodge_consistency() "
+            "(8, 1056, 192, -672, -480, False) vs the paper "
+            "(8, 1056, 192, -672, -480, True)")
 
     def test_check_result(self):
         from ellcy import checks

@@ -9,7 +9,9 @@ entered, at import or by a command.  A second pass runs every argv but
 ``check`` and asserts the same of every function in ``series.py``: the
 suite has its own oracles, so no series operation is there only for it.
 A third test reads the sources and asserts that the product kernel
-``int_product`` has one caller, ``QSeries.__mul__``, and no importer.
+``int_product`` has one caller, ``QSeries.__mul__``, and no importer,
+and a fourth that a check verdict, a ``CheckResult``, is built only in
+``checks._first_mismatch`` and ``checks._guarded``.
 
 Code objects are compared, not lines, so functions behind ``lru_cache``
 or ``classmethod`` count through the code they wrap, and code nested in
@@ -214,30 +216,44 @@ def test_series_code_serves_the_commands():
     assert set(SERIES_ALLOWED_UNREACHED) <= set(names.values())
 
 
-def _kernel_uses(tree: ast.AST, scope: str = ""):
-    """(scope, kind) of each call and import of int_product in a tree."""
+def _uses(tree: ast.AST, target: str, scope: str = ""):
+    """(scope, kind) of each call and import of the name target in a tree."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inner = f"{scope}.{node.name}" if scope else node.name
         elif isinstance(node, ast.Call):
             fn = node.func
-            if getattr(fn, "id", getattr(fn, "attr", None)) == "int_product":
+            if getattr(fn, "id", getattr(fn, "attr", None)) == target:
                 yield scope, "call"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            if any(alias.name.rsplit(".", 1)[-1] == "int_product"
+            if any(alias.name.rsplit(".", 1)[-1] == target
                    for alias in node.names):
                 yield scope, "import"
-        yield from _kernel_uses(node, inner)
+        yield from _uses(node, target, inner)
 
 
-def test_series_product_is_the_one_kernel_caller():
-    # a check or a fault placed in QSeries.__mul__ then sees every
-    # product, the E8 theta powers and ring-laws' full-size one included
+def _package_uses(target: str) -> list[tuple[str, str, str]]:
+    """(file, scope, kind) of each use of target in src/ellcy/*.py."""
     uses = []
     for name in sorted(os.listdir(PACKAGE_DIR)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE_DIR, name)) as fh:
                 tree = ast.parse(fh.read(), name)
-            uses += [(name, *use) for use in _kernel_uses(tree)]
-    assert uses == [("series.py", "QSeries.__mul__", "call")]
+            uses += [(name, *use) for use in _uses(tree, target)]
+    return uses
+
+
+def test_series_product_is_the_one_kernel_caller():
+    # a check or a fault placed in QSeries.__mul__ then sees every
+    # product, the E8 theta powers and ring-laws' full-size one included
+    assert _package_uses("int_product") == [
+        ("series.py", "QSeries.__mul__", "call")]
+
+
+def test_check_verdicts_have_one_shape():
+    # every PASS and FAIL of the suite is made by the comparator, and a
+    # FAIL by a check that raised by _guarded, so no check words its own
+    assert sorted(set(_package_uses("CheckResult"))) == [
+        ("checks.py", "_first_mismatch", "call"),
+        ("checks.py", "_guarded", "call")]
