@@ -42,7 +42,7 @@ _SERIES = {
     "e4": (lambda prec: forms.eisenstein(4, prec), 1, 0),
     "e6": (lambda prec: forms.eisenstein(6, prec), 1, 0),
     "e10": (lambda prec: forms.eisenstein(10, prec), 1, 0),
-    "theta-e8": (forms.theta_e8, 1, 0),
+    "theta-e8": (lambda prec: forms.theta_e8(prec), 1, 0),
     "inv-sqrt-delta": (lambda prec: forms.eta_power(-12, prec), 2, -1),
 }
 

@@ -150,8 +150,9 @@ def eta_power_jacobi(e: int, nterms: int) -> QSeries:
 
     Jacobi's prod (1 - q^n)^3 = sum_k (-1)^k (2k + 1) q^(k(k+1)/2) is
     sparse too, so :func:`_sparse_power` raises it to the power e/3, for
-    e a multiple of 3.  Only the direct routes read it: :func:`yau_zaslow`
-    and the Bryan-Leung eta^-12 of the section convolution.
+    e a multiple of 3.  Only the direct routes read it: the eta^-24 of the
+    NL sum, whose coefficient of q^h is the Yau-Zaslow number r_h, and the
+    Bryan-Leung eta^-12 of the section convolution.
     """
     if e % 3:
         raise ValueError("the exponent must be a multiple of 3")
@@ -188,13 +189,13 @@ def _eighth_power(cs: list[int]) -> list[int]:
     return list(f.coeffs)
 
 
-def e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:
-    """Number of E8 lattice vectors of each even norm, by theta powers.
+def theta_e8(nterms: int) -> QSeries:
+    """Theta series of the E8 lattice, by counting vectors by norm.
 
-    Entry m is the count of vectors with positive-definite norm 2m, for
-    0 <= m <= max_half_norm.  E8 is the set of 8-tuples x, all integer
-    or all half-integer, with even coordinate sum, so its theta series
-    is (theta_3^8 + theta_4^8 + theta_2^8)/2 (Jacobi): theta_3 counts one
+    Coefficient of q^m is the number of lattice vectors of norm 2m, by
+    theta powers.  E8 is the set of 8-tuples x, all integer or all
+    half-integer, with even coordinate sum, so its theta series is
+    (theta_3^8 + theta_4^8 + theta_2^8)/2 (Jacobi): theta_3 counts one
     integer coordinate by x^2, theta_4 the same with sign (-1)^x, and
     theta_2 one half-integer coordinate.  At an even norm, an integer
     8-tuple has even sum, so the theta_3 and theta_4 terms agree and
@@ -203,45 +204,21 @@ def e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:
     have norm 2(T + 1) for T the sum of the T_j, counted by psi^8 with
     psi = sum_j 2 p^(T_j); flipping one sign moves the sum by an odd
     number, so half of them have even sum.  No modular-forms input is
-    used anywhere.
+    used anywhere, so it is independent of :func:`eisenstein` by
+    construction.
     """
-    if max_half_norm < 0:
-        raise ValueError("max_half_norm must be non-negative")
-    top = 2 * max_half_norm  # largest norm sum(x_i^2) counted
+    if nterms < 1:
+        raise ValueError("nterms must be positive")
+    top = 2 * nterms - 2  # largest norm sum(x_i^2) counted
     theta3 = [0] * (top + 1)
     for x in range(math.isqrt(top) + 1):
         theta3[x * x] = 2 if x else 1
-    psi = [0] * max_half_norm
+    psi = [0] * (nterms - 1)
     j = 0
-    while j * (j + 1) // 2 < max_half_norm:
+    while j * (j + 1) // 2 < nterms - 1:
         psi[j * (j + 1) // 2] = 2
         j += 1
     counts = _eighth_power(theta3)[::2]
     for m, c in enumerate(_eighth_power(psi), 1):
         counts[m] += c // 2
-    return tuple(counts)
-
-
-def theta_e8(nterms: int) -> QSeries:
-    """Theta series of the E8 lattice, by counting vectors by norm.
-
-    Coefficient of q^m is the number of lattice vectors of norm 2m,
-    from :func:`e8_norm_counts`.  Independent of :func:`eisenstein` by
-    construction.
-    """
-    if nterms < 1:
-        raise ValueError("nterms must be positive")
-    return QSeries(e8_norm_counts(nterms - 1), nterms)
-
-
-def yau_zaslow(hmax: int) -> tuple[int, ...]:
-    """Reduced genus-0 K3 invariants r_0, ..., r_hmax, read off 1/Delta.
-
-    r_h is the coefficient of q^(h-1) in 1/Delta = q^-1 prod (1 - q^n)^-24,
-    an integer; the table starts 1, 24, 324, 3200, ...  It is built once,
-    by :func:`eta_power_jacobi`, so the NL sum shares no eta base series
-    with the closed fibre route.
-    """
-    if hmax < 0:
-        raise ValueError("hmax must be non-negative")
-    return eta_power_jacobi(-24, hmax + 1).coeffs
+    return QSeries(counts, nterms)

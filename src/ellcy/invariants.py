@@ -23,8 +23,6 @@ from __future__ import annotations
 from math import gcd
 
 from . import forms, geometry
-from .geometry import CurveClass
-from .series import QSeries
 
 TYPE_CHECKING = False  # typing's flag unimported; checkers read it as true
 if TYPE_CHECKING:
@@ -67,10 +65,9 @@ ROUTES = {
         "closed": (lambda u: forms.eta_power(-24, u),
                    lambda u: forms.eisenstein(10, u)),
         # the Noether-Lefschetz sum (1/2) sum_h r_h NL_h, NL_h =
-        # -4 [q^(k-h)] E10 (nl_number): the Yau-Zaslow r_h at q^h,
-        # Jacobi's cube to the -8, times E10 = E4 * E6; the series refuses
-        # a non-int r_h
-        "direct": (lambda u: QSeries(forms.yau_zaslow(u - 1), u),
+        # -4 [q^(k-h)] E10 (nl_number): Jacobi's cube to the -8, whose
+        # coefficient of q^h is the Yau-Zaslow r_h, times E10 = E4 * E6
+        "direct": (lambda u: forms.eta_power_jacobi(-24, u),
                    lambda u: forms.eisenstein(4, u) * forms.eisenstein(6, u)),
     },
 }
@@ -116,23 +113,16 @@ def first_row(m: int) -> int:
     return m if m > 1 else 0
 
 
-def gv_to_gw_genus0(table: dict[CurveClass, int],
-                    beta: CurveClass) -> Fraction:
-    """Genus-0 Gromov-Witten invariant from BPS counts by multiple cover.
+def gv_to_gw_genus0(rows: list[int], m: int, n: int) -> Fraction:
+    """Genus-0 Gromov-Witten invariant N_0 of mF + nE by multiple cover.
 
-    N_{0,beta} = sum over k dividing beta of n_{0,beta/k} / k^3; a class
-    beta/k missing from the table raises KeyError naming it.
+    N_0 = sum over k dividing gcd(m, n) of n_{(m/k)F+(n/k)E} / k^3, each
+    class read off the fibre rows by :func:`fiber_classes`, so m < 1
+    raises ValueError and a class past the last row IndexError.  A
+    primitive class, such as every C + nE, has N_0 equal to its row.
     """
-    if beta == CurveClass():
-        raise ValueError("the zero class has no multiple-cover expansion")
     from fractions import Fraction
-    g = gcd(gcd(abs(beta.c), abs(beta.e)), abs(beta.f))
-    total = Fraction(0)
-    for k in range(1, g + 1):
-        if g % k:
-            continue
-        eta = CurveClass(beta.c // k, beta.e // k, beta.f // k)
-        if eta not in table:
-            raise KeyError(f"no invariant recorded for class {eta.label()}")
-        total += Fraction(table[eta], k ** 3)
-    return total
+    g = gcd(m, n)
+    # k = 1 always runs, so the reader refuses m < 1 even for m = n = 0
+    return sum(Fraction(fiber_classes(rows, m // k, [n // k])[0], k ** 3)
+               for k in range(1, max(g, 1) + 1) if g % k == 0)

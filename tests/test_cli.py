@@ -982,17 +982,19 @@ class TestCheckCommand:
 
     def test_fraction_yau_zaslow_fails_integrality(self, monkeypatch):
         # gv-integrality builds no Yau-Zaslow table of its own: r_h of the
-        # right value but not int is refused by the series the NL sum
-        # multiplies, so every check that reads the direct fibre rows
-        # fails, gv-integrality with them, from one build of the table
-        real = forms.yau_zaslow
+        # right value but not int, put into the Jacobi eta^-24 of the NL
+        # sum, is refused by the series, so every check that reads the
+        # direct fibre rows fails, gv-integrality with them, from one
+        # build of the table
+        real, e10 = invariants.ROUTES["fiber"]["direct"]
         calls = []
 
-        def fractions(hmax):
-            calls.append(hmax)
-            return tuple(map(Fraction, real(hmax)))
+        def fractions(u):
+            calls.append(u)
+            return QSeries(map(Fraction, real(u).coeffs), u)
 
-        monkeypatch.setattr(forms, "yau_zaslow", fractions)
+        monkeypatch.setitem(invariants.ROUTES["fiber"], "direct",
+                            (fractions, e10))
         results = checks.run_checks(6)
         failed = {r.name: r.detail for r in results if not r.passed}
         assert failed == dict.fromkeys(
@@ -1426,9 +1428,12 @@ class TestExitContract:
         def poisoned(*args):
             raise AssertionError("a series was built past a bound")
 
-        for name in ("eta_power", "eta_power_jacobi", "eisenstein",
-                     "e8_norm_counts"):
-            monkeypatch.setattr(forms, name, poisoned)
+        # every public generator, so a new or renamed one is poisoned too
+        for name, fn in list(vars(forms).items()):
+            if (not name.startswith("_") and callable(fn)
+                    and getattr(fn, "__module__", None) == forms.__name__
+                    and not isinstance(fn, type)):
+                monkeypatch.setattr(forms, name, poisoned)
         monkeypatch.setattr(geometry, "euler_characteristic", poisoned)
         assert run(argv) == (1, "")
         bound = {"check": CHECK_BOUND, "euler": LSQ_BOUND}.get(argv[0],

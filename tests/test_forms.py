@@ -67,7 +67,7 @@ def four_loop_half_profiles(parity: int,
 def all_pairs_e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:
     """E8 vector counts by norm, pairing every two half profiles.
 
-    Independent of forms.e8_norm_counts, which takes theta powers through
+    Independent of forms.theta_e8, which takes theta powers through
     the series kernel: enumerates the halves of each vector and visits
     every pair of (norm, sum mod 4) keys, keeping those whose norm is
     0 mod 8 and whose sum is 0 mod 4.
@@ -403,7 +403,7 @@ class TestThetaE8:
 
     def test_norm_counts_match_all_pairs(self):
         for max_half_norm in list(range(0, 41)) + [199]:
-            assert forms.e8_norm_counts(max_half_norm) == \
+            assert forms.theta_e8(max_half_norm + 1).coeffs == \
                 all_pairs_e8_norm_counts(max_half_norm)
 
     def test_equals_e4_to_16_terms(self):
@@ -420,21 +420,23 @@ class TestThetaE8:
 
 
 class TestYauZaslow:
+    # the reduced genus-0 K3 invariant r_h is the coefficient of q^h in
+    # the Jacobi eta^-24, q/Delta, which the NL sum multiplies
     def test_known_values(self):
-        r = forms.yau_zaslow(3)
+        r = forms.eta_power_jacobi(-24, 4).coeffs
         assert r[0] == 1
         assert r[1] == 24
         assert r[2] == 324
         assert r[3] == 3200
 
     def test_positive_integers_up_to_20(self):
-        r = forms.yau_zaslow(20)
+        r = forms.eta_power_jacobi(-24, 21).coeffs
         for h in range(21):
             v = r[h]
-            assert v.denominator == 1
+            assert type(v) is int
             assert v > 0
 
     def test_out_of_range(self):
-        r = forms.yau_zaslow(5)
+        r = forms.eta_power_jacobi(-24, 6).coeffs
         with pytest.raises(IndexError):
             r[6]

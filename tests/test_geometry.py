@@ -189,11 +189,6 @@ class TestValueClasses:
         assert table[CurveClass(0, 3, 1)] == 3
         assert hash(CurveClass(1, 2, 3)) == hash(CurveClass(c=1, e=2, f=3))
         assert CurveClass(1, 2, 3) != CurveClass(1, 2, 4)
-        # the multiple-cover formula refuses the zero class, and only it
-        with pytest.raises(ValueError, match="the zero class"):
-            invariants.gv_to_gw_genus0({}, CurveClass(0, 0, 0))
-        assert invariants.gv_to_gw_genus0({CurveClass(e=1): 5},
-                                          CurveClass(e=1)) == 5
 
     def test_curve_class_label(self):
         assert [CurveClass(*v).label() for v in

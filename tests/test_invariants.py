@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from ellcy import cli, forms, geometry, invariants, series
-from ellcy.geometry import CurveClass
 from ellcy.series import PrecisionError, QSeries
 
 # each route of invariants.ROUTES by (target, method), and its test id: the
@@ -37,7 +36,7 @@ def fraction_nl_sum(m: int, nmax: int) -> list[Fraction]:
     Fractions and halved per class.
     """
     hcap = max(0, 1 + m * (nmax - m))
-    r = forms.yau_zaslow(hcap)
+    r = forms.eta_power_jacobi(-24, hcap + 1).coeffs  # Yau-Zaslow r_h
     e10 = forms.eisenstein(10, hcap + 1)
     out = []
     (_, l1f, l1e), (_, l2f, l2e), _ = geometry.PAIRING
@@ -87,7 +86,7 @@ def fraction_section_convolution(nterms: int) -> list[Fraction]:
     norm count times the Bryan-Leung count it shifts to, read one
     coefficient at a time.
     """
-    counts = forms.e8_norm_counts(nterms - 1)
+    counts = forms.theta_e8(nterms).coeffs
     bl = forms.eta_power(-12, nterms)  # q^(1/2)/sqrt(Delta)
     out = []
     for n in range(nterms):
@@ -297,7 +296,7 @@ class TestSectionRoutes:
         # every E8 vector of norm 2m contributes only from level n = m on;
         # truncating at n < m must reproduce the truncated convolution
         conv = invariants.gv_table("section", "direct", 3)
-        counts = forms.e8_norm_counts(2)
+        counts = forms.theta_e8(3).coeffs
         bl = forms.eta_power(-12, 3)
         n = 2
         manual = sum(counts[m] * bl.coeff_at(n - m) for m in range(n + 1))
@@ -467,13 +466,12 @@ class TestRouteGenerators:
     CALLS = {
         ("fiber", "closed"): {"eta_power",
                               ("eisenstein", 10), ("divisor_sums", 9)},
-        ("fiber", "direct"): {"yau_zaslow", "eta_power_jacobi",
+        ("fiber", "direct"): {"eta_power_jacobi",
                               ("eisenstein", 4), ("eisenstein", 6),
                               ("divisor_sums", 3), ("divisor_sums", 5)},
         ("section", "closed"): {"eta_power", ("eisenstein", 4),
                                 ("divisor_sums", 3)},
-        ("section", "direct"): {"theta_e8", "e8_norm_counts",
-                                "eta_power_jacobi"},
+        ("section", "direct"): {"theta_e8", "eta_power_jacobi"},
     }
 
     def test_routes_of_a_pair_share_no_generator(self, monkeypatch):
@@ -502,16 +500,22 @@ class TestRouteGenerators:
             closed, direct = (table[target, method] for method in methods)
             assert not closed & direct, target
 
-    @pytest.mark.parametrize("route", list(ROUTE_IDS),
-                             ids=list(ROUTE_IDS.values()))
-    def test_every_product_starts_at_q0(self, route):
+    @pytest.mark.parametrize(
+        "source", list(ROUTE_IDS) + sorted(cli._SERIES),
+        ids=list(ROUTE_IDS.values()) + sorted(cli._SERIES))
+    def test_every_product_starts_at_q0(self, source):
         # row i of every table is [q^i] of its product: both generators
-        # and their product hold nrows terms from q^0
-        first, second = invariants.ROUTES[route[0]][route[1]]
-        for nrows in (1, 2, 30):
-            f, g = first(nrows), second(nrows)
-            assert [(s.prec, len(s.coeffs)) for s in (f, g, f * g)] == \
-                [(nrows, nrows)] * 3, nrows
+        # and their product hold n terms from q^0, and so does every
+        # series the CLI prints, so no layer shifts an index
+        for n in (1, 2, 30):
+            if source in cli._SERIES:
+                made = [cli._SERIES[source][0](n)]
+            else:
+                f, g = (gen(n) for gen in invariants.ROUTES[source[0]][
+                    source[1]])
+                made = [f, g, f * g]
+            assert [(s.prec, len(s.coeffs)) for s in made] == \
+                [(n, n)] * len(made), n
 
 
 class TestRoutePrecision:
@@ -545,44 +549,53 @@ class TestRoutePrecision:
 
 
 class TestMultipleCover:
-    def test_primitive_identity(self):
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_closed_and_direct_rows_agree(self, m):
+        # every divisor class (m/k)F + (n/k)E lies at or below row
+        # fiber_row(m, n), so the rows that gv builds serve every term
+        ns = range(invariants.first_row(m), 25)
+        nrows = invariants.fiber_row(m, ns[-1]) + 1
+        closed, direct = (invariants.gv_table("fiber", method, nrows)
+                          for method in ("closed", "direct"))
+        assert [invariants.gv_to_gw_genus0(closed, m, n) for n in ns] == \
+            [invariants.gv_to_gw_genus0(direct, m, n) for n in ns]
+
+    def test_primitive_class_is_its_row(self):
+        # at m = 1 every class F + nE is primitive
+        rows = invariants.gv_table("fiber", "direct", 30)
+        assert [invariants.gv_to_gw_genus0(rows, 1, n) for n in range(30)] \
+            == rows
+
+    def test_double_fiber_formula(self):
+        # N_0 of 2F + nE, n even, adds n_{F+(n/2)E}/8 to its own row
+        rows = invariants.gv_table("fiber", "closed",
+                                   invariants.fiber_row(2, 24) + 1)
+        for n in range(0, 25, 2):
+            gv = invariants.fiber_classes(rows, 2, [n])[0]
+            assert invariants.gv_to_gw_genus0(rows, 2, n) == \
+                gv + Fraction(rows[n // 2], 8), n
+        # n_{2F} reads row -3, so N_0 of 2F is n_F/8 = -2/8
+        assert invariants.gv_to_gw_genus0(rows, 2, 0) == Fraction(-2, 8)
+
+    def test_result_is_a_fraction(self):
+        # int rows over k^3 stay exact, never a float, also when the sum
+        # is a whole number
         rows = invariants.gv_table("fiber", "direct", 6)
-        table = {CurveClass(e=n, f=1): v for n, v in enumerate(rows)}
-        for n in range(1, 6):
-            beta = CurveClass(e=n, f=1)  # gcd 1: primitive
-            assert invariants.gv_to_gw_genus0(table, beta) == table[beta]
+        for m, n in ((1, 3), (2, 0), (2, 2)):
+            assert type(invariants.gv_to_gw_genus0(rows, m, n)) is Fraction
 
-    def test_double_class_formula(self):
-        eta = CurveClass(e=1, f=1)
-        beta = CurveClass(e=2, f=2)
-        table = {eta: Fraction(7), beta: Fraction(100)}
-        assert invariants.gv_to_gw_genus0(table, beta) == \
-            Fraction(100) + Fraction(7, 8)
+    def test_m_below_one_rejected(self):
+        rows = invariants.gv_table("fiber", "direct", 6)
+        for m, n in ((0, 0), (0, 3), (-1, 2), (-2, 4)):
+            with pytest.raises(ValueError, match="fibre multiplicity"):
+                invariants.gv_to_gw_genus0(rows, m, n)
 
-    def test_double_fiber_from_both_tables(self):
-        fiber = {CurveClass(e=n, f=1): v for n, v in
-                 enumerate(classes("direct", 1, 0))}
-        double = {CurveClass(e=n, f=2): v for n, v in
-                  enumerate(classes("direct", 2, 0))}
-        merged = {**fiber, **double}
-        beta = CurveClass(f=2)
-        expected = double[beta] + Fraction(fiber[CurveClass(f=1)], 8)
-        result = invariants.gv_to_gw_genus0(merged, beta)
-        assert result == expected
-        assert expected == Fraction(-2, 8)
-        # int entries over k^3 must stay exact, never a float
-        assert type(result) is Fraction
-
-    def test_missing_entry_errors(self):
-        table = {CurveClass(f=2): Fraction(1)}
-        with pytest.raises(KeyError) as exc:
-            invariants.gv_to_gw_genus0(table, CurveClass(f=2))
-        # the divisor class F = (2F)/2 is missing, named by its label
-        assert exc.value.args == ("no invariant recorded for class F",)
-
-    def test_zero_class_rejected(self):
-        with pytest.raises(ValueError):
-            invariants.gv_to_gw_genus0({}, CurveClass())
+    def test_class_past_the_last_row_raises(self):
+        # 2F + 4E reads row fiber_row(2, 4) = 5, one past the last
+        rows = invariants.gv_table("fiber", "direct", 5)
+        assert invariants.gv_to_gw_genus0(rows, 2, 3) == rows[3]
+        with pytest.raises(IndexError):
+            invariants.gv_to_gw_genus0(rows, 2, 4)
 
 
 class TestResolutionFactor:
@@ -590,7 +603,7 @@ class TestResolutionFactor:
         # the polarized-family invariant is twice the threefold one; the
         # NL route divides by two exactly once, so doubling its output
         # must reproduce the raw Theorem-1* sum
-        r = forms.yau_zaslow(5)
+        r = forms.eta_power_jacobi(-24, 6).coeffs  # Yau-Zaslow r_h
         for n in range(6):
             raw = sum(r[h] * invariants.nl_number(h, n - 2, 1)
                       for h in range(n + 1))

@@ -43,7 +43,7 @@ ALLOWED_UNREACHED = {
     "series.QSeries.__repr__": "protocol: readable series in a debugger",
     "series.QSeries.__eq__": "protocol: tests compare series by value",
     "invariants.gv_to_gw_genus0": "the paper's GV to GW multiple-cover "
-                                  "formula, documented in the README",
+                                  "formula on fibre rows, in the README",
     "cli.entry_point": "the console script; main is run directly here",
 }
 
