@@ -121,7 +121,7 @@ def check_ring_laws(nterms: int) -> CheckResult:
         yield ("Jacobi's series squared", (jac * jac).coeffs,
                "schoolbook", _schoolbook(jac, jac).coeffs)
         fs = _sample_series()
-        ids = [f"f{i}" for i in range(len(fs))]  # not per label: 972 of them
+        ids = [f"f{i}" for i in range(len(fs))]  # not per label: 930 of them
         sums = [[_term_sum(f, g) for g in fs] for f in fs]
         prods = [[f * g for g in fs] for f in fs]
         for i, (a, f) in enumerate(zip(ids, fs)):
@@ -129,8 +129,9 @@ def check_ring_laws(nterms: int) -> CheckResult:
                 fg = prods[i][j]
                 yield (f"product {a}*{b}", fg.coeffs,
                        "schoolbook", _schoolbook(f, g).coeffs)
-                yield (f"commutativity {a}*{b}", fg.coeffs,
-                       f"{b}*{a}", prods[j][i].coeffs)
+                if i < j:
+                    yield (f"commutativity {a}*{b}", fg.coeffs,
+                           f"{b}*{a}", prods[j][i].coeffs)
                 for k, (c, h) in enumerate(zip(ids, fs)):
                     yield (f"associativity ({a}*{b})*{c}", (fg * h).coeffs,
                            f"{a}*({b}*{c})", (f * prods[j][k]).coeffs)

@@ -20,25 +20,15 @@ from operator import itemgetter
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(m)
-    a = [[int(x) for x in row] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Determinant of a square integer matrix by first-row cofactor expansion.
+
+    The matrices here are at most 3 x 3, and a zero entry of the first row
+    is skipped with its minor.
+    """
+    if not m:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
 
 
 class CurveClass(tuple):

@@ -13,12 +13,12 @@ at q^0 once its q^(e/24) prefactor is set aside (the CLI states the
 printed shift of each named series, in ``cli._SERIES``), so only ints
 from q^0 are stored: every series, kernel products included, is built by
 the one constructor ``QSeries(coeffs, prec)``, which refuses any
-other coefficient with a ``TypeError``, and ``invert`` and ``sqrt``
-raise rather than leave the integers.  The routes only multiply series
-and read coefficients, so that is all a series does besides compare: a
-product with anything but a series is a ``TypeError``, ``coeffs`` holds
-the known coefficients, and :meth:`QSeries.coeff_at` reads one exponent
-and raises past the bound (``invariants.gv_table`` reads rows by it).  No
+other coefficient with a ``TypeError``.  The routes only multiply series
+and read coefficients, so that is all a series does besides compare: it
+has no inverse or square root, a product with anything but a series is
+a ``TypeError``, ``coeffs`` holds the known coefficients, and
+:meth:`QSeries.coeff_at` reads one exponent and raises past the bound
+(``invariants.gv_table`` reads rows by it).  No
 arithmetic here imports `fractions` or uses floating point.  Every
 product of coefficient lists goes through :func:`int_product`, which
 picks its algorithm by the number n of product terms: up to
@@ -31,7 +31,6 @@ back, each step a C-level ``map`` over the terms.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from itertools import repeat
 from operator import sub
@@ -141,7 +140,7 @@ class QSeries:
     def __repr__(self) -> str:
         return f"QSeries({list(self.coeffs)}, {self.prec})"
 
-    # -- products and inverses -------------------------------------------
+    # -- products --------------------------------------------------------
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Product of two series, their coefficients by :func:`int_product`."""
@@ -150,53 +149,9 @@ class QSeries:
         prec = min(self.prec, other.prec)
         return QSeries(int_product(self.coeffs, other.coeffs, prec), prec)
 
-    def invert(self) -> "QSeries":
-        """Multiplicative inverse; the constant term must be +-1.
-
-        Any other constant term would leave the integers, so it raises
-        ArithmeticError.  No route inverts a series; it stays because the
-        benchmark's tracer (perfbench/trace_child.py) wraps it by name.
-        """
-        a = self.coeffs
-        if not a or a[0] == 0:
-            raise ValueError("non-invertible series: zero constant term")
-        if a[0] not in (1, -1):
-            raise ArithmeticError(
-                f"constant term {a[0]} is not a unit of the integers")
-        n = len(a)
-        b = [0] * n
-        b[0] = a[0]  # 1/a0 = a0 for a unit
-        for k in range(1, n):
-            s = sum(a[j] * b[k - j] for j in range(1, k + 1) if a[j])
-            b[k] = -s * a[0]
-        return QSeries(b, n)
-
-    def sqrt(self) -> "QSeries":
-        """Square root with positive constant term.
-
-        The constant term must be a perfect square, or ValueError is
-        raised, and every later step must divide exactly, or
-        ArithmeticError is raised.  No route takes a square root; it stays
-        because the benchmark's tracer (perfbench/trace_child.py) wraps it
-        by name.
-        """
-        a = self.coeffs
-        if not a:
-            raise ValueError("square root of a series with no terms")
-        b0 = math.isqrt(a[0]) if a[0] > 0 else 0
-        if b0 == 0 or b0 * b0 != a[0]:
-            raise ValueError(f"non-square constant term: {a[0]} is "
-                             f"not the square of a positive integer")
-        n = len(a)
-        b = [0] * n
-        b[0] = b0
-        for k in range(1, n):
-            s = sum(b[j] * b[k - j] for j in range(1, k))
-            b[k], rem = divmod(a[k] - s, 2 * b0)
-            if rem:
-                raise ArithmeticError(
-                    f"square root: coefficient {k} is not an integer")
-        return QSeries(b, n)
+    # perfbench/trace_child.py's Tracer.install looks both names up with
+    # no default; they go with the tracer mend of ROADMAP item 1
+    invert = sqrt = None
 
     # -- coefficient access ----------------------------------------------
 

@@ -852,6 +852,24 @@ class TestCheckCommand:
         assert checks._first_mismatch("x", pairs()) == \
             ("x", False, "n=0: a 1 vs b 2")
 
+    @pytest.mark.parametrize("prec", [6, 22])
+    def test_no_pair_compares_a_value_with_itself(self, monkeypatch, prec):
+        # a pair whose two sides are one object can never FAIL
+        real = checks._first_mismatch
+        same = []
+
+        def watched(name, pairs):
+            def seen():
+                for pair in pairs:
+                    if pair[1] is pair[3]:
+                        same.append((name, pair[0]))
+                    yield pair
+            return real(name, seen())
+
+        monkeypatch.setattr(checks, "_first_mismatch", watched)
+        assert all(r.passed for r in checks.run_checks(prec))
+        assert same == []
+
     def test_theta_fault_names_its_coefficient(self, monkeypatch):
         # Theta_E8 read as one more than 240 sigma_3(5) = 30240 at q^5
         real = forms.theta_e8

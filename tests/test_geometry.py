@@ -1,5 +1,8 @@
 """Tests for the intersection-theoretic tables and lattice arithmetic."""
 
+import itertools
+import random
+
 import pytest
 
 from ellcy import geometry, invariants
@@ -18,6 +21,28 @@ def degrees(beta: CurveClass) -> tuple[int, int]:
 class TestPairing:
     def test_determinant(self):
         assert geometry._det(geometry.PAIRING) == -1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_det_is_the_leibniz_sum(self, n):
+        def leibniz(m):
+            total = 0
+            for p in itertools.permutations(range(n)):
+                term = (-1) ** sum(p[i] > p[j] for i in range(n)
+                                   for j in range(i + 1, n))
+                for i, j in enumerate(p):
+                    term *= m[i][j]
+                total += term
+            return total
+
+        rng = random.Random(n)
+        for _ in range(200):  # entries in -3..3, so zeros come often
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            assert geometry._det(m) == leibniz(m)
+
+    def test_det_with_a_zero_top_left_entry(self):
+        # the case that needs a row swap under elimination
+        assert geometry._det([[0, 1], [1, 0]]) == -1
+        assert geometry._det([[0, 2, 1], [3, 0, 4], [5, 6, 0]]) == 58
 
     def test_table_entries(self):
         # rows L1, L2, L3; columns C, F, E
@@ -102,7 +127,7 @@ class TestNLDiscriminant:
 
     def test_closed_form_is_the_bordered_gram_determinant(self):
         # the definition: the K3 polarizing Gram matrix of L1, L2
-        # bordered by (d1, d2, 2h - 2), its determinant by elimination
+        # bordered by (d1, d2, 2h - 2), and its determinant
         for h in range(7):
             for d1 in range(-6, 7):
                 for d2 in range(-6, 7):

@@ -38,8 +38,6 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(ellcy.__file__))
 
 # Functions that no command reaches on purpose, each with its reason.
 ALLOWED_UNREACHED = {
-    "series.QSeries.invert": "perfbench/trace_child.py wraps it by name",
-    "series.QSeries.sqrt": "perfbench/trace_child.py wraps it by name",
     "series.QSeries.__repr__": "protocol: readable series in a debugger",
     "series.QSeries.__eq__": "protocol: tests compare series by value",
     "invariants.gv_to_gw_genus0": "the paper's GV to GW multiple-cover "
@@ -194,8 +192,6 @@ def test_every_function_is_reached():
 # Functions in series.py that the commands other than `check` need not
 # reach, each with its reason
 SERIES_ALLOWED_UNREACHED = {
-    "series.QSeries.invert": ALLOWED_UNREACHED["series.QSeries.invert"],
-    "series.QSeries.sqrt": ALLOWED_UNREACHED["series.QSeries.sqrt"],
     "series.QSeries.__eq__": ALLOWED_UNREACHED["series.QSeries.__eq__"],
     "series.QSeries.__repr__": ALLOWED_UNREACHED["series.QSeries.__repr__"],
 }
