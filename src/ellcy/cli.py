@@ -10,6 +10,7 @@ strings so arbitrary magnitudes survive any consumer.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from . import forms, geometry, invariants
@@ -26,9 +27,9 @@ NL_BOUND = 10 ** 6
 LSQ_BOUND = 10 ** 6
 
 # most series terms that series and gv build, and largest --m: at the bound
-# gv fiber and multifiber, the slowest, take about 1.1-1.2 s on a 2-core VM
+# gv fiber and multifiber, the slowest, take about 0.7-1.2 s on a 2-core VM
 TERMS_BOUND = 3000
-# largest check --prec: at the bound check takes about 0.23-0.25 s on a
+# largest check --prec: at the bound check takes about 0.14-0.24 s on a
 # 2-core VM
 CHECK_BOUND = 300
 
@@ -288,4 +289,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    """The process entry: main's exit code, or its SystemExit, ends it.
+
+    Whatever is alive when main returns or raises lives until exit, so
+    gc.freeze moves it to the permanent generation, which the
+    interpreter's collection at shutdown skips.  main itself never
+    freezes: the tests call it in process.
+    """
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()

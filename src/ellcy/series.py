@@ -80,8 +80,6 @@ def int_product(f: list[int], g: list[int], n: int) -> list[int]:
     slots of the product are read back exactly.
     """
     f, g = f[:n], g[:n]
-    if not f or not g:
-        return [0] * n
     if n <= _SCHOOLBOOK_TERMS:
         out = [0] * n
         for i, a in enumerate(f):
@@ -91,8 +89,9 @@ def int_product(f: list[int], g: list[int], n: int) -> list[int]:
                     out[k] += a * b
                     k += 1
         return out
-    fbits = max(map(abs, f)).bit_length()
-    gbits = max(map(abs, g)).bit_length()
+    # an empty factor packs to 0, and every slot reads back 0
+    fbits = max(map(abs, f), default=0).bit_length()
+    gbits = max(map(abs, g), default=0).bit_length()
     # |product coefficient| < n * max|f| * max|g|; two spare bits keep
     # it below a quarter of the slot
     width = (fbits + gbits + n.bit_length() + 2 + 7) // 8

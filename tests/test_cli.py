@@ -1,6 +1,7 @@
 """CLI contract tests: output shapes, JSON round-trips, exit codes."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -1283,6 +1284,63 @@ def run_exit(argv):
         except SystemExit as exc:
             code, raised = exc.code, True
     return code, out.getvalue(), err.getvalue(), raised
+
+
+class TestEntryPoint:
+    """`python -m ellcy` ends as main does, and only it freezes the GC.
+
+    One argv per way out of main: a return of 0 and of 2, a usage error
+    of the command (1), and SystemExit from the parser's help (0) and
+    from its usage error (1).
+    """
+
+    ARGVS = [["euler"], ["gv", "-h"], ["gv", "bogus"],
+             ["gv", "fiber", "--m", "2"],
+             ["nl", "--h", "-1", "--d1", "0", "--d2", "0"]]
+    CODES = [0, 0, 1, 1, 2]
+    ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(ellcy.__file__))))
+
+    @pytest.mark.parametrize("argv, code", zip(ARGVS, CODES),
+                             ids=[" ".join(a) for a in ARGVS])
+    def test_fresh_process_matches_main(self, argv, code):
+        proc = subprocess.run([sys.executable, "-S", "-m", "ellcy", *argv],
+                              env=self.ENV, capture_output=True, timeout=120)
+        status, out, err, _ = run_exit(argv)
+        assert status == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (status, out.encode(), err.encode())
+
+    def test_main_does_not_freeze(self):
+        before = gc.get_freeze_count()
+        for argv in self.ARGVS:
+            run_exit(argv)
+        assert gc.get_freeze_count() == before
+
+    # each argv in one fresh interpreter, so that this process never freezes
+    SCRIPT = """
+import contextlib, gc, io, json, sys
+from ellcy import cli
+frozen = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["ellcy"] + argv
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.entry_point()
+        except SystemExit as exc:
+            frozen.append([exc.code, gc.get_freeze_count() > 0])
+    gc.unfreeze()
+print(json.dumps(frozen))
+"""
+
+    def test_entry_point_freezes_on_every_exit(self):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", self.SCRIPT,
+             json.dumps(self.ARGVS)],
+            env=self.ENV, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[c, True] for c in self.CODES]
 
 
 class TestArgvForms:
