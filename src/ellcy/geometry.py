@@ -22,7 +22,8 @@ from operator import itemgetter
 def _det(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by first-row cofactor expansion.
 
-    The matrices here are at most 3 x 3, and a zero entry of the first row
+    The matrices here are the 3 x 3 pairing table and the leading minors
+    of an 8 x 8 tridiagonal Gram matrix, and a zero entry of the first row
     is skipped with its minor.
     """
     if not m:
@@ -62,9 +63,11 @@ class Gamma19Class(tuple):
     b = property(itemgetter(1))
 
     def __new__(cls, a: int, b: Sequence[int]):
-        b = tuple(int(x) for x in b)
+        b = tuple(b)
         if len(b) != 9:
             raise ValueError("expected 9 exceptional-curve coefficients")
+        if list(map(type, (a, *b))).count(int) != 10:  # exact ints, no bools
+            raise TypeError("Gamma19Class coordinates must be ints")
         return tuple.__new__(cls, (a, b))
 
 

@@ -719,7 +719,8 @@ class TestCheckCommand:
         # with the Jacobi oracle passed, the Eisenstein one still fails
         monkeypatch.setattr(checks, "_jacobi_cube",
                             lambda n: forms.eta_power(3, n))
-        res = checks.check_eta_additivity(6)
+        res = checks.check_pairs("eta-power-additivity",
+                                 checks._eta_additivity, 6)
         assert (res.passed, res.detail) == \
             (False, "n=2: (E4^3 - E6^2) q/Delta -41472 vs 1728 q 0")
 
@@ -730,7 +731,7 @@ class TestCheckCommand:
         real = forms.e10_coefficient
         monkeypatch.setattr(forms, "e10_coefficient",
                             lambda k: 1 if k == -1 else real(k))
-        res = checks.check_nl_vanishing()
+        res = checks.check_pairs("nl-vanishing", checks._nl_vanishing)
         assert (res.passed, res.detail) == (
             False, "n=0: NL(0;-3,1) (discriminant -2) -4 vs E10 below q^0 0")
 
@@ -742,7 +743,7 @@ class TestCheckCommand:
             real = getattr(module, attr)
             monkeypatch.setattr(module, attr, lambda *args, real=real,
                                 shift=shift: real(*args) + shift)
-        res = checks.check_slice_partition(6)
+        res = checks.check_pairs("slice-partition", checks._slice_partition, 6)
         assert (res.passed, res.detail) == (
             False, "n=0: fiber_row(2, n) mod 2 0 vs 1 mod 2 1")
 
@@ -750,7 +751,8 @@ class TestCheckCommand:
         # a read past the bound that answers 0 instead of raising
         monkeypatch.setattr(QSeries, "coeff_at", lambda self, e:
                             self.coeffs[e] if e < len(self.coeffs) else 0)
-        res = checks.check_precision_honesty()
+        res = checks.check_pairs("precision-honesty",
+                                 checks._precision_honesty)
         assert (res.passed, res.detail) == (
             False, "n=5: E4 to q^5 read at q^n int vs its bound "
                    "PrecisionError")
@@ -758,7 +760,8 @@ class TestCheckCommand:
     def test_pairing_fault_names_the_determinant(self, monkeypatch):
         monkeypatch.setattr(geometry, "PAIRING",
                             ((-1, -2, 1), (-1, 1, 0), (1, 0, 1)))
-        res = checks.check_pairing_determinant()
+        res = checks.check_pairs("pairing-determinant",
+                                 checks._pairing_determinant)
         assert (res.passed, res.detail) == (
             False, "n=0: the determinant of PAIRING -4 vs the paper -1")
 
@@ -782,7 +785,34 @@ class TestCheckCommand:
         real = geometry.pushforward
         monkeypatch.setattr(geometry, "pushforward", lambda gamma: real(
             geometry.Gamma19Class(*misread(*gamma))))
-        res = checks.check_pushforward_kernel()
+        res = checks.check_pairs("pushforward-kernel",
+                                 checks._pushforward_kernel)
+        assert (res.passed, res.detail) == (False, detail)
+
+    @pytest.mark.parametrize("index, detail", [
+        (0, "n=0: the leading minors of the complement's Gram matrix -32 vs "
+            "-E8 in this basis -8"),
+        (7, "n=7: the leading minors of the complement's Gram matrix 4 vs "
+            "-E8 in this basis 1")], ids=["first", "last"])
+    def test_index_two_sublattice_fails_pushforward_kernel(self, index,
+                                                           detail,
+                                                           monkeypatch):
+        # a doubled spanning vector still maps to zero, so every
+        # pushforward pair passes, but it spans a sublattice of index 2,
+        # not -E8: the Gram determinant reads 4, and the leading minors
+        # from the doubled vector's on are 4 times -E8's
+        real = checks.Gamma19Class
+        made = []
+
+        def doubling(a, b):
+            made.append(None)
+            if len(made) == index + 1:
+                a, b = 2 * a, [2 * x for x in b]
+            return real(a, b)
+
+        monkeypatch.setattr(checks, "Gamma19Class", doubling)
+        res = checks.check_pairs("pushforward-kernel",
+                                 checks._pushforward_kernel)
         assert (res.passed, res.detail) == (False, detail)
 
     @pytest.mark.parametrize("value", [True, 1.0, Fraction(1)],
@@ -792,8 +822,8 @@ class TestCheckCommand:
         fibre = invariants.gv_table("fiber", "closed", 10)
         closed = invariants.gv_table("section", "closed", 6)
         assert closed[0] == value
-        res = checks.check_integrality(fibre, fibre, closed,
-                                       [value, *closed[1:]])
+        res = checks.check_pairs("gv-integrality", checks._integrality,
+                                 fibre, fibre, closed, [value, *closed[1:]])
         assert (res.passed, res.detail) == (
             False, f"n=0: section convolution row type "
                    f"{type(value).__name__} vs exactly int")
@@ -804,7 +834,7 @@ class TestCheckCommand:
         monkeypatch.setattr(geometry, "euler_characteristic",
                             lambda lsq: geometry.EulerData(lsq, 1056, 191,
                                                            -674, -483))
-        res = checks.check_euler_hodge()
+        res = checks.check_pairs("euler-hodge", checks._euler_hodge)
         assert (res.passed, res.detail) == (
             False, "n=0: EulerData at L.L = 8, hodge_consistency() "
                    "(8, 1056, 191, -674, -483, False) vs the paper "
@@ -816,33 +846,36 @@ class TestCheckCommand:
         fibre = invariants.gv_table("fiber", "closed", 10)
         bumped = list(fibre)
         bumped[invariants.fiber_row(2, 3)] += 1
-        res = checks.check_multifiber_routes(2, 6, fibre, bumped)
+        res = checks.check_pairs("multifiber-dual-route-m2",
+                                 checks._multifiber_routes, 2, 6, fibre,
+                                 bumped)
         v = classes("closed", 2, 6)[3]
         assert (res.passed, res.detail) == \
             (False, f"n=3: slice {v} vs NL sum {v + 1}")
         closed = invariants.gv_table("section", "closed", 6)
-        res = checks.check_section_routes(closed, closed[:-1])
+        res = checks.check_pairs("section-dual-route", checks._section_routes,
+                                 closed, closed[:-1])
         assert (res.passed, res.detail) == \
             (False, "6 rows from closed vs 5 from convolution")
 
     def test_first_mismatch_passes_equal_pairs(self):
         # a list and a tuple with equal entries agree too
-        res = checks._first_mismatch("x", [("a", [1, 2], "b", [1, 2]),
-                                           ("c", (), "d", ()),
-                                           ("e", [4, 5], "f", (4, 5))])
+        res = checks.check_pairs("x", lambda: [("a", [1, 2], "b", [1, 2]),
+                                               ("c", (), "d", ()),
+                                               ("e", [4, 5], "f", (4, 5))])
         assert res == ("x", True, "")
 
     def test_first_mismatch_names_first_n_and_both_values(self):
-        res = checks._first_mismatch("x", [("a", [1, 2], "b", [1, 2]),
-                                           ("c", [5, 6, 7, 8], "d",
-                                            [5, 6, -7, 9]),
-                                           ("e", [0], "f", [1])])
+        res = checks.check_pairs("x", lambda: [("a", [1, 2], "b", [1, 2]),
+                                               ("c", [5, 6, 7, 8], "d",
+                                                [5, 6, -7, 9]),
+                                               ("e", [0], "f", [1])])
         assert res == ("x", False, "n=2: c 7 vs d -7")
 
     def test_first_mismatch_names_both_lengths_of_a_prefix(self):
-        res = checks._first_mismatch("x", [("a", [1, 2, 3], "b", [1, 2])])
+        res = checks.check_pairs("x", lambda: [("a", [1, 2, 3], "b", [1, 2])])
         assert res == ("x", False, "3 rows from a vs 2 from b")
-        res = checks._first_mismatch("x", [("a", (), "b", (0,))])
+        res = checks.check_pairs("x", lambda: [("a", (), "b", (0,))])
         assert res == ("x", False, "0 rows from a vs 1 from b")
 
     def test_first_mismatch_builds_no_pair_after_a_fail(self):
@@ -850,24 +883,35 @@ class TestCheckCommand:
             yield ("a", [1], "b", [2])
             raise AssertionError("the pair after a FAIL was built")
 
-        assert checks._first_mismatch("x", pairs()) == \
+        assert checks.check_pairs("x", pairs) == \
             ("x", False, "n=0: a 1 vs b 2")
+
+    def test_a_raise_between_pairs_fails_with_the_exception(self):
+        # pairs that passed before the raise do not make it a PASS
+        def pairs():
+            yield ("a", [1], "b", [1])
+            raise ValueError("inexact step")
+
+        assert checks.check_pairs("x", pairs) == \
+            ("x", False, "ValueError: inexact step")
 
     @pytest.mark.parametrize("prec", [6, 22])
     def test_no_pair_compares_a_value_with_itself(self, monkeypatch, prec):
-        # a pair whose two sides are one object can never FAIL
-        real = checks._first_mismatch
+        # a pair whose two sides are one object can never FAIL; the
+        # verdict function is looked up when the suite runs, so the
+        # watcher sees every check's pairs
+        real = checks.check_pairs
         same = []
 
-        def watched(name, pairs):
-            def seen():
-                for pair in pairs:
+        def watched(name, pairs_of, *args):
+            def seen(*args):
+                for pair in pairs_of(*args):
                     if pair[1] is pair[3]:
                         same.append((name, pair[0]))
                     yield pair
-            return real(name, seen())
+            return real(name, seen, *args)
 
-        monkeypatch.setattr(checks, "_first_mismatch", watched)
+        monkeypatch.setattr(checks, "check_pairs", watched)
         assert all(r.passed for r in checks.run_checks(prec))
         assert same == []
 
@@ -910,8 +954,8 @@ class TestCheckCommand:
         # both stop early, and never passes on the rows that are there
         fibre = invariants.gv_table("fiber", "closed", 10)
         for rows in ((fibre, fibre[:8]), (fibre[:8], fibre[:8])):
-            res = checks._guarded("multifiber-dual-route-m2",
-                                  checks.check_multifiber_routes, 2, 6, *rows)
+            res = checks.check_pairs("multifiber-dual-route-m2",
+                                     checks._multifiber_routes, 2, 6, *rows)
             assert (res.passed, res.detail) == \
                 (False, "IndexError: list index out of range")
 
@@ -996,7 +1040,7 @@ class TestCheckCommand:
                             (recorder("first", first),
                              recorder("second", second)))
         top = 41  # the top row of check --prec 22
-        assert checks.check_ring_laws(top).passed
+        assert checks.check_pairs("ring-laws", checks._ring_laws, top).passed
         assert calls == [("first", top), ("second", top)]
 
     def test_fraction_yau_zaslow_fails_integrality(self, monkeypatch):
@@ -1029,7 +1073,7 @@ class TestCheckCommand:
         real = series.int_product
         monkeypatch.setattr(series, "int_product",
                             lambda f, g, n: [2 * v for v in real(f, g, n)])
-        res = checks.check_ring_laws(8)
+        res = checks.check_pairs("ring-laws", checks._ring_laws, 8)
         assert not res.passed
         assert res.detail == "n=0: Jacobi's series squared 2 vs schoolbook 1"
 
@@ -1058,7 +1102,7 @@ class TestCheckCommand:
             return real(f, g, n)
 
         monkeypatch.setattr(series, "int_product", drop_last_row)
-        res = checks.check_ring_laws(8)
+        res = checks.check_pairs("ring-laws", checks._ring_laws, 8)
         assert not res.passed
         # f0 = 1 + 24q + 324q^2 + 3200q^3 loses its 3200q^3
         assert res.detail == "n=3: product f0*f0 18752 vs schoolbook 21952"
@@ -1077,7 +1121,7 @@ class TestCheckCommand:
             return real(f, g, n)
 
         monkeypatch.setattr(series, "int_product", halving)
-        res = checks.check_ring_laws(8)
+        res = checks.check_pairs("ring-laws", checks._ring_laws, 8)
         assert (res.passed, res.detail) == (
             False, "n=0: distributivity f0*(f0 + f0) 1 vs f0*f0 + f0*f0 2")
 
@@ -1095,7 +1139,7 @@ class TestCheckCommand:
             return real(cs, width)
 
         monkeypatch.setattr(series, "_pack", top_slot)
-        assert checks.check_ring_laws(40).passed
+        assert checks.check_pairs("ring-laws", checks._ring_laws, 40).passed
         code, text = run(["check", "--prec", "22"])
         assert code == 2
         assert re.search(r"^FAIL\tring-laws\tn=0: the 41 x 41-term product "

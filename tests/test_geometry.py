@@ -235,6 +235,17 @@ class TestValueClasses:
         with pytest.raises(ValueError, match="9 exceptional"):
             Gamma19Class(0, (1, 2))
 
+    @pytest.mark.parametrize("a, b", [
+        (0.5, (1.9,) + (0,) * 8), (0, (1.0,) + (0,) * 8),
+        ("3", (0,) * 9), (0, ("1",) + (0,) * 8),
+        (True, (0,) * 9), (0, (0,) * 8 + (False,))],
+        ids=["float-a", "float-b", "str-a", "str-b", "bool-a", "bool-b"])
+    def test_gamma19_class_refuses_non_ints(self, a, b):
+        # b's entries were passed through int() and a was stored as given,
+        # so Gamma19Class(0.5, (1.9, 0, ...)) pushed forward to 2.5C+1.5E
+        with pytest.raises(TypeError, match="must be ints"):
+            Gamma19Class(a, b)
+
     def test_euler_data(self):
         data = geometry.euler_characteristic(8)
         assert data == geometry.EulerData(8, 1056, 192, -672, -480)
@@ -250,10 +261,12 @@ class TestValueClasses:
         monkeypatch.setattr(geometry, "pushforward",
                             lambda gamma: CurveClass(c=1))
         monkeypatch.setattr(geometry, "hodge_consistency", lambda: False)
-        assert checks.check_pushforward_kernel().detail == (
+        assert checks.check_pairs("pushforward-kernel",
+                                  checks._pushforward_kernel).detail == (
             "n=0: pushforward of Gamma19Class(a=1, b=(0, -3, 0, 0, 0, 0, 0, "
             "0, 0)) C vs the zero class 0")
-        assert checks.check_euler_hodge().detail == (
+        assert checks.check_pairs("euler-hodge",
+                                  checks._euler_hodge).detail == (
             "n=0: EulerData at L.L = 8, hodge_consistency() "
             "(8, 1056, 192, -672, -480, False) vs the paper "
             "(8, 1056, 192, -672, -480, True)")

@@ -10,8 +10,12 @@ entered, at import or by a command.  A second pass runs every argv but
 suite has its own oracles, so no series operation is there only for it.
 A third test reads the sources and asserts that the product kernel
 ``int_product`` has one caller, ``QSeries.__mul__``, and no importer,
-and a fourth that a check verdict, a ``CheckResult``, is built only in
-``checks._first_mismatch`` and ``checks._guarded``.
+a fourth that a check verdict, a ``CheckResult``, is built only in
+``checks.check_pairs``, and a fifth that each check's name is written
+once in ``checks.py``, in ``run_checks``' table.  A last test pins what
+the tracer in ``perfbench/trace_child.py`` relies on: ``check_pairs`` is
+the one ``check_*`` name of ``checks``, so wrapping it gives one span per
+check, named after its result.
 
 Code objects are compared, not lines, so functions behind ``lru_cache``
 or ``classmethod`` count through the code they wrap, and code nested in
@@ -25,6 +29,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import os
 import pkgutil
@@ -248,8 +253,53 @@ def test_series_product_is_the_one_kernel_caller():
 
 
 def test_check_verdicts_have_one_shape():
-    # every PASS and FAIL of the suite is made by the comparator, and a
-    # FAIL by a check that raised by _guarded, so no check words its own
+    # every PASS and FAIL of the suite, a check that raised included, is
+    # made by check_pairs, so no check words its own
     assert sorted(set(_package_uses("CheckResult"))) == [
-        ("checks.py", "_first_mismatch", "call"),
-        ("checks.py", "_guarded", "call")]
+        ("checks.py", "check_pairs", "call")]
+
+
+CHECK_NAMES = ["ring-laws", "slice-partition", "precision-honesty",
+               "pairing-determinant", "pushforward-kernel", "nl-vanishing",
+               "theta-e8-equals-e4", "e10-sigma9", "eta-power-additivity",
+               "fiber-dual-route", "section-dual-route",
+               "multifiber-dual-route-m2", "multifiber-dual-route-m3",
+               "gv-integrality", "euler-hodge"]
+
+
+def test_each_check_is_named_once():
+    # a check's functions name nothing; run_checks' table is the one
+    # place that writes each name, as a whole string literal
+    with open(os.path.join(PACKAGE_DIR, "checks.py")) as fh:
+        tree = ast.parse(fh.read())
+    run_checks, = (node for node in tree.body
+                   if getattr(node, "name", None) == "run_checks")
+    literals, in_table = ([node.value for node in ast.walk(root)
+                           if isinstance(node, ast.Constant)
+                           and node.value in CHECK_NAMES]
+                          for root in (tree, run_checks))
+    assert sorted(literals) == sorted(in_table) == sorted(CHECK_NAMES)
+
+
+def test_the_tracer_sees_every_check(monkeypatch):
+    # perfbench/trace_child.py wraps every attribute of checks named
+    # check_* and names each span after the result's name; a second
+    # check_* name would be called with no result name to read, and a
+    # rename of check_pairs would leave the checks' spans unrecorded
+    from ellcy import checks
+    from ellcy.series import QSeries
+    names = [name for name in dir(checks) if name.startswith("check_")]
+    assert names == ["check_pairs"]
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "perfbench", "trace_child.py")
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)
+    tracer = trace_child.Tracer(QSeries)
+    for name in names:
+        monkeypatch.setattr(checks, name, tracer.wrap(
+            "checks.?", getattr(checks, name), key_args=False))
+    results = checks.run_checks(6)
+    assert [r.name for r in results] == CHECK_NAMES
+    assert [span[0] for span in tracer.spans] == [
+        f"checks.{name}" for name in CHECK_NAMES]
