@@ -3,15 +3,17 @@
 Everything here returns a :class:`~ellcy.series.QSeries`, a power series
 from q^0 truncated to a requested number of terms.  Every eta power, odd
 or even, is stored on the integer grid as prod (1 - q^n)^e without its
-q^(e/24), and no generator takes a series square root or inverse.  One power
-recurrence makes them all, from two sparse base series on purpose:
-:func:`eta_power` raises Euler's pentagonal series to the e-th power for
-the closed routes and every `series` command, :func:`eta_power_jacobi`
-Jacobi's cube prod (1 - q^n)^3 to the power e/3 for the direct routes
-only.  So a fault in either base shows as a mismatch between the two
-routes of a pair; a fault in the shared recurrence moves both alike, and
-the eta-power-additivity oracles catch it: Jacobi's series to the 8th
-by the product kernel, and Delta = (E4^3 - E6^2)/1728.
+q^(e/24), and no generator takes a series square root or inverse or
+multiplies two series.  One power recurrence raises four sparse bases on
+purpose: Euler's pentagonal series (:func:`eta_power`, for the closed
+routes and every `series` command), Jacobi's cube prod (1 - q^n)^3
+(:func:`eta_power_jacobi`, for the direct routes only) and the two theta
+series of :func:`theta_e8`.  So a fault in one base shows as a mismatch
+between the two routes of a pair.  A fault in the shared recurrence
+moves both fibre routes alike, and the eta-power-additivity oracles
+catch it: Jacobi's series to the 8th by the product kernel, and
+Delta = (E4^3 - E6^2)/1728.  It also moves the theta series, which E4
+and the closed section route do not read, so the section pair sees it.
 Two more generators are deliberately redundant: the E8 theta series
 counts lattice vectors by norm through powers of Jacobi theta series
 built from the coordinates, and never via the weight-4 Eisenstein series,
@@ -181,14 +183,6 @@ def eisenstein(k: int, nterms: int) -> QSeries:
     return QSeries(cs, nterms)
 
 
-def _eighth_power(cs: list[int]) -> list[int]:
-    """cs^8 by three series squarings, truncated to len(cs) terms."""
-    f = QSeries(cs, len(cs))
-    for _ in range(3):
-        f = f * f
-    return list(f.coeffs)
-
-
 def theta_e8(nterms: int) -> QSeries:
     """Theta series of the E8 lattice, by counting vectors by norm.
 
@@ -199,26 +193,26 @@ def theta_e8(nterms: int) -> QSeries:
     integer coordinate by x^2, theta_4 the same with sign (-1)^x, and
     theta_2 one half-integer coordinate.  At an even norm, an integer
     8-tuple has even sum, so the theta_3 and theta_4 terms agree and
-    their half is theta_3^8 alone.  A half-integer coordinate
-    +-(j + 1/2) has x^2 = 2 T_j + 1/4, T_j = j(j+1)/2, so eight of them
-    have norm 2(T + 1) for T the sum of the T_j, counted by psi^8 with
-    psi = sum_j 2 p^(T_j); flipping one sign moves the sum by an odd
-    number, so half of them have even sum.  No modular-forms input is
-    used anywhere, so it is independent of :func:`eisenstein` by
+    their half is theta_3^8 alone, read off its even slots.  A
+    half-integer coordinate +-(j + 1/2) has x^2 = 2 T_j + 1/4,
+    T_j = j(j+1)/2, so eight of them have norm 2(T + 1) for T the sum of
+    the T_j, counted by psi^8 with psi = sum_j 2 p^(T_j); flipping one
+    sign moves the sum by an odd number, so half of them, 128 times the
+    8th power of sum_j p^(T_j), have even sum.  Both bases,
+    1 + 2 sum q^(x^2) and sum p^(T_j), have constant term 1 and O(sqrt n)
+    terms, so :func:`_sparse_power` raises them as it raises the eta
+    bases, and no series is multiplied.  No modular-forms input is used
+    anywhere, so it is independent of :func:`eisenstein` by
     construction.
     """
     if nterms < 1:
         raise ValueError("nterms must be positive")
-    top = 2 * nterms - 2  # largest norm sum(x_i^2) counted
-    theta3 = [0] * (top + 1)
-    for x in range(math.isqrt(top) + 1):
-        theta3[x * x] = 2 if x else 1
-    psi = [0] * (nterms - 1)
-    j = 0
-    while j * (j + 1) // 2 < nterms - 1:
-        psi[j * (j + 1) // 2] = 2
-        j += 1
-    counts = _eighth_power(theta3)[::2]
-    for m, c in enumerate(_eighth_power(psi), 1):
-        counts[m] += c // 2
+    squares = [(x * x, 2) for x in range(1, math.isqrt(2 * nterms - 2) + 1)]
+    counts = list(_sparse_power(squares, 8, 2 * nterms - 1).coeffs[::2])
+    if nterms > 1:  # no half-integer vector below norm 2
+        triangular = [(j * (j + 1) // 2, 1)
+                      for j in range(1, math.isqrt(2 * nterms) + 1)]
+        psi8 = _sparse_power(triangular, 8, nterms - 1).coeffs
+        for m, c in enumerate(psi8, 1):
+            counts[m] += 128 * c
     return QSeries(counts, nterms)

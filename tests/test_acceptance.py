@@ -132,7 +132,7 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
     real_e10 = forms.e10_coefficient
     real_row, real_first = invariants.fiber_row, invariants.first_row
     real_pack = series._pack
-    real_sieve, real_eighth = forms.divisor_sums, forms._eighth_power
+    real_sieve = forms.divisor_sums
 
     def corrupt_eisenstein(weight):
         def patched(k, nterms):
@@ -164,7 +164,7 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         return real_power(terms, e, nterms)
 
     def corrupt_power(terms, e, nterms):
-        # every base exponent doubled: both generators alike
+        # every base exponent doubled: every generator alike
         return real_power([(2 * k, a) for k, a in terms], e, nterms)
 
     def corrupt_sieve(power):
@@ -175,10 +175,10 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
             return sums
         return patched
 
-    def corrupt_theta(cs):
-        out = real_eighth(cs)
-        out[2] += 1
-        return out
+    def corrupt_theta(terms, e, nterms):
+        # theta_3 = 1 + 2q + 2q^4 + ... read with 3q^4
+        terms = [(4, 3) if term == (4, 2) else term for term in terms]
+        return real_power(terms, e, nterms)
 
     def corrupt_top_slot(cs, width):
         # a wrong top slot in packs of more than 40 terms, beyond every
@@ -206,7 +206,7 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
         "sigma3-sieve": (forms, "divisor_sums", corrupt_sieve(3)),
         "sigma5-sieve": (forms, "divisor_sums", corrupt_sieve(5)),
         "sigma9-sieve": (forms, "divisor_sums", corrupt_sieve(9)),
-        "theta-powers": (forms, "_eighth_power", corrupt_theta),
+        "theta-powers": (forms, "_sparse_power", corrupt_theta),
         # the row index m(n - m) + 2, and the first printed row one late
         # or one early
         "fiber-row": (invariants, "fiber_row",
@@ -240,9 +240,11 @@ def test_criterion_10_check_command_and_fault_injection(monkeypatch):
             # own copy of Jacobi's series disagrees with it
             "jacobi-term": {"fiber-dual-route", "section-dual-route",
                             "eta-power-additivity"},
-            # the shared recurrence moves both routes alike; the oracles
-            # outside it must see it
-            "power-recurrence": {"eta-power-additivity"},
+            # the shared recurrence moves both fibre routes alike; the
+            # oracles outside it must see it, and E4 and the closed section
+            # route, which it does not build, see the theta powers move
+            "power-recurrence": {"eta-power-additivity",
+                                 "theta-e8-equals-e4", "section-dual-route"},
             # the sigma_9 oracle must be caught by the check that reads it
             "sigma9": {"e10-sigma9"},
             # both fibre routes read the row index and agree on a wrong

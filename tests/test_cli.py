@@ -644,25 +644,48 @@ class TestCheckCommand:
         assert {"e10-sigma9"} | checks_failed <= failed
 
     def test_theta_power_fault_fails_the_section_pair(self, monkeypatch):
-        # the theta powers feed only the section convolution
-        real = forms._eighth_power
+        # theta_3's 2q^4 read as 3q^4: the theta powers feed only the
+        # section convolution
+        real = forms._sparse_power
 
-        def corrupted(cs):
-            out = real(cs)
-            out[2] += 1
-            return out
+        def corrupted(terms, e, nterms):
+            terms = [(4, 3) if term == (4, 2) else term for term in terms]
+            return real(terms, e, nterms)
 
-        monkeypatch.setattr(forms, "_eighth_power", corrupted)
+        monkeypatch.setattr(forms, "_sparse_power", corrupted)
         code, text = run(["check", "--prec", "6"])
         assert code == 2
         assert failed_checks(text) == ["theta-e8-equals-e4",
                                        "section-dual-route"]
 
-    def test_series_kernel_fault_reaches_the_theta_powers(self, monkeypatch):
-        # the theta powers square series, so a kernel fault in products of
-        # more than 20 terms moves Theta_E8 and not E4; the two section
-        # routes' final products would move alike, but Theta_E8 moves the
-        # convolution alone
+    def test_recurrence_fault_in_the_theta_window(self, monkeypatch):
+        # +1 at q^30 in every power of more than 30 terms: at --prec 22
+        # the fibre routes move alike and the additivity oracles stop
+        # short of it, but theta_3^8 runs to 2 * 22 - 1 terms and moves
+        # Theta_E8 at q^15, which neither E4 nor the closed route reads
+        real = forms._sparse_power
+
+        def corrupted(terms, e, nterms):
+            f = real(terms, e, nterms)
+            if nterms <= 30:
+                return f
+            cs = list(f.coeffs)
+            cs[30] += 1
+            return QSeries(cs, f.prec)
+
+        monkeypatch.setattr(forms, "_sparse_power", corrupted)
+        code, text = run(["check", "--prec", "22"])
+        assert code == 2
+        assert [line.split(": ")[0] for line in text.splitlines()
+                if line.startswith("FAIL")] == [
+            "FAIL\ttheta-e8-equals-e4\tn=15",
+            "FAIL\tsection-dual-route\tn=15"]
+
+    def test_series_kernel_fault_fails_the_kernel_oracles(self, monkeypatch):
+        # no generator multiplies, so a kernel fault in products of more
+        # than 20 terms moves neither Theta_E8 nor E4, and the two section
+        # routes' final products move alike; the ring laws' full-size
+        # product and the additivity squares see it
         real = series.int_product
 
         def bumped(f, g, n):
@@ -673,7 +696,8 @@ class TestCheckCommand:
 
         monkeypatch.setattr(series, "int_product", bumped)
         failed = {r.name for r in checks.run_checks(22) if not r.passed}
-        assert {"theta-e8-equals-e4", "section-dual-route"} <= failed
+        assert {"ring-laws", "eta-power-additivity"} <= failed
+        assert not {"theta-e8-equals-e4", "section-dual-route"} & failed
 
     @pytest.mark.parametrize("e", [24, 12, -24, -12])
     def test_jacobi_fault_fails_additivity(self, e, monkeypatch):
@@ -703,9 +727,10 @@ class TestCheckCommand:
 
     def test_shared_recurrence_fault_fails_its_oracles(self, monkeypatch):
         # a recurrence that reads every base exponent doubled makes
-        # prod (1 - q^(2n))^e from either base: both routes of each pair
-        # move alike and agree, and squaring still holds, so only the
-        # oracles outside the recurrence can see it
+        # prod (1 - q^(2n))^e from either eta base: both routes of the
+        # fibre pair move alike and agree, and squaring still holds, so
+        # only the oracles outside the recurrence can see it; the theta
+        # powers move too, against E4 and the closed section route
         real = forms._sparse_power
         monkeypatch.setattr(
             forms, "_sparse_power",
@@ -714,8 +739,10 @@ class TestCheckCommand:
         for prec in (2, 6):
             results = checks.run_checks(prec)
             assert [(r.name, r.detail) for r in results if not r.passed] == [
+                ("theta-e8-equals-e4", "n=1: Theta_E8 144 vs E4 240"),
                 ("eta-power-additivity",
-                 "n=1: Jacobi's series to the 8th -24 vs eta^24/q 0")]
+                 "n=1: Jacobi's series to the 8th -24 vs eta^24/q 0"),
+                ("section-dual-route", "n=1: closed 240 vs convolution 144")]
         # with the Jacobi oracle passed, the Eisenstein one still fails
         monkeypatch.setattr(checks, "_jacobi_cube",
                             lambda n: forms.eta_power(3, n))

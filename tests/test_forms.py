@@ -1,5 +1,6 @@
 """Tests for the modular-form generators, each against an independent oracle."""
 
+import hashlib
 import io
 import itertools
 import math
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellcy import checks, cli, forms
+from ellcy import checks, cli, forms, series
 from ellcy.series import QSeries
 
 
@@ -67,8 +68,8 @@ def four_loop_half_profiles(parity: int,
 def all_pairs_e8_norm_counts(max_half_norm: int) -> tuple[int, ...]:
     """E8 vector counts by norm, pairing every two half profiles.
 
-    Independent of forms.theta_e8, which takes theta powers through
-    the series kernel: enumerates the halves of each vector and visits
+    Independent of forms.theta_e8, which raises theta series with the
+    eta power recurrence: enumerates the halves of each vector and visits
     every pair of (norm, sum mod 4) keys, keeping those whose norm is
     0 mod 8 and whose sum is 0 mod 4.
     """
@@ -391,16 +392,6 @@ class TestThetaE8:
             assert box_half_profiles(parity, bound) == \
                 four_loop_half_profiles(parity, bound)
 
-    @pytest.mark.parametrize("cs", [[0, 1] + [0] * 8, [0, 0, 3, -1, 2, 0],
-                                    [2, -1, 0, 0, 5], [0] * 4, [7], []])
-    def test_eighth_power_matches_double_loop(self, cs):
-        # a zero constant term included: the power keeps its leading zeros
-        power = [1] + [0] * (len(cs) - 1) if cs else []
-        for _ in range(8):
-            power = [sum(power[i] * cs[k - i] for i in range(k + 1))
-                     for k in range(len(cs))]
-        assert forms._eighth_power(cs) == power
-
     def test_norm_counts_match_all_pairs(self):
         for max_half_norm in list(range(0, 41)) + [199]:
             assert forms.theta_e8(max_half_norm + 1).coeffs == \
@@ -417,6 +408,28 @@ class TestThetaE8:
 
         monkeypatch.setattr(forms, "eisenstein", poisoned)
         assert forms.theta_e8(5).coeff_at(4) == 240 * forms.sigma(3, 4)
+
+
+def test_no_generator_multiplies(monkeypatch):
+    # every eta and theta power comes from the one sparse recurrence, so
+    # the product kernel is left to the routes and the checks
+    def refused(f, g, n):
+        raise AssertionError("a generator called the product kernel")
+
+    monkeypatch.setattr(series, "int_product", refused)
+    built = {"eta_power": forms.eta_power(-24, 50),
+             "eta_power_jacobi": forms.eta_power_jacobi(-12, 50),
+             "eisenstein": forms.eisenstein(10, 50),
+             "theta_e8": forms.theta_e8(50)}
+    assert set(built) == {
+        name for name, fn in vars(forms).items()
+        if not name.startswith("_") and callable(fn)
+        and getattr(fn, "__annotations__", {}).get("return") == "QSeries"}
+    assert all(f.prec == 50 for f in built.values())
+    out = io.StringIO()
+    assert cli.main(["series", "theta-e8", "--prec", "50"], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        "edc53a8bc490bc25356e1bb372d3a7421d692c8164cf4fb6bd0f4dedffcad7da"
 
 
 class TestYauZaslow:

@@ -210,8 +210,8 @@ class TestSectionRoutes:
         # every generator of either route of a pair shares the integer
         # grid with its partner, so no product packs a slot beyond the
         # terms that the returned rows need, and the largest packs exactly
-        # those; the series product is the kernel's one caller, the E8
-        # theta powers' squarings included, so it is recorded there
+        # those; the series product is the kernel's one caller, so it is
+        # recorded there, and no generator multiplies
         sizes = []
         real = series.int_product
 
@@ -224,11 +224,9 @@ class TestSectionRoutes:
                 (("section", "closed"), 1, 1),
                 (("section", "closed"), 4, 4),
                 (("section", "closed"), 50, 50),
-                # the theta powers count norms up to 2(nterms - 1) in
-                # steps of one: 2 nterms - 1 terms of a series in q^(1/2)
                 (("section", "direct"), 1, 1),
-                (("section", "direct"), 4, 7),
-                (("section", "direct"), 50, 99),
+                (("section", "direct"), 4, 4),
+                (("section", "direct"), 50, 50),
                 (("fiber", "closed"), 1, 1),
                 (("fiber", "closed"), 53, 53),
                 (("fiber", "direct"), 1, 1),
@@ -461,8 +459,8 @@ class TestFiberClasses:
 class TestRouteGenerators:
     # the forms generators each route calls, E_k by its weight k and the
     # divisor-sum sieve by its exponent k; _sparse_power, the recurrence
-    # behind both eta generators, is private and pinned by
-    # eta-power-additivity
+    # behind both eta generators and the theta series, is private and
+    # pinned by eta-power-additivity and theta-e8-equals-e4
     CALLS = {
         ("fiber", "closed"): {"eta_power",
                               ("eisenstein", 10), ("divisor_sums", 9)},

@@ -247,7 +247,7 @@ def _package_uses(target: str) -> list[tuple[str, str, str]]:
 
 def test_series_product_is_the_one_kernel_caller():
     # a check or a fault placed in QSeries.__mul__ then sees every
-    # product, the E8 theta powers and ring-laws' full-size one included
+    # product, the routes' own and ring-laws' full-size one included
     assert _package_uses("int_product") == [
         ("series.py", "QSeries.__mul__", "call")]
 

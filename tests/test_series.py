@@ -98,9 +98,6 @@ def test_kernel_that_leaves_the_integers_is_refused(monkeypatch):
         f * g
     with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
         invariants.gv_table("fiber", "closed", 20)
-    # the E8 theta powers square series too
-    with pytest.raises(TypeError, match="QSeries coefficients must be ints"):
-        forms.theta_e8(20)
 
 
 def test_non_integer_scalar_is_a_type_error():
