@@ -392,6 +392,20 @@ class TestThetaE8:
             assert box_half_profiles(parity, bound) == \
                 four_loop_half_profiles(parity, bound)
 
+    @pytest.mark.parametrize("cs", [
+        [1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0],  # theta_3
+        [1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1],  # sum_j p^(T_j)
+        [1, 1] + [0] * 8, [1, 0, 3, -1, 2, 0], [1, -1, 0, 0, 5], [1]])
+    def test_eighth_power_matches_double_loop(self, cs):
+        # theta_e8's two 8th powers come from the recurrence, which needs
+        # the constant term 1 that both theta bases have
+        power = [1] + [0] * (len(cs) - 1)
+        for _ in range(8):
+            power = [sum(power[i] * cs[k - i] for i in range(k + 1))
+                     for k in range(len(cs))]
+        terms = [(k, a) for k, a in enumerate(cs) if k and a]
+        assert list(forms._sparse_power(terms, 8, len(cs)).coeffs) == power
+
     def test_norm_counts_match_all_pairs(self):
         for max_half_norm in list(range(0, 41)) + [199]:
             assert forms.theta_e8(max_half_norm + 1).coeffs == \
