@@ -8,8 +8,6 @@ failure.  All numeric output is exact; JSON coefficients are decimal
 strings so arbitrary magnitudes survive any consumer.
 """
 
-from __future__ import annotations
-
 import gc
 import sys
 

@@ -24,8 +24,6 @@ single E10 coefficient comes from sigma_9 by trial division, the oracle
 of both E10 streams.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from itertools import repeat
@@ -209,10 +207,10 @@ def theta_e8(nterms: int) -> QSeries:
         raise ValueError("nterms must be positive")
     squares = [(x * x, 2) for x in range(1, math.isqrt(2 * nterms - 2) + 1)]
     counts = list(_sparse_power(squares, 8, 2 * nterms - 1).coeffs[::2])
-    if nterms > 1:  # no half-integer vector below norm 2
-        triangular = [(j * (j + 1) // 2, 1)
-                      for j in range(1, math.isqrt(2 * nterms) + 1)]
-        psi8 = _sparse_power(triangular, 8, nterms - 1).coeffs
-        for m, c in enumerate(psi8, 1):
-            counts[m] += 128 * c
+    triangular = [(j * (j + 1) // 2, 1)
+                  for j in range(1, math.isqrt(2 * nterms) + 1)]
+    psi8 = _sparse_power(triangular, 8, nterms).coeffs
+    # no half-integer vector below norm 2: psi^8 at p^T counts norm 2(T + 1)
+    for m, c in zip(range(1, nterms), psi8):
+        counts[m] += 128 * c
     return QSeries(counts, nterms)

@@ -13,8 +13,6 @@ tuples, built without the class-building cost of
 `collections.namedtuple`.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 from operator import itemgetter
 

@@ -18,15 +18,9 @@ of the polarized family; the factor 1/2 undoing it is applied in exactly
 one place per route.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from . import forms, geometry
-
-TYPE_CHECKING = False  # typing's flag unimported; checkers read it as true
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def nl_number(h: int, d1: int, d2: int) -> int:
@@ -113,13 +107,14 @@ def first_row(m: int) -> int:
     return m if m > 1 else 0
 
 
-def gv_to_gw_genus0(rows: list[int], m: int, n: int) -> Fraction:
+def gv_to_gw_genus0(rows: list[int], m: int, n: int):
     """Genus-0 Gromov-Witten invariant N_0 of mF + nE by multiple cover.
 
-    N_0 = sum over k dividing gcd(m, n) of n_{(m/k)F+(n/k)E} / k^3, each
-    class read off the fibre rows by :func:`fiber_classes`, so m < 1
-    raises ValueError and a class past the last row IndexError.  A
-    primitive class, such as every C + nE, has N_0 equal to its row.
+    N_0 = sum over k dividing gcd(m, n) of n_{(m/k)F+(n/k)E} / k^3, an
+    exact Fraction, each class read off the fibre rows by
+    :func:`fiber_classes`, so m < 1 raises ValueError and a class past the
+    last row IndexError.  A primitive class, such as every C + nE, has
+    N_0 equal to its row.
     """
     from fractions import Fraction
     g = gcd(m, n)

@@ -29,8 +29,6 @@ Kronecker substitution, multiplied once and the product's slots read
 back, each step a C-level ``map`` over the terms.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 from itertools import repeat
 from operator import sub

@@ -1,15 +1,17 @@
 """Every name an annotation uses in src/ellcy is bound in its module.
 
-With ``from __future__ import annotations`` an annotation is never
-evaluated at import, so a name it uses but the module never binds (say,
-a class imported only inside a function body) goes unnoticed until a
-type checker or ``typing.get_type_hints`` reads it.  The guard parses
-each ``src/ellcy/*.py`` with ``ast`` and checks every annotation name
-against the module's top-level bindings and the builtins.  An import
-under ``if TYPE_CHECKING:`` binds at the top level, so it counts.
+No module of src/ellcy postpones its annotations, so each is evaluated
+when its function is defined, and an unbound name fails at import.  A
+string annotation, such as ``QSeries``' forward references to itself, is
+evaluated only when read, as every annotation is under Python 3.14's
+deferred evaluation (PEP 649), so a name it uses but the module never
+binds (say, a class imported only inside a function body) goes
+unnoticed until a type checker or ``typing.get_type_hints`` reads it.
+The guard parses each ``src/ellcy/*.py`` with ``ast`` and checks every
+annotation name against the module's top-level bindings and the
+builtins, and no module binds a name for type checkers only: every hint
+resolves at run time with no extra namespace.
 """
-
-from __future__ import annotations
 
 import ast
 import builtins
@@ -80,13 +82,14 @@ def test_annotation_names_are_bound(source):
 
 
 def test_annotation_imports_load_nothing():
-    # the TYPE_CHECKING imports stay unevaluated: importing every module
-    # but __main__ in a fresh interpreter without site loads neither
-    # fractions nor typing
+    # importing every module but __main__ in a fresh interpreter without
+    # site loads none of fractions, typing and __future__: annotations are
+    # plain and name nothing that needs them
     script = ("import sys, ellcy\n"
               + "".join(f"import ellcy.{s[:-3]}\n" for s in SOURCES
                         if not s.startswith("__"))
-              + "print(sorted({'fractions', 'typing'} & set(sys.modules)))")
+              + "print(sorted({'fractions', 'typing', '__future__'}"
+              + " & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -96,11 +99,9 @@ def test_annotation_imports_load_nothing():
 
 def test_series_hints_resolve_at_run_time():
     # typing.get_type_hints resolves every annotation of every function
-    # and method with no localns, but for invariants: its Fraction is
-    # bound only for type checkers, so gv_to_gw_genus0 needs one
+    # and method with no localns
     import typing
     from collections.abc import Iterable
-    from fractions import Fraction
 
     from ellcy import checks, cli, forms, geometry, invariants, series
     assert typing.get_type_hints(series.QSeries.__init__) == \
@@ -108,7 +109,6 @@ def test_series_hints_resolve_at_run_time():
     assert typing.get_type_hints(series.QSeries.coeff_at) == \
         {"e": int, "return": int}
     for module in (series, forms, geometry, invariants, checks, cli):
-        localns = {"Fraction": Fraction} if module is invariants else None
         owners = [module] + [v for v in vars(module).values()
                              if isinstance(v, type)
                              and v.__module__ == module.__name__]
@@ -116,4 +116,4 @@ def test_series_hints_resolve_at_run_time():
             for fn in vars(owner).values():
                 fn = getattr(fn, "__func__", fn)  # classmethods
                 if callable(fn) and not isinstance(fn, type):
-                    typing.get_type_hints(fn, localns=localns)
+                    typing.get_type_hints(fn)

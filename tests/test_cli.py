@@ -1152,6 +1152,15 @@ class TestCheckCommand:
         assert (res.passed, res.detail) == (
             False, "n=0: distributivity f0*(f0 + f0) 1 vs f0*f0 + f0*f0 2")
 
+    def test_each_distributivity_sum_is_asked_once(self):
+        # fi*(fk + fj) would compare the same two tuples as fi*(fj + fk),
+        # so each sum is asked once, in sample order: 126 pairs, not 216
+        n = len(checks._sample_series())
+        assert [a for a, *_ in checks._ring_laws(8)
+                if a.startswith("distributivity")] == [
+            f"distributivity f{i}*(f{j} + f{k})"
+            for i in range(n) for j in range(n) for k in range(j, n)]
+
     def test_full_size_kernel_fault_fails_ring_laws(self, monkeypatch):
         # a wrong top slot in packs of more than 80 terms: the 17-term
         # samples never see it, and the product of the closed fibre

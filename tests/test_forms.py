@@ -438,7 +438,7 @@ def test_no_generator_multiplies(monkeypatch):
     assert set(built) == {
         name for name, fn in vars(forms).items()
         if not name.startswith("_") and callable(fn)
-        and getattr(fn, "__annotations__", {}).get("return") == "QSeries"}
+        and getattr(fn, "__annotations__", {}).get("return") is QSeries}
     assert all(f.prec == 50 for f in built.values())
     out = io.StringIO()
     assert cli.main(["series", "theta-e8", "--prec", "50"], out=out) == 0
