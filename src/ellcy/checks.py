@@ -132,7 +132,8 @@ def _ring_laws(nterms: int):
            "schoolbook", _schoolbook(jac, jac).coeffs)
     fs = _sample_series()
     ids = [f"f{i}" for i in range(len(fs))]  # not per label: 750 of them
-    sums = [[_term_sum(f, g) for g in fs] for f in fs]
+    # distributivity asks only j <= k: sums[j][k - j] is fs[j] + fs[k]
+    sums = [[_term_sum(f, g) for g in fs[j:]] for j, f in enumerate(fs)]
     prods = [[f * g for g in fs] for f in fs]
     for i, (a, f) in enumerate(zip(ids, fs)):
         for j, (b, g) in enumerate(zip(ids, fs)):
@@ -147,7 +148,7 @@ def _ring_laws(nterms: int):
                        f"{a}*({b}*{c})", (f * prods[j][k]).coeffs)
                 if j <= k:  # (i, k, j) would compare the same two tuples
                     yield (f"distributivity {a}*({b} + {c})",
-                           (f * sums[j][k]).coeffs, f"{a}*{b} + {a}*{c}",
+                           (f * sums[j][k - j]).coeffs, f"{a}*{b} + {a}*{c}",
                            _term_sum(fg, prods[i][k]).coeffs)
     f, g = (gen(nterms).coeffs
             for gen in invariants.ROUTES["fiber"]["closed"])

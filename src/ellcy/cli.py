@@ -3,12 +3,15 @@
 Subcommands: `series` (named q-expansions), `gv` (invariant tables by
 either route), `nl` (a single Noether-Lefschetz number), `euler`
 (Euler-characteristic bookkeeping) and `check` (the full consistency
-suite).  Exit codes: 0 success, 1 usage error, 2 domain or consistency
-failure.  All numeric output is exact; JSON coefficients are decimal
-strings so arbitrary magnitudes survive any consumer.
+suite).  Exit codes: 0 success, 1 usage error or a stdout whose reader
+closed early, 2 domain or consistency failure.  `entry_point` ends the
+process with no interpreter teardown.  All numeric output is exact; JSON
+coefficients are decimal strings so arbitrary magnitudes survive any
+consumer.
 """
 
-import gc
+import atexit
+import os
 import sys
 
 from . import forms, geometry, invariants
@@ -287,14 +290,29 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def entry_point() -> None:
-    """The process entry: main's exit code, or its SystemExit, ends it.
+    """The process entry: main, atexit's callbacks, the flush, os._exit.
 
-    Whatever is alive when main returns or raises lives until exit, so
-    gc.freeze moves it to the permanent generation, which the
-    interpreter's collection at shutdown skips.  main itself never
-    freezes: the tests call it in process.
+    main's code, or its SystemExit's, is the exit status; os._exit skips
+    the interpreter's teardown of every module and object.  A reader that
+    closed stdout early (BrokenPipeError from main or a flush) gives
+    status 1 and nothing on stderr.  Other exceptions propagate.  Under a
+    profiler or tracer, which reports at the interpreter's exit, SystemExit
+    ends the process.  main never does: the tests call it in process.
     """
-    try:
+    if sys.getprofile() or sys.gettrace():
         raise SystemExit(main())
-    finally:
-        gc.freeze()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    except BrokenPipeError:
+        code = USAGE_ERROR
+    atexit._run_exitfuncs()
+    for stream in sys.stdout, sys.stderr:
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = USAGE_ERROR
+        except OSError:  # the interpreter's last flush reports it
+            raise SystemExit(code)
+    os._exit(code)

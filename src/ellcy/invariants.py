@@ -18,7 +18,7 @@ of the polarized family; the factor 1/2 undoing it is applied in exactly
 one place per route.
 """
 
-from math import gcd
+import math
 
 from . import forms, geometry
 
@@ -117,7 +117,7 @@ def gv_to_gw_genus0(rows: list[int], m: int, n: int):
     N_0 equal to its row.
     """
     from fractions import Fraction
-    g = gcd(m, n)
+    g = math.gcd(m, n)
     # k = 1 always runs, so the reader refuses m < 1 even for m = n = 0
     return sum(Fraction(fiber_classes(rows, m // k, [n // k])[0], k ** 3)
                for k in range(1, max(g, 1) + 1) if g % k == 0)

@@ -1,7 +1,6 @@
 """CLI contract tests: output shapes, JSON round-trips, exit codes."""
 
 import contextlib
-import gc
 import hashlib
 import io
 import json
@@ -1367,7 +1366,7 @@ def run_exit(argv):
 
 
 class TestEntryPoint:
-    """`python -m ellcy` ends as main does, and only it freezes the GC.
+    """`python -m ellcy` ends as main does, through atexit and the flush.
 
     One argv per way out of main: a return of 0 and of 2, a usage error
     of the command (1), and SystemExit from the parser's help (0) and
@@ -1378,49 +1377,88 @@ class TestEntryPoint:
              ["gv", "fiber", "--m", "2"],
              ["nl", "--h", "-1", "--d1", "0", "--d2", "0"]]
     CODES = [0, 0, 1, 1, 2]
-    ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
-        os.path.abspath(ellcy.__file__))))
+    # stdout block-buffered, as in a shell, so the last flush writes it
+    ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    ENV["PYTHONPATH"] = os.path.dirname(os.path.dirname(
+        os.path.abspath(ellcy.__file__)))
+    LARGE = ["series", "inv-delta", "--prec", "3000"]  # 553,423 bytes
 
+    def run(self, *args, **kwargs):
+        kwargs.setdefault("capture_output", "stdout" not in kwargs)
+        return subprocess.run([sys.executable, *args], env=self.ENV,
+                              timeout=120, **kwargs)
+
+    @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "-S"])
     @pytest.mark.parametrize("argv, code", zip(ARGVS, CODES),
                              ids=[" ".join(a) for a in ARGVS])
-    def test_fresh_process_matches_main(self, argv, code):
-        proc = subprocess.run([sys.executable, "-S", "-m", "ellcy", *argv],
-                              env=self.ENV, capture_output=True, timeout=120)
+    def test_fresh_process_matches_main(self, argv, code, flags):
+        proc = self.run(*flags, "-m", "ellcy", *argv)
         status, out, err, _ = run_exit(argv)
         assert status == code
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (status, out.encode(), err.encode())
 
-    def test_main_does_not_freeze(self):
-        before = gc.get_freeze_count()
-        for argv in self.ARGVS:
-            run_exit(argv)
-        assert gc.get_freeze_count() == before
+    def test_main_never_ends_the_process(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("main reached the process exit")
+        monkeypatch.setattr(cli.os, "_exit", refused)
+        monkeypatch.setattr(cli.atexit, "_run_exitfuncs", refused)
+        assert [run_exit(argv)[0] for argv in self.ARGVS] == self.CODES
 
-    # each argv in one fresh interpreter, so that this process never freezes
     SCRIPT = """
-import contextlib, gc, io, json, sys
+import atexit, sys
+atexit.register(print, "atexit callback")
+sys.argv = ["ellcy"] + sys.argv[1:]
 from ellcy import cli
-frozen = []
-for argv in json.loads(sys.argv[1]):
-    sys.argv = ["ellcy"] + argv
-    with contextlib.redirect_stdout(io.StringIO()), \\
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            cli.entry_point()
-        except SystemExit as exc:
-            frozen.append([exc.code, gc.get_freeze_count() > 0])
-    gc.unfreeze()
-print(json.dumps(frozen))
+cli.entry_point()
 """
 
-    def test_entry_point_freezes_on_every_exit(self):
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", self.SCRIPT,
-             json.dumps(self.ARGVS)],
-            env=self.ENV, capture_output=True, text=True, timeout=120)
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_atexit_callback_runs_once_after_output(self, argv):
+        proc = self.run("-S", "-c", self.SCRIPT, *argv)
+        status, out, err, _ = run_exit(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (status, (out + "atexit callback\n").encode(), err.encode())
+
+    def test_large_output_to_a_file_is_main_output(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with open(path, "wb") as f:
+            proc = self.run("-S", "-m", "ellcy", *self.LARGE, stdout=f,
+                            stderr=subprocess.PIPE)
+        _, out, _, _ = run_exit(self.LARGE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(out) == 553423 and path.read_bytes() == out.encode()
+
+    def test_profiler_still_reports(self):
+        proc = self.run("-S", "-m", "cProfile", "-m", "ellcy", "euler")
+        _, out, _, _ = run_exit(["euler"])
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[c, True] for c in self.CODES]
+        assert proc.stdout.decode().startswith(out)
+        assert "function calls" in proc.stdout.decode()
+
+    # output that fits stdout's buffer fails in the last flush; the large
+    # series fails in one of main's writes
+    @pytest.mark.parametrize("argv", [["euler"], ["gv", "-h"], LARGE],
+                             ids=" ".join)
+    def test_closed_stdout_ends_1_silently(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.run("-m", "ellcy", *argv, stdout=write,
+                            stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a full device")
+    def test_full_stdout_is_reported_with_no_traceback(self):
+        with open("/dev/full", "wb") as full:
+            proc = self.run("-S", "-m", "ellcy", "euler", stdout=full,
+                            stderr=subprocess.PIPE)
+        assert proc.returncode != 0
+        assert b"No space left on device" in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
 
 class TestArgvForms:
